@@ -3,7 +3,8 @@
 Machine output goes to stdout in one of three formats (table, json, csv);
 diagnostics go to stderr.  Exit codes: 0 success, 1 user error, 2 refusal
 because a requested object exceeds the size ceiling, 3 internal defect
-(non-integral divided power, rank mismatch, or a failed validation).
+(non-integral divided power, rank mismatch, a failed exact-arithmetic
+invariant, or a failed validation).
 
 Cached modules live under <cache-dir>/<key>/ where the key hashes the
 tool version, Cartan type, weight and prime; payload files are the dims,
@@ -34,8 +35,8 @@ from .degenring import (check_degree_one_generation, check_mult_surjective,
 from .exactla import SparsePrimeMatrix, read_triplet_text, write_triplet_text
 from .pbwgrade import (SizeCeilingExceeded, _require_prime, check_f0,
                        check_F0_order_invariance, pbw_filtration)
-from .rootsys import (RootSystemData, UnsupportedType, build_root_system,
-                      splitting_weight)
+from .rootsys import (IntegrityError, RootSystemData, UnsupportedType,
+                      build_root_system, splitting_weight)
 from .weylmod import (RankMismatch, build_weyl_lattice, build_weyl_module_p,
                       lucas_assemble, validate_lattice_relations,
                       validate_relations, weyl_dim)
@@ -370,7 +371,8 @@ def _height_drop_key(rs: RootSystemData, lam):
     def key(item):
         w = item[0]
         diff = tuple(a - b for a, b in zip(lam, w))
-        drop = sum(rs.to_root_coords(diff))
+        # the drop scaled by cartan_det > 0 sorts like the drop itself
+        drop = sum(rs.root_coords_scaled(diff))
         return (drop, tuple(-x for x in w))
     return key
 
@@ -755,7 +757,7 @@ def main(argv=None) -> int:
     except SizeCeilingExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (NonIntegralDividedPower, RankMismatch) as exc:
+    except (NonIntegralDividedPower, RankMismatch, IntegrityError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
     except (UnsupportedType, ValueError) as exc:

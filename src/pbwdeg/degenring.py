@@ -30,16 +30,7 @@ from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
                        _require_prime, filter_from_seed, pbw_filtration)
 from .rootsys import RootSystemData, Weight, star_weight
 from .weylmod import (WeylModuleP, build_weyl_lattice, build_weyl_module_p,
-                      weyl_dim)
-
-
-def _compositions(k: int, m: int):
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for tail in _compositions(k - first, m - 1):
-            yield (first,) + tail
+                      kron_coproduct, weyl_dim)
 
 
 class _TensorSpace:
@@ -47,7 +38,8 @@ class _TensorSpace:
 
     Flat indices are row major over the factor bases, matching np.kron,
     and the operator of F_beta^(k) is the sum over all compositions of k
-    across the factors of the Kronecker product of factor operators.
+    across the factors of the Kronecker product of factor operators
+    (weylmod.kron_coproduct, shared with the spanning ambients).
     """
 
     def __init__(self, mods: list[WeylModuleP]):
@@ -80,14 +72,11 @@ class _TensorSpace:
         if k == 0:
             out = sp.identity(self.dim, dtype=np.int64, format="csr")
         else:
-            out = None
-            for ks in _compositions(k, len(self.mods)):
-                term = sp.identity(1, dtype=np.int64, format="csr")
-                for mod, kj in zip(self.mods, ks):
-                    term = sp.kron(term, mod.op(kind, beta, kj), format="csr")
-                out = term if out is None else out + term
-            out.data %= self.p
-            out.eliminate_zeros()
+            rows, cols, vals = kron_coproduct(
+                lambda j, a: self.mods[j].op(kind, beta, a), self.dims, k,
+                self.p)
+            out = sp.csr_matrix((vals, (rows, cols)),
+                                shape=(self.dim, self.dim), dtype=np.int64)
         self._cache[key] = out
         return out
 

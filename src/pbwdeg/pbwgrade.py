@@ -47,8 +47,39 @@ class SizeCeilingExceeded(RuntimeError):
         self.ceiling = ceiling
 
 
+#: the first twelve primes; as Miller-Rabin bases they decide primality
+#: for every n below 3.3e24, in particular every 64-bit n
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p >= 1 << 64:
+        raise ValueError(f"{p} is above 2^64; primality is only decided "
+                         "for 64-bit p")
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
@@ -83,11 +114,10 @@ class _FiltBlock:
 
 
 def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
-    diff = tuple(a - b for a, b in zip(top, low))
-    rc = rs.to_root_coords(diff)
-    if any(x != int(x) or x < 0 for x in rc):
+    rc = rs.root_coords_int(tuple(a - b for a, b in zip(top, low)))
+    if rc is None or any(x < 0 for x in rc):
         return None
-    return int(sum(int(x) for x in rc))
+    return sum(rc)
 
 
 def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,

@@ -5,6 +5,13 @@ tuples of ints in simple-root coordinates.  Positive roots are generated by
 brute-force closure under addition of simple roots (string condition), never
 from hard-coded tables, and are listed in a canonical order: by height, then
 lexicographically.
+
+Weight arithmetic is exact over the integers: the Cartan matrix A has a
+positive determinant det, its integer adjugate adj satisfies A adj = det I,
+so det times the simple-root coordinates of a weight mu is adj mu, and det
+times the inner product of two weights is mu^T G nu with the scaled Gram
+matrix G[i][j] = d_i adj[i][j].  Both matrices are computed once per root
+system.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Weight = tuple[int, ...]
 Root = tuple[int, ...]
@@ -22,6 +30,13 @@ SUPPORTED_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2")
 
 class UnsupportedType(ValueError):
     """Raised for Cartan labels outside the supported list."""
+
+
+class IntegrityError(RuntimeError):
+    """An exact invariant of the computation failed.
+
+    Raised instead of an assert so that the check survives ``python -O``.
+    """
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,25 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
+def _minor(m, i: int, j: int):
+    return [row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i]
+
+
+def _det(m) -> int:
+    """Integer determinant by cofactor expansion (rank is at most 4)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j))
+               for j in range(len(m)) if m[0][j])
+
+
+def _adjugate(m) -> tuple[tuple[int, ...], ...]:
+    """Integer adjugate: m adj(m) = det(m) I."""
+    n = len(m)
+    return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i))
+                       for j in range(n)) for i in range(n))
+
+
 @dataclass(frozen=True)
 class RootSystemData:
     cartan: CartanType
@@ -106,6 +140,13 @@ class RootSystemData:
     symmetrizer: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     heights: tuple[int, ...]
+    #: determinant of the Cartan matrix (positive for every supported type)
+    cartan_det: int
+    #: integer adjugate of the Cartan matrix: A adj = cartan_det I
+    cartan_adj: tuple[tuple[int, ...], ...]
+    #: scaled Gram matrix of the fundamental weights, d_i adj[i][j], so that
+    #: cartan_det (omega_i, omega_j) = gram[i][j]
+    gram: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -156,32 +197,46 @@ class RootSystemData:
         m = self.coroot_coords(beta)
         return sum(mu[i] * m[i] for i in range(self.rank))
 
-    def inner(self, mu: Weight, nu: Weight) -> Fraction:
-        """Symmetrized inner product of two weights in fundamental coords."""
-        # (mu, nu) = sum_j mu_j c_j d_j where nu = sum c_j alpha_j
-        c = self.to_root_coords(nu)
-        return sum((Fraction(mu[j]) * c[j] * self.symmetrizer[j]
-                    for j in range(self.rank)), Fraction(0))
+    def root_coords_scaled(self, mu: Weight) -> tuple[int, ...]:
+        """cartan_det times the simple-root coordinates of a weight."""
+        return tuple(sum(a * m for a, m in zip(row, mu))
+                     for row in self.cartan_adj)
+
+    def root_coords_int(self, mu: Weight) -> tuple[int, ...] | None:
+        """Simple-root coordinates if they are integral, else None."""
+        det = self.cartan_det
+        out = []
+        for x in self.root_coords_scaled(mu):
+            q, r = divmod(x, det)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def to_root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
-        """Solve A c = mu for the simple-root coordinates of a weight."""
-        n = self.rank
-        a = [[Fraction(self.cartan_matrix[i][j]) for j in range(n)]
-             for i in range(n)]
-        rhs = [Fraction(mu[i]) for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if a[r][col] != 0)
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            rhs[col] *= inv
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    rhs[r] -= f * rhs[col]
-        return tuple(rhs)
+        """Simple-root coordinates c of a weight, the solution of A c = mu."""
+        return tuple(Fraction(x, self.cartan_det)
+                     for x in self.root_coords_scaled(mu))
+
+    def inner_scaled(self, mu: Weight, nu: Weight) -> int:
+        """cartan_det times the symmetrized inner product (mu, nu)."""
+        return sum(m * sum(g * n for g, n in zip(row, nu))
+                   for m, row in zip(mu, self.gram))
+
+    def inner(self, mu: Weight, nu: Weight) -> Fraction:
+        """Symmetrized inner product of two weights in fundamental coords."""
+        return Fraction(self.inner_scaled(mu, nu), self.cartan_det)
+
+    @cached_property
+    def root_gram(self) -> tuple[tuple[int, ...], ...]:
+        """Per positive root beta, the row G beta so that mu . (G beta) =
+        cartan_det (mu, beta) for a weight mu in fundamental coordinates."""
+        out = []
+        for beta in self.positive_roots:
+            bf = self.root_fund(beta)
+            out.append(tuple(sum(g * b for g, b in zip(row, bf))
+                             for row in self.gram))
+        return tuple(out)
 
     @property
     def w0_perm(self) -> tuple[int, ...]:
@@ -237,12 +292,18 @@ def build_root_system(cartan: str | CartanType) -> RootSystemData:
         raise UnsupportedType(f"type {ct} not supported")
     a = _cartan_matrix(ct)
     roots = _positive_roots(a)
+    d = _symmetrizer(a)
+    adj = _adjugate(a)
     return RootSystemData(
         cartan=ct,
         cartan_matrix=a,
-        symmetrizer=_symmetrizer(a),
+        symmetrizer=d,
         positive_roots=tuple(roots),
         heights=tuple(sum(b) for b in roots),
+        cartan_det=_det(a),
+        cartan_adj=adj,
+        gram=tuple(tuple(d[i] * adj[i][j] for j in range(len(a)))
+                   for i in range(len(a))),
     )
 
 

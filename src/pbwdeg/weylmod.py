@@ -20,9 +20,8 @@ routes through the same ambient, produce identical matrices.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from itertools import count, permutations, product
 from math import factorial, prod
 
@@ -45,7 +44,7 @@ from .exactla import (
     Vec,
     vec_add_scaled,
 )
-from .rootsys import Root, RootSystemData, Weight, build_root_system, star_weight
+from .rootsys import IntegrityError, Root, RootSystemData, Weight, star_weight
 
 log = logging.getLogger(__name__)
 
@@ -86,107 +85,181 @@ def _neg(a: Weight) -> Weight:
 # characters
 
 def weyl_dim(rs: RootSystemData, lam) -> int:
-    """Dimension of the Weyl module by the Weyl dimension formula."""
+    """Dimension of the Weyl module by the Weyl dimension formula.
+
+    prod_beta (lam + rho, beta) / (rho, beta), with both products taken
+    over the integers through the scaled Gram data (the determinant of the
+    Cartan matrix cancels in every factor).
+    """
     lam = tuple(lam)
     if len(lam) != rs.rank or any(x < 0 for x in lam):
         raise ValueError(f"invalid dominant weight {lam} for {rs.name}")
     top = _add(lam, rs.rho)
-    out = Fraction(1)
-    for beta in rs.positive_roots:
-        out *= Fraction(rs.pairing(top, beta), rs.pairing(rs.rho, beta))
-    assert out.denominator == 1
-    return int(out)
+    num = den = 1
+    for g in rs.root_gram:
+        a, b = _dot(top, g), _dot(rs.rho, g)
+        if a <= 0 or b <= 0:
+            raise IntegrityError(
+                f"(lam + rho, beta) = {a}, (rho, beta) = {b} for {lam} in "
+                f"{rs.name}: a positive root pairs nonpositively")
+        num *= a
+        den *= b
+    out, rem = divmod(num, den)
+    if rem:
+        raise IntegrityError(
+            f"Weyl dimension of {lam} for {rs.name} is {num}/{den}, "
+            "not an integer")
+    return out
 
 
-@lru_cache(maxsize=None)
-def _inv_cartan(name: str) -> tuple[tuple[Fraction, ...], ...]:
-    rs = build_root_system(name)
-    n = rs.rank
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        cols.append(rs.to_root_coords(e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _root_coords_int(rs: RootSystemData, mu: Weight) -> tuple[int, ...] | None:
-    """Simple-root coordinates if integral, else None."""
-    inv = _inv_cartan(rs.name)
-    out = []
-    for row in inv:
-        x = sum(f * m for f, m in zip(row, mu))
-        if x.denominator != 1:
-            return None
-        out.append(int(x))
-    return tuple(out)
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 class _WeightBox:
-    """Weights mu with lambda - mu and mu - w0(lambda) both in Q^+."""
+    """Weights mu with lambda - mu and mu - w0(lambda) both in Q^+.
+
+    A weight is located by c = root coordinates of lambda - mu, and it lies
+    in the box exactly when c is integral with 0 <= c <= cmax.
+    """
 
     def __init__(self, rs: RootSystemData, lam: Weight):
         self.rs = rs
         self.lam = lam
         self.low = _neg(star_weight(rs, lam))  # w0(lambda)
-        cmax = _root_coords_int(rs, _sub(lam, self.low))
-        assert cmax is not None
+        cmax = rs.root_coords_int(_sub(lam, self.low))
+        if cmax is None:
+            raise IntegrityError(
+                f"lambda - w0(lambda) for {lam} has root coordinates "
+                f"{rs.to_root_coords(_sub(lam, self.low))}, not integral")
         self.cmax = cmax
+        #: simple roots in fundamental coordinates
+        self.simple_funds = [rs.root_fund(rs.simple_root(i))
+                             for i in range(rs.rank)]
+
+    def coords(self, mu: Weight) -> tuple[int, ...] | None:
+        """c for a weight inside the box, else None."""
+        c = self.rs.root_coords_int(_sub(self.lam, mu))
+        if c is None or any(x < 0 or x > m for x, m in zip(c, self.cmax)):
+            return None
+        return c
 
     def height(self, mu: Weight) -> int | None:
-        c = _root_coords_int(self.rs, _sub(self.lam, mu))
-        if c is None or any(x < 0 for x in c):
-            return None
-        if any(a > b for a, b in zip(c, self.cmax)):
-            return None
-        return sum(c)
-
-    def __contains__(self, mu: Weight) -> bool:
-        return self.height(mu) is not None
+        c = self.coords(mu)
+        return None if c is None else sum(c)
 
     def all_weights(self):
-        """Box weights with their heights, ascending by height then weight."""
+        """Box weights as (height, weight, c), ascending by height then
+        weight."""
         rs = self.rs
         out = []
         for c in product(*(range(x + 1) for x in self.cmax)):
             shift = rs.root_fund(c)
-            out.append((sum(c), _sub(self.lam, shift)))
+            out.append((sum(c), _sub(self.lam, shift), c))
         out.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
         return out
 
 
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
-    """Exact weight multiplicities of V(lambda) by Freudenthal recursion."""
+    """Exact weight multiplicities of V(lambda) by Freudenthal recursion.
+
+    Inner products are taken as cartan_det times their value, which is an
+    integer; the factor cancels in the quotient.  Weights nu = mu + j beta
+    above mu are located by their box coordinates c_mu - j beta.
+    """
     lam = tuple(lam)
     box = _WeightBox(rs, lam)
-    norm_top = rs.inner(_add(lam, rs.rho), _add(lam, rs.rho))
+    top = _add(lam, rs.rho)
+    norm_top = rs.inner_scaled(top, top)
+    # per root: beta, G beta (mu . G beta = det (mu, beta)), det (beta, beta)
+    roots = [(beta, g, _dot(rs.root_fund(beta), g))
+             for beta, g in zip(rs.positive_roots, rs.root_gram)]
     mults: dict[Weight, int] = {}
-    for ht, mu in box.all_weights():
+    by_coords: dict[tuple[int, ...], int] = {}
+    for ht, mu, c in box.all_weights():
         if ht == 0:
-            mults[mu] = 1
+            mults[mu] = by_coords[c] = 1
             continue
-        denom = norm_top - rs.inner(_add(mu, rs.rho), _add(mu, rs.rho))
+        shifted = _add(mu, rs.rho)
+        denom = norm_top - rs.inner_scaled(shifted, shifted)
         if denom == 0:
             continue  # mu + rho is singular-conjugate to lam + rho: not a weight
-        acc = Fraction(0)
-        for beta in rs.positive_roots:
-            bf = rs.root_fund(beta)
-            nu = mu
+        acc = 0
+        for beta, g, bb in roots:
+            base = _dot(mu, g)
+            cn = c
+            j = 0
             while True:
-                nu = _add(nu, bf)
-                if nu not in box:
+                cn = tuple(x - b for x, b in zip(cn, beta))
+                if any(x < 0 for x in cn):
                     break
-                m = mults.get(nu, 0)
+                j += 1
+                m = by_coords.get(cn)
                 if m:
-                    acc += m * rs.inner(nu, bf)
-        val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0, (mu, val)
+                    acc += m * (base + j * bb)  # det (mu + j beta, beta)
+        val, rem = divmod(2 * acc, denom)
+        if rem or val < 0:
+            raise IntegrityError(
+                f"Freudenthal value at {mu} in V({lam}) for {rs.name} is "
+                f"{2 * acc}/{denom}, not a nonnegative integer")
         if val:
-            mults[mu] = int(val)
+            mults[mu] = by_coords[c] = val
     return mults
 
 
 # ---------------------------------------------------------------------------
 # tensor ambients
+
+def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of a sparse matrix as int64 (rows, cols, vals) arrays."""
+    m = m.tocsr()
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows, m.indices.astype(np.int64), m.data.astype(np.int64)
+
+
+def kron_coproduct(factor_op, dims, k: int, p: int):
+    """Coproduct of a divided power on a tensor product, mod p.
+
+    factor_op(j, a) is the csr matrix of the a-th divided power on factor j
+    (a = 0 the identity), dims the factor dimensions.  Delta(X^(k)) is the
+    sum over compositions k_1 + ... + k_m = k of X^(k_1) (x) ... (x)
+    X^(k_m); the partial sums over the trailing factors,
+    S_j(r) = sum_a X_j^(a) (x) S_{j+1}(r - a), are formed once each.
+    Flat indices are row major over the factors, matching np.kron.
+
+    Returns the nonzero entries as COO arrays (rows, cols, vals), vals in
+    [1, p); products are reduced after every Kronecker step, so no
+    intermediate exceeds p^2 in int64.
+    """
+    empty = (np.zeros(0, np.int64),) * 3
+    one = (np.zeros(1, np.int64), np.zeros(1, np.int64),
+           np.ones(1, np.int64))
+    tail = {0: one}  # S_m: the 1 x 1 identity at r = 0
+    width = 1
+    for j in reversed(range(len(dims))):
+        need = range(k + 1) if j else (k,)
+        level = {}
+        for r in need:
+            parts = []
+            for a in range(r + 1):
+                rest = tail.get(r - a)
+                if rest is None or not rest[0].size:
+                    continue
+                fr, fc, fv = _coo(factor_op(j, a))
+                if not fr.size:
+                    continue
+                rr, rc, rv = rest
+                parts.append(((fr[:, None] * width + rr).ravel(),
+                              (fc[:, None] * width + rc).ravel(),
+                              (fv[:, None] * rv % p).ravel()))
+            level[r] = tuple(np.concatenate(x) for x in zip(*parts)) \
+                if parts else empty
+        tail = level
+        width *= dims[j]
+    rows, cols, vals = tail.get(k, empty)
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
 
 class FundFactor:
     """Tensor factor backed by an explicit integral representation."""
@@ -198,6 +271,7 @@ class FundFactor:
         self.dim = rep.dim
         self.weights = rep.weights
         self._cols: dict = {}
+        self._ops: dict = {}
 
     def hw_index(self, weight: Weight) -> int:
         matches = [i for i, w in enumerate(self.weights) if w == weight]
@@ -205,6 +279,8 @@ class FundFactor:
         return matches[0]
 
     def op_cols(self, kind: str, beta: Root, k: int):
+        """Divided power as a column dict {col: [(row, value)]}, exact over
+        Z (reduced mod p when the factor has a prime)."""
         key = (kind, beta, k)
         if key in self._cols:
             return self._cols[key]
@@ -224,6 +300,21 @@ class FundFactor:
         self._cols[key] = cols
         return cols
 
+    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
+        """Divided power as a csr matrix mod p."""
+        key = (kind, beta, k)
+        if key not in self._ops:
+            rows, cols, data = [], [], []
+            for c, pairs in self.op_cols(kind, beta, k).items():
+                for r, v in pairs:
+                    rows.append(r)
+                    cols.append(c)
+                    data.append(v)
+            self._ops[key] = sp.csr_matrix(
+                (data, (rows, cols)), shape=(self.dim, self.dim),
+                dtype=np.int64)
+        return self._ops[key]
+
 
 class TensorAmbient:
     """Tensor product of factors with divided powers acting by coproduct."""
@@ -241,6 +332,9 @@ class TensorAmbient:
             acc *= d
         self.strides = list(reversed(strides))
         self._block_map: dict[Weight, list[int]] | None = None
+        self._block_of: np.ndarray | None = None
+        self._block_pos: np.ndarray | None = None
+        self._scope: dict | None = None
 
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
@@ -267,65 +361,108 @@ class TensorAmbient:
         return acc
 
     def blocks(self) -> dict[Weight, list[int]]:
+        """Flat indices per weight, ascending; also fixes, per flat index,
+        its block number and its position inside the block."""
         if self._block_map is None:
             m: dict[Weight, list[int]] = {}
             for flat in range(self.dim):
                 m.setdefault(self.weight_of(flat), []).append(flat)
             self._block_map = m
+            self._block_of = np.empty(self.dim, dtype=np.int64)
+            self._block_pos = np.empty(self.dim, dtype=np.int64)
+            for b, flats in enumerate(m.values()):
+                ix = np.array(flats, dtype=np.int64)
+                self._block_of[ix] = b
+                self._block_pos[ix] = np.arange(len(flats))
         return self._block_map
 
-    def _expand_flat(self, kind: str, beta: Root, k: int, flat: int):
-        """Yield (target_flat, coeff) of op applied to a basis vector."""
-        idx = self.multi(flat)
-        m = len(self.factors)
-        out: list[tuple[int, int]] = []
+    def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
+        """Coproduct action on a sparse vector, in exact Python integers
+        (reduced mod p when the ambient has a prime).
 
-        def rec(j: int, remaining: int, partial_flat: int, coeff: int):
-            if j == m:
-                if remaining == 0:
-                    out.append((partial_flat, coeff))
-                return
-            stride = self.strides[j]
-            # the identity part of the coproduct
-            rec(j + 1, remaining, partial_flat + idx[j] * stride, coeff)
-            factor = self.factors[j]
-            for kk in range(1, remaining + 1):
-                cols = factor.op_cols(kind, beta, kk)
-                for r, v in cols.get(idx[j], ()):
-                    rec(j + 1, remaining - kk, partial_flat + r * stride,
-                        coeff * v)
-
-        rec(0, k, 0, 1)
+        The vector is pushed through the factors one at a time, tracking
+        for each partial image the order r still to be spent on the later
+        factors; the last factor spends all of it.
+        """
+        states: dict[tuple[int, int], int] = {(f, k): c
+                                               for f, c in vec.items()}
+        last = len(self.factors) - 1
+        for j, factor in enumerate(self.factors):
+            stride, d = self.strides[j], self.dims[j]
+            nxt: dict[tuple[int, int], int] = {}
+            for (flat, r), c in states.items():
+                idx = flat // stride % d
+                base = flat - idx * stride
+                for a in ((r,) if j == last else range(r + 1)):
+                    if a == 0:
+                        key = (flat, r)
+                        nxt[key] = nxt.get(key, 0) + c
+                        continue
+                    for row, v in factor.op_cols(kind, beta, a).get(idx, ()):
+                        key = (base + row * stride, r - a)
+                        nxt[key] = nxt.get(key, 0) + c * v
+            states = nxt
+        out: Vec = {}
+        for (flat, r), c in states.items():
+            if r == 0:
+                if self.p is not None:
+                    c %= self.p
+                if c:
+                    out[flat] = c
         return out
 
-    def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        for flat, coeff in vec.items():
-            for target, v in self._expand_flat(kind, beta, k, flat):
-                new = out.get(target, 0) + coeff * v
-                if self.p is not None:
-                    new %= self.p
-                if new:
-                    out[target] = new
-                else:
-                    out.pop(target, None)
+    @contextmanager
+    def op_scope(self):
+        """Keep assembled ambient operators for the length of one span or
+        module operator build.  They are dropped when the scope ends, so
+        memory does not grow with the number of operators used."""
+        if self._scope is not None:
+            yield
+            return
+        self._scope = {}
+        try:
+            yield
+        finally:
+            self._scope = None
+
+    def _grouped_op(self, kind: str, beta: Root, k: int):
+        """Ambient operator entries in block-local coordinates, sorted by
+        source block and then by local row, with the start of each source
+        block's run."""
+        key = (kind, beta, k)
+        if self._scope is not None and key in self._scope:
+            return self._scope[key]
+        n_blocks = len(self.blocks())
+        rows, cols, vals = kron_coproduct(
+            lambda j, a: self.factors[j].op(kind, beta, a),
+            self.dims, k, self.p)
+        src = self._block_of[cols]
+        rows, cols = self._block_pos[rows], self._block_pos[cols]
+        order = np.lexsort((cols, rows, src))
+        starts = np.searchsorted(src[order], np.arange(n_blocks + 1))
+        out = (starts, rows[order], cols[order], vals[order])
+        if self._scope is not None:
+            self._scope[key] = out
         return out
 
     def block_op_matrix(self, kind: str, beta: Root, k: int,
                         src_flats, dst_index: dict[int, int]) -> sp.csr_matrix:
-        """Matrix of the op from one weight block to another, mod p."""
-        assert self.p is not None
-        rows, cols, data = [], [], []
-        for ci, flat in enumerate(src_flats):
-            for target, v in self._expand_flat(kind, beta, k, flat):
-                v %= self.p
-                if v:
-                    rows.append(dst_index[target])
-                    cols.append(ci)
-                    data.append(v)
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(len(dst_index), len(src_flats)),
-                             dtype=np.int64)
+        """Matrix of the op from one weight block to another, mod p.
+
+        src_flats and dst_index must be whole weight blocks of blocks(),
+        in that order.  The ambient operator is assembled by
+        kron_coproduct once per op inside op_scope(), else once per call.
+        """
+        if self.p is None:
+            raise ValueError("block_op_matrix needs an ambient over F_p")
+        shape = (len(dst_index), len(src_flats))
+        if not len(src_flats):
+            return sp.csr_matrix(shape, dtype=np.int64)
+        starts, rows, cols, vals = self._grouped_op(kind, beta, k)
+        b = self._block_of[src_flats[0]]
+        lo, hi = starts[b], starts[b + 1]
+        indptr = np.searchsorted(rows[lo:hi], np.arange(shape[0] + 1))
+        return sp.csr_matrix((vals[lo:hi], cols[lo:hi], indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +477,23 @@ class _ZBlock:
 
 
 def _ops_from(box: _WeightBox, mu: Weight,
-              powers_factory) -> list[tuple[int, int, Weight]]:
-    """Lowering ops applicable at mu: (simple index, power, target weight)."""
-    rs = box.rs
+              powers_factory) -> list[tuple[int, int, Weight, int]]:
+    """Lowering ops applicable at mu inside the box, as (simple index,
+    power, target weight, target height).
+
+    F_i^(k) moves the box coordinates from c to c + k e_i, so it stays in
+    the box exactly when k <= cmax_i - c_i.
+    """
+    c = box.coords(mu)
+    ht = sum(c)
     out = []
-    for i in range(rs.rank):
-        alpha_f = rs.root_fund(rs.simple_root(i))
+    for i, alpha_f in enumerate(box.simple_funds):
+        room = box.cmax[i] - c[i]
         for k in powers_factory():
-            target = _sub(mu, tuple(k * x for x in alpha_f))
-            if target not in box:
+            if k > room:
                 break
-            out.append((i, k, target))
+            out.append((i, k, _sub(mu, tuple(k * x for x in alpha_f)),
+                        ht + k))
     return out
 
 
@@ -380,8 +523,7 @@ def _span_z(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
         for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
             blk = level[mu]
             blk.final = blk.hnf.finalize()
-            for i, k, target in _ops_from(box, mu, lambda: count(1)):
-                tht = box.height(target)
+            for i, k, target, tht in _ops_from(box, mu, lambda: count(1)):
                 dst = block_at(target, tht)
                 alpha = rs.simple_root(i)
                 for row in blk.final.rows:
@@ -522,8 +664,8 @@ def _hw_weight(rs: RootSystemData, rep: IntegralRep) -> Weight:
 
 
 def _height_key(rs: RootSystemData, w: Weight):
-    c = rs.to_root_coords(w)
-    return (sum(c), w)
+    # the height scaled by cartan_det > 0 orders weights like the height
+    return (sum(rs.root_coords_scaled(w)), w)
 
 
 def validate_lattice_relations(lat: WeylLatticeZ) -> list[RelationWitness]:
@@ -633,28 +775,29 @@ def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
     seed_block.ech.add_row(dense)
 
     max_height = sum(box.cmax)
-    for h in range(max_height + 1):
-        level = by_height.get(h)
-        if not level:
-            continue
-        for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
-            blk = level[mu]
-            blk.finalize()
-            if blk.ech.rank == 0:
+    with ambient.op_scope():
+        for h in range(max_height + 1):
+            level = by_height.get(h)
+            if not level:
                 continue
-            for i, k, target in _ops_from(box, mu, lambda: _p_powers(p)):
-                dst = block_at(target, box.height(target))
-                if dst.saturated or not dst.flats:
+            for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
+                blk = level[mu]
+                blk.finalize()
+                if blk.ech.rank == 0:
                     continue
-                alpha = rs.simple_root(i)
-                opm = ambient.block_op_matrix("F", alpha, k,
-                                              blk.flats, dst.index)
-                images = (blk.rows @ opm.T.toarray()) % p \
-                    if opm.shape[1] else np.zeros((0, len(dst.flats)))
-                for row in images:
-                    if dst.saturated:
-                        break
-                    dst.ech.add_row(row)
+                for i, k, target, tht in _ops_from(box, mu,
+                                                   lambda: _p_powers(p)):
+                    dst = block_at(target, tht)
+                    if dst.saturated or not dst.flats:
+                        continue
+                    alpha = rs.simple_root(i)
+                    opm = ambient.block_op_matrix("F", alpha, k,
+                                                  blk.flats, dst.index)
+                    images = (opm @ blk.rows.T).T % p
+                    for row in images:
+                        if dst.saturated:
+                            break
+                        dst.ech.add_row(row)
     blocks = []
     for h in sorted(by_height):
         for mu in sorted(by_height[h], key=lambda w: tuple(-x for x in w)):
@@ -727,7 +870,6 @@ class WeylModuleP:
         assert hw is not None and hw.ech.rank == 1
         self.hw_index = hw.offset
         self._op_cache: dict = {}
-        self._cols_cache: dict = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -757,23 +899,24 @@ class WeylModuleP:
         if kind == "F":
             shift = _neg(shift)
         rows, cols, data = [], [], []
-        for blk in self.blocks:
-            target = _add(blk.weight, tuple(k * x for x in shift))
-            dst = self._by_weight.get(target)
-            if dst is None:
-                continue  # the target weight space is zero
-            opm = self.ambient.block_op_matrix(kind, beta, k,
-                                               blk.flats, dst.index)
-            images = (blk.rows @ opm.T.toarray()) % self.p
-            coords = images[:, dst.pivots]
-            if not np.array_equal((coords @ dst.rows) % self.p, images):
-                raise AssertionError(
-                    f"module not closed under {kind}^({k}) at {beta}")
-            nz = np.nonzero(coords)
-            for i, j in zip(*nz):
-                rows.append(dst.offset + int(j))
-                cols.append(blk.offset + int(i))
-                data.append(int(coords[i, j]))
+        with self.ambient.op_scope():
+            for blk in self.blocks:
+                target = _add(blk.weight, tuple(k * x for x in shift))
+                dst = self._by_weight.get(target)
+                if dst is None:
+                    continue  # the target weight space is zero
+                opm = self.ambient.block_op_matrix(kind, beta, k,
+                                                   blk.flats, dst.index)
+                images = (opm @ blk.rows.T).T % self.p
+                coords = images[:, dst.pivots]
+                if not np.array_equal((coords @ dst.rows) % self.p, images):
+                    raise AssertionError(
+                        f"module not closed under {kind}^({k}) at {beta}")
+                nz = np.nonzero(coords)
+                for i, j in zip(*nz):
+                    rows.append(dst.offset + int(j))
+                    cols.append(blk.offset + int(i))
+                    data.append(int(coords[i, j]))
         return sp.csr_matrix((data, (rows, cols)),
                              shape=(self.dim, self.dim), dtype=np.int64)
 
@@ -801,31 +944,12 @@ class WeylModuleP:
         self._op_cache[key] = out
         return out
 
-    def op_cols(self, kind: str, beta: Root, k: int):
-        """Column dict view of op, for use as a tensor factor."""
-        key = (kind, beta, k)
-        if key in self._cols_cache:
-            return self._cols_cache[key]
-        if k == 0:
-            cols = {c: [(c, 1)] for c in range(self.dim)}
-        else:
-            m = self.op(kind, beta, k).tocsc()
-            cols = {}
-            for c in range(self.dim):
-                lo, hi = m.indptr[c], m.indptr[c + 1]
-                if hi > lo:
-                    cols[c] = [(int(r), int(v))
-                               for r, v in zip(m.indices[lo:hi], m.data[lo:hi])]
-        self._cols_cache[key] = cols
-        return cols
-
     def inject_fault(self, kind: str, beta: Root, k: int,
                      row: int, col: int, delta: int) -> None:
         """Perturb one entry of a cached operator matrix (for testing)."""
         m = self.op(kind, beta, k).tolil(copy=True)
         m[row, col] = (m[row, col] + delta) % self.p
         self._op_cache[(kind, beta, k)] = m.tocsr()
-        self._cols_cache.pop((kind, beta, k), None)
 
 
 def validate_relations(mod: WeylModuleP) -> list[RelationWitness]:
@@ -1006,7 +1130,6 @@ class LatticeModuleP:
         self.weights = lat.weights
         self.hw_index = lat.hw_index
         self._op_cache: dict = {}
-        self._cols_cache: dict = {}
 
     def block_weights(self) -> list[Weight]:
         return [b.weight for b in self.lattice.blocks]
@@ -1041,24 +1164,6 @@ class LatticeModuleP:
                             shape=(self.dim, self.dim), dtype=np.int64)
         self._op_cache[key] = out
         return out
-
-    def op_cols(self, kind: str, beta: Root, k: int):
-        """Column dict view of op, for use as a tensor factor."""
-        key = (kind, beta, k)
-        if key in self._cols_cache:
-            return self._cols_cache[key]
-        if k == 0:
-            cols = {c: [(c, 1)] for c in range(self.dim)}
-        else:
-            m = self.op(kind, beta, k).tocsc()
-            cols = {}
-            for c in range(self.dim):
-                lo, hi = m.indptr[c], m.indptr[c + 1]
-                if hi > lo:
-                    cols[c] = [(int(r), int(v))
-                               for r, v in zip(m.indices[lo:hi], m.data[lo:hi])]
-        self._cols_cache[key] = cols
-        return cols
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line front end: dispatch, formats, exit codes, disk cache."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from pbwdeg import cli as cli_module
 from pbwdeg.cli import cache_key, load_module, main, save_module
 from pbwdeg.rootsys import build_root_system, splitting_weight
 from pbwdeg.weylmod import build_weyl_module_p
@@ -253,6 +255,27 @@ def test_user_errors_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl-dim", "--cartan", "B2", "--weight", "1,0"),
+    ("build-module", "--cartan", "B2", "--weight", "1,0", "--p", "2"),
+])
+def test_integrity_failure_exits_3(capsys, monkeypatch, argv):
+    """Corrupted Gram data trips an exact-arithmetic check: exit 3."""
+    real = cli_module.build_root_system
+
+    def corrupted(name):
+        rs = real(name)
+        gram = [list(row) for row in rs.gram]
+        gram[0][0] += 1
+        return dataclasses.replace(rs, gram=tuple(tuple(r) for r in gram))
+
+    monkeypatch.setattr(cli_module, "build_root_system", corrupted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "internal defect" in err
 
 
 def test_bad_format_rejected(capsys):

@@ -15,8 +15,9 @@ from pbwdeg.chevrep import chevalley_constants
 from pbwdeg.exactla import DenseEchelonModP, SparsePrimeMatrix
 from pbwdeg.rootsys import build_root_system, splitting_weight
 from pbwdeg.pbwgrade import (DEFAULT_SIZE_CEILING, F0Report, PBWGraded,
-                             SizeCeilingExceeded, build_F0, check_f0,
-                             check_F0_order_invariance, pbw_filtration)
+                             SizeCeilingExceeded, _is_prime, _require_prime,
+                             build_F0, check_f0, check_F0_order_invariance,
+                             pbw_filtration)
 from pbwdeg.weylmod import build_weyl_module_p
 
 from dense_oracle import DenseModule, f0_nonzero_in_graded
@@ -225,3 +226,37 @@ def test_f0_commutes_with_simple_lowerings():
     for beta in rs.positive_roots:
         a = mod.op("F", beta, 1).toarray()
         assert np.array_equal((f0 @ a) % 2, (a @ f0) % 2)
+
+
+# -- primality --------------------------------------------------------------
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_check_agrees_with_trial_division():
+    for n in range(10 ** 4):
+        assert _is_prime(n) == _trial_division_prime(n), n
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751, 2 ** 61 + 1,
+                               (2 ** 31 - 1) * (2 ** 31 - 1)])
+def test_prime_check_rejects_pseudoprimes_and_composites(n):
+    # 561 and 41041 are Carmichael numbers; 3215031751 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        _require_prime(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 37, 41, 2 ** 31 - 1, 4294967311,
+                               2 ** 61 - 1, 2 ** 64 - 59])
+def test_prime_check_accepts_large_primes(n):
+    assert _is_prime(n)
+    _require_prime(n)
+
+
+def test_prime_check_refuses_beyond_64_bits():
+    with pytest.raises(ValueError, match="64-bit"):
+        _require_prime(2 ** 89 - 1)

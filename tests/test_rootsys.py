@@ -8,6 +8,8 @@ canonical order (height, then lex).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,3 +197,56 @@ def test_string_down_closure(name):
                 found = True
                 break
         assert found, beta
+
+
+# -- exact weight coordinates, checked against their definitions ------------
+
+
+def _weights(rank, lo=-12, hi=12):
+    return st.tuples(*[st.integers(min_value=lo, max_value=hi)] * rank)
+
+
+@given(st.sampled_from(SUPPORTED), st.data())
+def test_root_coords_solve_the_cartan_system(name, data):
+    rs = build_root_system(name)
+    mu = data.draw(_weights(rs.rank))
+    c = rs.to_root_coords(mu)
+    a = rs.cartan_matrix
+    assert all(isinstance(x, Fraction) for x in c)
+    assert tuple(sum(a[i][j] * c[j] for j in range(rs.rank))
+                 for i in range(rs.rank)) == mu
+
+
+@given(st.sampled_from(SUPPORTED), st.data())
+def test_root_coords_invert_root_fund_on_the_root_lattice(name, data):
+    rs = build_root_system(name)
+    c0 = data.draw(_weights(rs.rank, -6, 6))
+    mu = rs.root_fund(c0)
+    assert rs.to_root_coords(mu) == c0
+    assert rs.root_fund(rs.to_root_coords(mu)) == mu
+    assert rs.root_coords_int(mu) == c0
+
+
+@given(st.sampled_from(SUPPORTED), st.data())
+def test_root_coords_int_rejects_off_lattice_weights(name, data):
+    rs = build_root_system(name)
+    mu = data.draw(_weights(rs.rank))
+    c = rs.to_root_coords(mu)
+    integral = all(x.denominator == 1 for x in c)
+    assert (rs.root_coords_int(mu) is not None) == integral
+
+
+@given(st.sampled_from(SUPPORTED), st.data())
+def test_inner_symmetric_and_pairs_simple_roots_by_definition(name, data):
+    rs = build_root_system(name)
+    mu = data.draw(_weights(rs.rank))
+    nu = data.draw(_weights(rs.rank))
+    assert rs.inner(mu, nu) == rs.inner(nu, mu)
+    d, a = rs.symmetrizer, rs.cartan_matrix
+    for j in range(rs.rank):
+        alpha_j = rs.root_fund(rs.simple_root(j))
+        # (mu, alpha_j) = <mu, alpha_j^vee> (alpha_j, alpha_j) / 2
+        assert rs.inner(mu, alpha_j) == mu[j] * d[j]
+        for i in range(rs.rank):
+            alpha_i = rs.root_fund(rs.simple_root(i))
+            assert rs.inner(alpha_i, alpha_j) == d[i] * a[i][j]

@@ -5,15 +5,22 @@ Frozen values are classical: fundamental and adjoint dimensions, dim V(rho)
 positive roots), hook content dims in type A, and sl2 string coefficients.
 """
 
+import dataclasses
 import math
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from pbwdeg.chevrep import NonIntegralDividedPower, fundamental_rep
-from pbwdeg.rootsys import build_root_system, splitting_weight, star_weight
+from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
+                            divided_power_matrix, fundamental_rep,
+                            root_lowering_operator, root_raising_operator)
+from pbwdeg.rootsys import (IntegrityError, build_root_system,
+                            splitting_weight, star_weight)
 from pbwdeg.weylmod import (
+    FundFactor,
     RankMismatch,
     TensorAmbient,
     WeylModuleP,
@@ -168,6 +175,110 @@ def test_tensor_apply_matches_kron(name, funds, kind, beta, k):
         got = ambient.apply_vec(kind, beta, k, {col: 1})
         want = {r: int(v) for r, v in enumerate(dense[:, col]) if v}
         assert got == want, (col, got, want)
+
+
+def _dense_rep_power(rs, rep, kind, beta, a, p):
+    sc = chevalley_constants(rs)
+    op = root_lowering_operator if kind == "F" else root_raising_operator
+    m = divided_power_matrix(op(rep, sc, beta), a)
+    return np.array(m % p, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("B2", (1, 1)),
+                                      ("G2", (2, 0))])
+def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
+    """Peeled ambient V_p(prev) (x) V(omega): every weight block of the
+    coproduct operator equals the dense sum of np.kron products of the
+    factor matrices, restricted to the source and target blocks."""
+    rs = RS[name]
+    mod = build_weyl_module_p(rs, p, lam, use_cache=False)
+    ambient = mod.ambient
+    prev, last = ambient.factors
+    assert isinstance(prev, WeylModuleP) and isinstance(last, FundFactor)
+    blocks = ambient.blocks()
+    for kind, sign in (("E", 1), ("F", -1)):
+        for beta in rs.positive_roots:
+            shift = rs.root_fund(beta)
+            for k in (1, p):
+                dense = np.zeros((ambient.dim, ambient.dim), dtype=np.int64)
+                for a in range(k + 1):
+                    left = prev.op(kind, beta, a).toarray() % p
+                    right = _dense_rep_power(rs, last.rep, kind, beta,
+                                             k - a, p)
+                    dense = (dense + np.kron(left, right)) % p
+                covered = 0
+                with ambient.op_scope():
+                    for mu, src in blocks.items():
+                        target = tuple(m + sign * k * s
+                                       for m, s in zip(mu, shift))
+                        dst = blocks.get(target)
+                        if dst is None:
+                            continue
+                        index = {f: i for i, f in enumerate(dst)}
+                        got = ambient.block_op_matrix(kind, beta, k, src,
+                                                      index).toarray() % p
+                        want = dense[np.ix_(dst, src)]
+                        assert np.array_equal(got, want), (kind, beta, k, mu)
+                        covered += int(np.count_nonzero(want))
+                assert ambient._scope is None
+                # the blocks account for every nonzero entry of the operator
+                assert covered == int(np.count_nonzero(dense))
+
+
+# ---------------------------------------------------------------------------
+# exact weight arithmetic under corrupted root data
+
+
+def _corrupt_gram(rs):
+    gram = [list(row) for row in rs.gram]
+    gram[0][0] += 1
+    return dataclasses.replace(rs, gram=tuple(tuple(r) for r in gram))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C2", "C3", "D4",
+                                  "G2"])
+def test_corrupted_gram_raises_integrity_error(name):
+    rs = RS[name]
+    bad = _corrupt_gram(rs)
+    omega1 = tuple(1 if i == 0 else 0 for i in range(rs.rank))
+    with pytest.raises(IntegrityError):
+        freudenthal_multiplicities(bad, omega1)
+    with pytest.raises(IntegrityError):
+        weyl_dim(bad, omega1)
+    # the untouched system is unaffected
+    assert sum(freudenthal_multiplicities(rs, omega1).values()) == \
+        weyl_dim(rs, omega1)
+
+
+def test_corrupted_adjugate_breaks_weight_box():
+    rs = RS["A2"]
+    adj = [list(row) for row in rs.cartan_adj]
+    adj[0][1] += 1
+    bad = dataclasses.replace(rs, cartan_adj=tuple(tuple(r) for r in adj))
+    with pytest.raises(IntegrityError, match="not integral"):
+        freudenthal_multiplicities(bad, (1, 1))
+
+
+def test_integrity_checks_survive_python_O():
+    code = "\n".join([
+        "import dataclasses",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "from pbwdeg.weylmod import freudenthal_multiplicities, weyl_dim",
+        "rs = build_root_system('B2')",
+        "g = [list(r) for r in rs.gram]",
+        "g[0][0] += 1",
+        "bad = dataclasses.replace(rs, gram=tuple(map(tuple, g)))",
+        "for f in (freudenthal_multiplicities, weyl_dim):",
+        "    try:",
+        "        f(bad, (1, 0))",
+        "    except IntegrityError:",
+        "        print('raised')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 # ---------------------------------------------------------------------------
