@@ -593,10 +593,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
     required = int(weyl_dim(rs, lam))
     if required > cfg.size_ceiling:
         raise SizeCeilingExceeded(required, cfg.size_ceiling)
-    lat = build_weyl_lattice(rs, lam)
-    z_wit = validate_lattice_relations(lat)
     mod = build_weyl_module_p(rs, cfg.p, lam)
     p_wit = validate_relations(mod)
+    lat = build_weyl_lattice(rs, lam)
+    z_wit = validate_lattice_relations(lat)
     f0_inv = None
     if lam == splitting_weight(rs, cfg.p):
         f0_inv = check_F0_order_invariance(mod, trials=cfg.trials)
@@ -650,7 +650,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp_, p_flag=True, weight=None, lam_mu=False, n_max=False,
-               trials=False, jobs=False, sweep=False):
+               trials=False, jobs=False, sweep=False, cache=False):
         if weight == "one":
             sp_.add_argument("--weight", required=True)
         elif weight == "many":
@@ -675,15 +675,16 @@ def build_parser() -> _Parser:
         sp_.add_argument("--size-ceiling", type=int, default=20000)
         sp_.add_argument("--format", choices=("table", "json", "csv"),
                          default="table")
-        sp_.add_argument("--cache-dir", default=None)
+        if cache:
+            sp_.add_argument("--cache-dir", default=None)
 
     common(sub.add_parser("root-system"), p_flag=False)
     common(sub.add_parser("weyl-dim"), p_flag=False, weight="many")
-    common(sub.add_parser("build-module"), weight="one")
-    common(sub.add_parser("pbw-dims"), weight="one")
-    common(sub.add_parser("check-f0"))
+    common(sub.add_parser("build-module"), weight="one", cache=True)
+    common(sub.add_parser("pbw-dims"), weight="one", cache=True)
+    common(sub.add_parser("check-f0"), cache=True)
     common(sub.add_parser("check-f0-sweep"), p_flag=False, jobs=True,
-           sweep=True)
+           sweep=True, cache=True)
     common(sub.add_parser("check-mult"), lam_mu="pair")
     common(sub.add_parser("check-gen"), lam_mu=True, n_max=True)
     common(sub.add_parser("hilbert"), lam_mu=True, n_max=True)
@@ -701,7 +702,8 @@ def _config_from(args) -> RunConfig:
         trials=getattr(args, "trials", 5),
         size_ceiling=args.size_ceiling,
         fmt=args.format,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        cache_dir=Path(args.cache_dir) if getattr(args, "cache_dir", None)
+        else None,
         jobs=getattr(args, "jobs", 1),
     )
 

@@ -22,79 +22,14 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
-from .exactla import SparsePrimeMatrix, subspace_intersection_mod_p
+from .exactla import require_int64_safe, subspace_intersection_mod_p
 from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
                        _require_prime, filter_from_seed, pbw_filtration)
 from .rootsys import RootSystemData, Weight, star_weight
-from .weylmod import (WeylModuleP, build_weyl_lattice, build_weyl_module_p,
-                      kron_coproduct, weyl_dim)
-
-
-class _TensorSpace:
-    """Tensor product of Weyl modules with coproduct divided powers.
-
-    Flat indices are row major over the factor bases, matching np.kron,
-    and the operator of F_beta^(k) is the sum over all compositions of k
-    across the factors of the Kronecker product of factor operators
-    (weylmod.kron_coproduct, shared with the spanning ambients).
-    """
-
-    def __init__(self, mods: list[WeylModuleP]):
-        self.mods = list(mods)
-        self.rs = mods[0].rs
-        self.p = mods[0].p
-        self.dims = [m.dim for m in mods]
-        self.dim = 1
-        for d in self.dims:
-            self.dim *= d
-        weights = []
-        for combo in product(*[m.weights for m in mods]):
-            weights.append(tuple(sum(w[i] for w in combo)
-                                 for i in range(self.rs.rank)))
-        self.weights = tuple(weights)
-        self._cache: dict = {}
-
-    def seed_vector(self) -> np.ndarray:
-        flat = 0
-        for m in self.mods:
-            flat = flat * m.dim + m.hw_index
-        vec = np.zeros(self.dim, dtype=np.int64)
-        vec[flat] = 1
-        return vec
-
-    def op(self, kind: str, beta, k: int) -> sp.csr_matrix:
-        key = (kind, beta, k)
-        if key in self._cache:
-            return self._cache[key]
-        if k == 0:
-            out = sp.identity(self.dim, dtype=np.int64, format="csr")
-        else:
-            rows, cols, vals = kron_coproduct(
-                lambda j, a: self.mods[j].op(kind, beta, a), self.dims, k,
-                self.p)
-            out = sp.csr_matrix((vals, (rows, cols)),
-                                shape=(self.dim, self.dim), dtype=np.int64)
-        self._cache[key] = out
-        return out
-
-
-class _SumSpace:
-    """Direct sum of a module and a tensor space, for graph spans."""
-
-    def __init__(self, mod: WeylModuleP, space: _TensorSpace):
-        self.mod = mod
-        self.space = space
-        self.rs = mod.rs
-        self.p = mod.p
-        self.dim = mod.dim + space.dim
-        self.weights = tuple(mod.weights) + space.weights
-
-    def op(self, kind, beta, k):
-        return sp.block_diag([self.mod.op(kind, beta, k),
-                              self.space.op(kind, beta, k)], format="csr")
+from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
+                      build_weyl_module_p, tensor_width_bound, weyl_dim)
 
 
 class CartanComponentMap:
@@ -102,24 +37,23 @@ class CartanComponentMap:
     surjectivity and generation checks consume."""
 
     def __init__(self, rs: RootSystemData, p: int, lams,
-                 factors: list[WeylModuleP], use_cache: bool = True):
+                 factors: list[WeylModuleP]):
         self.rs = rs
         self.p = p
         self.lams = tuple(tuple(l) for l in lams)
         self.total = tuple(sum(l[i] for l in self.lams)
                            for i in range(rs.rank))
         self.factors = factors
-        self.space = _TensorSpace(factors)
-        self.seed = self.space.seed_vector()
+        self.space = TensorAmbient(rs, factors, p)
+        seed = np.zeros(self.space.dim, dtype=np.int64)
+        seed[self.space.flat([m.hw_index for m in factors])] = 1
         self.factor_graded: list[PBWGraded] = [pbw_filtration(m)
                                                for m in factors]
-        blocks, dims, complete = filter_from_seed(self.space, self.seed)
+        blocks, dims, complete = filter_from_seed(self.space, seed)
         assert complete
         self._image_blocks = blocks
         self._dims = tuple(dims)
         self.rank_phi = dims[-1]
-        self._use_cache = use_cache
-        self._phi = None
 
     # -- the image side ---------------------------------------------------
 
@@ -197,7 +131,8 @@ class CartanComponentMap:
                 for pick in product(*[rows for _, rows in combo]):
                     full = np.ones(1, dtype=np.int64)
                     for r in pick:
-                        full = np.kron(full, r)
+                        # int64 holds a product of two residues, not three
+                        full = np.kron(full % self.p, r)
                     rows_at.setdefault(wt, []).append(full[blk.indices] %
                                                       self.p)
         return {w: np.array(rs_, dtype=np.int64)
@@ -212,43 +147,6 @@ class CartanComponentMap:
             total += len(subspace_intersection_mod_p(rows, other, self.p))
         return total
 
-    # -- the map itself ----------------------------------------------------
-
-    def phi_matrix(self) -> SparsePrimeMatrix:
-        """Matrix of phi against the canonical bases, source V(sum lam_j).
-
-        Computed from the graph: the span of (v_hw, seed) in the direct sum
-        is exactly {(x, phi x)}, and the echelon pivots of each weight
-        block all land in the source columns, so the tensor halves of the
-        rows read off the images of the source basis vectors.
-        """
-        if self._phi is not None:
-            return self._phi
-        source = build_weyl_module_p(self.rs, self.p, self.total,
-                                     use_cache=self._use_cache)
-        sumsp = _SumSpace(source, self.space)
-        seed = np.concatenate([source.hw_vector(), self.seed])
-        blocks, _, complete = filter_from_seed(sumsp, seed)
-        assert complete
-        d_m = source.dim
-        entries = {}
-        for blk in blocks.values():
-            if not blk.tagged:
-                continue
-            idx = blk.indices
-            split = int(np.searchsorted(idx, d_m))
-            rows = blk.ech.basis_matrix()
-            assert rows.shape[0] == split, "graph must cover the source block"
-            assert sorted(blk.ech.pivot_cols) == list(range(split))
-            for row, piv in zip(rows, blk.ech.pivot_cols):
-                src_col = int(idx[piv])
-                for jj in range(split, len(idx)):
-                    v = int(row[jj]) % self.p
-                    if v:
-                        entries[(int(idx[jj]) - d_m, src_col)] = v
-        self._phi = SparsePrimeMatrix(self.space.dim, d_m, self.p, entries)
-        return self._phi
-
 
 def _check_sizes(rs, lams, p, size_ceiling):
     total = tuple(sum(l[i] for l in lams) for i in range(rs.rank))
@@ -259,6 +157,8 @@ def _check_sizes(rs, lams, p, size_ceiling):
     worst = max(source_dim, tensor_dim)
     if worst > size_ceiling:
         raise SizeCeilingExceeded(worst, size_ceiling)
+    # meets echelonize pairs of tensor weight spaces side by side
+    require_int64_safe(p, 2 * tensor_width_bound(rs, lams))
     return total
 
 
@@ -271,7 +171,7 @@ def cartan_component_map(rs: RootSystemData, sc, lam, mu, p: int, *,
     _check_sizes(rs, [lam, mu], p, size_ceiling)
     factors = [build_weyl_module_p(rs, p, tuple(w), use_cache=use_cache)
                for w in (lam, mu)]
-    return CartanComponentMap(rs, p, [lam, mu], factors, use_cache)
+    return CartanComponentMap(rs, p, [lam, mu], factors)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +219,22 @@ class MultReport:
 
 
 def _degree_table(cm: CartanComponentMap):
-    """Rows (n, dim phi(V_n), dim(im phi cap T_n)) until both stabilize."""
+    """Rows (n, dim phi(V_n), dim(im phi cap T_n)) until both stabilize,
+    and the T_n rows per weight for every n of the table."""
     image_full = cm.image_rows_by_weight()
-    table = []
+    table, t_rows = [], []
     n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
     while True:
         a = cm.image_dim_at(n)
-        b = cm.meet_dim(image_full, cm.t_rows_by_weight(n))
+        t_rows.append(cm.t_rows_by_weight(n))
+        b = cm.meet_dim(image_full, t_rows[n])
         table.append((n, a, b))
         if a == cm.rank_phi and b == cm.rank_phi:
             break
         n += 1
         assert n <= guard, "convolution filtration failed to stabilize"
-    return table
+    return table, t_rows
 
 
 def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
@@ -350,7 +252,7 @@ def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
     build_weyl_lattice(rs, cm.total, use_cache=use_cache)
     target = int(weyl_dim(rs, cm.total))
     injective = cm.rank_phi == target
-    table = _degree_table(cm)
+    table, _ = _degree_table(cm)
     strict = all(a == b for _, a, b in table)
     lam_star = list(star_weight(rs, tuple(lam)))
     mu_star = list(star_weight(rs, tuple(mu)))
@@ -399,18 +301,18 @@ def _fold_analysis(rs, sc, lam, m: int, p: int, size_ceiling, use_cache):
     _check_sizes(rs, lams, p, size_ceiling)
     factors = [build_weyl_module_p(rs, p, tuple(lam), use_cache=use_cache)
                for _ in range(m)]
-    cm = CartanComponentMap(rs, p, lams, factors, use_cache)
+    cm = CartanComponentMap(rs, p, lams, factors)
     build_weyl_lattice(rs, cm.total, use_cache=use_cache)
     target = int(weyl_dim(rs, cm.total))
     injective = cm.rank_phi == target
-    table = _degree_table(cm)
+    table, t_rows = _degree_table(cm)
     strict = all(a == b for _, a, b in table)
     # per-degree dims of the image of gr(phi)
     grdims = []
     for d in range(len(table)):
         img_d = cm.image_rows_by_weight(d)
         a = cm.image_dim_at(d)
-        below = cm.meet_dim(img_d, cm.t_rows_by_weight(d - 1)) if d else 0
+        below = cm.meet_dim(img_d, t_rows[d - 1]) if d else 0
         grdims.append(a - below)
     while grdims and grdims[-1] == 0:
         grdims.pop()

@@ -12,6 +12,7 @@ prime) followed by ``row col value`` lines sorted by (row, col).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -255,6 +256,21 @@ def hnf_lattice_basis(gens: Iterable, ambient_dim: int) -> LatticeBasis:
 
 # ---------------------------------------------------------------------------
 # prime fields
+
+def require_int64_safe(p: int, width: int) -> None:
+    """Refuse p when int64 row arithmetic mod p can overflow.
+
+    Rows are int64 numpy arrays, and a product of matrices or an echelon
+    reduction sums up to `width` products of two residues before reducing
+    mod p, so every intermediate stays below 2^63 exactly when
+    width * (p - 1)^2 does.
+    """
+    if width * (p - 1) ** 2 >= 1 << 63:
+        limit = isqrt(((1 << 63) - 1) // width) + 1
+        raise ValueError(f"p = {p} overflows int64 arithmetic on rows of "
+                         f"up to {width} entries; the largest safe p is "
+                         f"{limit}")
+
 
 def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), -1, p)

@@ -28,7 +28,8 @@ import scipy.sparse as sp
 from . import __version__
 from .exactla import DenseEchelonModP, SparsePrimeMatrix
 from .rootsys import RootSystemData, Weight, splitting_weight, star_weight
-from .weylmod import WeylModuleP, build_weyl_module_p, weyl_dim
+from .weylmod import (WeightBlocks, WeylModuleP, build_weyl_module_p,
+                      weyl_dim)
 
 log = logging.getLogger(__name__)
 
@@ -130,11 +131,9 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
     """
     rs, p = space.rs, space.p
     weights = space.weights
-    groups: dict[Weight, list[int]] = {}
-    for i, w in enumerate(weights):
-        groups.setdefault(w, []).append(i)
+    layout = WeightBlocks(weights)
     blocks = {w: _FiltBlock(p, np.array(ix, dtype=np.intp))
-              for w, ix in groups.items()}
+              for w, ix in layout.flats.items()}
 
     nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
     assert nz.size, "seed vanishes mod p"
@@ -163,13 +162,15 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
     total = 1
     last_new = 0
 
+    # operators grouped by weight block, kept for this call only
     op_cache: dict[tuple, object] = {}
 
     def get_op(beta, k):
         key = (beta, k)
         if key not in op_cache:
-            m = space.op("F", beta, k)
-            op_cache[key] = m if m.nnz else None
+            m = space.op("F", beta, k).tocoo()
+            op_cache[key] = layout.group(m.row, m.col, m.data) \
+                if m.nnz else None
         return op_cache[key]
 
     n = 0
@@ -193,7 +194,9 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
                     op = get_op(beta, pe)
                     if op is None:
                         continue
-                    sub = op[dst.indices][:, blocks[w].indices]
+                    sub = WeightBlocks.restrict(
+                        op, layout.number[w],
+                        (len(dst.indices), len(blocks[w].indices)))
                     if sub.nnz == 0:
                         continue
                     images = (rows_mat @ sub.toarray().T) % p

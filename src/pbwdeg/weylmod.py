@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, permutations, product
 from math import factorial, prod
 
@@ -42,6 +43,7 @@ from .exactla import (
     LatticeBasis,
     SparseIntMatrix,
     Vec,
+    require_int64_safe,
     vec_add_scaled,
 )
 from .rootsys import IntegrityError, Root, RootSystemData, Weight, star_weight
@@ -316,6 +318,46 @@ class FundFactor:
         return self._ops[key]
 
 
+class WeightBlocks:
+    """Coordinates grouped into weight blocks, in order of first appearance.
+
+    Each coordinate gets its block number and its position inside the
+    block, so the entries of a weight-homogeneous operator can be grouped
+    by source block once and every block pair sliced out as csr.
+    """
+
+    def __init__(self, weights):
+        groups: dict[Weight, list[int]] = {}
+        for i, w in enumerate(weights):
+            groups.setdefault(w, []).append(i)
+        self.flats = groups
+        self.number = {w: b for b, w in enumerate(groups)}
+        self.block_of = np.empty(len(weights), dtype=np.int32)
+        self.block_pos = np.empty(len(weights), dtype=np.int32)
+        for b, ix in enumerate(groups.values()):
+            self.block_of[ix] = b
+            self.block_pos[ix] = np.arange(len(ix))
+
+    def group(self, rows, cols, vals):
+        """Operator entries (COO arrays) in block-local coordinates, sorted
+        by source block and then by local row, with the start of each
+        source block's run."""
+        src = self.block_of[cols]
+        rows, cols = self.block_pos[rows], self.block_pos[cols]
+        order = np.lexsort((cols, rows, src))
+        starts = np.searchsorted(src[order], np.arange(len(self.flats) + 1))
+        return starts, rows[order], cols[order], vals[order]
+
+    @staticmethod
+    def restrict(grouped, b: int, shape) -> sp.csr_matrix:
+        """The grouped operator from source block b into the one block its
+        weight shift reaches, as a csr matrix of the given shape."""
+        starts, rows, cols, vals = grouped
+        lo, hi = starts[b], starts[b + 1]
+        indptr = np.searchsorted(rows[lo:hi], np.arange(shape[0] + 1))
+        return sp.csr_matrix((vals[lo:hi], cols[lo:hi], indptr), shape=shape)
+
+
 class TensorAmbient:
     """Tensor product of factors with divided powers acting by coproduct."""
 
@@ -331,9 +373,6 @@ class TensorAmbient:
             strides.append(acc)
             acc *= d
         self.strides = list(reversed(strides))
-        self._block_map: dict[Weight, list[int]] | None = None
-        self._block_of: np.ndarray | None = None
-        self._block_pos: np.ndarray | None = None
         self._scope: dict | None = None
 
     @classmethod
@@ -360,21 +399,18 @@ class TensorAmbient:
             acc = _add(acc, f.weights[i])
         return acc
 
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        """Weight of every flat index."""
+        return tuple(map(self.weight_of, range(self.dim)))
+
+    @cached_property
+    def _layout(self) -> WeightBlocks:
+        return WeightBlocks(self.weights)
+
     def blocks(self) -> dict[Weight, list[int]]:
-        """Flat indices per weight, ascending; also fixes, per flat index,
-        its block number and its position inside the block."""
-        if self._block_map is None:
-            m: dict[Weight, list[int]] = {}
-            for flat in range(self.dim):
-                m.setdefault(self.weight_of(flat), []).append(flat)
-            self._block_map = m
-            self._block_of = np.empty(self.dim, dtype=np.int64)
-            self._block_pos = np.empty(self.dim, dtype=np.int64)
-            for b, flats in enumerate(m.values()):
-                ix = np.array(flats, dtype=np.int64)
-                self._block_of[ix] = b
-                self._block_pos[ix] = np.arange(len(flats))
-        return self._block_map
+        """Flat indices per weight, ascending."""
+        return self._layout.flats
 
     def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
         """Coproduct action on a sparse vector, in exact Python integers
@@ -425,22 +461,21 @@ class TensorAmbient:
         finally:
             self._scope = None
 
+    def _coproduct(self, kind: str, beta: Root, k: int):
+        return kron_coproduct(lambda j, a: self.factors[j].op(kind, beta, a),
+                              self.dims, k, self.p)
+
+    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
+        """Matrix of a divided power on the whole ambient, mod p."""
+        rows, cols, vals = self._coproduct(kind, beta, k)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
+                             dtype=np.int64)
+
     def _grouped_op(self, kind: str, beta: Root, k: int):
-        """Ambient operator entries in block-local coordinates, sorted by
-        source block and then by local row, with the start of each source
-        block's run."""
         key = (kind, beta, k)
         if self._scope is not None and key in self._scope:
             return self._scope[key]
-        n_blocks = len(self.blocks())
-        rows, cols, vals = kron_coproduct(
-            lambda j, a: self.factors[j].op(kind, beta, a),
-            self.dims, k, self.p)
-        src = self._block_of[cols]
-        rows, cols = self._block_pos[rows], self._block_pos[cols]
-        order = np.lexsort((cols, rows, src))
-        starts = np.searchsorted(src[order], np.arange(n_blocks + 1))
-        out = (starts, rows[order], cols[order], vals[order])
+        out = self._layout.group(*self._coproduct(kind, beta, k))
         if self._scope is not None:
             self._scope[key] = out
         return out
@@ -458,11 +493,9 @@ class TensorAmbient:
         shape = (len(dst_index), len(src_flats))
         if not len(src_flats):
             return sp.csr_matrix(shape, dtype=np.int64)
-        starts, rows, cols, vals = self._grouped_op(kind, beta, k)
-        b = self._block_of[src_flats[0]]
-        lo, hi = starts[b], starts[b + 1]
-        indptr = np.searchsorted(rows[lo:hi], np.arange(shape[0] + 1))
-        return sp.csr_matrix((vals[lo:hi], cols[lo:hi], indptr), shape=shape)
+        return WeightBlocks.restrict(self._grouped_op(kind, beta, k),
+                                     self._layout.block_of[src_flats[0]],
+                                     shape)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +689,21 @@ def build_weyl_lattice(rs: RootSystemData, lam, *,
     if use_cache:
         _LATTICE_CACHE[key] = lat
     return lat
+
+
+def tensor_width_bound(rs: RootSystemData, lams) -> int:
+    """Bound on the weight-space dimensions of V(lams[0]) (x) ... (x) V(lams[-1]).
+
+    A weight space of the product pairs weight spaces of the leading
+    factors with single weight spaces of the last one, so its dimension is
+    at most the largest multiplicity of the last factor times the
+    dimension of the others.
+    """
+    if not lams:
+        return 1
+    *rest, last = lams
+    top = max(freudenthal_multiplicities(rs, tuple(last)).values())
+    return top * prod(weyl_dim(rs, l) for l in rest)
 
 
 def _hw_weight(rs: RootSystemData, rep: IntegralRep) -> Weight:
@@ -1039,10 +1087,17 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
             return LatticeModuleP(lat, p)
 
     funds = _fund_list(rs, lam)
+    omega = [tuple(int(j == i - 1) for j in range(rs.rank)) for i in funds]
+    peeled = ambient_mode == "peeled" and len(funds) > 1
+    if peeled:
+        prev_lam = _sub(lam, omega[-1])
+    # the span's rows run over the weight spaces of the ambient
+    require_int64_safe(p, tensor_width_bound(
+        rs, [prev_lam, omega[-1]] if peeled else omega))
     if not funds:
         ambient = TensorAmbient(rs, [], p)
         mod = finish(ambient, seed_override or {0: 1})
-    elif ambient_mode == "flat" or len(funds) == 1:
+    elif not peeled:
         factors = [FundFactor(rs, fundamental_rep(rs, i), p) for i in funds]
         ambient = TensorAmbient(rs, factors, p)
         seed = seed_override
@@ -1051,8 +1106,6 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
                                   for f in factors]): 1}
         mod = finish(ambient, seed)
     else:
-        prev_lam = tuple(lam[i] - (1 if i == funds[-1] - 1 else 0)
-                         for i in range(rs.rank))
         prev = build_weyl_module_p(rs, p, prev_lam,
                                    ambient_mode="peeled", use_cache=True)
         last = FundFactor(rs, fundamental_rep(rs, funds[-1]), p)

@@ -257,6 +257,32 @@ def test_user_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("command", ["pbw-dims", "validate"])
+def test_prime_beyond_int64_bound_exits_1(command):
+    """p near 2^32 overflows int64 residue products: a one-line usage
+    error, not an assertion traceback from inside the build."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdeg.cli", command, "--cartan", "A2",
+         "--weight", "2,1", "--p", "4294967311"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "largest safe p" in lines[0]
+
+
+def test_cache_dir_rejected_where_unused(tmp_path, capsys):
+    target = tmp_path / "cache"
+    code, out, err = run_cli(capsys, "check-mult", "--cartan", "A2",
+                             "--lambda", "1,0", "--mu", "1,0", "--p", "2",
+                             "--cache-dir", str(target))
+    assert code == 1
+    assert out == ""
+    assert "--cache-dir" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("weyl-dim", "--cartan", "B2", "--weight", "1,0"),
     ("build-module", "--cartan", "B2", "--weight", "1,0", "--p", "2"),

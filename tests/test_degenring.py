@@ -8,7 +8,6 @@ computed before this module's engine was written.
 
 import json
 
-import numpy as np
 import pytest
 
 from pbwdeg import __version__
@@ -136,34 +135,6 @@ def test_mult_size_ceiling():
 
 
 # -- component map ----------------------------------------------------------
-
-
-def test_component_map_a1_hand_values():
-    # phi(v) = v x v, phi(F v2) = F v x v + v x F v,
-    # phi(F^(2) v2) = F v x F v, in pair coordinates (i, j) -> 2 i + j
-    cm = cartan_component_map(RS["A1"], sc("A1"), (1,), (1,), 2)
-    phi = cm.phi_matrix().to_dense()
-    assert phi.shape == (4, 3)
-    assert list(phi[:, 0]) == [1, 0, 0, 0]
-    assert list(phi[:, 1]) == [0, 1, 1, 0]
-    assert list(phi[:, 2]) == [0, 0, 0, 1]
-
-
-def test_component_map_shape_and_equivariance():
-    rs = RS["A2"]
-    cm = cartan_component_map(rs, sc("A2"), (1, 0), (0, 1), 2)
-    phi = cm.phi_matrix().to_dense()
-    assert phi.shape == (9, 8)
-    source = build_weyl_module_p(rs, 2, (1, 1))
-    for beta in rs.positive_roots:
-        a = source.op("F", beta, 1).toarray()
-        b = cm.space.op("F", beta, 1).toarray()
-        assert np.array_equal((phi @ a) % 2, (b @ phi) % 2)
-    # seed goes to the tensor of highest weight vectors
-    src_hw = np.zeros(8, dtype=np.int64)
-    src_hw[source.hw_index] = 1
-    img = (phi @ src_hw) % 2
-    assert np.array_equal(img, cm.seed % 2)
 
 
 def test_component_map_exposes_filtrations():

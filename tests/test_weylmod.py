@@ -7,6 +7,7 @@ positive roots), hook content dims in type A, and sl2 string coefficients.
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from itertools import product
@@ -17,6 +18,7 @@ import pytest
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_lowering_operator, root_raising_operator)
+from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
                             splitting_weight, star_weight)
 from pbwdeg.weylmod import (
@@ -185,17 +187,30 @@ def _dense_rep_power(rs, rep, kind, beta, a, p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("B2", (1, 1)),
-                                      ("G2", (2, 0))])
+@pytest.mark.parametrize("name,lam", [
+    ("A2", (1, 1)), ("B2", (1, 1)), ("G2", (2, 0)),
+    pytest.param("A2", ((1, 0), (1, 1)), id="A2-pair")])
 def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
-    """Peeled ambient V_p(prev) (x) V(omega): every weight block of the
-    coproduct operator equals the dense sum of np.kron products of the
-    factor matrices, restricted to the source and target blocks."""
+    """Peeled ambient V_p(prev) (x) V(omega), and the component map's
+    space V_p(lam) (x) V_p(mu) for a pair of weights: the whole coproduct
+    operator and every weight block of it equal the dense sum of np.kron
+    products of the factor matrices."""
     rs = RS[name]
-    mod = build_weyl_module_p(rs, p, lam, use_cache=False)
-    ambient = mod.ambient
-    prev, last = ambient.factors
-    assert isinstance(prev, WeylModuleP) and isinstance(last, FundFactor)
+    if isinstance(lam[0], tuple):
+        prev, last = (build_weyl_module_p(rs, p, w, use_cache=False)
+                      for w in lam)
+        ambient = TensorAmbient(rs, [prev, last], p)
+
+        def right(kind, beta, a):
+            return last.op(kind, beta, a).toarray() % p
+    else:
+        mod = build_weyl_module_p(rs, p, lam, use_cache=False)
+        ambient = mod.ambient
+        prev, last = ambient.factors
+        assert isinstance(prev, WeylModuleP) and isinstance(last, FundFactor)
+
+        def right(kind, beta, a):
+            return _dense_rep_power(rs, last.rep, kind, beta, a, p)
     blocks = ambient.blocks()
     for kind, sign in (("E", 1), ("F", -1)):
         for beta in rs.positive_roots:
@@ -204,9 +219,10 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
                 dense = np.zeros((ambient.dim, ambient.dim), dtype=np.int64)
                 for a in range(k + 1):
                     left = prev.op(kind, beta, a).toarray() % p
-                    right = _dense_rep_power(rs, last.rep, kind, beta,
-                                             k - a, p)
-                    dense = (dense + np.kron(left, right)) % p
+                    dense = (dense + np.kron(left, right(kind, beta, k - a))) \
+                        % p
+                assert np.array_equal(
+                    ambient.op(kind, beta, k).toarray() % p, dense)
                 covered = 0
                 with ambient.op_scope():
                     for mu, src in blocks.items():
@@ -224,6 +240,22 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
                 assert ambient._scope is None
                 # the blocks account for every nonzero entry of the operator
                 assert covered == int(np.count_nonzero(dense))
+
+
+def test_prime_beyond_int64_bound_refused():
+    """A2 (2,1) at p near 2^32 overflowed int64 residue products and
+    stopped on a closure assertion; it is now refused before the build,
+    and the largest p the message names builds correctly."""
+    rs = RS["A2"]
+    with pytest.raises(ValueError, match="largest safe p") as exc:
+        build_weyl_module_p(rs, 4294967311, (2, 1), use_cache=False)
+    width, limit = map(int, re.findall(r"\d+", str(exc.value))[-2:])
+    assert width * (limit - 1) ** 2 < 2 ** 63 <= width * limit ** 2
+    q = next(n for n in range(limit, 0, -1) if _is_prime(n))
+    graded = [pbw_filtration(build_weyl_module_p(rs, r, (2, 1),
+                                                 use_cache=False)).graded_dims
+              for r in (q, 1000003)]
+    assert graded[0] == graded[1] == (1, 3, 5, 6)
 
 
 # ---------------------------------------------------------------------------
