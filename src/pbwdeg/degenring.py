@@ -8,6 +8,9 @@ gr-injectivity of phi (equivalently surjectivity of the multiplication of
 sections on the ring side) is injectivity plus strictness with respect to
 the PBW filtration of the source and the convolution filtration
 T_n = sum of V_i x V_j over i + j <= n of the target.
+T_n is the degree <= n prefix of one basis of the target: the products of
+the factors' degree-tagged PBW basis rows, each formed once.  Meets reduce
+against one echelon per weight that grows by the rows new at each degree.
 
 Degree-1 generation of the degenerate ring and Hilbert functions of the
 degenerate flag variety are the n-fold analogues with V(n lam) mapping
@@ -24,10 +27,10 @@ from itertools import product
 import numpy as np
 
 from . import __version__
-from .exactla import require_int64_safe, subspace_intersection_mod_p
+from .exactla import DenseEchelonModP, require_int64_safe
 from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
                        _require_prime, filter_from_seed, pbw_filtration)
-from .rootsys import RootSystemData, Weight, star_weight
+from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
 from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
                       build_weyl_module_p, tensor_width_bound, weyl_dim)
 
@@ -50,10 +53,13 @@ class CartanComponentMap:
         self.factor_graded: list[PBWGraded] = [pbw_filtration(m)
                                                for m in factors]
         blocks, dims, complete = filter_from_seed(self.space, seed)
-        assert complete
+        if not complete:
+            raise IntegrityError("image filtration stopped short of the "
+                                 "span of the seed")
         self._image_blocks = blocks
         self._dims = tuple(dims)
         self.rank_phi = dims[-1]
+        self._conv = self._tagged_products()
 
     # -- the image side ---------------------------------------------------
 
@@ -76,75 +82,55 @@ class CartanComponentMap:
 
     # -- the convolution filtration ---------------------------------------
 
-    def _maximal_tuples(self, n: int):
-        tops = [g.n_top for g in self.factor_graded]
-        if sum(tops) <= n:
-            return [tuple(tops)]
-        out = []
-
-        def rec(j, budget, acc):
-            if j == len(tops) - 1:
-                out.append(acc + (min(budget, tops[j]),))
-                return
-            for i in range(min(budget, tops[j]) + 1):
-                rec(j + 1, budget - i, acc + (i,))
-
-        rec(0, n, ())
-        # keep only tuples that cannot be raised in any coordinate
-        keep = []
-        for t in out:
-            if sum(t) == n or all(a == b for a, b in zip(t, tops)):
-                keep.append(t)
-        return keep
+    def _tagged_products(self) -> dict[Weight, tuple[np.ndarray, np.ndarray]]:
+        """Every product of the factors' PBW basis rows, formed once, in the
+        local coordinates of its image weight block: per weight, the total
+        degrees in ascending order and the rows in that order."""
+        found: dict[Weight, list] = {}
+        for combo in product(*[g.tagged_blocks() for g in self.factor_graded]):
+            flats = np.zeros(1, dtype=np.int64)
+            degs = np.zeros(1, dtype=np.int64)
+            rows = np.ones((1, 1), dtype=np.int64)
+            for (_, ix, d, r), stride in zip(combo, self.space.strides):
+                flats = (flats[:, None] + stride * ix[None, :]).ravel()
+                degs = (degs[:, None] + d[None, :]).ravel()
+                # int64 holds a product of two residues, not three
+                rows = (rows[:, None, :, None] * r[None, :, None, :]).reshape(
+                    len(degs), len(flats)) % self.p
+            wt = tuple(map(sum, zip(*(w for w, *_ in combo))))
+            cols = self._image_blocks[wt].indices
+            wide = np.zeros((len(degs), len(cols)), dtype=np.int64)
+            wide[:, np.searchsorted(cols, flats)] = rows
+            found.setdefault(wt, []).append((degs, wide))
+        out = {}
+        for wt, parts in found.items():
+            degs = np.concatenate([d for d, _ in parts])
+            order = np.argsort(degs, kind="stable")
+            out[wt] = degs[order], np.vstack([r for _, r in parts])[order]
+        return out
 
     def t_rows_by_weight(self, n: int) -> dict[Weight, np.ndarray]:
-        """Spanning rows of T_n per weight, in the local coordinates of the
-        image blocks (columns = tensor indices of that weight)."""
-        if n < 0:
-            return {}
-        scattered: dict[tuple[int, int], dict] = {}
+        """Basis rows of T_n per weight, in the local coordinates of the
+        image blocks; the rows of T_{n-1} come first."""
+        out = {}
+        for w, (degs, rows) in self._conv.items():
+            k = int(np.searchsorted(degs, n, side="right"))
+            if k:
+                out[w] = rows[:k]
+        return out
 
-        def factor_rows(j: int, cap: int):
-            key = (j, cap)
-            if key not in scattered:
-                g = self.factor_graded[j]
-                width = self.factors[j].dim
-                per = {}
-                for w, rows in g.rows_by_weight_upto(cap).items():
-                    if rows.shape[0] == 0:
-                        continue
-                    wide = np.zeros((rows.shape[0], width), dtype=np.int64)
-                    wide[:, g.block_indices(w)] = rows
-                    per[w] = wide
-                scattered[key] = per
-            return scattered[key]
-
-        rows_at: dict[Weight, list[np.ndarray]] = {}
-        for tup in self._maximal_tuples(n):
-            per_factor = [factor_rows(j, c) for j, c in enumerate(tup)]
-            for combo in product(*[list(per.items()) for per in per_factor]):
-                wt = tuple(sum(w[i] for w, _ in combo)
-                           for i in range(self.rs.rank))
-                blk = self._image_blocks.get(wt)
-                if blk is None:
-                    continue
-                for pick in product(*[rows for _, rows in combo]):
-                    full = np.ones(1, dtype=np.int64)
-                    for r in pick:
-                        # int64 holds a product of two residues, not three
-                        full = np.kron(full % self.p, r)
-                    rows_at.setdefault(wt, []).append(full[blk.indices] %
-                                                      self.p)
-        return {w: np.array(rs_, dtype=np.int64)
-                for w, rs_ in rows_at.items()}
-
-    def meet_dim(self, image_rows: dict, t_rows: dict) -> int:
+    def meet_dim(self, image_rows: dict, t_echelons: dict) -> int:
+        """dim(U cap T) summed over weights, for independent rows U and an
+        echelon of T per weight: |U| less the rank of U's residues mod T."""
         total = 0
         for w, rows in image_rows.items():
-            other = t_rows.get(w)
-            if other is None or other.shape[0] == 0:
+            t = t_echelons.get(w)
+            if t is None or not t.rank:
                 continue
-            total += len(subspace_intersection_mod_p(rows, other, self.p))
+            left = DenseEchelonModP(self.p, t.width)
+            for r in t.residue(rows):
+                left.add_row(r)
+            total += rows.shape[0] - left.rank
         return total
 
 
@@ -157,8 +143,7 @@ def _check_sizes(rs, lams, p, size_ceiling):
     worst = max(source_dim, tensor_dim)
     if worst > size_ceiling:
         raise SizeCeilingExceeded(worst, size_ceiling)
-    # meets echelonize pairs of tensor weight spaces side by side
-    require_int64_safe(p, 2 * tensor_width_bound(rs, lams))
+    require_int64_safe(p, tensor_width_bound(rs, lams))
     return total
 
 
@@ -219,22 +204,33 @@ class MultReport:
 
 
 def _degree_table(cm: CartanComponentMap):
-    """Rows (n, dim phi(V_n), dim(im phi cap T_n)) until both stabilize,
-    and the T_n rows per weight for every n of the table."""
+    """Rows (n, dim phi(V_n), dim(im phi cap T_n)) until both stabilize, and
+    the dims of the image of gr(phi), dim phi(V_n) - dim(phi(V_n) cap T_{n-1}).
+
+    T_n is held in one echelon per image weight; each degree adds the rows
+    that are new at that degree (the basis rows of T_n extend those of
+    T_{n-1}, so the echelon's rank counts the rows it already holds).
+    """
     image_full = cm.image_rows_by_weight()
-    table, t_rows = [], []
+    t_ech = {w: DenseEchelonModP(cm.p, rows.shape[1])
+             for w, rows in image_full.items()}
+    table, grdims = [], []
     n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
     while True:
         a = cm.image_dim_at(n)
-        t_rows.append(cm.t_rows_by_weight(n))
-        b = cm.meet_dim(image_full, t_rows[n])
+        grdims.append(a - cm.meet_dim(cm.image_rows_by_weight(n), t_ech))
+        t_rows = cm.t_rows_by_weight(n)
+        for w, ech in t_ech.items():
+            for row in t_rows.get(w, ())[ech.rank:]:
+                ech.add_row(row)
+        b = cm.meet_dim(image_full, t_ech)
         table.append((n, a, b))
         if a == cm.rank_phi and b == cm.rank_phi:
-            break
+            return table, grdims
         n += 1
-        assert n <= guard, "convolution filtration failed to stabilize"
-    return table, t_rows
+        if n > guard:
+            raise IntegrityError("convolution filtration failed to stabilize")
 
 
 def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
@@ -305,19 +301,13 @@ def _fold_analysis(rs, sc, lam, m: int, p: int, size_ceiling, use_cache):
     build_weyl_lattice(rs, cm.total, use_cache=use_cache)
     target = int(weyl_dim(rs, cm.total))
     injective = cm.rank_phi == target
-    table, t_rows = _degree_table(cm)
+    table, grdims = _degree_table(cm)
     strict = all(a == b for _, a, b in table)
-    # per-degree dims of the image of gr(phi)
-    grdims = []
-    for d in range(len(table)):
-        img_d = cm.image_rows_by_weight(d)
-        a = cm.image_dim_at(d)
-        below = cm.meet_dim(img_d, t_rows[d - 1]) if d else 0
-        grdims.append(a - below)
     while grdims and grdims[-1] == 0:
         grdims.pop()
-    if injective and strict:
-        assert sum(grdims) == target
+    if injective and strict and sum(grdims) != target:
+        raise IntegrityError(f"graded image dims {grdims} of a gr-injective "
+                             f"map do not add up to dim V = {target}")
     return injective, strict, table, tuple(grdims)
 
 
@@ -398,7 +388,8 @@ def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
         scaled = tuple(n * x for x in lam)
         w = int(weyl_dim(rs, scaled))
         h = sum(grdims)
-        assert h <= w
+        if h > w:
+            raise IntegrityError(f"h({n}) = {h} exceeds dim V({n}lam) = {w}")
         values.append((n, h, w))
         profiles[n] = grdims
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))

@@ -300,10 +300,11 @@ class DenseEchelonModP:
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         """Subtract the components along every pivot row, not just the leading
-        one, so stored rows stay mutually reduced and residues are canonical."""
+        one, so stored rows stay mutually reduced and residues are canonical.
+        A matrix is reduced row by row."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
         if self._n:
-            coeffs = vec[self.pivot_cols]
+            coeffs = vec[..., self.pivot_cols]
             if np.any(coeffs):
                 vec = (vec - coeffs @ self._rows[:self._n]) % self.p
         return vec

@@ -260,12 +260,12 @@ class PBWGraded:
             return np.zeros((0, self.space_dim), dtype=np.int64)
         return np.vstack(rows)
 
-    def rows_by_weight_upto(self, n: int) -> dict[Weight, np.ndarray]:
-        return {w: blk.rows_upto(n) for w, blk in self._blocks.items()
-                if blk.tagged}
-
-    def block_indices(self, weight: Weight) -> np.ndarray:
-        return self._blocks[weight].indices
+    def tagged_blocks(self):
+        """Per weight block: its weight, its coordinates, and its basis rows
+        with the degrees they entered at."""
+        for w, blk in self._blocks.items():
+            degs = np.array([d for d, _ in blk.tagged], dtype=np.int64)
+            yield w, blk.indices, degs, blk.rows_upto(self.n_top)
 
     def contains(self, vec: np.ndarray, n: int) -> bool:
         """Membership of a global vector in V_n."""

@@ -868,6 +868,24 @@ def _is_ppower_digit(p: int, k: int) -> bool:
     return k == 1
 
 
+def _reduce_mod(m: sp.csr_matrix, p: int) -> sp.csr_matrix:
+    m.data %= p
+    m.eliminate_zeros()
+    return m
+
+
+def _csr_power(m: sp.csr_matrix, e: int, p: int) -> sp.csr_matrix:
+    """m^e mod p by repeated squaring."""
+    acc = sp.identity(m.shape[0], dtype=np.int64, format="csr")
+    while e:
+        if e & 1:
+            acc = _reduce_mod(acc @ m, p)
+        e >>= 1
+        if e:
+            m = _reduce_mod(m @ m, p)
+    return acc
+
+
 def lucas_assemble(p: int, dim: int, k: int, ppower) -> sp.csr_matrix:
     """Divided power of general order from its p-power factors mod p.
 
@@ -884,20 +902,12 @@ def lucas_assemble(p: int, dim: int, k: int, ppower) -> sp.csr_matrix:
     acc = sp.identity(dim, dtype=np.int64, format="csr")
     denom = 1
     for power, d in digits:
-        if not d:
-            continue
-        base = ppower(power)
-        for _ in range(d):
-            acc = acc @ base
-            acc.data %= p
-            acc.eliminate_zeros()
-        denom *= factorial(power) ** d
+        if d:
+            acc = _reduce_mod(acc @ _csr_power(ppower(power), d, p), p)
+            denom *= factorial(power) ** d
     unit = factorial(k) // denom
     assert unit % p != 0
-    acc = acc * pow(unit % p, -1, p)
-    acc.data %= p
-    acc.eliminate_zeros()
-    return acc
+    return _reduce_mod(acc * pow(unit % p, -1, p), p)
 
 
 class WeylModuleP:
@@ -1031,12 +1041,7 @@ def validate_relations(mod: WeylModuleP) -> list[RelationWitness]:
                 out.append(RelationWitness(name, int(bad[0]),
                                            f"{len(bad)} bad columns"))
     for i in range(rs.rank):
-        fi = mod.op("F", rs.simple_root(i), 1)
-        acc = sp.identity(mod.dim, dtype=np.int64, format="csr")
-        for _ in range(p):
-            acc = acc @ fi
-            acc.data %= p
-            acc.eliminate_zeros()
+        acc = _csr_power(mod.op("F", rs.simple_root(i), 1), p, p)
         if acc.nnz:
             col = int(acc.nonzero()[1][0])
             out.append(RelationWitness(f"(F_{i+1})^{p} = 0", col,

@@ -272,6 +272,19 @@ def test_prime_beyond_int64_bound_exits_1(command):
     assert "largest safe p" in lines[0]
 
 
+def test_check_mult_prime_beyond_int64_bound_exits_1():
+    """The first prime above the A1 (1) x (1) limit 2^31 is refused."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbwdeg.cli", "check-mult", "--cartan", "A1",
+         "--lambda", "1", "--mu", "1", "--p", "2147483659"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "largest safe p" in lines[0]
+
+
 def test_cache_dir_rejected_where_unused(tmp_path, capsys):
     target = tmp_path / "cache"
     code, out, err = run_cli(capsys, "check-mult", "--cartan", "A2",

@@ -7,6 +7,9 @@ computed before this module's engine was written.
 """
 
 import json
+import subprocess
+import sys
+from itertools import count
 
 import pytest
 
@@ -16,11 +19,11 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
                               check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
-from pbwdeg.pbwgrade import SizeCeilingExceeded, pbw_filtration
+from pbwdeg.pbwgrade import SizeCeilingExceeded, _is_prime, pbw_filtration
 from pbwdeg.rootsys import build_root_system, star_weight
 from pbwdeg.weylmod import build_weyl_module_p, weyl_dim
 
-from dense_oracle import dense_mult_verdict
+from dense_oracle import DensePairMap, dense_mult_verdict, gauss_rank
 
 RS = {n: build_root_system(n)
       for n in ["A1", "A2", "A3", "B2", "C2", "G2"]}
@@ -143,8 +146,49 @@ def test_component_map_exposes_filtrations():
     assert cm.factor_graded[0].graded_dims == (1, 1)
     assert cm.image_dims() == (1, 2, 3)
     assert cm.rank_phi == 3
-    t1 = cm.t_rows_by_weight(1)
-    assert sum(r.shape[0] for r in t1.values()) >= 3
+    # T_n = sum over i + j <= n of V_i x V_j has sum g_i g_j basis rows,
+    # with g = (1, 1) the graded dims of each factor
+    for n, rows in [(0, 1), (1, 3), (2, 4)]:
+        t = cm.t_rows_by_weight(n)
+        assert sum(r.shape[0] for r in t.values()) == rows
+        assert all(gauss_rank(r, 2) == r.shape[0] for r in t.values())
+
+
+def test_component_map_int64_limit():
+    """Meets reduce image rows against T_n at single width, so the int64
+    limit is set by the tensor weight spaces alone: the weight-0 space of
+    V(1) x V(1) has dimension 2, and p is safe exactly when
+    2 (p - 1)^2 < 2^63, i.e. p <= 2^31."""
+    rs = RS["A1"]
+    below = next(n for n in range(1 << 31, 0, -1) if _is_prime(n))
+    above = next(n for n in count((1 << 31) + 1) if _is_prime(n))
+    tables = [check_mult_surjective(rs, sc("A1"), (1,), (1,), q).table
+              for q in (below, 1000003)]
+    assert tables[0] == tables[1] == [(0, 1, 1), (1, 2, 2), (2, 3, 3)]
+    with pytest.raises(ValueError, match="largest safe p"):
+        check_mult_surjective(rs, sc("A1"), (1,), (1,), above)
+
+
+def test_stabilization_guard_survives_python_O():
+    """With T_n reported empty the meets never reach rank(phi); the guard
+    must still stop the degree loop when asserts are stripped."""
+    code = "\n".join([
+        "from pbwdeg.chevrep import chevalley_constants",
+        "from pbwdeg.degenring import (CartanComponentMap,",
+        "                              check_mult_surjective)",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "print(__debug__)",
+        "CartanComponentMap.t_rows_by_weight = lambda self, n: {}",
+        "rs = build_root_system('A1')",
+        "try:",
+        "    check_mult_surjective(rs, chevalley_constants(rs), (1,), (1,), 2)",
+        "except IntegrityError:",
+        "    print('raised')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
 
 
 # -- generation and Hilbert -------------------------------------------------
@@ -192,6 +236,14 @@ def test_hilbert_a2_adjoint_matches_weyl_dims():
     # the degenerate profile of the 1-fold map is the module's own profile
     mod = build_weyl_module_p(rs, 2, (1, 1))
     assert tuple(rep.profiles[1]) == pbw_filtration(mod).graded_dims
+
+
+def test_hilbert_profiles_match_dense_oracle():
+    rs = RS["A2"]
+    rep = hilbert_function(rs, sc("A2"), (1, 1), 2, 3)
+    for n in (2, 3):
+        assert list(rep.profiles[n]) == \
+            DensePairMap(rs, [(1, 1)] * n, 2).graded_image_dims()
 
 
 def test_hilbert_a1_projective_line():

@@ -528,6 +528,13 @@ def test_validate_relations_clean():
     assert validate_relations(mod) == []
 
 
+def test_validate_relations_large_prime():
+    """(F_i)^p = 0 is checked by repeated squaring: about 2 log2(p)
+    products rather than p of them."""
+    mod = build_weyl_module_p(RS["A2"], 1000003, (2, 1), use_cache=False)
+    assert validate_relations(mod) == []
+
+
 def test_validate_relations_locates_fault():
     mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
     mod.inject_fault("F", (1, 0), 1, row=1, col=mod.hw_index, delta=1)
