@@ -36,10 +36,6 @@ def _obj(m) -> np.ndarray:
     return np.array([[int(x) for x in row] for row in m], dtype=object)
 
 
-def _freeze(m: np.ndarray) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
 def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

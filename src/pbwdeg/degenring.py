@@ -12,9 +12,24 @@ T_n is the degree <= n prefix of one basis of the target: the products of
 the factors' degree-tagged PBW basis rows, each formed once.  Meets reduce
 against one echelon per weight that grows by the rows new at each degree.
 
-Degree-1 generation of the degenerate ring and Hilbert functions of the
-degenerate flag variety are the n-fold analogues with V(n lam) mapping
-into the n-th tensor power of V(lam).
+The Z lattice of lam + mu is built only when rank(phi) falls short of the
+Weyl dimension: a rank drop over Z forces one mod p, and on that branch a
+Z-rank shortfall raises RankMismatch (a defect, not a verdict).
+
+Degree-1 generation and the Hilbert function concern the n-fold maps
+phi_n: V(n lam) -> V(lam)^(x n).  Step n decides instead the pair map
+psi_n: V(n lam) -> V((n-1) lam) x V(lam), with psi_1 the pair (0, lam):
+- Coassociativity gives phi_n = (phi_{n-1} x id) o psi_n.  Each of these
+  maps sends the highest weight vector to the tensor of highest weight
+  vectors and is U-equivariant.
+- If phi_{n-1} is gr-injective, A = phi_{n-1} x id is injective and strict
+  for the convolution filtrations, so A^-1(T_k) = T'_k.  Then phi_n is
+  gr-injective exactly when psi_n is, and phi_n(V_k) cap T_{k-1} =
+  A(psi_n(V_k) cap T'_{k-1}), so the graded image dims (the Hilbert
+  profile) are equal.
+- phi_1 = id, so by induction the verdicts and the profiles agree up to
+  and including the first failing step.  Past it the chain no longer
+  determines phi_n, so generation and Hilbert stop there.
 """
 
 from __future__ import annotations
@@ -43,9 +58,7 @@ class CartanComponentMap:
                  factors: list[WeylModuleP]):
         self.rs = rs
         self.p = p
-        self.lams = tuple(tuple(l) for l in lams)
-        self.total = tuple(sum(l[i] for l in self.lams)
-                           for i in range(rs.rank))
+        self.total = tuple(map(sum, zip(*lams)))
         self.factors = factors
         self.space = TensorAmbient(rs, factors, p)
         seed = np.zeros(self.space.dim, dtype=np.int64)
@@ -66,11 +79,6 @@ class CartanComponentMap:
     def image_dims(self) -> tuple[int, ...]:
         """Cumulative dims of phi(V_n) = U_{<=n} (v_lam x v_mu)."""
         return self._dims
-
-    def image_dim_at(self, n: int) -> int:
-        if n >= len(self._dims):
-            return self._dims[-1]
-        return self._dims[n]
 
     def image_rows_by_weight(self, n: int | None = None):
         out = {}
@@ -134,26 +142,19 @@ class CartanComponentMap:
         return total
 
 
-def _check_sizes(rs, lams, p, size_ceiling):
-    total = tuple(sum(l[i] for l in lams) for i in range(rs.rank))
-    source_dim = int(weyl_dim(rs, total))
-    tensor_dim = 1
-    for l in lams:
-        tensor_dim *= int(weyl_dim(rs, tuple(l)))
-    worst = max(source_dim, tensor_dim)
-    if worst > size_ceiling:
-        raise SizeCeilingExceeded(worst, size_ceiling)
-    require_int64_safe(p, tensor_width_bound(rs, lams))
-    return total
-
-
 def cartan_component_map(rs: RootSystemData, sc, lam, mu, p: int, *,
                          size_ceiling: int = DEFAULT_SIZE_CEILING,
                          use_cache: bool = True) -> CartanComponentMap:
-    """Build the component map data for a pair of dominant weights."""
+    """Build the component map data for a pair of dominant weights; the
+    source V(lam+mu) and the target V(lam) x V(mu) must fit the ceiling."""
     _require_prime(p)
     assert sc.rs.name == rs.name
-    _check_sizes(rs, [lam, mu], p, size_ceiling)
+    total = tuple(a + b for a, b in zip(lam, mu))
+    worst = max(int(weyl_dim(rs, total)),
+                int(weyl_dim(rs, lam)) * int(weyl_dim(rs, mu)))
+    if worst > size_ceiling:
+        raise SizeCeilingExceeded(worst, size_ceiling)
+    require_int64_safe(p, tensor_width_bound(rs, [lam, mu]))
     factors = [build_weyl_module_p(rs, p, tuple(w), use_cache=use_cache)
                for w in (lam, mu)]
     return CartanComponentMap(rs, p, [lam, mu], factors)
@@ -215,10 +216,11 @@ def _degree_table(cm: CartanComponentMap):
     t_ech = {w: DenseEchelonModP(cm.p, rows.shape[1])
              for w, rows in image_full.items()}
     table, grdims = [], []
+    dims = cm.image_dims()
     n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
     while True:
-        a = cm.image_dim_at(n)
+        a = dims[min(n, len(dims) - 1)]
         grdims.append(a - cm.meet_dim(cm.image_rows_by_weight(n), t_ech))
         t_rows = cm.t_rows_by_weight(n)
         for w, ech in t_ech.items():
@@ -233,26 +235,40 @@ def _degree_table(cm: CartanComponentMap):
             raise IntegrityError("convolution filtration failed to stabilize")
 
 
+def _pair_analysis(rs, sc, lam, mu, p: int, size_ceiling, use_cache):
+    """(injective, strict, degree table, graded image dims) of V(lam+mu) ->
+    V(lam) x V(mu): the one analysis behind check-mult, check-gen, hilbert."""
+    cm = cartan_component_map(rs, sc, lam, mu, p, size_ceiling=size_ceiling,
+                              use_cache=use_cache)
+    target = int(weyl_dim(rs, cm.total))
+    if cm.rank_phi < target:  # RankMismatch if the Z rank is short too
+        build_weyl_lattice(rs, cm.total, use_cache=use_cache)
+    injective = cm.rank_phi == target
+    table, grdims = _degree_table(cm)
+    strict = all(a == b for _, a, b in table)
+    while grdims and grdims[-1] == 0:
+        grdims.pop()
+    if injective and strict and sum(grdims) != target:
+        raise IntegrityError(f"graded image dims {grdims} of a gr-injective "
+                             f"map do not add up to dim V = {target}")
+    return injective, strict, table, tuple(grdims)
+
+
 def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
                           size_ceiling: int = DEFAULT_SIZE_CEILING,
                           use_cache: bool = True) -> MultReport:
     """Decide gr-injectivity of V(lam+mu) -> V(lam) x V(mu) mod p.
 
     injective_ungraded compares the span of v_lam x v_mu against the Weyl
-    dimension; the integer lattice for lam+mu is built first so a rank
-    drop over Z would surface as a defect rather than a verdict.
+    dimension; only when it falls short is the Z lattice of lam+mu built,
+    so that a rank drop over Z surfaces as a defect rather than a verdict.
     """
     t0 = time.perf_counter()
-    cm = cartan_component_map(rs, sc, lam, mu, p, size_ceiling=size_ceiling,
-                              use_cache=use_cache)
-    build_weyl_lattice(rs, cm.total, use_cache=use_cache)
-    target = int(weyl_dim(rs, cm.total))
-    injective = cm.rank_phi == target
-    table, _ = _degree_table(cm)
-    strict = all(a == b for _, a, b in table)
+    injective, strict, table, _ = _pair_analysis(rs, sc, lam, mu, p,
+                                                 size_ceiling, use_cache)
     lam_star = list(star_weight(rs, tuple(lam)))
     mu_star = list(star_weight(rs, tuple(mu)))
-    tot_star = list(star_weight(rs, cm.total))
+    tot_star = list(star_weight(rs, tuple(a + b for a, b in zip(lam, mu))))
     note = (f"ring side: multiplication H0a({lam_star}) (x) H0a({mu_star})"
             f" -> H0a({tot_star}) is surjective iff this map is gr-injective")
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -291,41 +307,34 @@ class GenReport:
         return "\n".join(lines) + "\n"
 
 
-def _fold_analysis(rs, sc, lam, m: int, p: int, size_ceiling, use_cache):
-    """gr data of the m-fold map V(m lam) -> V(lam)^(x m)."""
-    lams = [tuple(lam)] * m
-    _check_sizes(rs, lams, p, size_ceiling)
-    factors = [build_weyl_module_p(rs, p, tuple(lam), use_cache=use_cache)
-               for _ in range(m)]
-    cm = CartanComponentMap(rs, p, lams, factors)
-    build_weyl_lattice(rs, cm.total, use_cache=use_cache)
-    target = int(weyl_dim(rs, cm.total))
-    injective = cm.rank_phi == target
-    table, grdims = _degree_table(cm)
-    strict = all(a == b for _, a, b in table)
-    while grdims and grdims[-1] == 0:
-        grdims.pop()
-    if injective and strict and sum(grdims) != target:
-        raise IntegrityError(f"graded image dims {grdims} of a gr-injective "
-                             f"map do not add up to dim V = {target}")
-    return injective, strict, table, tuple(grdims)
+def _chain(rs, sc, lam, p: int, first: int, n_max: int, size_ceiling,
+           use_cache):
+    """(n, gr-injective, graded image dims) of V(n lam) -> V((n-1) lam) x
+    V(lam) for first <= n <= n_max, ending with the first failing step."""
+    _require_prime(p)
+    assert sc.rs.name == rs.name
+    for n in range(first, n_max + 1):
+        inj, strict, _, grdims = _pair_analysis(
+            rs, sc, tuple((n - 1) * x for x in lam), lam, p, size_ceiling,
+            use_cache)
+        yield n, inj and strict, grdims
+        if not (inj and strict):
+            return
 
 
 def check_degree_one_generation(rs: RootSystemData, sc, lam, p: int,
                                 n_max: int, *,
                                 size_ceiling: int = DEFAULT_SIZE_CEILING,
                                 use_cache: bool = True) -> GenReport:
-    """gr-injectivity of V(n lam) -> V(lam)^(x n) for 2 <= n <= n_max."""
-    _require_prime(p)
-    assert sc.rs.name == rs.name
+    """gr-injectivity of V(n lam) -> V(lam)^(x n) for 2 <= n <= n_max,
+    decided on V(n lam) -> V((n-1) lam) x V(lam), which agrees with it while
+    every earlier step holds (module docstring); per_n ends with the first
+    failing step.  The Z lattice of n lam is built only if a rank is short."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     t0 = time.perf_counter()
-    per_n = []
-    for n in range(2, n_max + 1):
-        inj, strict, _, _ = _fold_analysis(rs, sc, lam, n, p,
-                                           size_ceiling, use_cache)
-        per_n.append((n, inj and strict))
+    per_n = [(n, ok) for n, ok, _ in _chain(rs, sc, lam, p, 2, n_max,
+                                            size_ceiling, use_cache)]
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return GenReport(cartan=rs.name, p=p, lam=tuple(lam), n_max=n_max,
                      per_n=tuple(per_n),
@@ -376,17 +385,15 @@ def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
 
     h(n) is the total gr-image dimension of the n-fold map, reported next
     to weyl_dim(n lam); equality holds whenever generation passes at n.
+    Step n reads it off V(n lam) -> V((n-1) lam) x V(lam); values and
+    profiles end with the first step that is not gr-injective.
     """
-    _require_prime(p)
-    assert sc.rs.name == rs.name
     t0 = time.perf_counter()
     values = [(0, 1, 1)]
     profiles = {0: (1,)}
-    for n in range(1, n_max + 1):
-        _, _, _, grdims = _fold_analysis(rs, sc, lam, n, p,
-                                         size_ceiling, use_cache)
-        scaled = tuple(n * x for x in lam)
-        w = int(weyl_dim(rs, scaled))
+    for n, _, grdims in _chain(rs, sc, lam, p, 1, n_max, size_ceiling,
+                               use_cache):
+        w = int(weyl_dim(rs, tuple(n * x for x in lam)))
         h = sum(grdims)
         if h > w:
             raise IntegrityError(f"h({n}) = {h} exceeds dim V({n}lam) = {w}")

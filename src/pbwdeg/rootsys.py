@@ -17,7 +17,7 @@ system.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -147,6 +147,9 @@ class RootSystemData:
     #: scaled Gram matrix of the fundamental weights, d_i adj[i][j], so that
     #: cartan_det (omega_i, omega_j) = gram[i][j]
     gram: tuple[tuple[int, ...], ...]
+    #: cache of weylmod.freudenthal_multiplicities, keyed by highest weight
+    multiplicities: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False, hash=False)
 
     @property
     def rank(self) -> int:

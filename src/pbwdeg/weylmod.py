@@ -44,7 +44,6 @@ from .exactla import (
     SparseIntMatrix,
     Vec,
     require_int64_safe,
-    vec_add_scaled,
 )
 from .rootsys import IntegrityError, Root, RootSystemData, Weight, star_weight
 
@@ -167,9 +166,12 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
 
     Inner products are taken as cartan_det times their value, which is an
     integer; the factor cancels in the quotient.  Weights nu = mu + j beta
-    above mu are located by their box coordinates c_mu - j beta.
+    above mu are located by their box coordinates c_mu - j beta.  The
+    result is kept on rs per lam and shared by later calls: do not mutate.
     """
     lam = tuple(lam)
+    if lam in rs.multiplicities:
+        return rs.multiplicities[lam]
     box = _WeightBox(rs, lam)
     top = _add(lam, rs.rho)
     norm_top = rs.inner_scaled(top, top)
@@ -206,6 +208,7 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
                 f"{2 * acc}/{denom}, not a nonnegative integer")
         if val:
             mults[mu] = by_coords[c] = val
+    rs.multiplicities[lam] = mults
     return mults
 
 
@@ -378,10 +381,6 @@ class TensorAmbient:
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
         return cls(rs, [FundFactor(rs, r) for r in reps])
-
-    @classmethod
-    def over_p(cls, rs: RootSystemData, reps, p: int) -> "TensorAmbient":
-        return cls(rs, [FundFactor(rs, r, p) for r in reps], p)
 
     def multi(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -598,9 +597,6 @@ class WeylLatticeZ:
 
     def weight_multiplicities(self) -> dict[Weight, int]:
         return {b.weight: b.final.rank for b in self.blocks}
-
-    def basis_rows(self) -> list[Vec]:
-        return [row for b in self.blocks for row in b.final.rows]
 
     def op_int(self, kind: str, beta: Root, k: int) -> SparseIntMatrix:
         """Matrix of a divided power in the lattice basis, exact over Z.
@@ -956,7 +952,7 @@ class WeylModuleP:
         shift = self.rs.root_fund(beta)
         if kind == "F":
             shift = _neg(shift)
-        rows, cols, data = [], [], []
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
         with self.ambient.op_scope():
             for blk in self.blocks:
                 target = _add(blk.weight, tuple(k * x for x in shift))
@@ -968,13 +964,11 @@ class WeylModuleP:
                 images = (opm @ blk.rows.T).T % self.p
                 coords = images[:, dst.pivots]
                 if not np.array_equal((coords @ dst.rows) % self.p, images):
-                    raise AssertionError(
+                    raise IntegrityError(
                         f"module not closed under {kind}^({k}) at {beta}")
-                nz = np.nonzero(coords)
-                for i, j in zip(*nz):
-                    rows.append(dst.offset + int(j))
-                    cols.append(blk.offset + int(i))
-                    data.append(int(coords[i, j]))
+                i, j = np.nonzero(coords)
+                parts.append((dst.offset + j, blk.offset + i, coords[i, j]))
+        rows, cols, data = map(np.concatenate, zip(*parts))
         return sp.csr_matrix((data, (rows, cols)),
                              shape=(self.dim, self.dim), dtype=np.int64)
 

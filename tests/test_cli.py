@@ -285,6 +285,25 @@ def test_check_mult_prime_beyond_int64_bound_exits_1():
     assert "largest safe p" in lines[0]
 
 
+def test_module_not_closed_under_operators_exits_3(capsys, monkeypatch):
+    """A module whose weight-0 block no longer spans the operator images is
+    an internal defect: exit 3 and one line, not an assertion traceback."""
+    def corrupted(rs, p, lam, **_):
+        mod = build_weyl_module_p(rs, p, lam, use_cache=False)
+        blk = mod._by_weight[(0, 0)]
+        blk.rows = np.roll(blk.rows, 1, axis=1)
+        return mod
+
+    monkeypatch.setattr(cli_module, "build_weyl_module_p", corrupted)
+    code, out, err = run_cli(capsys, "pbw-dims", "--cartan", "A2",
+                             "--weight", "1,1", "--p", "2")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("internal defect: module not closed under")
+
+
 def test_cache_dir_rejected_where_unused(tmp_path, capsys):
     target = tmp_path / "cache"
     code, out, err = run_cli(capsys, "check-mult", "--cartan", "A2",

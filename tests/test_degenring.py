@@ -13,7 +13,7 @@ from itertools import count
 
 import pytest
 
-from pbwdeg import __version__
+from pbwdeg import __version__, cli, degenring, weylmod
 from pbwdeg.chevrep import chevalley_constants
 from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
@@ -21,7 +21,7 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               check_mult_surjective, hilbert_function)
 from pbwdeg.pbwgrade import SizeCeilingExceeded, _is_prime, pbw_filtration
 from pbwdeg.rootsys import build_root_system, star_weight
-from pbwdeg.weylmod import build_weyl_module_p, weyl_dim
+from pbwdeg.weylmod import RankMismatch, build_weyl_module_p, weyl_dim
 
 from dense_oracle import DensePairMap, dense_mult_verdict, gauss_rank
 
@@ -266,3 +266,228 @@ def test_hilbert_serialization():
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "n,h,weyl_dim"
     assert lines[1] == "0,1,1"
+
+
+# -- the pairwise chain -----------------------------------------------------
+
+
+def test_hilbert_a2_adjoint_reaches_n5():
+    """Step 5 maps into V(4,4) x V(1,1), of dim 1000; the 5-fold tensor
+    power, 8^5 = 32768, was over the default size ceiling."""
+    rep = hilbert_function(RS["A2"], sc("A2"), (1, 1), 2, 5)
+    assert rep.h(4) == 125
+    assert rep.h(5) == 216
+
+
+@pytest.mark.parametrize("name,lam,p,n_max", [
+    ("A2", (1, 1), 2, 5),
+    ("B2", (1, 0), 3, 4),
+    ("G2", (1, 0), 2, 4),
+    ("C2", (0, 1), 2, 4),
+    ("A3", (0, 1, 0), 3, 3),
+])
+def test_hilbert_profiles_are_pbw_graded_dims(name, lam, p, n_max):
+    """Where generation holds, the profile of step n is the PBW graded
+    dims of V(n lam), built and filtered on its own."""
+    rs = RS[name]
+    rep = hilbert_function(rs, sc(name), lam, p, n_max)
+    assert sorted(rep.profiles) == list(range(n_max + 1))
+    for n in range(1, n_max + 1):
+        mod = build_weyl_module_p(rs, p, tuple(n * x for x in lam))
+        assert rep.profiles[n] == pbw_filtration(mod).graded_dims, n
+
+
+@pytest.fixture
+def step3_fails(monkeypatch):
+    """Step n = 3 of the chain, V(3 lam) -> V(2 lam) x V(lam), reports a
+    map that is not strict.  Returns the list of first weights of every
+    pair the chain analyses."""
+    real = degenring._pair_analysis
+    seen = []
+
+    def patched(rs, sc_, lam, mu, p, size_ceiling, use_cache):
+        seen.append(tuple(lam))
+        inj, strict, table, grdims = real(rs, sc_, lam, mu, p, size_ceiling,
+                                          use_cache)
+        strict = strict and tuple(lam) != tuple(2 * x for x in mu)
+        return inj, strict, table, grdims
+
+    monkeypatch.setattr(degenring, "_pair_analysis", patched)
+    return seen
+
+
+def test_generation_stops_at_first_failure(step3_fails):
+    rep = check_degree_one_generation(RS["A1"], sc("A1"), (1,), 2, 4)
+    assert rep.per_n == ((2, True), (3, False))
+    assert rep.generated is False
+    assert rep.n_max == 4
+    assert step3_fails == [(1,), (2,)]  # step 4 is never analysed
+
+
+def test_hilbert_stops_at_first_failure(step3_fails):
+    rep = hilbert_function(RS["A1"], sc("A1"), (1,), 2, 4)
+    assert rep.values == ((0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4))
+    assert rep.profiles == {0: (1,), 1: (1, 1), 2: (1, 1, 1),
+                            3: (1, 1, 1, 1)}
+    assert step3_fails == [(0,), (1,), (2,)]
+
+
+FIRST_FAILURE_CLI = {
+    ("check-gen", "table"): "cartan: A1\nlambda: 1\np: 2\nn_max: 4\n"
+                            "  n=2: gr_injective=true\n"
+                            "  n=3: gr_injective=false\n"
+                            "generated: false\n",
+    ("check-gen", "csv"): "n,gr_injective\n2,true\n3,false\n",
+    ("check-gen", "json"): {"cartan": "A1", "p": 2, "lambda": [1],
+                            "n_max": 4, "per_n": [[2, True], [3, False]],
+                            "generated": False},
+    ("hilbert", "table"): "cartan: A1\nlambda: 1\np: 2\nn  h  weyl_dim\n"
+                          "0  1  1\n1  2  2\n2  3  3\n3  4  4\n",
+    ("hilbert", "csv"): "n,h,weyl_dim\n0,1,1\n1,2,2\n2,3,3\n3,4,4\n",
+    ("hilbert", "json"): {"cartan": "A1", "p": 2, "lambda": [1], "n_max": 4,
+                          "values": [[0, 1, 1], [1, 2, 2], [2, 3, 3],
+                                     [3, 4, 4]],
+                          "profiles": {"0": [1], "1": [1, 1], "2": [1, 1, 1],
+                                       "3": [1, 1, 1, 1]}},
+}
+
+
+def _cli_stdout(capsys, fmt, *argv):
+    """Exit code and stdout of one in-process CLI run; json is parsed and
+    stripped of elapsed_ms and tool_version."""
+    code = cli.main([*argv, "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        out = json.loads(out)
+        del out["elapsed_ms"]
+        assert out.pop("tool_version") == __version__
+    return code, out
+
+
+@pytest.mark.parametrize("command,fmt", sorted(FIRST_FAILURE_CLI))
+def test_first_failure_cli(capsys, step3_fails, command, fmt):
+    code, out = _cli_stdout(capsys, fmt, command, "--cartan", "A1",
+                            "--lambda", "1", "--p", "2", "--n-max", "4")
+    assert code == 0
+    assert out == FIRST_FAILURE_CLI[command, fmt]
+    assert (3,) not in step3_fails
+
+
+# -- negative check-mult verdicts and the lattice branch --------------------
+
+
+def test_lattice_not_built_when_rank_is_full(monkeypatch):
+    calls = []
+    monkeypatch.setattr(degenring, "build_weyl_lattice",
+                        lambda rs, lam, **_: calls.append(lam))
+    assert check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1),
+                                 2).gr_injective
+    assert hilbert_function(RS["A2"], sc("A2"), (1, 1), 2, 3).h(3) == 64
+    assert calls == []
+
+
+def _claim_extra_dimension(monkeypatch, module, weight):
+    """Make module.weyl_dim report one more than the truth at weight."""
+    real = module.weyl_dim
+    monkeypatch.setattr(module, "weyl_dim", lambda rs, lam: real(rs, lam) +
+                        (tuple(lam) == weight))
+
+
+@pytest.fixture
+def rank_short(monkeypatch):
+    """rank(phi) < weyl_dim(lam + mu) for A2 (1,0) x (0,1); the Z lattice of
+    (1,1) is still full rank.  Returns the weights the lattice is built for."""
+    _claim_extra_dimension(monkeypatch, degenring, (1, 1))
+    real = degenring.build_weyl_lattice
+    calls = []
+
+    def spy(rs, lam, **kwargs):
+        calls.append(tuple(lam))
+        return real(rs, lam, **kwargs)
+
+    monkeypatch.setattr(degenring, "build_weyl_lattice", spy)
+    return calls
+
+
+@pytest.fixture
+def not_strict(monkeypatch):
+    """dim(im phi cap T_1) is reported one above dim phi(V_1)."""
+    real = degenring._degree_table
+
+    def patched(cm):
+        table, grdims = real(cm)
+        n, a, b = table[1]
+        table[1] = (n, a, b + 1)
+        return table, grdims
+
+    monkeypatch.setattr(degenring, "_degree_table", patched)
+
+
+def test_mult_rank_short_builds_full_rank_lattice(rank_short):
+    rep = check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1), 2)
+    assert rank_short == [(1, 1)]
+    assert (rep.injective_ungraded, rep.strict, rep.gr_injective,
+            rep.verdict_mult_surjective) == (False, True, False, False)
+    assert rep.table == [(0, 1, 1), (1, 4, 4), (2, 8, 8)]
+
+
+def test_mult_not_strict(not_strict):
+    rep = check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1), 2)
+    assert (rep.injective_ungraded, rep.strict, rep.gr_injective,
+            rep.verdict_mult_surjective) == (True, False, False, False)
+    assert rep.table == [(0, 1, 1), (1, 4, 5), (2, 8, 8)]
+
+
+def _mult_expected(fmt, table, injective, strict):
+    flags = [("injective_ungraded", injective), ("strict", strict),
+             ("gr_injective", False), ("verdict_mult_surjective", False)]
+    if fmt == "csv":
+        return "n,phi_dim,meet_dim\n" + "".join(
+            f"{n},{a},{b}\n" for n, a, b in table)
+    if fmt == "table":
+        return ("cartan: A2\nlambda: 1 0\nmu: 0 1\np: 2\n"
+                "n  phi_dim  meet_dim\n"
+                + "".join(f"{n}  {a}  {b}\n" for n, a, b in table)
+                + "".join(f"{k}: {str(v).lower()}\n" for k, v in flags))
+    return {"cartan": "A2", "p": 2, "lambda": [1, 0], "mu": [0, 1],
+            **dict(flags), "table": [list(r) for r in table],
+            "note": "ring side: multiplication H0a([0, 1]) (x) H0a([1, 0])"
+                    " -> H0a([1, 1]) is surjective iff this map is "
+                    "gr-injective"}
+
+
+MULT_ARGS = ("check-mult", "--cartan", "A2", "--lambda", "1,0", "--mu",
+             "0,1", "--p", "2")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_mult_rank_short_cli(capsys, rank_short, fmt):
+    code, out = _cli_stdout(capsys, fmt, *MULT_ARGS)
+    assert code == 0
+    assert out == _mult_expected(fmt, [(0, 1, 1), (1, 4, 4), (2, 8, 8)],
+                                 False, True)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_mult_not_strict_cli(capsys, not_strict, fmt):
+    code, out = _cli_stdout(capsys, fmt, *MULT_ARGS)
+    assert code == 0
+    assert out == _mult_expected(fmt, [(0, 1, 1), (1, 4, 5), (2, 8, 8)],
+                                 True, False)
+
+
+def test_mult_rank_short_over_z_exits_3(capsys, monkeypatch, rank_short):
+    """If the Z lattice falls short as well, that is a defect, not a
+    verdict: RankMismatch, exit 3."""
+    _claim_extra_dimension(monkeypatch, weylmod, (1, 1))
+    monkeypatch.setattr(weylmod, "_LATTICE_CACHE", {})
+    with pytest.raises(RankMismatch):
+        check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1), 2)
+    code = cli.main(list(MULT_ARGS))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal defect:"), \
+        captured.err
+    assert rank_short == [(1, 1), (1, 1)]

@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pbwdeg import weylmod
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_lowering_operator, root_raising_operator)
@@ -129,6 +130,27 @@ def test_freudenthal_total_matches_weyl_dim(name, lam):
     star = star_weight(rs, lam)
     mstar = freudenthal_multiplicities(rs, star)
     assert sorted(m.values()) == sorted(mstar.values())
+
+
+@pytest.mark.parametrize("name", sorted(RS))
+def test_freudenthal_cached_on_root_system(name, monkeypatch):
+    """A second call for the same (rs, lam) reads the cache kept on rs; a
+    copy of rs starts empty, recomputes, and finds the same values.  The
+    cache takes no part in equality or hashing."""
+    rs = dataclasses.replace(RS[name])
+    lam = rs.rho
+    first = freudenthal_multiplicities(rs, lam)
+    boxes = []
+    real_box = weylmod._WeightBox
+    monkeypatch.setattr(weylmod, "_WeightBox",
+                        lambda *args: boxes.append(args) or real_box(*args))
+    assert freudenthal_multiplicities(rs, list(lam)) is first
+    assert boxes == []
+    copy = dataclasses.replace(rs)
+    assert freudenthal_multiplicities(copy, lam) == first
+    assert len(boxes) == 1
+    assert sum(first.values()) == weyl_dim(rs, lam)
+    assert copy == rs and hash(copy) == hash(rs) == hash(RS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +572,16 @@ def test_validate_relations_locates_fault():
     for j, mu in enumerate(mod.weights):
         defect[j, j] = (defect[j, j] - RS["A2"].pairing(mu, a)) % 2
     assert np.any(defect[:, w.basis_index])
+
+
+def test_op_rejects_block_not_closed_under_operators():
+    """A weight block whose rows no longer span the images of the operators
+    is a defect: IntegrityError, which python -O keeps."""
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    blk = mod._by_weight[(0, 0)]
+    blk.rows = np.roll(blk.rows, 1, axis=1)
+    with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
+        mod.op("F", (1, 0), 1)
 
 
 def test_trivial_weight():
