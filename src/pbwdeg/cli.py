@@ -8,9 +8,10 @@ invariant, or a failed validation).
 
 Cached modules live under <cache-dir>/<key>/ where the key hashes the
 tool version, Cartan type, weight and prime; payload files are the dims,
-the per-index weights, and one triplet text file per stored operator.
-Writes are atomic (temp directory, then rename) so concurrent sweep jobs
-can share a cache directory safely.
+the per-index weights, and one triplet text file per stored operator, and
+entry.json records the sha256 of each.  Writes are atomic (temp directory,
+then rename) so concurrent sweep jobs can share a cache directory safely;
+an entry that fails its checksums is a miss and is replaced.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .pbwgrade import (SizeCeilingExceeded, _require_prime, check_f0,
                        check_F0_order_invariance, pbw_filtration)
 from .rootsys import (IntegrityError, RootSystemData, UnsupportedType,
                       build_root_system, splitting_weight)
-from .weylmod import (RankMismatch, build_weyl_lattice, build_weyl_module_p,
-                      lucas_assemble, validate_lattice_relations,
+from .weylmod import (ModuleP, RankMismatch, build_weyl_lattice,
+                      build_weyl_module_p, validate_lattice_relations,
                       validate_relations, weyl_dim)
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class CliUsageError(Exception):
@@ -114,78 +115,26 @@ def cache_key(cartan: str, weight, p: int) -> str:
     return hashlib.sha256(raw.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """Metadata of one stored module; reads verify version and key."""
-
-    format_version: int
-    key: str
-    cartan: str
-    weight: tuple
-    p: int
-    dim: int
-    ops: tuple
-
-
-class CachedModule:
+class CachedModule(ModuleP):
     """Module reloaded from disk with the same operator interface.
 
     Stored matrices are the p-power divided powers up to the largest
-    nonzero one per root; anything beyond is zero on the module, and
-    general orders are assembled exactly as in fresh construction.
+    nonzero one per root; anything beyond is zero on the module.
     """
 
-    def __init__(self, rs: RootSystemData, p: int, lam, dim: int,
-                 weights, ppowers: dict):
-        self.rs = rs
-        self.p = p
-        self.lam = tuple(lam)
-        self.dim = dim
-        self.weights = tuple(tuple(w) for w in weights)
-        hw = [i for i, w in enumerate(self.weights) if w == self.lam]
-        assert len(hw) == 1
-        self.hw_index = hw[0]
+    def __init__(self, rs: RootSystemData, p: int, lam, weights,
+                 ppowers: dict):
+        super().__init__(rs, p, lam, weights)
         self._pp = ppowers
-        self._op_cache: dict = {}
 
-    def hw_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[self.hw_index] = 1
-        return v
-
-    def weight_multiplicities(self) -> dict:
-        out: dict = {}
-        for w in self.weights:
-            out[w] = out.get(w, 0) + 1
-        return out
+    # the tracer wraps op per class by name (ROADMAP item 3)
+    op = ModuleP.op
 
     def _ppower(self, kind: str, beta, pe: int) -> sp.csr_matrix:
         m = self._pp.get((kind, self.rs.root_index(beta), pe))
         if m is None:
             return sp.csr_matrix((self.dim, self.dim), dtype=np.int64)
         return m
-
-    def op(self, kind: str, beta, k: int) -> sp.csr_matrix:
-        if kind not in ("E", "F"):
-            raise ValueError(kind)
-        if beta not in self.rs.positive_roots:
-            raise ValueError(f"{beta} is not a positive root")
-        key = (kind, beta, k)
-        if key in self._op_cache:
-            return self._op_cache[key]
-        if k == 0:
-            out = sp.identity(self.dim, dtype=np.int64, format="csr")
-        else:
-            kk = k
-            while kk % self.p == 0:
-                kk //= self.p
-            if kk == 1:
-                out = self._ppower(kind, beta, k)
-            else:
-                out = lucas_assemble(self.p, self.dim, k,
-                                     lambda pw: self.op(kind, beta, pw))
-        self._op_cache[key] = out
-        return out
 
 
 def _csr_to_prime(m: sp.csr_matrix, p: int) -> SparsePrimeMatrix:
@@ -221,6 +170,7 @@ def save_module(mod, cache_dir) -> str:
     mults = sorted(mod.weight_multiplicities().items())
     (tmp / "dims.json").write_text(json.dumps(
         {"dim": mod.dim, "multiplicities": [[list(w), m] for w, m in mults]}))
+    sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
     (tmp / "entry.json").write_text(json.dumps({
         "format_version": CACHE_FORMAT_VERSION,
         "key": key,
@@ -230,6 +180,7 @@ def save_module(mod, cache_dir) -> str:
         "p": mod.p,
         "dim": mod.dim,
         "ops": ops,
+        "sha256": sha256,
     }))
     try:
         os.rename(tmp, final)
@@ -238,38 +189,54 @@ def save_module(mod, cache_dir) -> str:
     return key
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def load_module(rs: RootSystemData, lam, p: int, cache_dir):
-    """Reload a module from the cache, or None if absent or invalid."""
+    """Reload a module from the cache, or None on a miss.
+
+    An entry that exists but is stale, unreadable or fails a checksum is
+    deleted, so that the module stored after the miss replaces it.
+    """
     key = cache_key(rs.name, lam, p)
     path = Path(cache_dir) / key
     try:
-        meta = json.loads((path / "entry.json").read_text())
-        if meta["format_version"] != CACHE_FORMAT_VERSION:
-            return None
-        if meta["key"] != key or meta["cartan"] != rs.name:
-            return None
-        if tuple(meta["weight"]) != tuple(lam) or meta["p"] != p:
-            return None
-        dim = int(meta["dim"])
-        weights = [tuple(int(x) for x in line.split())
-                   for line in (path / "weights.txt").read_text().splitlines()]
-        if len(weights) != dim:
-            return None
-        ppowers = {}
-        for kind, idx, pe, fname in meta["ops"]:
-            m = read_triplet_text(path / fname)
-            if not isinstance(m, SparsePrimeMatrix) or m.p != p:
-                return None
-            rows, cols, data = [], [], []
-            for (r, c), v in m.entries.items():
-                rows.append(r)
-                cols.append(c)
-                data.append(v)
-            ppowers[(kind, int(idx), int(pe))] = sp.csr_matrix(
-                (data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
-        return CachedModule(rs, p, lam, dim, weights, ppowers)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        return _read_entry(rs, lam, p, key, path)
+    except (OSError, ValueError, KeyError, IndexError, TypeError,
+            IntegrityError):
+        shutil.rmtree(path, ignore_errors=True)
         return None
+
+
+def _read_entry(rs: RootSystemData, lam, p: int, key: str,
+                path: Path) -> CachedModule:
+    meta = json.loads((path / "entry.json").read_text())
+    if (meta["format_version"], meta["key"], meta["cartan"],
+            tuple(meta["weight"]), meta["p"]) != \
+            (CACHE_FORMAT_VERSION, key, rs.name, tuple(lam), p):
+        raise ValueError("stale cache entry")
+    for fname in ["weights.txt"] + [op[3] for op in meta["ops"]]:
+        if _sha256(path / fname) != meta["sha256"][fname]:
+            raise ValueError(f"{fname} fails its checksum")
+    dim = int(meta["dim"])
+    weights = [tuple(int(x) for x in line.split())
+               for line in (path / "weights.txt").read_text().splitlines()]
+    if len(weights) != dim:
+        raise ValueError("weight list does not have the module dimension")
+    ppowers = {}
+    for kind, idx, pe, fname in meta["ops"]:
+        m = read_triplet_text(path / fname)
+        if not isinstance(m, SparsePrimeMatrix) or m.p != p:
+            raise ValueError(f"{fname} is not a matrix mod {p}")
+        rows, cols, data = [], [], []
+        for (r, c), v in m.entries.items():
+            rows.append(r)
+            cols.append(c)
+            data.append(v)
+        ppowers[(kind, int(idx), int(pe))] = sp.csr_matrix(
+            (data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+    return CachedModule(rs, p, lam, weights, ppowers)
 
 
 def _get_module(rs: RootSystemData, lam, p: int, cfg: RunConfig,

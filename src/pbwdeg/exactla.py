@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -247,13 +247,6 @@ class LatticeBasis:
         return self.solve(v) is not None
 
 
-def hnf_lattice_basis(gens: Iterable, ambient_dim: int) -> LatticeBasis:
-    h = IncrementalHNF(ambient_dim)
-    for g in gens:
-        h.add(g)
-    return h.finalize()
-
-
 # ---------------------------------------------------------------------------
 # prime fields
 
@@ -347,22 +340,6 @@ class DenseEchelonModP:
         if np.any(resid):
             return None
         return c
-
-
-def rank_mod_p(mat: SparsePrimeMatrix) -> int:
-    ech = DenseEchelonModP(mat.p, mat.ncols)
-    for row in mat.to_dense():
-        ech.add_row(row)
-    return ech.rank
-
-
-def subspace_membership_mod_p(basis, vector, p: int) -> bool:
-    basis = list(basis)
-    vector = np.asarray(vector, dtype=np.int64)
-    ech = DenseEchelonModP(p, vector.shape[0])
-    for row in basis:
-        ech.add_row(np.asarray(row, dtype=np.int64))
-    return ech.contains(vector)
 
 
 def subspace_intersection_mod_p(u_basis, w_basis, p: int) -> list[list[int]]:

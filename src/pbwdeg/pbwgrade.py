@@ -27,9 +27,8 @@ import scipy.sparse as sp
 
 from . import __version__
 from .exactla import DenseEchelonModP, SparsePrimeMatrix
-from .rootsys import RootSystemData, Weight, splitting_weight, star_weight
-from .weylmod import (WeightBlocks, WeylModuleP, build_weyl_module_p,
-                      weyl_dim)
+from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
+from .weylmod import ModuleP, WeightBlocks, build_weyl_module_p, weyl_dim
 
 log = logging.getLogger(__name__)
 
@@ -136,10 +135,11 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
               for w, ix in layout.flats.items()}
 
     nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
-    assert nz.size, "seed vanishes mod p"
+    if not nz.size:
+        raise IntegrityError(f"seed vanishes mod {p}")
     seed_wt = weights[int(nz[0])]
-    assert all(weights[int(i)] == seed_wt for i in nz), \
-        "seed is not weight homogeneous"
+    if any(weights[int(i)] != seed_wt for i in nz):
+        raise IntegrityError("seed is not weight homogeneous")
 
     bound = max((d for w in blocks
                  if (d := _height_drop(rs, seed_wt, w)) is not None),
@@ -155,7 +155,6 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
     seed_blk = blocks[seed_wt]
     first = seed_blk.insert(np.asarray(seed, dtype=np.int64)[seed_blk.indices]
                             % p, 0)
-    assert first is not None
     frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
         0: {seed_wt: [first]}}
     dims = [1]
@@ -231,11 +230,10 @@ class PBWGraded:
     independent rows.  No graded complement is chosen anywhere.
     """
 
-    def __init__(self, lam: Weight, p: int, space_dim: int,
-                 blocks: dict, dims: list[int], complete: bool):
+    def __init__(self, lam: Weight, p: int, blocks: dict, dims: list[int],
+                 complete: bool):
         self.lam = lam
         self.p = p
-        self.space_dim = space_dim
         self._blocks = blocks
         self._cum = tuple(dims)
         self.n_top = len(dims) - 1
@@ -245,20 +243,6 @@ class PBWGraded:
 
     def cumulative_dims(self) -> tuple[int, ...]:
         return self._cum
-
-    def filtration_basis(self, n: int) -> np.ndarray:
-        """Basis rows of V_n scattered back to global coordinates."""
-        rows = []
-        for blk in self._blocks.values():
-            local = blk.rows_upto(n)
-            if local.shape[0]:
-                wide = np.zeros((local.shape[0], self.space_dim),
-                                dtype=np.int64)
-                wide[:, blk.indices] = local
-                rows.append(wide)
-        if not rows:
-            return np.zeros((0, self.space_dim), dtype=np.int64)
-        return np.vstack(rows)
 
     def tagged_blocks(self):
         """Per weight block: its weight, its coordinates, and its basis rows
@@ -287,20 +271,21 @@ class PBWGraded:
         return True
 
 
-def pbw_filtration(mod: WeylModuleP, n_max: int | None = None) -> PBWGraded:
+def pbw_filtration(mod: ModuleP, n_max: int | None = None) -> PBWGraded:
     """PBW filtration of a Weyl module mod p from its highest weight line."""
     blocks, dims, complete = filter_from_seed(
         mod, mod.hw_vector(), n_max=n_max, target=mod.dim)
-    if n_max is None:
-        assert complete, "filtration failed to fill the module"
-    return PBWGraded(mod.lam, mod.p, mod.dim, blocks, dims, complete)
+    if n_max is None and not complete:
+        raise IntegrityError(f"PBW filtration of V({mod.lam}) mod {mod.p} "
+                             f"spans {dims[-1]} of {mod.dim} dimensions")
+    return PBWGraded(mod.lam, mod.p, blocks, dims, complete)
 
 
 # ---------------------------------------------------------------------------
 # norm form
 
 
-def _f0_csr(mod: WeylModuleP, order) -> sp.csr_matrix:
+def _f0_csr(mod: ModuleP, order) -> sp.csr_matrix:
     roots = mod.rs.positive_roots
     n = len(roots)
     if sorted(order) != list(range(1, n + 1)):
@@ -313,7 +298,7 @@ def _f0_csr(mod: WeylModuleP, order) -> sp.csr_matrix:
     return acc
 
 
-def build_F0(mod: WeylModuleP, order) -> SparsePrimeMatrix:
+def build_F0(mod: ModuleP, order) -> SparsePrimeMatrix:
     """Product of the (p-1)-st divided powers over all positive roots,
     factors taken in the given 1-based order, leftmost factor applied last."""
     acc = _f0_csr(mod, order).tocoo()
@@ -322,7 +307,7 @@ def build_F0(mod: WeylModuleP, order) -> SparsePrimeMatrix:
     return SparsePrimeMatrix(mod.dim, mod.dim, mod.p, entries)
 
 
-def check_F0_order_invariance(mod: WeylModuleP, trials: int = 5) -> bool:
+def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
     """Norm form under pseudorandom root orders, plus module-level
     centrality.  Returns False (after logging the witness) on any defect."""
     n = len(mod.rs.positive_roots)
@@ -388,15 +373,18 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     construction step.
     """
     _require_prime(p)
-    assert sc.rs.name == rs.name, \
-        "structure constants belong to a different system"
+    if sc.rs.name != rs.name:
+        raise ValueError(f"structure constants of {sc.rs.name} passed for "
+                         f"{rs.name}")
     lam = splitting_weight(rs, p)
     required = int(weyl_dim(rs, lam))
     if required > size_ceiling:
         raise SizeCeilingExceeded(required, size_ceiling)
     t0 = time.perf_counter()
     if module is not None:
-        assert module.p == p and tuple(module.lam) == lam
+        if module.p != p or tuple(module.lam) != lam:
+            raise ValueError(f"module V({tuple(module.lam)}) mod {module.p} "
+                             f"passed for V({lam}) mod {p}")
         mod = module
     else:
         mod = build_weyl_module_p(rs, p, lam, use_cache=use_cache)

@@ -20,6 +20,7 @@ routes through the same ambient, produce identical matrices.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -591,7 +592,11 @@ class WeylLatticeZ:
         self.weights = tuple(b.weight for b in blocks
                              for _ in range(b.final.rank))
         hw = self._by_weight.get(lam)
-        assert hw is not None and hw.final.rank == 1
+        if hw is None or hw.final.rank != 1:
+            raise IntegrityError(
+                f"the highest weight {lam} has rank "
+                f"{0 if hw is None else hw.final.rank} in the Z lattice of "
+                f"{rs.name}, expected 1")
         self.hw_index = hw.offset
         self._op_cache: dict = {}
 
@@ -902,30 +907,90 @@ def lucas_assemble(p: int, dim: int, k: int, ppower) -> sp.csr_matrix:
             acc = _reduce_mod(acc @ _csr_power(ppower(power), d, p), p)
             denom *= factorial(power) ** d
     unit = factorial(k) // denom
-    assert unit % p != 0
+    if unit % p == 0:
+        raise IntegrityError(f"k! / prod (p^e)! for k = {k} is not a unit "
+                             f"mod {p}")
     return _reduce_mod(acc * pow(unit % p, -1, p), p)
 
 
-class WeylModuleP:
+class ModuleP:
+    """Weyl module over F_p as an operator interface.
+
+    Holds the weight of every basis index and finds the highest weight
+    line among them.  op() validates, caches and assembles divided powers;
+    a subclass supplies only _ppower(kind, beta, p^e), the matrix of a
+    p-power divided power.  General k is assembled from those by
+    lucas_assemble: the product of the p-power factors is a unit multiple
+    of the divided power because the base p digits of k add without
+    carries.
+    """
+
+    def __init__(self, rs: RootSystemData, p: int, lam: Weight, weights):
+        self.rs = rs
+        self.p = p
+        self.lam = tuple(lam)
+        self.weights = tuple(weights)
+        self.dim = len(self.weights)
+        mult = self.weights.count(self.lam)
+        if mult != 1:
+            raise IntegrityError(
+                f"the highest weight {self.lam} has multiplicity {mult} "
+                f"in a module of {rs.name} over F_{p}, expected 1")
+        self.hw_index = self.weights.index(self.lam)
+        self._op_cache: dict = {}
+
+    def weight_multiplicities(self) -> dict[Weight, int]:
+        return dict(Counter(self.weights))
+
+    def max_power(self, beta: Root) -> int:
+        return max((pr for mu in set(self.weights)
+                    if (pr := self.rs.pairing(mu, beta)) > 0), default=0)
+
+    def hw_vector(self) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=np.int64)
+        v[self.hw_index] = 1
+        return v
+
+    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
+        """Matrix of a divided power of a root operator, mod p."""
+        if kind not in ("E", "F"):
+            raise ValueError(kind)
+        if beta not in self.rs.positive_roots:
+            raise ValueError(f"{beta} is not a positive root")
+        key = (kind, beta, k)
+        if key in self._op_cache:
+            return self._op_cache[key]
+        if k == 0:
+            out = sp.identity(self.dim, dtype=np.int64, format="csr")
+        elif _is_ppower_digit(self.p, k):
+            out = self._ppower(kind, beta, k)
+        else:
+            out = lucas_assemble(self.p, self.dim, k,
+                                 lambda pw: self.op(kind, beta, pw))
+        self._op_cache[key] = out
+        return out
+
+    def inject_fault(self, kind: str, beta: Root, k: int,
+                     row: int, col: int, delta: int) -> None:
+        """Perturb one entry of a cached operator matrix (for testing)."""
+        m = self.op(kind, beta, k).tolil(copy=True)
+        m[row, col] = (m[row, col] + delta) % self.p
+        self._op_cache[(kind, beta, k)] = m.tocsr()
+
+
+class WeylModuleP(ModuleP):
     """Weyl module over F_p with canonical per weight echelon bases."""
 
     def __init__(self, rs: RootSystemData, p: int, lam: Weight,
                  ambient: TensorAmbient, blocks: list[_PBlock]):
-        self.rs = rs
-        self.p = p
-        self.lam = lam
+        super().__init__(rs, p, lam, (b.weight for b in blocks
+                                      for _ in range(b.ech.rank)))
         self.ambient = ambient
         self.blocks = blocks
         self._by_weight = {b.weight: b for b in blocks}
-        self.dim = sum(b.ech.rank for b in blocks)
-        self.weights = tuple(b.weight for b in blocks
-                             for _ in range(b.ech.rank))
-        hw = self._by_weight.get(lam)
-        assert hw is not None and hw.ech.rank == 1
-        self.hw_index = hw.offset
-        self._op_cache: dict = {}
 
-    # -- bookkeeping ------------------------------------------------------
+    # the tracer wraps op per class by name (ROADMAP item 3)
+    op = ModuleP.op
 
     def block_weights(self) -> list[Weight]:
         return [b.weight for b in self.blocks]
@@ -933,22 +998,7 @@ class WeylModuleP:
     def block_rows(self, weight: Weight) -> np.ndarray:
         return self._by_weight[weight].rows
 
-    def weight_multiplicities(self) -> dict[Weight, int]:
-        return {b.weight: b.ech.rank for b in self.blocks}
-
-    def max_power(self, beta: Root) -> int:
-        return max((rs_pair for mu in self._by_weight
-                    if (rs_pair := self.rs.pairing(mu, beta)) > 0),
-                   default=0)
-
-    def hw_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[self.hw_index] = 1
-        return v
-
-    # -- operators --------------------------------------------------------
-
-    def _op_ppower(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
+    def _ppower(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
         shift = self.rs.root_fund(beta)
         if kind == "F":
             shift = _neg(shift)
@@ -972,39 +1022,8 @@ class WeylModuleP:
         return sp.csr_matrix((data, (rows, cols)),
                              shape=(self.dim, self.dim), dtype=np.int64)
 
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        """Matrix of a divided power of a root operator, mod p.
 
-        General k is assembled from p-power divided powers; the product of
-        p-power factors is a unit multiple of the divided power because the
-        base p digits of k add without carries.
-        """
-        if kind not in ("E", "F"):
-            raise ValueError(kind)
-        if beta not in self.rs.positive_roots:
-            raise ValueError(f"{beta} is not a positive root")
-        key = (kind, beta, k)
-        if key in self._op_cache:
-            return self._op_cache[key]
-        if k == 0:
-            out = sp.identity(self.dim, dtype=np.int64, format="csr")
-        elif _is_ppower_digit(self.p, k):
-            out = self._op_ppower(kind, beta, k)
-        else:
-            out = lucas_assemble(self.p, self.dim, k,
-                                 lambda pw: self.op(kind, beta, pw))
-        self._op_cache[key] = out
-        return out
-
-    def inject_fault(self, kind: str, beta: Root, k: int,
-                     row: int, col: int, delta: int) -> None:
-        """Perturb one entry of a cached operator matrix (for testing)."""
-        m = self.op(kind, beta, k).tolil(copy=True)
-        m[row, col] = (m[row, col] + delta) % self.p
-        self._op_cache[(kind, beta, k)] = m.tocsr()
-
-
-def validate_relations(mod: WeylModuleP) -> list[RelationWitness]:
+def validate_relations(mod: ModuleP) -> list[RelationWitness]:
     """Check defining relations on the module; return located failures.
 
     Covered: [E_i, F_j] = delta_ij H_i, E_i annihilates the highest weight
@@ -1146,7 +1165,10 @@ def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
             for f, v in row.items():
                 dense[pb.index[f]] = v % p
             pb.ech.add_row(dense)
-        assert pb.ech.rank == zb.final.rank, zb.weight
+        if pb.ech.rank != zb.final.rank:
+            raise IntegrityError(
+                f"weight space {zb.weight} of the Z lattice has rank "
+                f"{zb.final.rank} but {pb.ech.rank} mod {p}")
         pb.finalize()
         blocks.append(pb)
     offset = 0
@@ -1161,61 +1183,34 @@ def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
     return WeylModuleP(rs, p, lat.lam, ambient, blocks)
 
 
-class LatticeModuleP:
+class LatticeModuleP(ModuleP):
     """Weyl module over F_p in the coordinates of its own Z lattice basis.
 
     The span inside the ambient tensor product computes the image of
     V_Z (x) F_p there, which collapses exactly when the minimal lattice
     has index divisible by p in its saturation (B3 omega_2 at p = 2 is the
     smallest supported case).  Reducing the lattice in its own basis always
-    has the Weyl dimension; operators are the exact integral divided
-    powers taken mod p, and the module stays cyclic over the hyperalgebra
-    because U_Z . v surjects onto V_Z / p V_Z.
+    has the Weyl dimension; the p-power operators are the exact integral
+    divided powers taken mod p, and the module stays cyclic over the
+    hyperalgebra because U_Z . v surjects onto V_Z / p V_Z.
     """
 
     def __init__(self, lat: WeylLatticeZ, p: int):
-        self.rs = lat.rs
-        self.p = p
-        self.lam = lat.lam
+        super().__init__(lat.rs, p, lat.lam, lat.weights)
         self.lattice = lat
-        self.dim = lat.dim
-        self.weights = lat.weights
-        self.hw_index = lat.hw_index
-        self._op_cache: dict = {}
 
-    def block_weights(self) -> list[Weight]:
-        return [b.weight for b in self.lattice.blocks]
+    # the tracer wraps op per class by name (ROADMAP item 3)
+    op = ModuleP.op
 
-    def weight_multiplicities(self) -> dict[Weight, int]:
-        return self.lattice.weight_multiplicities()
-
-    def max_power(self, beta: Root) -> int:
-        return max((pr for mu in set(self.weights)
-                    if (pr := self.rs.pairing(mu, beta)) > 0), default=0)
-
-    def hw_vector(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[self.hw_index] = 1
-        return v
-
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        if kind not in ("E", "F"):
-            raise ValueError(kind)
-        if beta not in self.rs.positive_roots:
-            raise ValueError(f"{beta} is not a positive root")
-        key = (kind, beta, k)
-        if key in self._op_cache:
-            return self._op_cache[key]
+    def _ppower(self, kind: str, beta: Root, pe: int) -> sp.csr_matrix:
         rows, cols, data = [], [], []
-        for (r, c), v in self.lattice.op_int(kind, beta, k).entries.items():
+        for (r, c), v in self.lattice.op_int(kind, beta, pe).entries.items():
             if v % self.p:
                 rows.append(r)
                 cols.append(c)
                 data.append(v % self.p)
-        out = sp.csr_matrix((data, (rows, cols)),
-                            shape=(self.dim, self.dim), dtype=np.int64)
-        self._op_cache[key] = out
-        return out
+        return sp.csr_matrix((data, (rows, cols)),
+                             shape=(self.dim, self.dim), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

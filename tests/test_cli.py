@@ -1,6 +1,7 @@
 """Command line front end: dispatch, formats, exit codes, disk cache."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -407,6 +408,82 @@ def test_cached_module_drives_check_f0(tmp_path, capsys):
     code, out2, err = run_cli(capsys, *args)
     assert code == 0
     assert out2 == out1
+
+
+def _flip_last_digit(path):
+    data = bytearray(path.read_bytes())
+    i = max(j for j, b in enumerate(data) if chr(b).isdigit())
+    data[i] ^= 1  # '1' <-> '0', '2' <-> '3', ...
+    path.write_bytes(bytes(data))
+
+
+def _drop_line_2(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + lines[2:]))
+
+
+@pytest.mark.parametrize("corrupt,fname", [
+    (_flip_last_digit, "weights.txt"),
+    (_flip_last_digit, "op_E_r0_k1.txt"),
+    (_drop_line_2, "op_F_r2_k1.txt"),
+])
+def test_corrupted_payload_is_a_miss_and_replaced(tmp_path, capsys, corrupt,
+                                                  fname):
+    """A payload that parses but fails its sha256 is a cache miss: the
+    stdout is the fresh one, and the rebuilt entry serves the next run."""
+    args = ("check-f0", "--cartan", "A2", "--p", "2", "--format", "csv",
+            "--cache-dir", str(tmp_path))
+    code, fresh, err = run_cli(capsys, *args)
+    assert code == 0 and err.startswith("cache miss")
+    entry = tmp_path / cache_key("A2", (2, 2), 2)
+    corrupt(entry / fname)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (0, fresh)
+    assert err.startswith("cache miss"), err
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (0, fresh)
+    assert err.startswith("cache hit"), err
+
+
+def test_entry_without_highest_weight_line_is_a_miss(tmp_path, capsys):
+    """weights.txt rewritten with its checksum so that the highest weight
+    appears twice: the entry passes the checksum but not the module check,
+    so it is a miss and is replaced."""
+    args = ("check-f0", "--cartan", "A2", "--p", "2", "--format", "csv",
+            "--cache-dir", str(tmp_path))
+    code, fresh, _ = run_cli(capsys, *args)
+    entry = tmp_path / cache_key("A2", (2, 2), 2)
+    weights = (entry / "weights.txt").read_text().splitlines(keepends=True)
+    weights[1] = "2 2\n"
+    (entry / "weights.txt").write_text("".join(weights))
+    meta = json.loads((entry / "entry.json").read_text())
+    meta["sha256"]["weights.txt"] = hashlib.sha256(
+        "".join(weights).encode()).hexdigest()
+    (entry / "entry.json").write_text(json.dumps(meta))
+    rs = build_root_system("A2")
+    assert load_module(rs, (2, 2), 2, tmp_path) is None
+    assert not entry.exists()
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (0, fresh)
+    assert err.startswith("cache miss"), err
+    assert load_module(rs, (2, 2), 2, tmp_path) is not None
+
+
+def test_cached_module_check_survives_python_O():
+    code = "\n".join([
+        "from pbwdeg.cli import CachedModule",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "rs = build_root_system('A1')",
+        "for weights in ([(2,), (2,), (0,)], [(0,), (-2,)]):",
+        "    try:",
+        "        CachedModule(rs, 2, (2,), weights, {})",
+        "    except IntegrityError:",
+        "        print('raised')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 # -- determinism ------------------------------------------------------------

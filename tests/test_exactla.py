@@ -17,11 +17,8 @@ from pbwdeg.exactla import (
     LatticeBasis,
     SparseIntMatrix,
     SparsePrimeMatrix,
-    hnf_lattice_basis,
-    rank_mod_p,
     read_triplet_text,
     subspace_intersection_mod_p,
-    subspace_membership_mod_p,
     write_triplet_text,
 )
 
@@ -29,6 +26,20 @@ from pbwdeg.exactla import (
 def dense_rows(basis: LatticeBasis) -> list[list[int]]:
     return [[row.get(c, 0) for c in range(basis.ambient_dim)]
             for row in basis.rows]
+
+
+def hnf_lattice_basis(gens, ambient_dim: int) -> LatticeBasis:
+    h = IncrementalHNF(ambient_dim)
+    for g in gens:
+        h.add(g)
+    return h.finalize()
+
+
+def echelon(rows, p: int, width: int) -> DenseEchelonModP:
+    ech = DenseEchelonModP(p, width)
+    for row in rows:
+        ech.add_row(np.asarray(row, dtype=np.int64))
+    return ech
 
 
 @pytest.mark.parametrize("gens,dim,expected", [
@@ -95,16 +106,15 @@ def test_hnf_properties(rows):
     ([[0, 0]], 3, 0),
 ])
 def test_rank_mod_p_frozen(rows, p, expected):
-    m = SparsePrimeMatrix.from_dense(rows, p)
-    assert rank_mod_p(m) == expected
+    assert echelon(rows, p, len(rows[0])).rank == expected
 
 
 def test_membership_mod_p_frozen():
-    assert subspace_membership_mod_p([[1, 0], [1, 1]], [0, 1], 2)
-    assert subspace_membership_mod_p([[1, 1]], [2, 2], 3)
-    assert not subspace_membership_mod_p([[1, 1]], [1, 2], 3)
-    assert subspace_membership_mod_p([], [0, 0], 5)
-    assert not subspace_membership_mod_p([], [1, 0], 5)
+    assert echelon([[1, 0], [1, 1]], 2, 2).contains(np.array([0, 1]))
+    assert echelon([[1, 1]], 3, 2).contains(np.array([2, 2]))
+    assert not echelon([[1, 1]], 3, 2).contains(np.array([1, 2]))
+    assert echelon([], 5, 2).contains(np.array([0, 0]))
+    assert not echelon([], 5, 2).contains(np.array([1, 0]))
 
 
 def test_intersection_mod_p_frozen():
@@ -123,13 +133,10 @@ def test_intersection_dimension_formula(seed, data):
     w = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=dim,
                                     max_size=dim), min_size=0, max_size=3))
     inter = subspace_intersection_mod_p(u, w, p)
-    ru = rank_mod_p(SparsePrimeMatrix.from_dense(u or [[0] * dim], p))
-    rw = rank_mod_p(SparsePrimeMatrix.from_dense(w or [[0] * dim], p))
-    rsum = rank_mod_p(SparsePrimeMatrix.from_dense((u + w) or [[0] * dim], p))
-    assert len(inter) == ru + rw - rsum
+    eu, ew = echelon(u, p, dim), echelon(w, p, dim)
+    assert len(inter) == eu.rank + ew.rank - echelon(u + w, p, dim).rank
     for v in inter:
-        assert subspace_membership_mod_p(u or [], v, p)
-        assert subspace_membership_mod_p(w or [], v, p)
+        assert eu.contains(np.array(v)) and ew.contains(np.array(v))
 
 
 def test_dense_echelon_coords():

@@ -6,11 +6,13 @@ before the incremental engine was written.
 """
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from pbwdeg import __version__
+from pbwdeg import __version__, cli, pbwgrade
 from pbwdeg.chevrep import chevalley_constants
 from pbwdeg.exactla import DenseEchelonModP, SparsePrimeMatrix
 from pbwdeg.rootsys import build_root_system, splitting_weight
@@ -95,15 +97,25 @@ def test_profiles_match_dense_oracle(name, lam, p):
                                                                  lam, p))
 
 
+def _basis_upto(g, n, dim):
+    """Basis rows of V_n in global coordinates, from tagged_blocks()."""
+    out = np.zeros((0, dim), dtype=np.int64)
+    for _, indices, degs, rows in g.tagged_blocks():
+        wide = np.zeros((int((degs <= n).sum()), dim), dtype=np.int64)
+        wide[:, indices] = rows[degs <= n]
+        out = np.vstack([out, wide])
+    return out
+
+
 def test_filtration_basis_counts_and_seed():
     mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     g = pbw_filtration(mod)
     cum = g.cumulative_dims()
-    b0 = g.filtration_basis(0)
+    b0 = _basis_upto(g, 0, mod.dim)
     assert b0.shape == (1, mod.dim)
     assert b0[0, mod.hw_index] == 1 and b0.sum() == 1
     for n in range(g.n_top + 1):
-        assert g.filtration_basis(n).shape[0] == cum[n]
+        assert _basis_upto(g, n, mod.dim).shape[0] == cum[n]
 
 
 def test_lowering_respects_filtration_degrees():
@@ -115,10 +127,10 @@ def test_lowering_respects_filtration_degrees():
             for n in range(g.n_top + 1):
                 m = min(n + k, g.n_top)
                 target = DenseEchelonModP(2, mod.dim)
-                for row in g.filtration_basis(m):
+                for row in _basis_upto(g, m, mod.dim):
                     target.add_row(row)
                 op = mod.op("F", beta, k)
-                for row in g.filtration_basis(n):
+                for row in _basis_upto(g, n, mod.dim):
                     img = (op @ row) % 2
                     assert target.contains(img)
 
@@ -207,6 +219,97 @@ def test_size_ceiling_refusal():
     assert exc.value.required == 27
     assert exc.value.ceiling == 10
     assert DEFAULT_SIZE_CEILING == 20000
+
+
+# -- the negative branch of the splitting criterion ------------------------
+
+
+@pytest.fixture(params=["vanishes", "lands_low"])
+def f0_faulted(request, monkeypatch):
+    """check_f0 on A1 at p = 3 sees a module whose F^(2) is faulted on the
+    highest weight vector v: F0 v = F^(2) v either vanishes or lands in V_1.
+    The filtration spans with F^(1) and F^(3) only, so it is unaffected."""
+    real = pbwgrade.build_weyl_module_p
+
+    def faulted(rs, p, lam, **_):
+        mod = real(rs, p, lam, use_cache=False)
+        hw, beta = mod.hw_index, (1,)
+        low = mod.weights.index((0,))
+        mod.inject_fault("F", beta, 2, row=low, col=hw,
+                         delta=-int(mod.op("F", beta, 2)[low, hw]))
+        if request.param == "lands_low":
+            mod.inject_fault("F", beta, 2, row=mod.weights.index((2,)),
+                             col=hw, delta=1)
+        return mod
+
+    monkeypatch.setattr(pbwgrade, "build_weyl_module_p", faulted)
+
+
+def test_check_f0_not_nonzero(f0_faulted):
+    rep = check_f0(RS["A1"], chevalley_constants(RS["A1"]), 3)
+    assert (rep.cartan, rep.p, rep.lam, rep.degree) == ("A1", 3, (4,), 2)
+    assert rep.nonzero is False
+    assert rep.graded_dims == (1, 1, 1, 1, 1)
+
+
+NOT_NONZERO_CLI = {
+    "table": "cartan: A1\np: 3\nweight: 4\ndegree: 2\nnonzero: false\n"
+             "graded_dims: 1 1 1 1 1\ntool_version: " + __version__ + "\n",
+    "csv": "field,value\ncartan,A1\np,3\nweight,4\ndegree,2\n"
+           "nonzero,false\ngraded_dims,1 1 1 1 1\ntool_version,"
+           + __version__ + "\n",
+    "json": {"cartan": "A1", "p": 3, "weight": [4], "degree": 2,
+             "nonzero": False, "graded_dims": [1, 1, 1, 1, 1],
+             "tool_version": __version__},
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NOT_NONZERO_CLI))
+def test_check_f0_not_nonzero_cli(capsys, f0_faulted, fmt):
+    code = cli.main(["check-f0", "--cartan", "A1", "--p", "3",
+                     "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        out = json.loads(out)
+        assert out.pop("elapsed_ms") >= 0
+    assert code == 0
+    assert out == NOT_NONZERO_CLI[fmt]
+
+
+def test_filtration_checks_survive_python_O():
+    """Seed and completeness checks of the filtration, and the module
+    precondition of check_f0, hold with asserts stripped."""
+    code = "\n".join([
+        "import numpy as np, scipy.sparse as sp",
+        "from pbwdeg.chevrep import chevalley_constants",
+        "from pbwdeg.pbwgrade import check_f0, filter_from_seed, "
+        "pbw_filtration",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p",
+        "rs = build_root_system('A2')",
+        "mod = build_weyl_module_p(rs, 2, (1, 1))",
+        "mixed = mod.hw_vector()",
+        "mixed[mod.weights.index((-1, 2))] = 1",
+        "def attempt(f, *args, error=IntegrityError):",
+        "    try:",
+        "        f(*args)",
+        "    except error:",
+        "        print('raised')",
+        "attempt(filter_from_seed, mod, 2 * mod.hw_vector())",
+        "attempt(filter_from_seed, mod, mixed)",
+        "attempt(check_f0, rs, chevalley_constants(build_root_system('B2')),",
+        "        2, error=ValueError)",
+        "attempt(lambda: check_f0(rs, chevalley_constants(rs), 2,",
+        "                         module=mod), error=ValueError)",
+        "WeylModuleP._ppower = lambda self, kind, beta, pe: "
+        "sp.csr_matrix((self.dim, self.dim), dtype=np.int64)",
+        "attempt(pbw_filtration, build_weyl_module_p(rs, 2, (1, 1),",
+        "                                            use_cache=False))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 5
 
 
 @pytest.mark.parametrize("name,p", [("A1", 2), ("A1", 3), ("A2", 2),

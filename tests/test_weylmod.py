@@ -19,6 +19,7 @@ from pbwdeg import weylmod
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_lowering_operator, root_raising_operator)
+from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
                             splitting_weight, star_weight)
@@ -335,6 +336,38 @@ def test_integrity_checks_survive_python_O():
     assert proc.stdout.split() == ["raised", "raised"]
 
 
+def test_module_checks_survive_python_O():
+    """The highest weight line, the reduction rank and the Lucas unit are
+    checked with asserts stripped."""
+    code = "\n".join([
+        "from pbwdeg import weylmod",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "from pbwdeg.weylmod import (WeylLatticeZ, WeylModuleP,",
+        "    build_weyl_lattice, build_weyl_module_p, lucas_assemble,",
+        "    reduce_mod_p)",
+        "def attempt(f, *args):",
+        "    try:",
+        "        f(*args)",
+        "    except IntegrityError:",
+        "        print('raised')",
+        "rs = build_root_system('A2')",
+        "mod = build_weyl_module_p(rs, 2, (1, 1))",
+        "lat = build_weyl_lattice(rs, (1, 1))",
+        "attempt(WeylModuleP, rs, 2, (2, 2), mod.ambient, mod.blocks)",
+        "attempt(WeylLatticeZ, rs, (2, 2), lat.ambient, lat.blocks)",
+        "attempt(reduce_mod_p, build_weyl_lattice(build_root_system('B3'),",
+        "                                         (0, 1, 0)), 2)",
+        "real = weylmod.factorial",
+        "weylmod.factorial = lambda n: 2 * real(n) if n == 3 else real(n)",
+        "attempt(lucas_assemble, 2, mod.dim, 3,",
+        "        lambda pw: mod.op('F', (1, 0), pw))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 4
+
+
 # ---------------------------------------------------------------------------
 # Z lattices
 
@@ -464,16 +497,48 @@ def test_peeled_ambient_route_agrees(name, lam, p):
                                  use_cache=False)
     assert flat.dim == peeled.dim
     assert flat.weight_multiplicities() == peeled.weight_multiplicities()
-    from pbwdeg.exactla import SparsePrimeMatrix, rank_mod_p
+
+    def rank(m):
+        ech = DenseEchelonModP(p, m.shape[1])
+        for row in m.toarray():
+            ech.add_row(row)
+        return ech.rank
 
     for kind, beta, k in [("F", rs.simple_root(0), 1),
                           ("F", rs.positive_roots[-1], 1),
                           ("E", rs.simple_root(0), 2)]:
-        ra = rank_mod_p(SparsePrimeMatrix.from_dense(
-            flat.op(kind, beta, k).toarray(), p))
-        rb = rank_mod_p(SparsePrimeMatrix.from_dense(
-            peeled.op(kind, beta, k).toarray(), p))
-        assert ra == rb
+        assert rank(flat.op(kind, beta, k)) == rank(peeled.op(kind, beta, k))
+
+
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
+    """LatticeModuleP assembles a non-p-power k from its p-power factors by
+    Lucas; that must equal the exact integral divided power reduced mod p.
+    B3 omega_2 at p = 2 is the fallback the builder takes, where k = 3 is
+    the product of the nonzero factors k = 1 and k = 2; the lattice
+    reductions of B3 omega_2 at p = 3 and of A2 (3, 1) at p = 2 also have
+    nonzero non-p-power orders."""
+    rs = RS["B3"]
+    fallback = build_weyl_module_p(rs, 2, (0, 1, 0), use_cache=False)
+    assert isinstance(fallback, weylmod.LatticeModuleP)
+    cases = [(fallback, (3,)),
+             (weylmod.LatticeModuleP(fallback.lattice, 3), (2, 4)),
+             (weylmod.LatticeModuleP(build_weyl_lattice(RS["A2"], (3, 1)),
+                                     2), (3, 5, 6, 7))]
+    nonzero = 0
+    for mod, ks in cases:
+        for beta in mod.rs.positive_roots:
+            for k in ks:
+                exact = np.zeros((mod.dim, mod.dim), dtype=np.int64)
+                for (r, c), v in mod.lattice.op_int(kind, beta,
+                                                    k).entries.items():
+                    exact[r, c] = v % mod.p
+                assert np.array_equal(mod.op(kind, beta, k).toarray(),
+                                      exact), (mod.p, beta, k)
+                nonzero += bool(exact.any())
+    assert all(fallback.op(kind, beta, pe).nnz
+               for beta in rs.positive_roots[:3] for pe in (1, 2))
+    assert nonzero >= 10
 
 
 def test_modp_weight_dims_match_freudenthal():
