@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .rootsys import Root, RootSystemData, Weight
+from .rootsys import IntegrityError, Root, RootSystemData, Weight
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -101,14 +101,15 @@ def _weight_sum(*ws: Weight) -> Weight:
 
 
 def _half_sum(rs: RootSystemData, signs: dict[int, int]) -> Weight:
-    """(1/2) sum_j signs[j] * epsilon_j, asserted integral."""
+    """(1/2) sum_j signs[j] * epsilon_j, checked integral."""
     n = rs.rank
     acc = [Fraction(0)] * n
     for j, s in signs.items():
         eps = _eps_fund(rs, j)
         for i in range(n):
             acc[i] += Fraction(s * eps[i], 2)
-    assert all(x.denominator == 1 for x in acc), acc
+    if any(x.denominator != 1 for x in acc):
+        raise IntegrityError(f"half sum {acc} of epsilons is not integral")
     return tuple(int(x) for x in acc)
 
 
@@ -404,7 +405,9 @@ class StructureConstants:
         s = tuple(a + b for a, b in zip(alpha, beta))
         target = elem(s)
         br = self.abstract_bracket(elem(alpha), elem(beta))
-        assert set(br) == {target}, (alpha, beta, br)
+        if set(br) != {target}:
+            raise IntegrityError(f"[{alpha}, {beta}] = {br}, not a multiple "
+                                 f"of {target}")
         return br[target]
 
 
@@ -423,20 +426,16 @@ def _string_depth(rs: RootSystemData, alpha: Root, gamma: Root) -> int:
             return r
 
 
-def _matrix_ratio(num: np.ndarray, den: np.ndarray) -> int:
-    """The scalar c with num == c * den (den nonzero), asserted exact."""
-    c = None
-    for idx, d in np.ndenumerate(den):
-        if d:
-            q, r = divmod(int(num[idx]), int(d))
-            assert r == 0, idx
-            if c is None:
-                c = q
-            else:
-                assert c == q, idx
-    assert c is not None
-    assert np.array_equal(num, den * c)
-    return c
+def _ratio(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The nonzero integer c with a == c * b, or None if there is none."""
+    nz = b != 0
+    if not np.any(nz) or np.any((a != 0) & ~nz):
+        return None
+    quots = {divmod(int(x), int(y)) for x, y in zip(a[nz], b[nz])}
+    if len(quots) != 1:
+        return None
+    (c, r), = quots
+    return c if c and not r else None
 
 
 _SC_CACHE: dict[str, StructureConstants] = {}
@@ -493,9 +492,9 @@ def chevalley_constants(rs: RootSystemData) -> StructureConstants:
             return {("H", i): c for i, c in enumerate(coeffs) if c}
         for b in pos:
             for kind, m in (("E", e_mats[b]), ("F", f_mats[b])):
-                if _supports_match(mat, m):
-                    return {(kind, b): _matrix_ratio(mat, m)}
-        raise AssertionError(f"cannot decode bracket {what}")
+                if c := _ratio(mat, m):
+                    return {(kind, b): c}
+        raise IntegrityError(f"cannot decode bracket {what}")
 
     table: dict[tuple, dict] = {}
     basis = ([("F", b) for b in pos] + [("H", i) for i in range(n)]
@@ -519,54 +518,30 @@ def chevalley_constants(rs: RootSystemData) -> StructureConstants:
         acc = np.zeros_like(h_mats[0])
         for elem, c in val.items():
             acc = acc + c * matrix_of(elem)
-        assert np.array_equal(acc, _bracket(matrix_of(x), matrix_of(y)))
+        if not np.array_equal(acc, _bracket(matrix_of(x), matrix_of(y))):
+            raise IntegrityError(f"bracket table entry {(x, y)} is wrong")
     _check_jacobi(sc, basis)
     _SC_CACHE[rs.name] = sc
     return sc
 
 
-def _supports_match(a: np.ndarray, b: np.ndarray) -> bool:
-    if not np.any(b != 0):
-        return False
-    nz_b = b != 0
-    if np.any((a != 0) & ~nz_b):
-        return False
-    # a is supported inside b; accept if proportional
-    c = None
-    for idx in zip(*np.nonzero(nz_b)):
-        q, r = divmod(int(a[idx]), int(b[idx]))
-        if r:
-            return False
-        if c is None:
-            c = q
-        elif c != q:
-            return False
-    return c is not None and c != 0
-
-
 def _h_coords(rs: RootSystemData, seed: IntegralRep, mat: np.ndarray):
     """Solve sum_i c_i <w, alpha_i^vee> = mat_ww over the seed weights."""
     n = rs.rank
-    rows, rhs = [], []
-    for j, w in enumerate(seed.weights):
-        rows.append(list(w))
-        rhs.append(int(mat[j][j]))
+    rows = seed.weights
+    rhs = [int(mat[j][j]) for j in range(len(rows))]
     coeffs = None
-    from itertools import combinations as comb
-    for pick in comb(range(len(rows)), n):
+    for pick in combinations(range(len(rows)), n):
         sub = [[Fraction(rows[j][i]) for i in range(n)] for j in pick]
-        sr = [Fraction(rhs[j]) for j in pick]
-        sol = _solve_fraction(sub, sr)
-        if sol is None:
-            continue
-        coeffs = sol
-        break
-    assert coeffs is not None
-    out = [int(c) for c in coeffs]
-    assert all(Fraction(x) == c for x, c in zip(out, coeffs))
-    for j, w in enumerate(seed.weights):
-        assert sum(out[i] * w[i] for i in range(n)) == rhs[j]
-    return out
+        coeffs = _solve_fraction(sub, [Fraction(rhs[j]) for j in pick])
+        if coeffs is not None:
+            break
+    if coeffs is None or any(c.denominator != 1 for c in coeffs) or any(
+            sum(c * x for c, x in zip(coeffs, w)) != rhs[j]
+            for j, w in enumerate(seed.weights)):
+        raise IntegrityError("diagonal bracket is not an integral "
+                             "combination of the H_i")
+    return [int(c) for c in coeffs]
 
 
 def _solve_fraction(a, b):
@@ -596,7 +571,8 @@ def _check_jacobi(sc: StructureConstants, basis) -> None:
                     for elem, coeff in sc.abstract_bracket(a, b).items():
                         for e2, c2 in sc.abstract_bracket(elem, c).items():
                             acc[e2] = acc.get(e2, 0) + coeff * c2
-                assert all(v == 0 for v in acc.values()), (x, y, z)
+                if any(acc.values()):
+                    raise IntegrityError(f"Jacobi fails on {(x, y, z)}")
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +634,9 @@ def fundamental_rep(rs: RootSystemData, i: int) -> IntegralRep:
     _validate_rep(rs, rep)
     from .weylmod import weyl_dim
     omega = tuple(1 if k == i - 1 else 0 for k in range(n))
-    assert rep.dim == weyl_dim(rs, omega), (rs.name, i, rep.dim)
+    if rep.dim != weyl_dim(rs, omega):
+        raise IntegrityError(f"{rep.name} has dimension {rep.dim}, expected "
+                             f"{weyl_dim(rs, omega)}")
     _FUND_CACHE[key] = rep
     return rep
 
@@ -668,14 +646,15 @@ def _validate_rep(rs: RootSystemData, rep: IntegralRep) -> None:
     n = rs.rank
     for a in range(n):
         alpha_f = rs.root_fund(rs.simple_root(a))
-        for r in range(rep.dim):
-            for c in range(rep.dim):
-                if rep.simple_lowering[a][r][c]:
-                    assert tuple(x - y for x, y in zip(rep.weights[c], alpha_f)) \
-                        == rep.weights[r], (rep.name, a, r, c)
-                if rep.simple_raising[a][r][c]:
-                    assert tuple(x + y for x, y in zip(rep.weights[c], alpha_f)) \
-                        == rep.weights[r], (rep.name, a, r, c)
+        for sign, mats in ((-1, rep.simple_lowering), (1, rep.simple_raising)):
+            for r in range(rep.dim):
+                for c in range(rep.dim):
+                    if mats[a][r][c] and rep.weights[r] != tuple(
+                            x + sign * y
+                            for x, y in zip(rep.weights[c], alpha_f)):
+                        raise IntegrityError(
+                            f"{rep.name}: entry ({r}, {c}) of simple "
+                            f"operator {a + 1} breaks the weight grading")
     for a in range(n):
         ea = _obj(rep.simple_raising[a])
         for b in range(n):
@@ -685,7 +664,9 @@ def _validate_rep(rs: RootSystemData, rep: IntegralRep) -> None:
                 want = np.diag([w[a] for w in rep.weights]).astype(object)
             else:
                 want = np.zeros_like(br)
-            assert np.array_equal(br, want), (rep.name, a, b)
+            if not np.array_equal(br, want):
+                raise IntegrityError(f"{rep.name}: [E_{a + 1}, F_{b + 1}] is "
+                                     f"not {'H' if a == b else '0'}")
 
 
 # ---------------------------------------------------------------------------

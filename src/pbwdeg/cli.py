@@ -137,13 +137,6 @@ class CachedModule(ModuleP):
         return m
 
 
-def _csr_to_prime(m: sp.csr_matrix, p: int) -> SparsePrimeMatrix:
-    coo = m.tocoo()
-    entries = {(int(r), int(c)): int(v) % p
-               for r, c, v in zip(coo.row, coo.col, coo.data) if v % p}
-    return SparsePrimeMatrix(m.shape[0], m.shape[1], p, entries)
-
-
 def save_module(mod, cache_dir) -> str:
     """Write a module to the cache; returns the entry key."""
     cache_dir = Path(cache_dir)
@@ -161,8 +154,8 @@ def save_module(mod, cache_dir) -> str:
             top = mod.max_power(beta)
             while pe <= top:
                 fname = f"op_{kind}_r{idx}_k{pe}.txt"
-                write_triplet_text(_csr_to_prime(mod.op(kind, beta, pe),
-                                                 mod.p), tmp / fname)
+                write_triplet_text(SparsePrimeMatrix.from_csr(
+                    mod.op(kind, beta, pe), mod.p), tmp / fname)
                 ops.append([kind, idx, pe, fname])
                 pe *= mod.p
     (tmp / "weights.txt").write_text(
@@ -227,15 +220,10 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
     ppowers = {}
     for kind, idx, pe, fname in meta["ops"]:
         m = read_triplet_text(path / fname)
-        if not isinstance(m, SparsePrimeMatrix) or m.p != p:
-            raise ValueError(f"{fname} is not a matrix mod {p}")
-        rows, cols, data = [], [], []
-        for (r, c), v in m.entries.items():
-            rows.append(r)
-            cols.append(c)
-            data.append(v)
-        ppowers[(kind, int(idx), int(pe))] = sp.csr_matrix(
-            (data, (rows, cols)), shape=(dim, dim), dtype=np.int64)
+        if not isinstance(m, SparsePrimeMatrix) or \
+                (m.p, m.nrows, m.ncols) != (p, dim, dim):
+            raise ValueError(f"{fname} is not a {dim} x {dim} matrix mod {p}")
+        ppowers[(kind, int(idx), int(pe))] = m.to_csr()
     return CachedModule(rs, p, lam, weights, ppowers)
 
 

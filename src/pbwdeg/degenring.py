@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .exactla import DenseEchelonModP, require_int64_safe
 from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
-                       _require_prime, filter_from_seed, pbw_filtration)
+                       _require_inputs, filter_from_seed, pbw_filtration)
 from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
 from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
                       build_weyl_module_p, tensor_width_bound, weyl_dim)
@@ -62,7 +62,7 @@ class CartanComponentMap:
         self.factors = factors
         self.space = TensorAmbient(rs, factors, p)
         seed = np.zeros(self.space.dim, dtype=np.int64)
-        seed[self.space.flat([m.hw_index for m in factors])] = 1
+        seed[self.space.hw_flat] = 1
         self.factor_graded: list[PBWGraded] = [pbw_filtration(m)
                                                for m in factors]
         blocks, dims, complete = filter_from_seed(self.space, seed)
@@ -143,20 +143,18 @@ class CartanComponentMap:
 
 
 def cartan_component_map(rs: RootSystemData, sc, lam, mu, p: int, *,
-                         size_ceiling: int = DEFAULT_SIZE_CEILING,
-                         use_cache: bool = True) -> CartanComponentMap:
+                         size_ceiling: int = DEFAULT_SIZE_CEILING
+                         ) -> CartanComponentMap:
     """Build the component map data for a pair of dominant weights; the
     source V(lam+mu) and the target V(lam) x V(mu) must fit the ceiling."""
-    _require_prime(p)
-    assert sc.rs.name == rs.name
+    _require_inputs(rs, sc, p)
     total = tuple(a + b for a, b in zip(lam, mu))
     worst = max(int(weyl_dim(rs, total)),
                 int(weyl_dim(rs, lam)) * int(weyl_dim(rs, mu)))
     if worst > size_ceiling:
         raise SizeCeilingExceeded(worst, size_ceiling)
     require_int64_safe(p, tensor_width_bound(rs, [lam, mu]))
-    factors = [build_weyl_module_p(rs, p, tuple(w), use_cache=use_cache)
-               for w in (lam, mu)]
+    factors = [build_weyl_module_p(rs, p, tuple(w)) for w in (lam, mu)]
     return CartanComponentMap(rs, p, [lam, mu], factors)
 
 
@@ -235,14 +233,13 @@ def _degree_table(cm: CartanComponentMap):
             raise IntegrityError("convolution filtration failed to stabilize")
 
 
-def _pair_analysis(rs, sc, lam, mu, p: int, size_ceiling, use_cache):
+def _pair_analysis(rs, sc, lam, mu, p: int, size_ceiling):
     """(injective, strict, degree table, graded image dims) of V(lam+mu) ->
     V(lam) x V(mu): the one analysis behind check-mult, check-gen, hilbert."""
-    cm = cartan_component_map(rs, sc, lam, mu, p, size_ceiling=size_ceiling,
-                              use_cache=use_cache)
+    cm = cartan_component_map(rs, sc, lam, mu, p, size_ceiling=size_ceiling)
     target = int(weyl_dim(rs, cm.total))
     if cm.rank_phi < target:  # RankMismatch if the Z rank is short too
-        build_weyl_lattice(rs, cm.total, use_cache=use_cache)
+        build_weyl_lattice(rs, cm.total)
     injective = cm.rank_phi == target
     table, grdims = _degree_table(cm)
     strict = all(a == b for _, a, b in table)
@@ -255,8 +252,8 @@ def _pair_analysis(rs, sc, lam, mu, p: int, size_ceiling, use_cache):
 
 
 def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
-                          size_ceiling: int = DEFAULT_SIZE_CEILING,
-                          use_cache: bool = True) -> MultReport:
+                          size_ceiling: int = DEFAULT_SIZE_CEILING
+                          ) -> MultReport:
     """Decide gr-injectivity of V(lam+mu) -> V(lam) x V(mu) mod p.
 
     injective_ungraded compares the span of v_lam x v_mu against the Weyl
@@ -265,7 +262,7 @@ def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
     """
     t0 = time.perf_counter()
     injective, strict, table, _ = _pair_analysis(rs, sc, lam, mu, p,
-                                                 size_ceiling, use_cache)
+                                                 size_ceiling)
     lam_star = list(star_weight(rs, tuple(lam)))
     mu_star = list(star_weight(rs, tuple(mu)))
     tot_star = list(star_weight(rs, tuple(a + b for a, b in zip(lam, mu))))
@@ -307,16 +304,13 @@ class GenReport:
         return "\n".join(lines) + "\n"
 
 
-def _chain(rs, sc, lam, p: int, first: int, n_max: int, size_ceiling,
-           use_cache):
+def _chain(rs, sc, lam, p: int, first: int, n_max: int, size_ceiling):
     """(n, gr-injective, graded image dims) of V(n lam) -> V((n-1) lam) x
     V(lam) for first <= n <= n_max, ending with the first failing step."""
-    _require_prime(p)
-    assert sc.rs.name == rs.name
+    _require_inputs(rs, sc, p)
     for n in range(first, n_max + 1):
         inj, strict, _, grdims = _pair_analysis(
-            rs, sc, tuple((n - 1) * x for x in lam), lam, p, size_ceiling,
-            use_cache)
+            rs, sc, tuple((n - 1) * x for x in lam), lam, p, size_ceiling)
         yield n, inj and strict, grdims
         if not (inj and strict):
             return
@@ -324,8 +318,8 @@ def _chain(rs, sc, lam, p: int, first: int, n_max: int, size_ceiling,
 
 def check_degree_one_generation(rs: RootSystemData, sc, lam, p: int,
                                 n_max: int, *,
-                                size_ceiling: int = DEFAULT_SIZE_CEILING,
-                                use_cache: bool = True) -> GenReport:
+                                size_ceiling: int = DEFAULT_SIZE_CEILING
+                                ) -> GenReport:
     """gr-injectivity of V(n lam) -> V(lam)^(x n) for 2 <= n <= n_max,
     decided on V(n lam) -> V((n-1) lam) x V(lam), which agrees with it while
     every earlier step holds (module docstring); per_n ends with the first
@@ -334,7 +328,7 @@ def check_degree_one_generation(rs: RootSystemData, sc, lam, p: int,
         raise ValueError("n_max must be at least 2")
     t0 = time.perf_counter()
     per_n = [(n, ok) for n, ok, _ in _chain(rs, sc, lam, p, 2, n_max,
-                                            size_ceiling, use_cache)]
+                                            size_ceiling)]
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return GenReport(cartan=rs.name, p=p, lam=tuple(lam), n_max=n_max,
                      per_n=tuple(per_n),
@@ -379,8 +373,8 @@ class HilbertReport:
 
 
 def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
-                     size_ceiling: int = DEFAULT_SIZE_CEILING,
-                     use_cache: bool = True) -> HilbertReport:
+                     size_ceiling: int = DEFAULT_SIZE_CEILING
+                     ) -> HilbertReport:
     """Dimension sequence of the degree-1 generated graded algebra.
 
     h(n) is the total gr-image dimension of the n-fold map, reported next
@@ -391,8 +385,7 @@ def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
     t0 = time.perf_counter()
     values = [(0, 1, 1)]
     profiles = {0: (1,)}
-    for n, _, grdims in _chain(rs, sc, lam, p, 1, n_max, size_ceiling,
-                               use_cache):
+    for n, _, grdims in _chain(rs, sc, lam, p, 1, n_max, size_ceiling):
         w = int(weyl_dim(rs, tuple(n * x for x in lam)))
         h = sum(grdims)
         if h > w:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 Vec = dict[int, int]
 
@@ -99,6 +100,23 @@ class SparsePrimeMatrix:
                 if v:
                     ent[(r, c)] = v
         return cls(nr, nc, p, ent)
+
+    @classmethod
+    def from_csr(cls, m, p: int) -> "SparsePrimeMatrix":
+        """Entries of a scipy sparse matrix, reduced mod p."""
+        coo = m.tocoo()
+        return cls(m.shape[0], m.shape[1], p,
+                   {(int(r), int(c)): int(v) % p
+                    for r, c, v in zip(coo.row, coo.col, coo.data) if v % p})
+
+    def to_csr(self) -> sp.csr_matrix:
+        """The entries reduced mod p, as an int64 csr matrix."""
+        m = sp.csr_matrix(([v % self.p for v in self.entries.values()],
+                           ([r for r, _ in self.entries],
+                            [c for _, c in self.entries])),
+                          shape=(self.nrows, self.ncols), dtype=np.int64)
+        m.eliminate_zeros()
+        return m
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols), dtype=np.int64)

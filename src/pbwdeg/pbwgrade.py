@@ -83,6 +83,14 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _require_inputs(rs: RootSystemData, sc, p: int) -> None:
+    """A prime p, and structure constants that belong to rs."""
+    _require_prime(p)
+    if sc.rs.name != rs.name:
+        raise ValueError(f"structure constants of {sc.rs.name} passed for "
+                         f"{rs.name}")
+
+
 # ---------------------------------------------------------------------------
 # generic degree-tagged spanning
 
@@ -301,10 +309,7 @@ def _f0_csr(mod: ModuleP, order) -> sp.csr_matrix:
 def build_F0(mod: ModuleP, order) -> SparsePrimeMatrix:
     """Product of the (p-1)-st divided powers over all positive roots,
     factors taken in the given 1-based order, leftmost factor applied last."""
-    acc = _f0_csr(mod, order).tocoo()
-    entries = {(int(r), int(c)): int(v) % mod.p
-               for r, c, v in zip(acc.row, acc.col, acc.data) if v % mod.p}
-    return SparsePrimeMatrix(mod.dim, mod.dim, mod.p, entries)
+    return SparsePrimeMatrix.from_csr(_f0_csr(mod, order), mod.p)
 
 
 def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
@@ -363,7 +368,7 @@ class F0Report:
 
 def check_f0(rs: RootSystemData, sc, p: int, *,
              size_ceiling: int = DEFAULT_SIZE_CEILING,
-             use_cache: bool = True, module=None) -> F0Report:
+             module=None) -> F0Report:
     """Maximal compatible splitting criterion at the weight 2(p-1)rho.
 
     nonzero is true exactly when F0 v survives in the top graded piece,
@@ -372,10 +377,7 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     prebuilt module for the splitting weight may be passed to skip the
     construction step.
     """
-    _require_prime(p)
-    if sc.rs.name != rs.name:
-        raise ValueError(f"structure constants of {sc.rs.name} passed for "
-                         f"{rs.name}")
+    _require_inputs(rs, sc, p)
     lam = splitting_weight(rs, p)
     required = int(weyl_dim(rs, lam))
     if required > size_ceiling:
@@ -387,7 +389,7 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
                              f"passed for V({lam}) mod {p}")
         mod = module
     else:
-        mod = build_weyl_module_p(rs, p, lam, use_cache=use_cache)
+        mod = build_weyl_module_p(rs, p, lam)
     graded = pbw_filtration(mod)
     vec = mod.hw_vector()
     for beta in reversed(rs.positive_roots):

@@ -191,7 +191,8 @@ class RootSystemData:
         out = []
         for i in range(self.rank):
             num = 2 * beta[i] * self.symmetrizer[i]
-            assert num % n2 == 0, (beta, n2)
+            if num % n2:
+                raise IntegrityError(f"coroot of {beta} is not integral")
             out.append(num // n2)
         return tuple(out)
 

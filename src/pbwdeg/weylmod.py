@@ -23,8 +23,8 @@ import logging
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count, permutations, product
+from functools import cached_property, partial
+from itertools import permutations, product
 from math import factorial, prod
 
 import numpy as np
@@ -43,6 +43,7 @@ from .exactla import (
     IncrementalHNF,
     LatticeBasis,
     SparseIntMatrix,
+    SparsePrimeMatrix,
     Vec,
     require_int64_safe,
 )
@@ -276,13 +277,15 @@ class FundFactor:
         self.p = p
         self.dim = rep.dim
         self.weights = rep.weights
+        # the highest weight is the one weight of the greatest height
+        heights = [sum(rs.root_coords_scaled(w)) for w in rep.weights]
+        tops = heights.count(max(heights))
+        if tops != 1:
+            raise IntegrityError(f"{rep.name} has {tops} weights of the "
+                                 "greatest height, expected 1")
+        self.hw_index = heights.index(max(heights))
         self._cols: dict = {}
         self._ops: dict = {}
-
-    def hw_index(self, weight: Weight) -> int:
-        matches = [i for i, w in enumerate(self.weights) if w == weight]
-        assert len(matches) == 1, (self.rep.name, weight)
-        return matches[0]
 
     def op_cols(self, kind: str, beta: Root, k: int):
         """Divided power as a column dict {col: [(row, value)]}, exact over
@@ -382,6 +385,12 @@ class TensorAmbient:
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
         return cls(rs, [FundFactor(rs, r) for r in reps])
+
+    @property
+    def hw_flat(self) -> int:
+        """Flat index of the tensor of the factors' highest weight vectors
+        (0 in the empty ambient)."""
+        return self.flat([f.hw_index for f in self.factors])
 
     def multi(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -499,83 +508,80 @@ class TensorAmbient:
 
 
 # ---------------------------------------------------------------------------
-# spanning over Z
+# spanning
+
+def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec, lam: Weight,
+          new_block, powers: int | None) -> list:
+    """Close a seed vector under the divided powers F_i^(k), one weight
+    block at a time.
+
+    The seed must lie in a single weight of the weight box of lam.  Blocks
+    are visited by height, then by descending weight, so every block has
+    received all its images when it is finalized.  new_block(mu) makes an
+    empty block with add(vec), finalize(), rank and push(ambient, alpha, k,
+    dst); powers is None for every order k, or a prime p for the powers of
+    p.  Returns the blocks of nonzero rank in visiting order, each with its
+    offset in the module basis.
+    """
+    box = _WeightBox(rs, lam)
+    found = sorted({ambient.weight_of(f) for f in seed})
+    h0 = box.height(found[0]) if len(found) == 1 else None
+    if h0 is None:
+        raise IntegrityError(f"seed vector of weights {found} is not in a "
+                             f"single weight of the weight box of {lam}")
+    levels = {h0: {found[0]: new_block(found[0])}}
+    levels[h0][found[0]].add(seed)
+    orders = [k for k in range(1, max(box.cmax, default=0) + 1)
+              if powers is None or _is_ppower_digit(powers, k)]
+    blocks, offset = [], 0
+    for h in range(h0, sum(box.cmax) + 1):
+        level = levels.pop(h, {})
+        for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
+            blk = level[mu]
+            blk.finalize()
+            if not blk.rank:
+                continue
+            blk.offset, offset = offset, offset + blk.rank
+            blocks.append(blk)
+            c = box.coords(mu)
+            for i, alpha_f in enumerate(box.simple_funds):
+                # F_i^(k) moves c to c + k e_i: inside the box up to cmax_i
+                for k in orders:
+                    if k > box.cmax[i] - c[i]:
+                        break
+                    target = _sub(mu, tuple(k * x for x in alpha_f))
+                    dst = levels.setdefault(h + k, {})
+                    if target not in dst:
+                        dst[target] = new_block(target)
+                    blk.push(ambient, rs.simple_root(i), k, dst[target])
+    return blocks
+
 
 class _ZBlock:
+    """Weight space of a span over Z: an HNF, pushed through apply_vec."""
+
     def __init__(self, weight: Weight):
         self.weight = weight
         self.hnf = IncrementalHNF(0)
         self.final: LatticeBasis | None = None
         self.offset = -1
 
+    @property
+    def rank(self) -> int:
+        return self.final.rank
 
-def _ops_from(box: _WeightBox, mu: Weight,
-              powers_factory) -> list[tuple[int, int, Weight, int]]:
-    """Lowering ops applicable at mu inside the box, as (simple index,
-    power, target weight, target height).
+    def add(self, vec: Vec) -> None:
+        self.hnf.add(vec)
 
-    F_i^(k) moves the box coordinates from c to c + k e_i, so it stays in
-    the box exactly when k <= cmax_i - c_i.
-    """
-    c = box.coords(mu)
-    ht = sum(c)
-    out = []
-    for i, alpha_f in enumerate(box.simple_funds):
-        room = box.cmax[i] - c[i]
-        for k in powers_factory():
-            if k > room:
-                break
-            out.append((i, k, _sub(mu, tuple(k * x for x in alpha_f)),
-                        ht + k))
-    return out
+    def finalize(self) -> None:
+        self.final = self.hnf.finalize()
 
-
-def _span_z(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
-            lam: Weight) -> list[_ZBlock]:
-    box = _WeightBox(rs, lam)
-    seed_weights = {ambient.weight_of(f) for f in seed}
-    assert len(seed_weights) == 1, "seed vector must be weight homogeneous"
-    seed_weight = seed_weights.pop()
-    by_height: dict[int, dict[Weight, _ZBlock]] = {}
-
-    def block_at(mu: Weight, ht: int) -> _ZBlock:
-        level = by_height.setdefault(ht, {})
-        if mu not in level:
-            level[mu] = _ZBlock(mu)
-        return level[mu]
-
-    h0 = box.height(seed_weight)
-    assert h0 is not None, "seed weight outside the weight box"
-    block_at(seed_weight, h0).hnf.add(seed)
-
-    max_height = sum(box.cmax)
-    for h in range(max_height + 1):
-        level = by_height.get(h)
-        if not level:
-            continue
-        for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
-            blk = level[mu]
-            blk.final = blk.hnf.finalize()
-            for i, k, target, tht in _ops_from(box, mu, lambda: count(1)):
-                dst = block_at(target, tht)
-                alpha = rs.simple_root(i)
-                for row in blk.final.rows:
-                    img = ambient.apply_vec("F", alpha, k, row)
-                    if img:
-                        dst.hnf.add(img)
-    blocks = []
-    for h in sorted(by_height):
-        for mu in sorted(by_height[h], key=lambda w: tuple(-x for x in w)):
-            blk = by_height[h][mu]
-            if blk.final is None:
-                blk.final = blk.hnf.finalize()
-            if blk.final.rank:
-                blocks.append(blk)
-    offset = 0
-    for blk in blocks:
-        blk.offset = offset
-        offset += blk.final.rank
-    return blocks
+    def push(self, ambient: TensorAmbient, alpha: Root, k: int,
+             dst: "_ZBlock") -> None:
+        for row in self.final.rows:
+            img = ambient.apply_vec("F", alpha, k, row)
+            if img:
+                dst.add(img)
 
 
 class WeylLatticeZ:
@@ -588,20 +594,19 @@ class WeylLatticeZ:
         self.ambient = ambient
         self.blocks = blocks
         self._by_weight = {b.weight: b for b in blocks}
-        self.dim = sum(b.final.rank for b in blocks)
-        self.weights = tuple(b.weight for b in blocks
-                             for _ in range(b.final.rank))
+        self.dim = sum(b.rank for b in blocks)
+        self.weights = tuple(b.weight for b in blocks for _ in range(b.rank))
         hw = self._by_weight.get(lam)
-        if hw is None or hw.final.rank != 1:
+        if hw is None or hw.rank != 1:
             raise IntegrityError(
                 f"the highest weight {lam} has rank "
-                f"{0 if hw is None else hw.final.rank} in the Z lattice of "
+                f"{0 if hw is None else hw.rank} in the Z lattice of "
                 f"{rs.name}, expected 1")
         self.hw_index = hw.offset
         self._op_cache: dict = {}
 
     def weight_multiplicities(self) -> dict[Weight, int]:
-        return {b.weight: b.final.rank for b in self.blocks}
+        return {b.weight: b.rank for b in self.blocks}
 
     def op_int(self, kind: str, beta: Root, k: int) -> SparseIntMatrix:
         """Matrix of a divided power in the lattice basis, exact over Z.
@@ -675,20 +680,23 @@ def build_weyl_lattice(rs: RootSystemData, lam, *,
     key = (rs.name, lam)
     if use_cache and key in _LATTICE_CACHE:
         return _LATTICE_CACHE[key]
-    if weyl_dim(rs, lam) == 1:
-        ambient = TensorAmbient(rs, [])
-        blocks = _span_z(rs, ambient, {0: 1}, lam)
-    else:
-        reps = [fundamental_rep(rs, i) for i in _fund_list(rs, lam)]
-        ambient = TensorAmbient.over_z(rs, reps)
-        flat = ambient.flat([f.hw_index(_hw_weight(rs, f.rep))
-                             for f in ambient.factors])
-        blocks = _span_z(rs, ambient, {flat: 1}, lam)
-    lat = WeylLatticeZ(rs, lam, ambient, blocks)
-    if lat.dim != weyl_dim(rs, lam):
-        raise RankMismatch(lam, weyl_dim(rs, lam), lat.dim)
+    ambient = TensorAmbient.over_z(
+        rs, [fundamental_rep(rs, i) for i in _fund_list(rs, lam)])
+    lat = _lattice(rs, lam, ambient, {ambient.hw_flat: 1})
     if use_cache:
         _LATTICE_CACHE[key] = lat
+    return lat
+
+
+def _lattice(rs: RootSystemData, lam: Weight, ambient: TensorAmbient,
+             seed: Vec) -> WeylLatticeZ:
+    """The Z span of seed as a lattice of V(lam); RankMismatch unless it
+    has the Weyl dimension."""
+    expected = weyl_dim(rs, lam)
+    lat = WeylLatticeZ(rs, lam, ambient,
+                       _span(rs, ambient, seed, lam, _ZBlock, None))
+    if lat.dim != expected:
+        raise RankMismatch(lam, expected, lat.dim)
     return lat
 
 
@@ -705,16 +713,6 @@ def tensor_width_bound(rs: RootSystemData, lams) -> int:
     *rest, last = lams
     top = max(freudenthal_multiplicities(rs, tuple(last)).values())
     return top * prod(weyl_dim(rs, l) for l in rest)
-
-
-def _hw_weight(rs: RootSystemData, rep: IntegralRep) -> Weight:
-    """Highest weight of a representation, as the height maximum."""
-    return max(rep.weights, key=lambda w: _height_key(rs, w))
-
-
-def _height_key(rs: RootSystemData, w: Weight):
-    # the height scaled by cartan_det > 0 orders weights like the height
-    return (sum(rs.root_coords_scaled(w)), w)
 
 
 def validate_lattice_relations(lat: WeylLatticeZ) -> list[RelationWitness]:
@@ -769,19 +767,33 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 # spanning over F_p
 
 class _PBlock:
-    def __init__(self, weight: Weight, flats: list[int], p: int, expected: int):
+    """Weight space of a span over F_p: an echelon of the ambient's block of
+    that weight, pushed through block_op_matrix and capped at the weight
+    multiplicity in mults."""
+
+    def __init__(self, weight: Weight, ambient: TensorAmbient, mults: dict):
         self.weight = weight
-        self.flats = flats
-        self.index = {f: i for i, f in enumerate(flats)}
-        self.expected = expected
-        self.ech = DenseEchelonModP(p, len(flats))
+        self.flats = ambient.blocks().get(weight, [])
+        self.index = {f: i for i, f in enumerate(self.flats)}
+        self.expected = mults.get(weight, 0)
+        self.ech = DenseEchelonModP(ambient.p, len(self.flats))
         self.rows: np.ndarray | None = None
         self.pivots: list[int] | None = None
         self.offset = -1
 
     @property
+    def rank(self) -> int:
+        return self.ech.rank
+
+    @property
     def saturated(self) -> bool:
         return self.expected > 0 and self.ech.rank == self.expected
+
+    def add(self, vec: Vec) -> None:
+        dense = np.zeros(len(self.flats), dtype=np.int64)
+        for f, v in vec.items():
+            dense[self.index[f]] = v % self.ech.p
+        self.ech.add_row(dense)
 
     def finalize(self) -> None:
         order = np.argsort(np.array(self.ech.pivot_cols, dtype=np.int64),
@@ -789,77 +801,23 @@ class _PBlock:
         self.rows = self.ech.basis_matrix()[order].copy()
         self.pivots = sorted(self.ech.pivot_cols)
 
-
-def _p_powers(p: int):
-    k = 1
-    while True:
-        yield k
-        k *= p
+    def push(self, ambient: TensorAmbient, alpha: Root, k: int,
+             dst: "_PBlock") -> None:
+        if dst.saturated or not dst.flats:
+            return
+        opm = ambient.block_op_matrix("F", alpha, k, self.flats, dst.index)
+        for row in (opm @ self.rows.T).T % self.ech.p:
+            if dst.saturated:
+                break
+            dst.ech.add_row(row)
 
 
 def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
                seed: Vec, lam: Weight) -> list[_PBlock]:
-    box = _WeightBox(rs, lam)
-    mults = freudenthal_multiplicities(rs, lam)
-    amb_blocks = ambient.blocks()
-    seed_weights = {ambient.weight_of(f) for f in seed}
-    assert len(seed_weights) == 1, "seed vector must be weight homogeneous"
-    seed_weight = seed_weights.pop()
-    h0 = box.height(seed_weight)
-    assert h0 is not None, "seed weight outside the weight box"
-
-    by_height: dict[int, dict[Weight, _PBlock]] = {}
-
-    def block_at(mu: Weight, ht: int) -> _PBlock:
-        level = by_height.setdefault(ht, {})
-        if mu not in level:
-            level[mu] = _PBlock(mu, amb_blocks.get(mu, []), p,
-                                mults.get(mu, 0))
-        return level[mu]
-
-    seed_block = block_at(seed_weight, h0)
-    dense = np.zeros(len(seed_block.flats), dtype=np.int64)
-    for f, v in seed.items():
-        dense[seed_block.index[f]] = v % p
-    seed_block.ech.add_row(dense)
-
-    max_height = sum(box.cmax)
+    new_block = partial(_PBlock, ambient=ambient,
+                        mults=freudenthal_multiplicities(rs, lam))
     with ambient.op_scope():
-        for h in range(max_height + 1):
-            level = by_height.get(h)
-            if not level:
-                continue
-            for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
-                blk = level[mu]
-                blk.finalize()
-                if blk.ech.rank == 0:
-                    continue
-                for i, k, target, tht in _ops_from(box, mu,
-                                                   lambda: _p_powers(p)):
-                    dst = block_at(target, tht)
-                    if dst.saturated or not dst.flats:
-                        continue
-                    alpha = rs.simple_root(i)
-                    opm = ambient.block_op_matrix("F", alpha, k,
-                                                  blk.flats, dst.index)
-                    images = (opm @ blk.rows.T).T % p
-                    for row in images:
-                        if dst.saturated:
-                            break
-                        dst.ech.add_row(row)
-    blocks = []
-    for h in sorted(by_height):
-        for mu in sorted(by_height[h], key=lambda w: tuple(-x for x in w)):
-            blk = by_height[h][mu]
-            if blk.rows is None:
-                blk.finalize()
-            if blk.ech.rank:
-                blocks.append(blk)
-    offset = 0
-    for blk in blocks:
-        blk.offset = offset
-        offset += blk.ech.rank
-    return blocks
+        return _span(rs, ambient, seed, lam, new_block, p)
 
 
 def _is_ppower_digit(p: int, k: int) -> bool:
@@ -1070,8 +1028,7 @@ _MODP_CACHE: dict = {}
 
 def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
                         ambient_mode: str = "peeled",
-                        use_cache: bool = True,
-                        seed_override: Vec | None = None):
+                        use_cache: bool = True):
     """Construct V_p(lambda) by spanning under p-power divided powers.
 
     ambient_mode "peeled" builds up one fundamental factor at a time,
@@ -1088,22 +1045,8 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     if ambient_mode not in ("peeled", "flat"):
         raise ValueError(ambient_mode)
     key = (rs.name, p, lam, ambient_mode)
-    cacheable = use_cache and seed_override is None
-    if cacheable and key in _MODP_CACHE:
+    if use_cache and key in _MODP_CACHE:
         return _MODP_CACHE[key]
-
-    def finish(ambient, seed):
-        try:
-            return _finish_modp(rs, p, lam, ambient, seed)
-        except RankMismatch as exc:
-            if seed_override is not None:
-                raise  # custom seeds must not be silently replaced
-            log.info("ambient span mod %d for %s %s has rank %d, expected "
-                     "%d; falling back to the lattice reduction",
-                     p, rs.name, lam, exc.found, exc.expected)
-            lat = build_weyl_lattice(rs, lam, use_cache=use_cache)
-            return LatticeModuleP(lat, p)
-
     funds = _fund_list(rs, lam)
     omega = [tuple(int(j == i - 1) for j in range(rs.rank)) for i in funds]
     peeled = ambient_mode == "peeled" and len(funds) > 1
@@ -1112,36 +1055,28 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     # the span's rows run over the weight spaces of the ambient
     require_int64_safe(p, tensor_width_bound(
         rs, [prev_lam, omega[-1]] if peeled else omega))
-    if not funds:
-        ambient = TensorAmbient(rs, [], p)
-        mod = finish(ambient, seed_override or {0: 1})
-    elif not peeled:
-        factors = [FundFactor(rs, fundamental_rep(rs, i), p) for i in funds]
-        ambient = TensorAmbient(rs, factors, p)
-        seed = seed_override
-        if seed is None:
-            seed = {ambient.flat([f.hw_index(_hw_weight(rs, f.rep))
-                                  for f in factors]): 1}
-        mod = finish(ambient, seed)
+    if peeled:
+        factors = [build_weyl_module_p(rs, p, prev_lam),
+                   FundFactor(rs, fundamental_rep(rs, funds[-1]), p)]
     else:
-        prev = build_weyl_module_p(rs, p, prev_lam,
-                                   ambient_mode="peeled", use_cache=True)
-        last = FundFactor(rs, fundamental_rep(rs, funds[-1]), p)
-        ambient = TensorAmbient(rs, [prev, last], p)
-        seed = seed_override
-        if seed is None:
-            flat = prev.hw_index * last.dim + \
-                last.hw_index(_hw_weight(rs, last.rep))
-            seed = {flat: 1}
-        mod = finish(ambient, seed)
-    if cacheable:
+        factors = [FundFactor(rs, fundamental_rep(rs, i), p) for i in funds]
+    ambient = TensorAmbient(rs, factors, p)
+    try:
+        mod = _finish_modp(rs, p, lam, ambient, {ambient.hw_flat: 1})
+    except RankMismatch as exc:
+        log.info("ambient span mod %d for %s %s has rank %d, expected "
+                 "%d; falling back to the lattice reduction",
+                 p, rs.name, lam, exc.found, exc.expected)
+        lat = build_weyl_lattice(rs, lam, use_cache=use_cache)
+        mod = LatticeModuleP(lat, p)
+    if use_cache:
         _MODP_CACHE[key] = mod
     return mod
 
 
 def _finish_modp(rs, p, lam, ambient, seed) -> WeylModuleP:
     blocks = _span_modp(rs, p, ambient, seed, lam)
-    total = sum(b.ech.rank for b in blocks)
+    total = sum(b.rank for b in blocks)
     expected = weyl_dim(rs, lam)
     if total != expected:
         raise RankMismatch(lam, expected, total)
@@ -1149,37 +1084,24 @@ def _finish_modp(rs, p, lam, ambient, seed) -> WeylModuleP:
 
 
 def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
-    """Reduction of the Z lattice: a second, independent route to V_p."""
+    """Reduction of the Z lattice: a second, independent route to V_p, in
+    the lattice's order of weight blocks."""
     rs = lat.rs
-    factors = [FundFactor(rs, f.rep, p) for f in lat.ambient.factors]
-    ambient = TensorAmbient(rs, factors, p)
-    amb_blocks = ambient.blocks()
+    ambient = TensorAmbient(rs, [FundFactor(rs, f.rep, p)
+                                 for f in lat.ambient.factors], p)
     mults = freudenthal_multiplicities(rs, lat.lam)
-    box = _WeightBox(rs, lat.lam)
     blocks = []
     for zb in lat.blocks:
-        flats = amb_blocks.get(zb.weight, [])
-        pb = _PBlock(zb.weight, flats, p, mults.get(zb.weight, 0))
+        pb = _PBlock(zb.weight, ambient, mults)
         for row in zb.final.rows:
-            dense = np.zeros(len(flats), dtype=np.int64)
-            for f, v in row.items():
-                dense[pb.index[f]] = v % p
-            pb.ech.add_row(dense)
-        if pb.ech.rank != zb.final.rank:
+            pb.add(row)
+        if pb.rank != zb.rank:
             raise IntegrityError(
                 f"weight space {zb.weight} of the Z lattice has rank "
-                f"{zb.final.rank} but {pb.ech.rank} mod {p}")
+                f"{zb.rank} but {pb.rank} mod {p}")
         pb.finalize()
+        pb.offset = zb.offset
         blocks.append(pb)
-    offset = 0
-    order_key = {}
-    for pb in blocks:
-        order_key[pb.weight] = (box.height(pb.weight),
-                                tuple(-x for x in pb.weight))
-    blocks.sort(key=lambda b: order_key[b.weight])
-    for pb in blocks:
-        pb.offset = offset
-        offset += pb.ech.rank
     return WeylModuleP(rs, p, lat.lam, ambient, blocks)
 
 
@@ -1203,14 +1125,8 @@ class LatticeModuleP(ModuleP):
     op = ModuleP.op
 
     def _ppower(self, kind: str, beta: Root, pe: int) -> sp.csr_matrix:
-        rows, cols, data = [], [], []
-        for (r, c), v in self.lattice.op_int(kind, beta, pe).entries.items():
-            if v % self.p:
-                rows.append(r)
-                cols.append(c)
-                data.append(v % self.p)
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.dim, self.dim), dtype=np.int64)
+        entries = self.lattice.op_int(kind, beta, pe).entries
+        return SparsePrimeMatrix(self.dim, self.dim, self.p, entries).to_csr()
 
 
 # ---------------------------------------------------------------------------
@@ -1228,10 +1144,7 @@ def bootstrap_cartan_component(rs: RootSystemData, vec_rep: IntegralRep,
         sign = _perm_sign(perm)
         flat = ambient.flat(perm)
         seed[flat] = seed.get(flat, 0) + sign
-    blocks = _span_z(rs, ambient, seed, lam)
-    lat = WeylLatticeZ(rs, lam, ambient, blocks)
-    if lat.dim != weyl_dim(rs, lam):
-        raise RankMismatch(lam, weyl_dim(rs, lam), lat.dim)
+    lat = _lattice(rs, lam, ambient, seed)
     lowering, raising = [], []
     for i in range(rs.rank):
         alpha = rs.simple_root(i)

@@ -19,6 +19,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dense_oracle import (DenseModule, dense_hilbert_value,
                           dense_mult_verdict, f0_nonzero_in_graded)
 
+from test_weylmod import MODP_SUITE
+
+from pbwdeg import weylmod
 from pbwdeg.chevrep import NonIntegralDividedPower, chevalley_constants
 from pbwdeg.pbwgrade import (check_F0_order_invariance, check_f0,
                              pbw_filtration)
@@ -26,7 +29,8 @@ from pbwdeg.degenring import (check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
 from pbwdeg.rootsys import SUPPORTED_TYPES, build_root_system, splitting_weight
 from pbwdeg.weylmod import (build_weyl_lattice, build_weyl_module_p,
-                            validate_relations, weyl_dim)
+                            freudenthal_multiplicities, validate_relations,
+                            weyl_dim)
 
 RS = {t: build_root_system(t) for t in SUPPORTED_TYPES}
 
@@ -64,6 +68,23 @@ def test_lattice_ranks_match_weyl_dimension_formula():
         assert lat.dim == weyl_dim(RS[name], lam), (name, lam)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0, f"suite took {elapsed:.1f}s"
+
+
+def test_span_ranks_per_weight_match_freudenthal():
+    """The spanning walk has the Freudenthal multiplicity at every weight:
+    over Z on the suite weights of Weyl dimension <= 100, and over F_p on
+    MODP_SUITE in both ambients."""
+    small = [(name, lam) for name, lam in weight_suite()
+             if weyl_dim(RS[name], lam) <= 100]
+    assert len(small) == 83
+    for name, lam in small:
+        assert build_weyl_lattice(RS[name], lam).weight_multiplicities() == \
+            freudenthal_multiplicities(RS[name], lam), (name, lam)
+    for name, lam, p in MODP_SUITE:
+        for mode in ("flat", "peeled"):
+            mod = build_weyl_module_p(RS[name], p, lam, ambient_mode=mode)
+            assert mod.weight_multiplicities() == \
+                freudenthal_multiplicities(RS[name], lam), (name, lam, p, mode)
 
 
 def test_graded_dimensions_sum_to_module_dimension():
@@ -143,17 +164,23 @@ def test_degree_one_generation_and_hilbert_values():
         assert dense_hilbert_value(rs, (1, 1), 2, n) == expect, n
 
 
-def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed():
+def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
+        monkeypatch):
+    def fresh():
+        monkeypatch.setattr(weylmod, "_MODP_CACHE", {})
+        monkeypatch.setattr(weylmod, "_LATTICE_CACHE", {})
+
     rep1 = check_f0(RS["B2"], sc("B2"), 2)
-    rep2 = check_f0(RS["B2"], sc("B2"), 2, use_cache=False)
+    fresh()
+    rep2 = check_f0(RS["B2"], sc("B2"), 2)
     assert replace(rep1, elapsed_ms=0) == replace(rep2, elapsed_ms=0)
     oracle = f0_nonzero_in_graded(DenseModule(RS["B2"],
                                               splitting_weight(RS["B2"], 2),
                                               2))
     assert rep1.nonzero == oracle
     m1 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
-    m2 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2,
-                               use_cache=False)
+    fresh()
+    m2 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
     assert replace(m1, elapsed_ms=0) == replace(m2, elapsed_ms=0)
     inj, strict, table = dense_mult_verdict(RS["B2"], (1, 0), (0, 1), 2)
     assert (m1.injective_ungraded, m1.strict, m1.table) == \

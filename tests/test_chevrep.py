@@ -9,6 +9,8 @@ decomposition (lex-smallest simple alpha_i with beta - alpha_i a root).
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -293,3 +295,36 @@ def test_divided_power_product_rule():
         lhs = divided_power_matrix(f, j) @ divided_power_matrix(f, k)
         rhs = math.comb(j + k, j) * divided_power_matrix(f, j + k)
         assert np.array_equal(lhs, rhs)
+
+
+def test_corrupted_seed_rep_checks_survive_python_O():
+    """With one entry of F_1 doubled in the B2 vector representation, the
+    structure constants cannot be read off it, and it fails as the first
+    fundamental representation; both raise IntegrityError with asserts
+    stripped."""
+    code = "\n".join([
+        "import dataclasses",
+        "from pbwdeg import chevrep",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "real = chevrep._vector_rep",
+        "def corrupt(rs):",
+        "    rep = real(rs)",
+        "    low = [list(map(list, m)) for m in rep.simple_lowering]",
+        "    r, c = next((r, c) for r in range(rep.dim)",
+        "                for c in range(rep.dim) if low[0][r][c])",
+        "    low[0][r][c] *= 2",
+        "    return dataclasses.replace(",
+        "        rep, simple_lowering=tuple(tuple(map(tuple, m)) for m in low))",
+        "chevrep._vector_rep = corrupt",
+        "rs = build_root_system('B2')",
+        "for f in (chevrep.chevalley_constants,",
+        "          lambda rs: chevrep.fundamental_rep(rs, 1)):",
+        "    try:",
+        "        f(rs)",
+        "    except IntegrityError:",
+        "        print('raised')",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]

@@ -217,6 +217,16 @@ def test_generation_requires_nmax():
         check_degree_one_generation(RS["A1"], sc("A1"), (1,), 2, 1)
 
 
+def test_foreign_structure_constants_refused():
+    """Structure constants of another system are a usage error, with or
+    without asserts."""
+    for call in (lambda: cartan_component_map(RS["A2"], sc("B2"), (1, 0),
+                                              (0, 1), 2),
+                 lambda: hilbert_function(RS["A2"], sc("B2"), (1, 0), 2, 2)):
+        with pytest.raises(ValueError, match="structure constants of B2"):
+            call()
+
+
 def test_generation_serialization():
     rep = check_degree_one_generation(RS["A1"], sc("A1"), (1,), 2, 2)
     payload = json.loads(rep.to_json())
@@ -305,10 +315,9 @@ def step3_fails(monkeypatch):
     real = degenring._pair_analysis
     seen = []
 
-    def patched(rs, sc_, lam, mu, p, size_ceiling, use_cache):
+    def patched(rs, sc_, lam, mu, p, size_ceiling):
         seen.append(tuple(lam))
-        inj, strict, table, grdims = real(rs, sc_, lam, mu, p, size_ceiling,
-                                          use_cache)
+        inj, strict, table, grdims = real(rs, sc_, lam, mu, p, size_ceiling)
         strict = strict and tuple(lam) != tuple(2 * x for x in mu)
         return inj, strict, table, grdims
 

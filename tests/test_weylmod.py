@@ -605,9 +605,46 @@ def test_rank_mismatch_on_bad_seed():
     """Spanning from a vector that is not a highest weight vector of the
     claimed weight cannot reach the full Weyl module."""
     rs = RS["A1"]
+    vec = FundFactor(rs, fundamental_rep(rs, 1), 3)
     with pytest.raises(RankMismatch):
-        build_weyl_module_p(rs, 3, (2,), use_cache=False,
-                            seed_override={2: 1})
+        weylmod._finish_modp(rs, 3, (2,), TensorAmbient(rs, [vec, vec], 3),
+                             {2: 1})
+
+
+SEED_CHECKS = "\n".join([
+    "import dataclasses",
+    "from pbwdeg import weylmod",
+    "from pbwdeg.chevrep import fundamental_rep",
+    "from pbwdeg.rootsys import IntegrityError, build_root_system",
+    "def attempt(f, *args):",
+    "    try:",
+    "        f(*args)",
+    "    except IntegrityError:",
+    "        print('raised')",
+    "rs = build_root_system('A1')",
+    "rep = fundamental_rep(rs, 1)",
+    "vec = weylmod.FundFactor(rs, rep, 3)",
+    "amb = weylmod.TensorAmbient(rs, [vec, vec], 3)",
+    "attempt(weylmod._span_modp, rs, 3, amb, {0: 1, 3: 1}, (2,))",
+    "attempt(weylmod._span_modp, rs, 3, amb, {0: 1}, (0,))",
+    "attempt(weylmod._lattice, rs, (2,),",
+    "        weylmod.TensorAmbient.over_z(rs, [rep, rep]), {0: 1, 3: 1})",
+    "twin = dataclasses.replace(rep, weights=(rep.weights[0],) * 2)",
+    "attempt(weylmod.FundFactor, rs, twin)",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_span_seed_checks_survive_python_O(flags):
+    """The span refuses a seed over two weights (a KeyError under -O
+    before the checks were explicit) and a seed outside the weight box,
+    over F_p and over Z; a representation whose top weight is not unique
+    has no highest weight index.  Each raises IntegrityError, with asserts
+    on or stripped."""
+    proc = subprocess.run([sys.executable, *flags, "-c", SEED_CHECKS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 def test_validate_relations_clean():
