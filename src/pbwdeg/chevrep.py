@@ -210,105 +210,44 @@ def _exterior_power(rs: RootSystemData, rep: IntegralRep, k: int,
     return _rep_from_entries(name, weights, low, high, rank)
 
 
-def _fermion_basis(n: int, parity: int | None):
-    out = []
-    for k in range(n + 1):
-        if parity is not None and k % 2 != parity:
-            continue
-        out.extend(combinations(range(1, n + 1), k))
-    return out
+def _fermion_move(a_set: tuple, moves: tuple):
+    """Apply creations (+j) and annihilations (-j) in turn to the subset
+    a_set; (new subset, sign) or None if one of them kills it."""
+    sign = 1
+    for m in moves:
+        j = abs(m)
+        if (j in a_set) == (m > 0):
+            return None
+        sign *= (-1) ** sum(1 for x in a_set if x < j)
+        a_set = (tuple(sorted(a_set + (j,))) if m > 0
+                 else tuple(x for x in a_set if x != j))
+    return a_set, sign
 
 
-def _create(a_set: tuple, i: int):
-    if i in a_set:
-        return None
-    sign = (-1) ** sum(1 for x in a_set if x < i)
-    return tuple(sorted(a_set + (i,))), sign
-
-
-def _annihilate(a_set: tuple, i: int):
-    if i not in a_set:
-        return None
-    sign = (-1) ** sum(1 for x in a_set if x < i)
-    return tuple(x for x in a_set if x != i), sign
-
-
-def _spin_weight(rs: RootSystemData, a_set: tuple) -> Weight:
-    signs = {j: (-1 if j in a_set else 1) for j in range(1, rs.rank + 1)}
-    return _half_sum(rs, signs)
-
-
-def _spin_rep(rs: RootSystemData) -> IntegralRep:
-    """Spin representation of B_n on subsets of {1..n} (Fock basis)."""
+def _spin_rep(rs: RootSystemData, parity: int | None,
+              name: str) -> IntegralRep:
+    """Fermionic model on subsets of {1..n}: all of them for the spin
+    representation of B_n (parity None), the even (0) or odd (1) ones for a
+    half-spin representation of D_n.  F_i moves a fermion from i+1 to i for
+    i < n; F_n creates n (B, alpha_n = eps_n) or both n-1 and n (D,
+    alpha_n = eps_{n-1} + eps_n), and E_n undoes it."""
     n = rs.rank
-    basis = _fermion_basis(n, None)
+    basis = [s for k in range(n + 1) if parity in (None, k % 2)
+             for s in combinations(range(1, n + 1), k)]
     index = {s: i for i, s in enumerate(basis)}
-    weights = [_spin_weight(rs, s) for s in basis]
-    low = [dict() for _ in range(n)]
-    high = [dict() for _ in range(n)]
-
-    def put(entries, col_set, out, col):
-        if out is None:
-            return
-        new, sign = out
-        entries[(index[new], col)] = sign
-
-    for col, s in enumerate(basis):
-        for a in range(n - 1):
-            i = a + 1
-            out = _annihilate(s, i + 1)
-            if out is not None:
-                mid, s1 = out
-                res = _create(mid, i)
-                if res is not None:
-                    low[a][(index[res[0]], col)] = s1 * res[1]
-            out = _annihilate(s, i)
-            if out is not None:
-                mid, s1 = out
-                res = _create(mid, i + 1)
-                if res is not None:
-                    high[a][(index[res[0]], col)] = s1 * res[1]
-        put(low[n - 1], s, _create(s, n), col)
-        put(high[n - 1], s, _annihilate(s, n), col)
-    return _rep_from_entries(f"{rs.name}-spin", weights, low, high, n)
-
-
-def _half_spin_rep(rs: RootSystemData, parity: int, name: str) -> IntegralRep:
-    """Half-spin representation of D4 on even or odd subsets."""
-    n = rs.rank
-    basis = _fermion_basis(n, parity)
-    index = {s: i for i, s in enumerate(basis)}
-    weights = [_spin_weight(rs, s) for s in basis]
+    # the subset s has weight (1/2) sum_j (-1 if j in s else 1) eps_j
+    weights = [_half_sum(rs, {j: -1 if j in s else 1
+                              for j in range(1, n + 1)}) for s in basis]
+    moves = [((-(i + 1), i), (-i, i + 1)) for i in range(1, n)]
+    moves.append(((n,), (-n,)) if parity is None
+                 else ((n - 1, n), (-n, 1 - n)))
     low = [dict() for _ in range(n)]
     high = [dict() for _ in range(n)]
     for col, s in enumerate(basis):
-        for a in range(n - 1):
-            i = a + 1
-            out = _annihilate(s, i + 1)
-            if out is not None:
-                mid, s1 = out
-                res = _create(mid, i)
-                if res is not None:
-                    low[a][(index[res[0]], col)] = s1 * res[1]
-            out = _annihilate(s, i)
-            if out is not None:
-                mid, s1 = out
-                res = _create(mid, i + 1)
-                if res is not None:
-                    high[a][(index[res[0]], col)] = s1 * res[1]
-        # alpha_4 = eps_3 + eps_4: F adds both, E removes both
-        out = _create(s, n - 1)
-        if out is not None:
-            mid, s1 = out
-            res = _create(mid, n)
-            if res is not None:
-                low[n - 1][(index[res[0]], col)] = s1 * res[1]
-        out = _annihilate(s, n)
-        if out is not None:
-            mid, s1 = out
-            res = _annihilate(mid, n - 1)
-            if res is not None:
-                high[n - 1][(index[res[0]], col)] = s1 * res[1]
+        for a, (f_moves, e_moves) in enumerate(moves):
+            for entries, mv in ((low[a], f_moves), (high[a], e_moves)):
+                if out := _fermion_move(s, mv):
+                    entries[(index[out[0]], col)] = out[1]
     return _rep_from_entries(name, weights, low, high, n)
 
 
@@ -444,121 +383,59 @@ _SC_CACHE: dict[str, StructureConstants] = {}
 def chevalley_constants(rs: RootSystemData) -> StructureConstants:
     """Structure constants read off a faithful seed representation.
 
-    Root operators E_beta are built recursively by the canonical
-    decomposition; the full bracket table is then extracted by comparing
-    matrix brackets against the constructed operators, and the Jacobi
-    identity is checked on every triple of the abstract basis.
+    The seed's root operators come from root_operator.  Each bracket of two
+    basis elements is decoded from its weight: a root gives one multiple of
+    that root's operator, [F_beta, E_beta] = -H_beta gives minus the coroot
+    coordinates of beta, and any other bracket vanishes.  Every entry is
+    checked against the bracket of the seed matrices, and the Jacobi
+    identity on every triple of the abstract basis.
     """
     if rs.name in _SC_CACHE:
         return _SC_CACHE[rs.name]
     seed = seed_rep(rs)
+    sc = StructureConstants(rs, _decomposition(rs), {})
     n = rs.rank
-    pos = list(rs.positive_roots)
-    posset = set(pos)
-
-    e_mats: dict[Root, np.ndarray] = {}
-    f_mats: dict[Root, np.ndarray] = {}
-    decomp: dict[Root, tuple[int, Root]] = {}
-    for i in range(n):
-        alpha = rs.simple_root(i)
-        e_mats[alpha] = _obj(seed.simple_raising[i])
-        f_mats[alpha] = _obj(seed.simple_lowering[i])
-    for beta in pos:
-        if sum(beta) == 1:
-            continue
-        i = next(a for a in range(n)
-                 if tuple(b - x for b, x in
-                          zip(beta, rs.simple_root(a))) in posset)
-        alpha = rs.simple_root(i)
-        gamma = tuple(b - x for b, x in zip(beta, alpha))
-        decomp[beta] = (i, gamma)
-        r = _string_depth(rs, alpha, gamma)
-        e_mats[beta] = _exact_div(_bracket(e_mats[alpha], e_mats[gamma]),
-                                  r + 1, f"E_{beta}")
-        f_mats[beta] = _exact_div(_bracket(f_mats[gamma], f_mats[alpha]),
-                                  r + 1, f"F_{beta}")
-
+    pos = set(rs.positive_roots)
     h_mats = [np.diag([w[i] for w in seed.weights]).astype(object)
               for i in range(n)]
-
-    def decode(mat: np.ndarray, what) -> dict:
-        """Express a matrix as a combination of basis element matrices."""
-        if not np.any(mat != 0):
-            return {}
-        # diagonal part: combination of H_i determined by two weights
-        if np.array_equal(mat, np.diag(np.diag(mat))):
-            # solve sum c_i h_i = mat using the weights directly
-            coeffs = _h_coords(rs, seed, mat)
-            return {("H", i): c for i, c in enumerate(coeffs) if c}
-        for b in pos:
-            for kind, m in (("E", e_mats[b]), ("F", f_mats[b])):
-                if c := _ratio(mat, m):
-                    return {(kind, b): c}
-        raise IntegrityError(f"cannot decode bracket {what}")
-
-    table: dict[tuple, dict] = {}
-    basis = ([("F", b) for b in pos] + [("H", i) for i in range(n)]
-             + [("E", b) for b in pos])
 
     def matrix_of(elem) -> np.ndarray:
         kind, val = elem
         if kind == "H":
             return h_mats[val]
-        return e_mats[val] if kind == "E" else f_mats[val]
+        return root_operator(seed, sc, kind, val)
 
+    def weight(elem) -> Root:
+        kind, val = elem
+        return (0,) * n if kind == "H" else tuple(
+            x if kind == "E" else -x for x in val)
+
+    def decode(x, y, mat: np.ndarray) -> dict:
+        w = tuple(a + b for a, b in zip(weight(x), weight(y)))
+        neg = tuple(-a for a in w)
+        if w in pos or neg in pos:
+            elem = ("E", w) if w in pos else ("F", neg)
+            c = _ratio(mat, matrix_of(elem))
+            return {elem: c} if c else {}
+        if x[0] == "F" and y == ("E", x[1]):
+            return {("H", i): -c
+                    for i, c in enumerate(rs.coroot_coords(x[1])) if c}
+        return {}
+
+    basis = sc.adjoint_basis()
     for ix, x in enumerate(basis):
         for y in basis[ix + 1:]:
             br = _bracket(matrix_of(x), matrix_of(y))
-            table[(x, y)] = decode(br, (x, y))
-
-    sc = StructureConstants(rs, decomp, table)
-
-    # validate: brackets of table elements reproduce the matrices
-    for (x, y), val in table.items():
-        acc = np.zeros_like(h_mats[0])
-        for elem, c in val.items():
-            acc = acc + c * matrix_of(elem)
-        if not np.array_equal(acc, _bracket(matrix_of(x), matrix_of(y))):
-            raise IntegrityError(f"bracket table entry {(x, y)} is wrong")
+            sc.table[(x, y)] = val = decode(x, y, br)
+            acc = np.zeros_like(br)
+            for elem, c in val.items():
+                acc = acc + c * matrix_of(elem)
+            if not np.array_equal(acc, br):
+                raise IntegrityError(f"bracket table entry {(x, y)} does not "
+                                     "match the seed matrices")
     _check_jacobi(sc, basis)
     _SC_CACHE[rs.name] = sc
     return sc
-
-
-def _h_coords(rs: RootSystemData, seed: IntegralRep, mat: np.ndarray):
-    """Solve sum_i c_i <w, alpha_i^vee> = mat_ww over the seed weights."""
-    n = rs.rank
-    rows = seed.weights
-    rhs = [int(mat[j][j]) for j in range(len(rows))]
-    coeffs = None
-    for pick in combinations(range(len(rows)), n):
-        sub = [[Fraction(rows[j][i]) for i in range(n)] for j in pick]
-        coeffs = _solve_fraction(sub, [Fraction(rhs[j]) for j in pick])
-        if coeffs is not None:
-            break
-    if coeffs is None or any(c.denominator != 1 for c in coeffs) or any(
-            sum(c * x for c, x in zip(coeffs, w)) != rhs[j]
-            for j, w in enumerate(seed.weights)):
-        raise IntegrityError("diagonal bracket is not an integral "
-                             "combination of the H_i")
-    return [int(c) for c in coeffs]
-
-
-def _solve_fraction(a, b):
-    n = len(a)
-    m = [row[:] + [bb] for row, bb in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def _check_jacobi(sc: StructureConstants, basis) -> None:
@@ -589,48 +466,32 @@ def seed_rep(rs: RootSystemData) -> IntegralRep:
 
 
 def fundamental_rep(rs: RootSystemData, i: int) -> IntegralRep:
-    """The i-th fundamental representation (1-indexed) as integer matrices."""
+    """The i-th fundamental representation (1-indexed) as integer matrices.
+
+    omega_1 is the seed; omega_2 of G2 is the adjoint; type C bootstraps the
+    rest from tensor powers of the vector representation; the spin nodes of
+    B and D are fermionic; every other one is an exterior power of the
+    vector representation.
+    """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"fundamental index {i} out of range for {rs.name}")
     key = (rs.name, i)
     if key in _FUND_CACHE:
         return _FUND_CACHE[key]
     fam, n = rs.cartan.family, rs.rank
-    if fam == "A":
-        vec = _vector_rep(rs)
-        rep = vec if i == 1 else _exterior_power(rs, vec, i,
-                                                 f"{rs.name}-w{i}")
-    elif fam == "B":
-        if i == n:
-            rep = _spin_rep(rs)
-        else:
-            vec = _vector_rep(rs)
-            rep = vec if i == 1 else _exterior_power(rs, vec, i,
-                                                     f"{rs.name}-w{i}")
-    elif fam == "C":
-        vec = _vector_rep(rs)
-        if i == 1:
-            rep = vec
-        else:
-            from .weylmod import bootstrap_cartan_component
-            rep = bootstrap_cartan_component(rs, vec, i)
-    elif fam == "D":
-        vec = _vector_rep(rs)
-        if i == 1:
-            rep = vec
-        elif i == 2:
-            rep = _exterior_power(rs, vec, 2, f"{rs.name}-w2")
-        elif i == n - 1:
-            rep = _half_spin_rep(rs, 1, f"{rs.name}-w{i}")
-        else:
-            rep = _half_spin_rep(rs, 0, f"{rs.name}-w{i}")
+    if i == 1:
+        rep = seed_rep(rs)
     elif fam == "G":
-        if i == 1:
-            rep = _g2_seven_rep(rs)
-        else:
-            rep = _adjoint_rep(rs, chevalley_constants(rs))
+        rep = _adjoint_rep(rs, chevalley_constants(rs))
+    elif fam == "C":
+        from .weylmod import bootstrap_cartan_component
+        rep = bootstrap_cartan_component(rs, _vector_rep(rs), i)
+    elif fam == "B" and i == n:
+        rep = _spin_rep(rs, None, f"{rs.name}-spin")
+    elif fam == "D" and i >= n - 1:
+        rep = _spin_rep(rs, (n - i) % 2, f"{rs.name}-w{i}")
     else:
-        raise AssertionError(fam)
+        rep = _exterior_power(rs, _vector_rep(rs), i, f"{rs.name}-w{i}")
     _validate_rep(rs, rep)
     from .weylmod import weyl_dim
     omega = tuple(1 if k == i - 1 else 0 for k in range(n))
@@ -672,42 +533,44 @@ def _validate_rep(rs: RootSystemData, rep: IntegralRep) -> None:
 # ---------------------------------------------------------------------------
 # root operators
 
-def root_lowering_operator(rep: IntegralRep, sc: StructureConstants,
-                           beta: Root) -> np.ndarray:
-    """F_beta on rep: stored matrix for simples, bracket recursion else."""
-    key = ("F", beta)
-    if key in rep._op_cache:
-        return rep._op_cache[key]
-    rs = sc.rs
-    if sum(beta) == 1:
-        i = beta.index(1)
-        out = _obj(rep.simple_lowering[i])
-    else:
-        i, gamma = sc.decomp[beta]
-        alpha = rs.simple_root(i)
-        fa = root_lowering_operator(rep, sc, alpha)
-        fg = root_lowering_operator(rep, sc, gamma)
-        r = _string_depth(rs, alpha, gamma)
-        out = _exact_div(_bracket(fg, fa), r + 1, f"F_{beta} on {rep.name}")
-    rep._op_cache[key] = out
+def _decomposition(rs: RootSystemData) -> dict[Root, tuple[int, Root]]:
+    """beta -> (i, gamma) with beta = alpha_i + gamma for each nonsimple
+    positive root, alpha_i the lex-smallest simple root with gamma a root."""
+    pos = set(rs.positive_roots)
+    out = {}
+    for beta in rs.positive_roots:
+        if sum(beta) == 1:
+            continue
+        for i in range(rs.rank):
+            gamma = tuple(b - x for b, x in zip(beta, rs.simple_root(i)))
+            if gamma in pos:
+                out[beta] = (i, gamma)
+                break
     return out
 
 
-def root_raising_operator(rep: IntegralRep, sc: StructureConstants,
-                          beta: Root) -> np.ndarray:
-    key = ("E", beta)
-    if key in rep._op_cache:
-        return rep._op_cache[key]
-    rs = sc.rs
-    if sum(beta) == 1:
-        i = beta.index(1)
-        out = _obj(rep.simple_raising[i])
-    else:
-        i, gamma = sc.decomp[beta]
-        alpha = rs.simple_root(i)
-        ea = root_raising_operator(rep, sc, alpha)
-        eg = root_raising_operator(rep, sc, gamma)
-        r = _string_depth(rs, alpha, gamma)
-        out = _exact_div(_bracket(ea, eg), r + 1, f"E_{beta} on {rep.name}")
-    rep._op_cache[key] = out
-    return out
+def root_operator(rep: IntegralRep, sc: StructureConstants, kind: str,
+                  beta: Root) -> np.ndarray:
+    """E_beta (kind "E") or F_beta (kind "F") on rep.
+
+    A simple root gives the stored matrix; otherwise beta = alpha_i + gamma
+    by sc.decomp, and E_beta = [E_alpha_i, E_gamma] / (r+1),
+    F_beta = [F_gamma, F_alpha_i] / (r+1), with r the depth of the
+    alpha_i-string below gamma.
+    """
+    key = (kind, beta)
+    if key not in rep._op_cache:
+        if sum(beta) == 1:
+            simple = rep.simple_raising if kind == "E" else rep.simple_lowering
+            out = _obj(simple[beta.index(1)])
+        else:
+            rs = sc.rs
+            i, gamma = sc.decomp[beta]
+            alpha = rs.simple_root(i)
+            a = root_operator(rep, sc, kind, alpha)
+            g = root_operator(rep, sc, kind, gamma)
+            out = _exact_div(_bracket(a, g) if kind == "E" else _bracket(g, a),
+                             _string_depth(rs, alpha, gamma) + 1,
+                             f"{kind}_{beta} on {rep.name}")
+        rep._op_cache[key] = out
+    return rep._op_cache[key]

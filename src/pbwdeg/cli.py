@@ -34,8 +34,9 @@ from .chevrep import NonIntegralDividedPower, chevalley_constants
 from .degenring import (check_degree_one_generation, check_mult_surjective,
                         hilbert_function)
 from .exactla import SparsePrimeMatrix, read_triplet_text, write_triplet_text
-from .pbwgrade import (SizeCeilingExceeded, _require_prime, check_f0,
-                       check_F0_order_invariance, pbw_filtration)
+from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
+                       _require_prime, check_f0, check_F0_order_invariance,
+                       pbw_filtration)
 from .rootsys import (IntegrityError, RootSystemData, UnsupportedType,
                       build_root_system, splitting_weight)
 from .weylmod import (ModuleP, RankMismatch, build_weyl_lattice,
@@ -60,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Validated invocation: one subcommand plus its knobs.
 
-    Defaults: size ceiling 20000, order trials 5, n_max 3, format table,
-    one job, no cache directory.
+    Defaults: size ceiling DEFAULT_SIZE_CEILING, order trials 5, n_max 3,
+    format table, one job, no cache directory.
     """
 
     command: str
@@ -137,6 +138,19 @@ class CachedModule(ModuleP):
         return m
 
 
+def _stored_ops(mod: ModuleP) -> list[tuple[str, int, int, str]]:
+    """(kind, root index, p^e, file name) of every operator a cache entry
+    holds: the p-power divided powers of each root up to its max_power."""
+    out = []
+    for kind in ("E", "F"):
+        for idx, beta in enumerate(mod.rs.positive_roots):
+            pe, top = 1, mod.max_power(beta)
+            while pe <= top:
+                out.append((kind, idx, pe, f"op_{kind}_r{idx}_k{pe}.txt"))
+                pe *= mod.p
+    return out
+
+
 def save_module(mod, cache_dir) -> str:
     """Write a module to the cache; returns the entry key."""
     cache_dir = Path(cache_dir)
@@ -147,17 +161,10 @@ def save_module(mod, cache_dir) -> str:
         return key
     tmp = cache_dir / f".tmp-{key}-{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
-    ops = []
-    for kind in ("E", "F"):
-        for idx, beta in enumerate(mod.rs.positive_roots):
-            pe = 1
-            top = mod.max_power(beta)
-            while pe <= top:
-                fname = f"op_{kind}_r{idx}_k{pe}.txt"
-                write_triplet_text(SparsePrimeMatrix.from_csr(
-                    mod.op(kind, beta, pe), mod.p), tmp / fname)
-                ops.append([kind, idx, pe, fname])
-                pe *= mod.p
+    ops = _stored_ops(mod)
+    for kind, idx, pe, fname in ops:
+        write_triplet_text(SparsePrimeMatrix.from_csr(
+            mod.op(kind, mod.rs.positive_roots[idx], pe), mod.p), tmp / fname)
     (tmp / "weights.txt").write_text(
         "".join(_fmt_weight(w) + "\n" for w in mod.weights))
     mults = sorted(mod.weight_multiplicities().items())
@@ -217,29 +224,32 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
                for line in (path / "weights.txt").read_text().splitlines()]
     if len(weights) != dim:
         raise ValueError("weight list does not have the module dimension")
-    ppowers = {}
+    mod = CachedModule(rs, p, lam, weights, {})
+    # a missing operator would read as zero, so the list must be exact
+    if [tuple(op) for op in meta["ops"]] != _stored_ops(mod):
+        raise ValueError("operator list does not match the weights")
     for kind, idx, pe, fname in meta["ops"]:
         m = read_triplet_text(path / fname)
         if not isinstance(m, SparsePrimeMatrix) or \
                 (m.p, m.nrows, m.ncols) != (p, dim, dim):
             raise ValueError(f"{fname} is not a {dim} x {dim} matrix mod {p}")
-        ppowers[(kind, int(idx), int(pe))] = m.to_csr()
-    return CachedModule(rs, p, lam, weights, ppowers)
+        mod._pp[(kind, idx, pe)] = m.to_csr()
+    return mod
 
 
-def _get_module(rs: RootSystemData, lam, p: int, cfg: RunConfig,
-                quiet: bool = False):
+def _get_module(rs: RootSystemData, lam, p: int, size_ceiling: int,
+                cache_dir, quiet: bool = False):
     required = int(weyl_dim(rs, lam))
-    if required > cfg.size_ceiling:
-        raise SizeCeilingExceeded(required, cfg.size_ceiling)
-    if cfg.cache_dir is not None:
-        mod = load_module(rs, lam, p, cfg.cache_dir)
+    if required > size_ceiling:
+        raise SizeCeilingExceeded(required, size_ceiling)
+    if cache_dir is not None:
+        mod = load_module(rs, lam, p, cache_dir)
         if mod is not None:
             if not quiet:
                 _diag(f"cache hit {cache_key(rs.name, lam, p)}")
             return mod
         fresh = build_weyl_module_p(rs, p, lam)
-        key = save_module(fresh, cfg.cache_dir)
+        key = save_module(fresh, cache_dir)
         if not quiet:
             _diag(f"cache miss, stored {key}")
         return fresh
@@ -335,7 +345,7 @@ def _height_drop_key(rs: RootSystemData, lam):
 def _cmd_build_module(cfg: RunConfig) -> int:
     rs = build_root_system(cfg.cartan)
     lam = cfg.weights[0]
-    mod = _get_module(rs, lam, cfg.p, cfg)
+    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
     mults = sorted(mod.weight_multiplicities().items(),
                    key=_height_drop_key(rs, lam))
     if cfg.fmt == "json":
@@ -366,7 +376,7 @@ def _cmd_build_module(cfg: RunConfig) -> int:
 def _cmd_pbw_dims(cfg: RunConfig) -> int:
     rs = build_root_system(cfg.cartan)
     lam = cfg.weights[0]
-    mod = _get_module(rs, lam, cfg.p, cfg)
+    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
     graded = pbw_filtration(mod)
     cum = graded.cumulative_dims()
     if cfg.fmt == "json":
@@ -408,7 +418,7 @@ def _cmd_check_f0(cfg: RunConfig) -> int:
     module = None
     if cfg.cache_dir is not None:
         lam = splitting_weight(rs, cfg.p)
-        module = _get_module(rs, lam, cfg.p, cfg)
+        module = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
     rep = check_f0(rs, sc, cfg.p, size_ceiling=cfg.size_ceiling,
                    module=module)
     if cfg.fmt == "json":
@@ -427,10 +437,8 @@ def _sweep_task(task):
     try:
         module = None
         if cache_dir is not None:
-            cfg = RunConfig("check-f0", name, (), p, 3, 5, ceiling,
-                            "json", Path(cache_dir), 1)
-            module = _get_module(rs, splitting_weight(rs, p), p, cfg,
-                                 quiet=True)
+            module = _get_module(rs, splitting_weight(rs, p), p, ceiling,
+                                 cache_dir, quiet=True)
         rep = check_f0(rs, sc, p, size_ceiling=ceiling, module=module)
         return json.loads(rep.to_json())
     except SizeCeilingExceeded as exc:
@@ -627,7 +635,8 @@ def build_parser() -> _Parser:
             sp_.add_argument("--primes", required=True)
         else:
             sp_.add_argument("--cartan", required=True)
-        sp_.add_argument("--size-ceiling", type=int, default=20000)
+        sp_.add_argument("--size-ceiling", type=int,
+                         default=DEFAULT_SIZE_CEILING)
         sp_.add_argument("--format", choices=("table", "json", "csv"),
                          default="table")
         if cache:

@@ -65,10 +65,7 @@ class CartanComponentMap:
         seed[self.space.hw_flat] = 1
         self.factor_graded: list[PBWGraded] = [pbw_filtration(m)
                                                for m in factors]
-        blocks, dims, complete = filter_from_seed(self.space, seed)
-        if not complete:
-            raise IntegrityError("image filtration stopped short of the "
-                                 "span of the seed")
+        blocks, dims = filter_from_seed(self.space, seed)
         self._image_blocks = blocks
         self._dims = tuple(dims)
         self.rank_phi = dims[-1]

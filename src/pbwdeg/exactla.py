@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,22 +63,11 @@ class SparseIntMatrix:
     ncols: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]]) -> "SparseIntMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        ent = {(r, c): int(v) for r, row in enumerate(rows)
-               for c, v in enumerate(row) if v}
-        return cls(nr, nc, ent)
-
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def row(self, r: int) -> Vec:
-        return {c: v for (rr, c), v in self.entries.items() if rr == r}
 
 
 @dataclass
@@ -88,18 +76,6 @@ class SparsePrimeMatrix:
     ncols: int
     p: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]], p: int) -> "SparsePrimeMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        ent = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                v = int(v) % p
-                if v:
-                    ent[(r, c)] = v
-        return cls(nr, nc, p, ent)
 
     @classmethod
     def from_csr(cls, m, p: int) -> "SparsePrimeMatrix":
@@ -194,32 +170,6 @@ class IncrementalHNF:
             changed = True
         return changed
 
-    def reduce(self, v) -> Vec:
-        """Residue of v after subtracting integer multiples of pivot rows."""
-        v = _to_vec(v)
-        out: Vec = {}
-        while v:
-            c = min(v)
-            row = self.pivots.get(c)
-            if row is None:
-                out[c] = v.pop(c)
-                continue
-            q = v[c] // row[c]
-            vec_add_scaled(v, row, -q)
-            if v.get(c):
-                out[c] = v.pop(c)
-        return out
-
-    def contains(self, v) -> bool:
-        v = _to_vec(v)
-        while v:
-            c = min(v)
-            row = self.pivots.get(c)
-            if row is None or v[c] % row[c] != 0:
-                return False
-            vec_add_scaled(v, row, -(v[c] // row[c]))
-        return True
-
     def finalize(self) -> "LatticeBasis":
         cols = sorted(self.pivots)
         rows = [dict(self.pivots[c]) for c in cols]
@@ -299,7 +249,6 @@ class DenseEchelonModP:
         self.width = width
         self._rows = np.zeros((8, width), dtype=np.int64)
         self._n = 0
-        self._pivot_of_col: dict[int, int] = {}
         self.pivot_cols: list[int] = []
 
     @property
@@ -339,7 +288,6 @@ class DenseEchelonModP:
                 self._rows[hit] = (self._rows[hit]
                                    - np.outer(col[hit], vec)) % self.p
         self._rows[self._n] = vec
-        self._pivot_of_col[c] = self._n
         self.pivot_cols.append(c)
         self._n += 1
         return True

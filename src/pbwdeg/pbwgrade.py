@@ -128,13 +128,13 @@ def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
     return sum(rc)
 
 
-def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
-                     target: int | None = None):
+def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     """Degree-tagged span of the seed under p-power lowering operators.
 
     `space` provides rs, p, dim, weights (one per coordinate) and
-    op(kind, beta, k) -> csr matrix.  Returns (blocks, dims, complete)
-    where dims[n] = dim V_n for the degrees actually processed.
+    op(kind, beta, k) -> csr matrix.  Returns (blocks, dims) where
+    dims[n] = dim V_n for the degrees actually processed; the walk stops
+    early once the span reaches `target` dimensions.
     """
     rs, p = space.rs, space.p
     weights = space.weights
@@ -152,7 +152,6 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
     bound = max((d for w in blocks
                  if (d := _height_drop(rs, seed_wt, w)) is not None),
                 default=0)
-    limit = bound if n_max is None else min(bound, n_max)
     powers = []
     pe = 1
     while pe <= max(bound, 1):
@@ -181,7 +180,7 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
         return op_cache[key]
 
     n = 0
-    while n < limit and (target is None or total != target):
+    while n < bound and (target is None or total != target):
         if n >= last_new + max_pe:
             break  # nothing in reach of any remaining power
         n += 1
@@ -217,13 +216,10 @@ def filter_from_seed(space, seed: np.ndarray, *, n_max: int | None = None,
             last_new = n
         dims.append(total)
 
-    complete = (total == target) if target is not None else \
-        (n_max is None or n < n_max or last_new + max_pe <= n_max)
     # drop trailing degrees that added nothing beyond the last growth
-    while len(dims) > last_new + 1 and dims[-1] == dims[-2] and \
-            (n_max is None or len(dims) - 1 > n_max):
+    while len(dims) > last_new + 1 and dims[-1] == dims[-2]:
         dims.pop()
-    return blocks, dims, complete
+    return blocks, dims
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +234,12 @@ class PBWGraded:
     independent rows.  No graded complement is chosen anywhere.
     """
 
-    def __init__(self, lam: Weight, p: int, blocks: dict, dims: list[int],
-                 complete: bool):
+    def __init__(self, lam: Weight, p: int, blocks: dict, dims: list[int]):
         self.lam = lam
         self.p = p
         self._blocks = blocks
         self._cum = tuple(dims)
         self.n_top = len(dims) - 1
-        self.complete = complete
         self.graded_dims = (dims[0],) + tuple(
             b - a for a, b in zip(dims, dims[1:]))
 
@@ -279,14 +273,13 @@ class PBWGraded:
         return True
 
 
-def pbw_filtration(mod: ModuleP, n_max: int | None = None) -> PBWGraded:
+def pbw_filtration(mod: ModuleP) -> PBWGraded:
     """PBW filtration of a Weyl module mod p from its highest weight line."""
-    blocks, dims, complete = filter_from_seed(
-        mod, mod.hw_vector(), n_max=n_max, target=mod.dim)
-    if n_max is None and not complete:
+    blocks, dims = filter_from_seed(mod, mod.hw_vector(), target=mod.dim)
+    if dims[-1] != mod.dim:
         raise IntegrityError(f"PBW filtration of V({mod.lam}) mod {mod.p} "
                              f"spans {dims[-1]} of {mod.dim} dimensions")
-    return PBWGraded(mod.lam, mod.p, blocks, dims, complete)
+    return PBWGraded(mod.lam, mod.p, blocks, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from .chevrep import (
     NonIntegralDividedPower,
     chevalley_constants,
     divided_power_matrix,
-    root_lowering_operator,
-    root_raising_operator,
+    root_operator,
 )
 from .exactla import (
     DenseEchelonModP,
@@ -294,11 +293,7 @@ class FundFactor:
         if key in self._cols:
             return self._cols[key]
         sc = chevalley_constants(self.rs)
-        if kind == "F":
-            m = root_lowering_operator(self.rep, sc, beta)
-        else:
-            m = root_raising_operator(self.rep, sc, beta)
-        m = divided_power_matrix(m, k)
+        m = divided_power_matrix(root_operator(self.rep, sc, kind, beta), k)
         cols: dict[int, list[tuple[int, int]]] = {}
         for (r, c), v in np.ndenumerate(m):
             v = int(v)

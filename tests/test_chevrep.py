@@ -8,6 +8,7 @@ decomposition (lex-smallest simple alpha_i with beta - alpha_i a root).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -23,8 +24,7 @@ from pbwdeg.chevrep import (
     chevalley_constants,
     divided_power_matrix,
     fundamental_rep,
-    root_lowering_operator,
-    root_raising_operator,
+    root_operator,
 )
 
 SUPPORTED = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2"]
@@ -119,6 +119,47 @@ def test_jacobi_on_bracket_table(name):
                 for e2, c2 in sc.abstract_bracket(elem, c).items():
                     acc[e2] = acc.get(e2, 0) + coeff * c2
         assert all(v == 0 for v in acc.values()), (x, y, z)
+
+
+# sha256 of _canonical_dump per type, recorded before the root operators,
+# the H part of the table and the spin models were each built one way.
+FROZEN_DIGESTS = {
+    "A1": "fbdfd02f1b0b2f638ad68a4c1672a7d6892af118ba95e6d5e767021468ba59ff",
+    "A2": "498ea2090c619163b4298e6511ce32e23d49d77aa77820b488f3b0de2ba42445",
+    "A3": "0bd8aa16a296fe925d141ccb31cda35fab5e877bde1fb2e187c9222516b0ed33",
+    "B2": "adf762ffcaa60952b397844e2b9469ba40c8e897047523360b815005317d1e62",
+    "B3": "aba381a53f41b8ce5f62715889e506aea702fc3e108110ce2da3c7b3a5ae877f",
+    "C2": "833c74fb93451e77b62dd54b4f936f76c619ad121aee9f8ba93182f722ed4224",
+    "C3": "61aeecf7df1c6c1f0fb3afba8db56438603ce4c828bd43b0910c065562869975",
+    "D4": "b2daec1f89c2fe7bf09d1a470f55c81279d052407d60c3fd920f5d2b7b90b275",
+    "G2": "1a8598b96af31cf3634abf2f3f5e8ad99ca3adf0b1d3e15f63f127e83021c4de",
+}
+
+
+def _canonical_dump(name) -> bytes:
+    """The bracket table, the decomposition and every fundamental rep
+    (name, dim, weights, simple lowering and raising matrices), sorted and
+    rendered with plain ints."""
+    rs = build_root_system(name)
+    sc = chevalley_constants(rs)
+    table = sorted((repr(k), sorted((repr(e), int(c)) for e, c in v.items()))
+                   for k, v in sc.table.items())
+    decomp = sorted((repr(b), int(i), repr(g))
+                    for b, (i, g) in sc.decomp.items())
+    reps = []
+    for i in range(1, rs.rank + 1):
+        rep = fundamental_rep(rs, i)
+        mats = [[[int(x) for x in row] for row in m]
+                for m in rep.simple_lowering + rep.simple_raising]
+        reps.append((rep.name, rep.dim,
+                     [tuple(int(x) for x in w) for w in rep.weights], mats))
+    return repr((table, decomp, reps)).encode()
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_constants_and_fundamentals_match_frozen_digest(name):
+    digest = hashlib.sha256(_canonical_dump(name)).hexdigest()
+    assert digest == FROZEN_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +264,8 @@ def test_root_operators_satisfy_ef_commutation(name):
     for i in range(1, rs.rank + 1):
         rep = fundamental_rep(rs, i)
         for beta in rs.positive_roots:
-            f = root_lowering_operator(rep, sc, beta)
-            e = root_raising_operator(rep, sc, beta)
+            f = root_operator(rep, sc, "F", beta)
+            e = root_operator(rep, sc, "E", beta)
             m = rs.coroot_coords(beta)
             h = np.diag([sum(mm * w[k] for k, mm in enumerate(m))
                          for w in rep.weights]).astype(object)
@@ -242,14 +283,14 @@ def test_root_operator_decomposition_independent_up_to_sign():
         for beta in rs.positive_roots:
             if sum(beta) == 1:
                 continue
-            canonical = as_obj(root_lowering_operator(rep, sc, beta))
+            canonical = as_obj(root_operator(rep, sc, "F", beta))
             for a in range(rs.rank):
                 alpha = rs.simple_root(a)
                 gamma = tuple(b - x for b, x in zip(beta, alpha))
                 if gamma not in pos:
                     continue
-                fa = as_obj(root_lowering_operator(rep, sc, alpha))
-                fg = as_obj(root_lowering_operator(rep, sc, gamma))
+                fa = as_obj(root_operator(rep, sc, "F", alpha))
+                fg = as_obj(root_operator(rep, sc, "F", gamma))
                 r = _string_depth(rs, alpha, gamma)
                 num = bracket(fg, fa)
                 got = np.array([x // (r + 1) for x in num.flat],
@@ -298,10 +339,12 @@ def test_divided_power_product_rule():
 
 
 def test_corrupted_seed_rep_checks_survive_python_O():
-    """With one entry of F_1 doubled in the B2 vector representation, the
-    structure constants cannot be read off it, and it fails as the first
-    fundamental representation; both raise IntegrityError with asserts
-    stripped."""
+    """With one entry of F_1 doubled in the vector representation of B2 or
+    A2, the structure constants cannot be read off it, and it fails as the
+    first fundamental representation; each raises IntegrityError with
+    asserts stripped.  On A2 the doubled entry gives [E_1, F_1] = 2 H_1,
+    which only the check of the H part of the table against the seed
+    catches."""
     code = "\n".join([
         "import dataclasses",
         "from pbwdeg import chevrep",
@@ -316,15 +359,16 @@ def test_corrupted_seed_rep_checks_survive_python_O():
         "    return dataclasses.replace(",
         "        rep, simple_lowering=tuple(tuple(map(tuple, m)) for m in low))",
         "chevrep._vector_rep = corrupt",
-        "rs = build_root_system('B2')",
-        "for f in (chevrep.chevalley_constants,",
-        "          lambda rs: chevrep.fundamental_rep(rs, 1)):",
-        "    try:",
-        "        f(rs)",
-        "    except IntegrityError:",
-        "        print('raised')",
+        "for name in ('B2', 'A2'):",
+        "    rs = build_root_system(name)",
+        "    for f in (chevrep.chevalley_constants,",
+        "              lambda rs: chevrep.fundamental_rep(rs, 1)):",
+        "        try:",
+        "            f(rs)",
+        "        except IntegrityError:",
+        "            print(name, 'raised')",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.splitlines() == ["B2 raised"] * 2 + ["A2 raised"] * 2

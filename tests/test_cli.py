@@ -422,10 +422,19 @@ def _drop_line_2(path):
     path.write_text("".join(lines[:1] + lines[2:]))
 
 
+def _drop_op_f_r2_k1(path):
+    """entry.json has no checksum of its own: delete one item of its
+    operator list, which a trusting reader would take as a zero operator."""
+    meta = json.loads(path.read_text())
+    meta["ops"] = [op for op in meta["ops"] if op[3] != "op_F_r2_k1.txt"]
+    path.write_text(json.dumps(meta))
+
+
 @pytest.mark.parametrize("corrupt,fname", [
     (_flip_last_digit, "weights.txt"),
     (_flip_last_digit, "op_E_r0_k1.txt"),
     (_drop_line_2, "op_F_r2_k1.txt"),
+    (_drop_op_f_r2_k1, "entry.json"),
 ])
 def test_corrupted_payload_is_a_miss_and_replaced(tmp_path, capsys, corrupt,
                                                   fname):

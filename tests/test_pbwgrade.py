@@ -62,7 +62,6 @@ def test_frozen_profiles(name, lam, p, profile):
     assert sum(g.graded_dims) == mod.dim
     assert g.n_top == len(profile) - 1
     assert g.graded_dims[0] == 1
-    assert g.complete
     cum = g.cumulative_dims()
     assert all(a <= b for a, b in zip(cum, cum[1:]))
     assert cum[-1] == mod.dim
@@ -133,15 +132,6 @@ def test_lowering_respects_filtration_degrees():
                 for row in _basis_upto(g, n, mod.dim):
                     img = (op @ row) % 2
                     assert target.contains(img)
-
-
-def test_n_max_truncation():
-    mod = build_weyl_module_p(RS["A2"], 2, (2, 1))
-    full = pbw_filtration(mod)
-    part = pbw_filtration(mod, n_max=2)
-    assert part.cumulative_dims() == full.cumulative_dims()[:3]
-    assert not part.complete
-    assert full.complete
 
 
 def test_build_f0_a1_matches_divided_powers():

@@ -18,7 +18,7 @@ import pytest
 from pbwdeg import weylmod
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
-                            root_lowering_operator, root_raising_operator)
+                            root_operator)
 from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
@@ -204,8 +204,7 @@ def test_tensor_apply_matches_kron(name, funds, kind, beta, k):
 
 def _dense_rep_power(rs, rep, kind, beta, a, p):
     sc = chevalley_constants(rs)
-    op = root_lowering_operator if kind == "F" else root_raising_operator
-    m = divided_power_matrix(op(rep, sc, beta), a)
+    m = divided_power_matrix(root_operator(rep, sc, kind, beta), a)
     return np.array(m % p, dtype=np.int64)
 
 
