@@ -7,11 +7,12 @@ because a requested object exceeds the size ceiling, 3 internal defect
 invariant, or a failed validation).
 
 Cached modules live under <cache-dir>/<key>/ where the key hashes the
-tool version, Cartan type, weight and prime; payload files are the dims,
-the per-index weights, and one triplet text file per stored operator, and
-entry.json records the sha256 of each.  Writes are atomic (temp directory,
-then rename) so concurrent sweep jobs can share a cache directory safely;
-an entry that fails its checksums is a miss and is replaced.
+tool version, Cartan type, weight and prime; payload files are the
+per-index weights and one triplet text file per lowering operator
+F_beta^(p^e), and the sha256 map in entry.json is the manifest of them.
+Writes are atomic (temp directory, then rename) so concurrent sweep jobs
+can share a cache directory safely; an entry whose manifest or checksums
+do not match is a miss and is replaced.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .weylmod import (ModuleP, RankMismatch, build_weyl_lattice,
                       build_weyl_module_p, validate_lattice_relations,
                       validate_relations, weyl_dim)
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 class CliUsageError(Exception):
@@ -117,10 +118,11 @@ def cache_key(cartan: str, weight, p: int) -> str:
 
 
 class CachedModule(ModuleP):
-    """Module reloaded from disk with the same operator interface.
+    """Module reloaded from disk with the same lowering operators.
 
-    Stored matrices are the p-power divided powers up to the largest
-    nonzero one per root; anything beyond is zero on the module.
+    Stored matrices are the p-power divided powers F_beta^(p^e) up to the
+    largest nonzero one per root; anything beyond is zero on the module.
+    No raising operator is stored, and asking for one is an error.
     """
 
     def __init__(self, rs: RootSystemData, p: int, lam, weights,
@@ -132,22 +134,23 @@ class CachedModule(ModuleP):
     op = ModuleP.op
 
     def _ppower(self, kind: str, beta, pe: int) -> sp.csr_matrix:
-        m = self._pp.get((kind, self.rs.root_index(beta), pe))
+        if kind != "F":
+            raise ValueError("a cached module holds no raising operator")
+        m = self._pp.get((self.rs.root_index(beta), pe))
         if m is None:
             return sp.csr_matrix((self.dim, self.dim), dtype=np.int64)
         return m
 
 
-def _stored_ops(mod: ModuleP) -> list[tuple[str, int, int, str]]:
-    """(kind, root index, p^e, file name) of every operator a cache entry
-    holds: the p-power divided powers of each root up to its max_power."""
+def _stored_ops(mod: ModuleP) -> list[tuple[int, int, str]]:
+    """(root index, p^e, file name) of every operator a cache entry holds:
+    F_beta^(p^e) of each root up to its max_power."""
     out = []
-    for kind in ("E", "F"):
-        for idx, beta in enumerate(mod.rs.positive_roots):
-            pe, top = 1, mod.max_power(beta)
-            while pe <= top:
-                out.append((kind, idx, pe, f"op_{kind}_r{idx}_k{pe}.txt"))
-                pe *= mod.p
+    for idx, beta in enumerate(mod.rs.positive_roots):
+        pe, top = 1, mod.max_power(beta)
+        while pe <= top:
+            out.append((idx, pe, f"op_F_r{idx}_k{pe}.txt"))
+            pe *= mod.p
     return out
 
 
@@ -161,15 +164,11 @@ def save_module(mod, cache_dir) -> str:
         return key
     tmp = cache_dir / f".tmp-{key}-{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
-    ops = _stored_ops(mod)
-    for kind, idx, pe, fname in ops:
+    for idx, pe, fname in _stored_ops(mod):
         write_triplet_text(SparsePrimeMatrix.from_csr(
-            mod.op(kind, mod.rs.positive_roots[idx], pe), mod.p), tmp / fname)
+            mod.op("F", mod.rs.positive_roots[idx], pe), mod.p), tmp / fname)
     (tmp / "weights.txt").write_text(
         "".join(_fmt_weight(w) + "\n" for w in mod.weights))
-    mults = sorted(mod.weight_multiplicities().items())
-    (tmp / "dims.json").write_text(json.dumps(
-        {"dim": mod.dim, "multiplicities": [[list(w), m] for w, m in mults]}))
     sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
     (tmp / "entry.json").write_text(json.dumps({
         "format_version": CACHE_FORMAT_VERSION,
@@ -178,8 +177,6 @@ def save_module(mod, cache_dir) -> str:
         "cartan": mod.rs.name,
         "weight": list(mod.lam),
         "p": mod.p,
-        "dim": mod.dim,
-        "ops": ops,
         "sha256": sha256,
     }))
     try:
@@ -191,6 +188,12 @@ def save_module(mod, cache_dir) -> str:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _checked(path: Path, sha256: dict) -> Path:
+    if _sha256(path) != sha256[path.name]:
+        raise ValueError(f"{path.name} fails its checksum")
+    return path
 
 
 def load_module(rs: RootSystemData, lam, p: int, cache_dir):
@@ -216,24 +219,21 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
             tuple(meta["weight"]), meta["p"]) != \
             (CACHE_FORMAT_VERSION, key, rs.name, tuple(lam), p):
         raise ValueError("stale cache entry")
-    for fname in ["weights.txt"] + [op[3] for op in meta["ops"]]:
-        if _sha256(path / fname) != meta["sha256"][fname]:
-            raise ValueError(f"{fname} fails its checksum")
-    dim = int(meta["dim"])
-    weights = [tuple(int(x) for x in line.split())
-               for line in (path / "weights.txt").read_text().splitlines()]
-    if len(weights) != dim:
-        raise ValueError("weight list does not have the module dimension")
+    sums = meta["sha256"]
+    weights = [tuple(int(x) for x in line.split()) for line in
+               _checked(path / "weights.txt", sums).read_text().splitlines()]
     mod = CachedModule(rs, p, lam, weights, {})
-    # a missing operator would read as zero, so the list must be exact
-    if [tuple(op) for op in meta["ops"]] != _stored_ops(mod):
-        raise ValueError("operator list does not match the weights")
-    for kind, idx, pe, fname in meta["ops"]:
-        m = read_triplet_text(path / fname)
-        if not isinstance(m, SparsePrimeMatrix) or \
-                (m.p, m.nrows, m.ncols) != (p, dim, dim):
+    ops = _stored_ops(mod)
+    # a missing operator would read as zero, so the manifest must be exact
+    if set(sums) != {"weights.txt"} | {fname for _, _, fname in ops}:
+        raise ValueError("the manifest does not list the operators the "
+                         "weights call for")
+    dim = mod.dim
+    for idx, pe, fname in ops:
+        m = read_triplet_text(_checked(path / fname, sums))
+        if (m.p, m.nrows, m.ncols) != (p, dim, dim):
             raise ValueError(f"{fname} is not a {dim} x {dim} matrix mod {p}")
-        mod._pp[(kind, idx, pe)] = m.to_csr()
+        mod._pp[(idx, pe)] = m.to_csr()
     return mod
 
 
@@ -553,10 +553,7 @@ def _cmd_hilbert(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     rs = build_root_system(cfg.cartan)
     lam = cfg.weights[0]
-    required = int(weyl_dim(rs, lam))
-    if required > cfg.size_ceiling:
-        raise SizeCeilingExceeded(required, cfg.size_ceiling)
-    mod = build_weyl_module_p(rs, cfg.p, lam)
+    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, None)
     p_wit = validate_relations(mod)
     lat = build_weyl_lattice(rs, lam)
     z_wit = validate_lattice_relations(lat)

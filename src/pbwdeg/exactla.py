@@ -5,8 +5,8 @@ mod-p work is done natively over F_p (int rows, explicit modular inverse),
 never by reducing a rational computation.
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
-for matrices is one header line ``nrows ncols modulus`` (modulus ``Z`` or a
-prime) followed by ``row col value`` lines sorted by (row, col).
+for matrices mod p is one header line ``nrows ncols p`` followed by
+``row col value`` lines sorted by (row, col).
 """
 
 from __future__ import annotations
@@ -101,26 +101,23 @@ class SparsePrimeMatrix:
         return out
 
 
-def write_triplet_text(m: SparseIntMatrix | SparsePrimeMatrix, path) -> None:
-    modulus = "Z" if isinstance(m, SparseIntMatrix) else str(m.p)
-    lines = [f"{m.nrows} {m.ncols} {modulus}"]
+def write_triplet_text(m: SparsePrimeMatrix, path) -> None:
+    lines = [f"{m.nrows} {m.ncols} {m.p}"]
     for (r, c) in sorted(m.entries):
         lines.append(f"{r} {c} {m.entries[(r, c)]}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_triplet_text(path) -> SparseIntMatrix | SparsePrimeMatrix:
+def read_triplet_text(path) -> SparsePrimeMatrix:
     lines = Path(path).read_text().splitlines()
-    nr, nc, modulus = lines[0].split()
+    nr, nc, p = lines[0].split()
     entries: dict[tuple[int, int], int] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
         r, c, v = line.split()
         entries[(int(r), int(c))] = int(v)
-    if modulus == "Z":
-        return SparseIntMatrix(int(nr), int(nc), entries)
-    return SparsePrimeMatrix(int(nr), int(nc), int(modulus), entries)
+    return SparsePrimeMatrix(int(nr), int(nc), int(p), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +208,6 @@ class LatticeBasis:
             vec_add_scaled(v, row, -q)
         return coords if not v else None
 
-    def contains(self, v) -> bool:
-        return self.solve(v) is not None
-
 
 # ---------------------------------------------------------------------------
 # prime fields
@@ -241,7 +235,7 @@ class DenseEchelonModP:
     """Incremental reduced row echelon form over F_p on int64 numpy rows.
 
     Rows are kept fully reduced (unit pivots, zeros above and below), so the
-    coordinates of a member vector can be read off at the pivot columns.
+    residue of a vector is canonical.
     """
 
     def __init__(self, p: int, width: int):
@@ -297,15 +291,6 @@ class DenseEchelonModP:
 
     def contains(self, vec: np.ndarray) -> bool:
         return not np.any(self._reduce(vec))
-
-    def coords(self, vec: np.ndarray) -> np.ndarray | None:
-        """Coordinates w.r.t. the insertion-ordered basis rows, or None."""
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        c = vec[self.pivot_cols] if self._n else np.zeros(0, dtype=np.int64)
-        resid = (vec - c @ self._rows[:self._n]) % self.p
-        if np.any(resid):
-            return None
-        return c
 
 
 def subspace_intersection_mod_p(u_basis, w_basis, p: int) -> list[list[int]]:

@@ -896,8 +896,10 @@ class ModuleP:
         return dict(Counter(self.weights))
 
     def max_power(self, beta: Root) -> int:
+        m = self.rs.coroot_coords(beta)
         return max((pr for mu in set(self.weights)
-                    if (pr := self.rs.pairing(mu, beta)) > 0), default=0)
+                    if (pr := sum(a * b for a, b in zip(mu, m))) > 0),
+                   default=0)
 
     def hw_vector(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.int64)

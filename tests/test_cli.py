@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from pbwdeg import cli as cli_module
-from pbwdeg.cli import cache_key, load_module, main, save_module
+from pbwdeg import cli as cli_module, weylmod
+from pbwdeg.cli import _stored_ops, cache_key, load_module, main, save_module
 from pbwdeg.rootsys import build_root_system, splitting_weight
-from pbwdeg.weylmod import build_weyl_module_p
+from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p
 
 
 def run_cli(capsys, *argv):
@@ -355,7 +355,7 @@ def test_cache_cold_then_warm_identical(tmp_path, capsys):
     entry_dir = tmp_path / key
     assert (entry_dir / "entry.json").is_file()
     assert (entry_dir / "weights.txt").is_file()
-    assert (entry_dir / "dims.json").is_file()
+    assert not (entry_dir / "dims.json").exists()
     assert any(f.name.startswith("op_") for f in entry_dir.iterdir())
     code2, out2, err2 = run_cli(capsys, *args)
     assert code2 == 0
@@ -372,29 +372,34 @@ def test_cache_round_trip_operator_identity(tmp_path):
     assert loaded.dim == fresh.dim
     assert tuple(loaded.weights) == tuple(fresh.weights)
     assert loaded.hw_index == fresh.hw_index
-    for kind in ("E", "F"):
-        for beta in rs.positive_roots:
-            for k in (1, 2, 3):
-                a = fresh.op(kind, beta, k).toarray() % 2
-                b = loaded.op(kind, beta, k).toarray() % 2
-                assert np.array_equal(a, b), (kind, beta, k)
+    for beta in rs.positive_roots:
+        for k in (1, 2, 3):
+            a = fresh.op("F", beta, k).toarray() % 2
+            b = loaded.op("F", beta, k).toarray() % 2
+            assert np.array_equal(a, b), (beta, k)
+    # raising operators are not cached; they must not read as zero
+    with pytest.raises(ValueError):
+        loaded.op("E", rs.positive_roots[0], 1)
 
 
 def test_cache_version_mismatch_forces_recompute(tmp_path, capsys):
+    """A future format and the previous one (2, which also stored the
+    raising operators and dims.json) are both stale misses."""
     args = ("pbw-dims", "--cartan", "A1", "--weight", "4", "--p", "2",
             "--format", "json", "--cache-dir", str(tmp_path))
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     key = cache_key("A1", (4,), 2)
     meta_path = tmp_path / key / "entry.json"
-    meta = json.loads(meta_path.read_text())
-    meta["format_version"] = 999
-    meta_path.write_text(json.dumps(meta))
     rs = build_root_system("A1")
-    assert load_module(rs, (4,), 2, tmp_path) is None
-    code, out2, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert out2 == out1
+    for version in (999, 2):
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = version
+        meta_path.write_text(json.dumps(meta))
+        assert load_module(rs, (4,), 2, tmp_path) is None
+        code, out2, err = run_cli(capsys, *args)
+        assert code == 0 and err.startswith("cache miss"), err
+        assert out2 == out1
 
 
 def test_cached_module_drives_check_f0(tmp_path, capsys):
@@ -423,16 +428,18 @@ def _drop_line_2(path):
 
 
 def _drop_op_f_r2_k1(path):
-    """entry.json has no checksum of its own: delete one item of its
-    operator list, which a trusting reader would take as a zero operator."""
+    """entry.json has no checksum of its own: drop one operator from its
+    sha256 map and delete the file, which a trusting reader would take as
+    a zero operator."""
     meta = json.loads(path.read_text())
-    meta["ops"] = [op for op in meta["ops"] if op[3] != "op_F_r2_k1.txt"]
+    del meta["sha256"]["op_F_r2_k1.txt"]
     path.write_text(json.dumps(meta))
+    (path.parent / "op_F_r2_k1.txt").unlink()
 
 
 @pytest.mark.parametrize("corrupt,fname", [
     (_flip_last_digit, "weights.txt"),
-    (_flip_last_digit, "op_E_r0_k1.txt"),
+    (_flip_last_digit, "op_F_r0_k1.txt"),
     (_drop_line_2, "op_F_r2_k1.txt"),
     (_drop_op_f_r2_k1, "entry.json"),
 ])
@@ -452,6 +459,51 @@ def test_corrupted_payload_is_a_miss_and_replaced(tmp_path, capsys, corrupt,
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (0, fresh)
     assert err.startswith("cache hit"), err
+
+
+def test_every_entry_file_is_load_bearing(tmp_path, capsys):
+    """Whatever file of an entry is corrupted, the entry is a miss: the
+    fresh stdout is printed and the rebuilt entry serves the next run."""
+    args = ("check-f0", "--cartan", "A2", "--p", "2", "--format", "csv",
+            "--cache-dir", str(tmp_path))
+    code, fresh, err = run_cli(capsys, *args)
+    assert code == 0 and err.startswith("cache miss")
+    entry = tmp_path / cache_key("A2", (2, 2), 2)
+    names = sorted(f.name for f in entry.iterdir())
+    assert "entry.json" in names and "weights.txt" in names
+    for name in names:
+        _flip_last_digit(entry / name)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (0, fresh)
+        assert err.startswith("cache miss"), (name, err)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (0, fresh)
+        assert err.startswith("cache hit"), (name, err)
+
+
+def test_cold_check_f0_stores_only_lowering_operators(tmp_path, capsys,
+                                                      monkeypatch):
+    """No raising operator is assembled on a cold cached check-f0, and the
+    entry holds exactly the manifest, the weights and the F operators."""
+    kinds = []
+    real = WeylModuleP._ppower
+
+    def recording(self, kind, beta, k):
+        kinds.append(kind)
+        return real(self, kind, beta, k)
+
+    monkeypatch.setattr(WeylModuleP, "_ppower", recording)
+    monkeypatch.setattr(weylmod, "_MODP_CACHE", {})  # no module built earlier
+    code, _, err = run_cli(capsys, "check-f0", "--cartan", "A2", "--p", "2",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0 and err.startswith("cache miss")
+    assert kinds and set(kinds) == {"F"}
+    rs = build_root_system("A2")
+    mod = load_module(rs, (2, 2), 2, tmp_path)
+    assert mod is not None
+    entry = tmp_path / cache_key("A2", (2, 2), 2)
+    assert {f.name for f in entry.iterdir()} == \
+        {"entry.json", "weights.txt"} | {f for _, _, f in _stored_ops(mod)}
 
 
 def test_entry_without_highest_weight_line_is_a_miss(tmp_path, capsys):
