@@ -27,9 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-import scipy.sparse as sp
-
 from . import __version__
 from .chevrep import NonIntegralDividedPower, chevalley_constants
 from .degenring import (check_degree_one_generation, check_mult_surjective,
@@ -133,13 +130,10 @@ class CachedModule(ModuleP):
     # the tracer wraps op per class by name (ROADMAP item 3)
     op = ModuleP.op
 
-    def _ppower(self, kind: str, beta, pe: int) -> sp.csr_matrix:
+    def _ppower(self, kind: str, beta, pe: int) -> dict:
         if kind != "F":
             raise ValueError("a cached module holds no raising operator")
-        m = self._pp.get((self.rs.root_index(beta), pe))
-        if m is None:
-            return sp.csr_matrix((self.dim, self.dim), dtype=np.int64)
-        return m
+        return self._pp.get((self.rs.root_index(beta), pe), {})
 
 
 def _stored_ops(mod: ModuleP) -> list[tuple[int, int, str]]:
@@ -233,7 +227,7 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
         m = read_triplet_text(_checked(path / fname, sums))
         if (m.p, m.nrows, m.ncols) != (p, dim, dim):
             raise ValueError(f"{fname} is not a {dim} x {dim} matrix mod {p}")
-        mod._pp[(idx, pe)] = m.to_csr()
+        mod._pp[(idx, pe)] = mod.group(m.to_csr())
     return mod
 
 

@@ -133,8 +133,7 @@ class CartanComponentMap:
             if t is None or not t.rank:
                 continue
             left = DenseEchelonModP(self.p, t.width)
-            for r in t.residue(rows):
-                left.add_row(r)
+            left.add_rows(t.residue(rows))
             total += rows.shape[0] - left.rank
         return total
 
@@ -219,8 +218,8 @@ def _degree_table(cm: CartanComponentMap):
         grdims.append(a - cm.meet_dim(cm.image_rows_by_weight(n), t_ech))
         t_rows = cm.t_rows_by_weight(n)
         for w, ech in t_ech.items():
-            for row in t_rows.get(w, ())[ech.rank:]:
-                ech.add_row(row)
+            if w in t_rows:
+                ech.add_rows(t_rows[w][ech.rank:])
         b = cm.meet_dim(image_full, t_ech)
         table.append((n, a, b))
         if a == cm.rank_phi and b == cm.rank_phi:

@@ -2,7 +2,8 @@
 
 Z-side lattices use Hermite normal form with arbitrary-precision ints;
 mod-p work is done natively over F_p (int rows, explicit modular inverse),
-never by reducing a rational computation.
+never by reducing a rational computation.  Dense mod-p products go through
+matmul_mod, in float64 BLAS only while every partial sum is exact there.
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
 for matrices mod p is one header line ``nrows ncols p`` followed by
@@ -227,6 +228,28 @@ def require_int64_safe(p: int, width: int) -> None:
                          f"{limit}")
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, exactly, for matrices of residues in [0, p)
+    held as int64 or float64.
+
+    Each entry is a sum of `width` products below (p - 1)^2.  When that sum
+    stays below 2^53 every partial sum is an integer that float64 holds
+    exactly, whatever order BLAS adds in, so the product runs in float64
+    BLAS with one reduction at the end (the delayed modular reduction of
+    FFLAS-FFPACK).  Otherwise it runs in int64 under require_int64_safe,
+    which also keeps p below 2^32, so float64 inputs hold their residues
+    exactly.
+    """
+    width = a.shape[-1]
+    if width * (p - 1) ** 2 < 1 << 53:
+        out = a.astype(np.float64, copy=False) @ \
+            b.astype(np.float64, copy=False)
+        return out.astype(np.int64) % p
+    require_int64_safe(p, width)
+    return (a.astype(np.int64, copy=False) @
+            b.astype(np.int64, copy=False)) % p
+
+
 def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), -1, p)
 
@@ -260,16 +283,45 @@ class DenseEchelonModP:
         if self._n:
             coeffs = vec[..., self.pivot_cols]
             if np.any(coeffs):
-                vec = (vec - coeffs @ self._rows[:self._n]) % self.p
+                vec = (vec - matmul_mod(coeffs, self._rows[:self._n],
+                                        self.p)) % self.p
         return vec
 
+    def add_rows(self, mat: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Add the rows of mat in order; returns the indices of the rows that
+        were independent of the span so far and those rows as stored at
+        acceptance (reduced, unit pivot), exactly as add_row would store them
+        one at a time.
+
+        The whole batch is reduced against the stored rows by one product;
+        each accepted row then clears its pivot column from the rows after
+        it, which is what reducing them against it would do.
+        """
+        res = self._reduce(np.atleast_2d(mat))
+        p = self.p
+        taken = []
+        i = 0
+        while self._n < self.width:
+            live = np.flatnonzero(res[i:].any(axis=1))
+            if not live.size:
+                break
+            i += int(live[0])
+            c = int(np.argmax(res[i] != 0))
+            vec = res[i] = (res[i] * _inv_mod(res[i, c], p)) % p
+            self._insert(c, vec)
+            taken.append(i)
+            i += 1
+            rest = res[i:]
+            hit = np.flatnonzero(rest[:, c])
+            if hit.size:
+                rest[hit] = (rest[hit] - np.outer(rest[hit, c], vec)) % p
+        return taken, res[taken]
+
     def add_row(self, vec: np.ndarray) -> bool:
-        vec = self._reduce(vec)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        vec = (vec * _inv_mod(vec[c], self.p)) % self.p
+        return bool(self.add_rows(vec)[0])
+
+    def _insert(self, c: int, vec: np.ndarray) -> None:
+        """Store a reduced row with unit pivot in column c."""
         if self._n == self._rows.shape[0]:
             grown = np.zeros((2 * self._n, self.width), dtype=np.int64)
             grown[:self._n] = self._rows[:self._n]
@@ -284,7 +336,6 @@ class DenseEchelonModP:
         self._rows[self._n] = vec
         self.pivot_cols.append(c)
         self._n += 1
-        return True
 
     def residue(self, vec: np.ndarray) -> np.ndarray:
         return self._reduce(vec)

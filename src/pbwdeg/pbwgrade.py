@@ -26,9 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import __version__
-from .exactla import DenseEchelonModP, SparsePrimeMatrix
+from .exactla import DenseEchelonModP, SparsePrimeMatrix, matmul_mod
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
-from .weylmod import ModuleP, WeightBlocks, build_weyl_module_p, weyl_dim
+from .weylmod import (ModuleP, WeightBlocks, block_dense, build_weyl_module_p,
+                      weyl_dim)
 
 log = logging.getLogger(__name__)
 
@@ -107,11 +108,10 @@ class _FiltBlock:
     def full(self) -> bool:
         return self.ech.rank == len(self.indices)
 
-    def insert(self, row: np.ndarray, degree: int) -> np.ndarray | None:
-        if not self.ech.add_row(row):
-            return None
-        stored = self.ech.basis_matrix()[self.ech.rank - 1].copy()
-        self.tagged.append((degree, stored))
+    def insert(self, rows: np.ndarray, degree: int) -> np.ndarray:
+        """Add rows in order; returns those accepted, as stored."""
+        stored = self.ech.add_rows(rows)[1]
+        self.tagged.extend((degree, r) for r in stored)
         return stored
 
     def rows_upto(self, n: int) -> np.ndarray:
@@ -131,10 +131,11 @@ def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
 def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     """Degree-tagged span of the seed under p-power lowering operators.
 
-    `space` provides rs, p, dim, weights (one per coordinate) and
-    op(kind, beta, k) -> csr matrix.  Returns (blocks, dims) where
-    dims[n] = dim V_n for the degrees actually processed; the walk stops
-    early once the span reaches `target` dimensions.
+    `space` provides rs, p, weights (one per coordinate) and
+    block_ops(kind, beta, k) -> block operator (WeightBlocks).  Returns
+    (blocks, dims) where dims[n] = dim V_n for the degrees actually
+    processed; the walk stops early once the span reaches `target`
+    dimensions.
     """
     rs, p = space.rs, space.p
     weights = space.weights
@@ -168,16 +169,8 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     total = 1
     last_new = 0
 
-    # operators grouped by weight block, kept for this call only
-    op_cache: dict[tuple, object] = {}
-
-    def get_op(beta, k):
-        key = (beta, k)
-        if key not in op_cache:
-            m = space.op("F", beta, k).tocoo()
-            op_cache[key] = layout.group(m.row, m.col, m.data) \
-                if m.nnz else None
-        return op_cache[key]
+    ops: dict[tuple, dict] = {}  # block operators, fetched when first used
+    shifts = [(beta, rs.root_fund(beta)) for beta in rs.positive_roots]
 
     n = 0
     while n < bound and (target is None or total != target):
@@ -190,27 +183,24 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
             if src is None or pe > n:
                 continue
             for w, rows in src.items():
-                rows_mat = np.array(rows, dtype=np.int64)
-                for beta in rs.positive_roots:
-                    shift = rs.root_fund(beta)
+                rows_mat = np.vstack(rows)
+                for beta, shift in shifts:
                     dst_w = tuple(a - pe * s for a, s in zip(w, shift))
                     dst = blocks.get(dst_w)
                     if dst is None or dst.full:
                         continue
-                    op = get_op(beta, pe)
-                    if op is None:
+                    if (beta, pe) not in ops:
+                        ops[beta, pe] = space.block_ops("F", beta, pe)
+                    entry = ops[beta, pe].get(w)
+                    if entry is None:
                         continue
-                    sub = WeightBlocks.restrict(
-                        op, layout.number[w],
-                        (len(dst.indices), len(blocks[w].indices)))
-                    if sub.nnz == 0:
-                        continue
-                    images = (rows_mat @ sub.toarray().T) % p
-                    for img in images:
-                        stored = dst.insert(img, n)
-                        if stored is not None:
-                            added.setdefault(dst_w, []).append(stored)
-                            total += 1
+                    _, r, c, v = entry
+                    opm_t = block_dense((rows_mat.shape[1], len(dst.indices)),
+                                        c, r, v)
+                    stored = dst.insert(matmul_mod(rows_mat, opm_t, p), n)
+                    if len(stored):
+                        added.setdefault(dst_w, []).append(stored)
+                        total += len(stored)
         if added:
             frontier[n] = added
             last_new = n
@@ -264,8 +254,7 @@ class PBWGraded:
             if not local.any():
                 continue
             ech = DenseEchelonModP(self.p, len(blk.indices))
-            for row in blk.rows_upto(n):
-                ech.add_row(row)
+            ech.add_rows(blk.rows_upto(n))
             if not ech.contains(local):
                 return False
             # account for support outside every block is impossible: the

@@ -44,6 +44,7 @@ from .exactla import (
     SparseIntMatrix,
     SparsePrimeMatrix,
     Vec,
+    matmul_mod,
     require_int64_safe,
 )
 from .rootsys import IntegrityError, Root, RootSystemData, Weight, star_weight
@@ -226,10 +227,10 @@ def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def kron_coproduct(factor_op, dims, k: int, p: int):
     """Coproduct of a divided power on a tensor product, mod p.
 
-    factor_op(j, a) is the csr matrix of the a-th divided power on factor j
-    (a = 0 the identity), dims the factor dimensions.  Delta(X^(k)) is the
-    sum over compositions k_1 + ... + k_m = k of X^(k_1) (x) ... (x)
-    X^(k_m); the partial sums over the trailing factors,
+    factor_op(j, a) gives the a-th divided power on factor j (a = 0 the
+    identity) as COO arrays (rows, cols, vals), dims the factor dimensions.
+    Delta(X^(k)) is the sum over compositions k_1 + ... + k_m = k of
+    X^(k_1) (x) ... (x) X^(k_m); the partial sums over the trailing factors,
     S_j(r) = sum_a X_j^(a) (x) S_{j+1}(r - a), are formed once each.
     Flat indices are row major over the factors, matching np.kron.
 
@@ -251,7 +252,7 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
                 rest = tail.get(r - a)
                 if rest is None or not rest[0].size:
                     continue
-                fr, fc, fv = _coo(factor_op(j, a))
+                fr, fc, fv = factor_op(j, a)
                 if not fr.size:
                     continue
                 rr, rc, rv = rest
@@ -304,19 +305,18 @@ class FundFactor:
         self._cols[key] = cols
         return cols
 
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        """Divided power as a csr matrix mod p."""
+    def coo(self, kind: str, beta: Root, k: int):
+        """Divided power as int64 COO arrays (rows, cols, vals)."""
         key = (kind, beta, k)
         if key not in self._ops:
-            rows, cols, data = [], [], []
+            rows, cols, vals = [], [], []
             for c, pairs in self.op_cols(kind, beta, k).items():
                 for r, v in pairs:
                     rows.append(r)
                     cols.append(c)
-                    data.append(v)
-            self._ops[key] = sp.csr_matrix(
-                (data, (rows, cols)), shape=(self.dim, self.dim),
-                dtype=np.int64)
+                    vals.append(v)
+            self._ops[key] = tuple(np.array(x, dtype=np.int64)
+                                   for x in (rows, cols, vals))
         return self._ops[key]
 
 
@@ -324,8 +324,9 @@ class WeightBlocks:
     """Coordinates grouped into weight blocks, in order of first appearance.
 
     Each coordinate gets its block number and its position inside the
-    block, so the entries of a weight-homogeneous operator can be grouped
-    by source block once and every block pair sliced out as csr.
+    block.  A weight-homogeneous operator is held as a block operator: a
+    dict from source weight to (target weight, rows, cols, values), rows
+    and cols local to the target and source blocks, one entry per nonzero.
     """
 
     def __init__(self, weights):
@@ -333,31 +334,61 @@ class WeightBlocks:
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
         self.flats = groups
-        self.number = {w: b for b, w in enumerate(groups)}
+        self.keys = list(groups)
         self.block_of = np.empty(len(weights), dtype=np.int32)
         self.block_pos = np.empty(len(weights), dtype=np.int32)
         for b, ix in enumerate(groups.values()):
             self.block_of[ix] = b
             self.block_pos[ix] = np.arange(len(ix))
+        # the flat indices block after block, where each block starts, and
+        # the place of each flat index in that order
+        self._flat = np.array([i for ix in groups.values() for i in ix],
+                              dtype=np.int64)
+        self._start = dict(zip(groups, np.cumsum(
+            [0] + [len(ix) for ix in groups.values()])[:-1].tolist()))
+        self._place = np.empty(len(weights), dtype=np.int64)
+        self._place[self._flat] = np.arange(len(weights))
 
-    def group(self, rows, cols, vals):
-        """Operator entries (COO arrays) in block-local coordinates, sorted
-        by source block and then by local row, with the start of each
-        source block's run."""
-        src = self.block_of[cols]
-        rows, cols = self.block_pos[rows], self.block_pos[cols]
-        order = np.lexsort((cols, rows, src))
-        starts = np.searchsorted(src[order], np.arange(len(self.flats) + 1))
-        return starts, rows[order], cols[order], vals[order]
+    def group(self, rows, cols, vals) -> dict:
+        """The block operator of the entries given as COO arrays in global
+        coordinates, each block's entries sorted by local column, then row.
 
-    @staticmethod
-    def restrict(grouped, b: int, shape) -> sp.csr_matrix:
-        """The grouped operator from source block b into the one block its
-        weight shift reaches, as a csr matrix of the given shape."""
-        starts, rows, cols, vals = grouped
-        lo, hi = starts[b], starts[b + 1]
-        indptr = np.searchsorted(rows[lo:hi], np.arange(shape[0] + 1))
-        return sp.csr_matrix((vals[lo:hi], cols[lo:hi], indptr), shape=shape)
+        Densifying a block by assignment would keep only one of two equal
+        entries, and a source block reaching two target blocks has no block
+        form, so either is an IntegrityError.
+        """
+        order = np.argsort(self._place[cols] * len(self.block_pos)
+                           + self.block_pos[rows])
+        src, dst = self.block_of[cols][order], self.block_of[rows][order]
+        rows, cols = self.block_pos[rows][order], self.block_pos[cols][order]
+        vals = vals[order]
+        same = src[1:] == src[:-1]
+        if np.any(same & (dst[1:] != dst[:-1])):
+            raise IntegrityError("an operator is not weight homogeneous")
+        if np.any(same & (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise IntegrityError("an operator lists one entry twice")
+        cuts = np.flatnonzero(~same) + 1
+        return {self.keys[src[lo]]: (self.keys[dst[lo]], rows[lo:hi],
+                                     cols[lo:hi], vals[lo:hi])
+                for lo, hi in zip([0, *cuts], [*cuts, len(src)])
+                if lo < hi}
+
+    def coo(self, ops: dict):
+        """A block operator as int64 COO arrays in global coordinates."""
+        flat, start = self._flat, self._start
+        parts = [(flat[start[d] + r], flat[start[s] + c], v)
+                 for s, (d, r, c, v) in ops.items()]
+        if not parts:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def block_dense(shape, rows, cols, vals) -> np.ndarray:
+    """One block of a block operator as a dense matrix, in float64, which
+    holds every residue matmul_mod accepts exactly."""
+    out = np.zeros(shape)
+    out[rows, cols] = vals
+    return out
 
 
 class TensorAmbient:
@@ -405,8 +436,10 @@ class TensorAmbient:
 
     @property
     def weights(self) -> tuple[Weight, ...]:
-        """Weight of every flat index."""
-        return tuple(map(self.weight_of, range(self.dim)))
+        """Weight of every flat index (row major over the factors)."""
+        zero = (0,) * self.rs.rank
+        return tuple(tuple(map(sum, zip(zero, *ws)))
+                     for ws in product(*(f.weights for f in self.factors)))
 
     @cached_property
     def _layout(self) -> WeightBlocks:
@@ -466,7 +499,7 @@ class TensorAmbient:
             self._scope = None
 
     def _coproduct(self, kind: str, beta: Root, k: int):
-        return kron_coproduct(lambda j, a: self.factors[j].op(kind, beta, a),
+        return kron_coproduct(lambda j, a: self.factors[j].coo(kind, beta, a),
                               self.dims, k, self.p)
 
     def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
@@ -475,7 +508,10 @@ class TensorAmbient:
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
                              dtype=np.int64)
 
-    def _grouped_op(self, kind: str, beta: Root, k: int):
+    def block_ops(self, kind: str, beta: Root, k: int) -> dict:
+        """A divided power on the whole ambient as a block operator mod p
+        (WeightBlocks), assembled by kron_coproduct once per op inside
+        op_scope(), else once per call."""
         key = (kind, beta, k)
         if self._scope is not None and key in self._scope:
             return self._scope[key]
@@ -486,20 +522,21 @@ class TensorAmbient:
 
     def block_op_matrix(self, kind: str, beta: Root, k: int,
                         src_flats, dst_index: dict[int, int]) -> sp.csr_matrix:
-        """Matrix of the op from one weight block to another, mod p.
+        """Matrix of the op from one weight block to another, mod p: a csr
+        view of one block of block_ops.
 
         src_flats and dst_index must be whole weight blocks of blocks(),
-        in that order.  The ambient operator is assembled by
-        kron_coproduct once per op inside op_scope(), else once per call.
+        in that order.
         """
         if self.p is None:
             raise ValueError("block_op_matrix needs an ambient over F_p")
         shape = (len(dst_index), len(src_flats))
-        if not len(src_flats):
+        entry = self.block_ops(kind, beta, k).get(
+            self.weight_of(src_flats[0])) if len(src_flats) else None
+        if entry is None:
             return sp.csr_matrix(shape, dtype=np.int64)
-        return WeightBlocks.restrict(self._grouped_op(kind, beta, k),
-                                     self._layout.block_of[src_flats[0]],
-                                     shape)
+        _, rows, cols, vals = entry
+        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +800,8 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 
 class _PBlock:
     """Weight space of a span over F_p: an echelon of the ambient's block of
-    that weight, pushed through block_op_matrix and capped at the weight
-    multiplicity in mults."""
+    that weight, pushed through the ambient's block_ops; pushes stop once
+    it reaches the weight multiplicity in mults."""
 
     def __init__(self, weight: Weight, ambient: TensorAmbient, mults: dict):
         self.weight = weight
@@ -800,11 +837,13 @@ class _PBlock:
              dst: "_PBlock") -> None:
         if dst.saturated or not dst.flats:
             return
-        opm = ambient.block_op_matrix("F", alpha, k, self.flats, dst.index)
-        for row in (opm @ self.rows.T).T % self.ech.p:
-            if dst.saturated:
-                break
-            dst.ech.add_row(row)
+        entry = ambient.block_ops("F", alpha, k).get(self.weight)
+        if entry is None:
+            return
+        _, rows, cols, vals = entry
+        opm_t = block_dense((len(self.flats), len(dst.flats)), cols, rows,
+                            vals)
+        dst.ech.add_rows(matmul_mod(self.rows, opm_t, self.ech.p))
 
 
 def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
@@ -817,7 +856,7 @@ def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
 
 def _is_ppower_digit(p: int, k: int) -> bool:
     """k is p^e for some e, i.e. a single base p digit equal to 1."""
-    while k % p == 0:
+    while k and k % p == 0:
         k //= p
     return k == 1
 
@@ -870,10 +909,11 @@ class ModuleP:
     """Weyl module over F_p as an operator interface.
 
     Holds the weight of every basis index and finds the highest weight
-    line among them.  op() validates, caches and assembles divided powers;
-    a subclass supplies only _ppower(kind, beta, p^e), the matrix of a
-    p-power divided power.  General k is assembled from those by
-    lucas_assemble: the product of the p-power factors is a unit multiple
+    line among them.  A subclass supplies only _ppower(kind, beta, p^e),
+    the p-power divided power as a block operator (WeightBlocks); that is
+    the one stored form of the operator, kept by block_ops().  op() is the
+    csr view: of the stored form for p-powers, and for general k the
+    product lucas_assemble forms from the p-power factors, a unit multiple
     of the divided power because the base p digits of k add without
     carries.
     """
@@ -890,7 +930,9 @@ class ModuleP:
                 f"the highest weight {self.lam} has multiplicity {mult} "
                 f"in a module of {rs.name} over F_{p}, expected 1")
         self.hw_index = self.weights.index(self.lam)
+        self.layout = WeightBlocks(self.weights)
         self._op_cache: dict = {}
+        self._block_cache: dict = {}
 
     def weight_multiplicities(self) -> dict[Weight, int]:
         return dict(Counter(self.weights))
@@ -906,31 +948,61 @@ class ModuleP:
         v[self.hw_index] = 1
         return v
 
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        """Matrix of a divided power of a root operator, mod p."""
+    def _check(self, kind: str, beta: Root) -> None:
         if kind not in ("E", "F"):
             raise ValueError(kind)
         if beta not in self.rs.positive_roots:
             raise ValueError(f"{beta} is not a positive root")
+
+    def group(self, m) -> dict:
+        """A sparse matrix on the module as a block operator."""
+        return self.layout.group(*_coo(m))
+
+    def block_ops(self, kind: str, beta: Root, k: int) -> dict:
+        """A divided power of a root operator as a block operator mod p."""
+        self._check(kind, beta)
+        if not _is_ppower_digit(self.p, k):
+            return self.group(self.op(kind, beta, k))
         key = (kind, beta, k)
-        if key in self._op_cache:
-            return self._op_cache[key]
-        if k == 0:
-            out = sp.identity(self.dim, dtype=np.int64, format="csr")
-        elif _is_ppower_digit(self.p, k):
-            out = self._ppower(kind, beta, k)
-        else:
-            out = lucas_assemble(self.p, self.dim, k,
-                                 lambda pw: self.op(kind, beta, pw))
-        self._op_cache[key] = out
-        return out
+        if key not in self._block_cache:
+            self._block_cache[key] = self._ppower(kind, beta, k)
+        return self._block_cache[key]
+
+    def coo(self, kind: str, beta: Root, k: int):
+        """op() as int64 COO arrays (rows, cols, vals)."""
+        if _is_ppower_digit(self.p, k):
+            return self.layout.coo(self.block_ops(kind, beta, k))
+        return _coo(self.op(kind, beta, k))
+
+    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
+        """Matrix of a divided power of a root operator, mod p."""
+        self._check(kind, beta)
+        if _is_ppower_digit(self.p, k):
+            rows, cols, vals = self.coo(kind, beta, k)
+            return sp.csr_matrix((vals, (rows, cols)),
+                                 shape=(self.dim, self.dim), dtype=np.int64)
+        key = (kind, beta, k)
+        if key not in self._op_cache:
+            self._op_cache[key] = sp.identity(
+                self.dim, dtype=np.int64, format="csr") if k == 0 else \
+                lucas_assemble(self.p, self.dim, k,
+                               lambda pw: self.op(kind, beta, pw))
+        return self._op_cache[key]
 
     def inject_fault(self, kind: str, beta: Root, k: int,
                      row: int, col: int, delta: int) -> None:
-        """Perturb one entry of a cached operator matrix (for testing)."""
+        """Perturb one entry of a stored operator (for testing): the block
+        operator of a p-power, which the filtration reads, else the cached
+        csr matrix.  A p-power entry outside its weight blocks has no block
+        form (IntegrityError)."""
         m = self.op(kind, beta, k).tolil(copy=True)
         m[row, col] = (m[row, col] + delta) % self.p
-        self._op_cache[(kind, beta, k)] = m.tocsr()
+        m = m.tocsr()
+        m.eliminate_zeros()
+        if _is_ppower_digit(self.p, k):
+            self._block_cache[(kind, beta, k)] = self.group(m)
+        else:
+            self._op_cache[(kind, beta, k)] = m
 
 
 class WeylModuleP(ModuleP):
@@ -953,29 +1025,34 @@ class WeylModuleP(ModuleP):
     def block_rows(self, weight: Weight) -> np.ndarray:
         return self._by_weight[weight].rows
 
-    def _ppower(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        shift = self.rs.root_fund(beta)
-        if kind == "F":
-            shift = _neg(shift)
-        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    def _ppower(self, kind: str, beta: Root, k: int) -> dict:
+        """The ambient operator on each block's rows, in the target block's
+        basis; raises IntegrityError unless the images lie in the span."""
+        out = {}
+        p = self.p
         with self.ambient.op_scope():
+            ops = self.ambient.block_ops(kind, beta, k)
             for blk in self.blocks:
-                target = _add(blk.weight, tuple(k * x for x in shift))
-                dst = self._by_weight.get(target)
+                entry = ops.get(blk.weight)
+                if entry is None:
+                    continue
+                to, rows, cols, vals = entry
+                dst = self._by_weight.get(to)
                 if dst is None:
                     continue  # the target weight space is zero
-                opm = self.ambient.block_op_matrix(kind, beta, k,
-                                                   blk.flats, dst.index)
-                images = (opm @ blk.rows.T).T % self.p
+                opm_t = block_dense((len(blk.flats), len(dst.flats)), cols,
+                                    rows, vals)
+                images = matmul_mod(blk.rows, opm_t, p)
                 coords = images[:, dst.pivots]
-                if not np.array_equal((coords @ dst.rows) % self.p, images):
+                if not np.array_equal(matmul_mod(coords, dst.rows, p),
+                                      images):
                     raise IntegrityError(
                         f"module not closed under {kind}^({k}) at {beta}")
                 i, j = np.nonzero(coords)
-                parts.append((dst.offset + j, blk.offset + i, coords[i, j]))
-        rows, cols, data = map(np.concatenate, zip(*parts))
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.dim, self.dim), dtype=np.int64)
+                if i.size:
+                    out[blk.weight] = (dst.weight, j.astype(np.int32),
+                                       i.astype(np.int32), coords[i, j])
+        return out
 
 
 def validate_relations(mod: ModuleP) -> list[RelationWitness]:
@@ -1121,9 +1198,10 @@ class LatticeModuleP(ModuleP):
     # the tracer wraps op per class by name (ROADMAP item 3)
     op = ModuleP.op
 
-    def _ppower(self, kind: str, beta: Root, pe: int) -> sp.csr_matrix:
+    def _ppower(self, kind: str, beta: Root, pe: int) -> dict:
         entries = self.lattice.op_int(kind, beta, pe).entries
-        return SparsePrimeMatrix(self.dim, self.dim, self.p, entries).to_csr()
+        return self.group(SparsePrimeMatrix(self.dim, self.dim, self.p,
+                                            entries).to_csr())
 
 
 # ---------------------------------------------------------------------------

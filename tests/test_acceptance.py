@@ -190,7 +190,7 @@ def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
 def test_defect_detectors_locate_injected_faults():
     mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
     assert validate_relations(mod) == []
-    mod.inject_fault("F", (1, 0), 1, row=1, col=mod.hw_index, delta=1)
+    mod.inject_fault("F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
     witnesses = validate_relations(mod)
     assert witnesses
     assert all(0 <= w.basis_index < mod.dim for w in witnesses)

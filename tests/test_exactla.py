@@ -7,6 +7,8 @@ entries above a pivot reduced into [0, pivot), rows ordered by pivot column.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +18,12 @@ from pbwdeg.exactla import (
     IncrementalHNF,
     LatticeBasis,
     SparsePrimeMatrix,
+    matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
     write_triplet_text,
 )
+from pbwdeg.pbwgrade import _is_prime
 
 
 def dense_rows(basis: LatticeBasis) -> list[list[int]]:
@@ -155,3 +159,94 @@ def test_triplet_deterministic_bytes(tmp_path):
     write_triplet_text(m, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == "2 2 5\n0 1 3\n1 0 4\n"
+
+
+# -- the exact mod-p product and the batched echelon -------------------------
+
+WIDTH = 64
+
+
+def _prime_below(n: int) -> int:
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _prime_above(n: int) -> int:
+    n += 1
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+#: the largest prime with WIDTH * (p - 1)^2 < 2^53, and the next prime
+P_FLOAT = _prime_below(isqrt(((1 << 53) - 1) // WIDTH) + 1)
+P_INT = _prime_above(P_FLOAT)
+
+
+def _reference_product(a, b, p):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+             for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p", [P_FLOAT, P_INT])
+def test_matmul_mod_on_both_sides_of_the_float_threshold(p):
+    """P_FLOAT takes the float64 route and P_INT the int64 one; both give
+    the Python-int product, on the largest residues too."""
+    assert (WIDTH * (P_FLOAT - 1) ** 2 < 1 << 53) and \
+        (WIDTH * (P_INT - 1) ** 2 >= 1 << 53)
+    rng = np.random.default_rng(p % 1000)
+    top = np.full((3, WIDTH), p - 1, dtype=np.int64)
+    for a, b in [(top, top.T.copy()),
+                 (rng.integers(0, p, (5, WIDTH)),
+                  rng.integers(0, p, (WIDTH, 7))),
+                 (rng.integers(p - 3, p, (4, WIDTH)),
+                  rng.integers(p - 3, p, (WIDTH, 4)).astype(np.float64))]:
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == _reference_product(a.tolist(), b.tolist(), p)
+
+
+def test_matmul_mod_refuses_past_int64():
+    p = _prime_above(isqrt(((1 << 63) - 1) // WIDTH) + 1)
+    a = np.ones((1, WIDTH), dtype=np.int64)
+    with pytest.raises(ValueError, match="overflows int64"):
+        matmul_mod(a, a.T, p)
+
+
+P_PAST_FLOAT = 100000007  # (p - 1)^2 alone exceeds 2^53
+
+
+def _row_by_row(ech, mat):
+    taken, stored = [], []
+    for i, row in enumerate(mat):
+        if ech.add_row(row):
+            taken.append(i)
+            stored.append(ech.basis_matrix()[ech.rank - 1].copy())
+    return taken, stored
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 65521, P_PAST_FLOAT]), st.data())
+def test_add_rows_matches_add_row_loop(p, data):
+    width = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=width, max_size=width)
+    before = data.draw(st.lists(row, max_size=3))
+    batch = data.draw(st.lists(row, max_size=8))
+    # dependent rows: sums of earlier ones
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, 7),
+                                             st.integers(0, 7)), max_size=3)):
+        if i < len(batch) and j < len(batch):
+            batch.append([(x + y) % p for x, y in zip(batch[i], batch[j])])
+    mat = np.array(batch, dtype=np.int64).reshape(-1, width)
+    one, many = DenseEchelonModP(p, width), DenseEchelonModP(p, width)
+    for r in before:
+        one.add_row(np.array(r, dtype=np.int64))
+        many.add_row(np.array(r, dtype=np.int64))
+    taken, stored = _row_by_row(one, mat)
+    got_taken, got_stored = many.add_rows(mat)
+    assert got_taken == taken
+    assert got_stored.tolist() == [r.tolist() for r in stored]
+    assert np.array_equal(many.basis_matrix(), one.basis_matrix())
+    assert many.pivot_cols == one.pivot_cols

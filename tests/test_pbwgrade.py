@@ -15,7 +15,7 @@ import pytest
 from pbwdeg import __version__, cli, pbwgrade
 from pbwdeg.chevrep import chevalley_constants
 from pbwdeg.exactla import DenseEchelonModP, SparsePrimeMatrix
-from pbwdeg.rootsys import build_root_system, splitting_weight
+from pbwdeg.rootsys import IntegrityError, build_root_system, splitting_weight
 from pbwdeg.pbwgrade import (DEFAULT_SIZE_CEILING, F0Report, PBWGraded,
                              SizeCeilingExceeded, _is_prime, _require_prime,
                              build_F0, check_f0, check_F0_order_invariance,
@@ -266,11 +266,23 @@ def test_check_f0_not_nonzero_cli(capsys, f0_faulted, fmt):
     assert out == NOT_NONZERO_CLI[fmt]
 
 
+def test_faulted_ppower_breaks_filtration_completeness():
+    """Zeroing F^(1) on v_lam in V(2) of A1 at p = 2 leaves the weight 0
+    unreachable: F^(2) v_lam still reaches -2, but nothing reaches 0, so the
+    filtration spans 2 of 3 dimensions and says so."""
+    mod = build_weyl_module_p(RS["A1"], 2, (2,), use_cache=False)
+    assert pbw_filtration(mod).graded_dims == (1, 1, 1)
+    hw, mid = mod.hw_index, mod.weights.index((0,))
+    mod.inject_fault("F", (1,), 1, row=mid, col=hw,
+                     delta=-int(mod.op("F", (1,), 1)[mid, hw]))
+    with pytest.raises(IntegrityError, match="spans 2 of 3 dimensions"):
+        pbw_filtration(mod)
+
+
 def test_filtration_checks_survive_python_O():
     """Seed and completeness checks of the filtration, and the module
     precondition of check_f0, hold with asserts stripped."""
     code = "\n".join([
-        "import numpy as np, scipy.sparse as sp",
         "from pbwdeg.chevrep import chevalley_constants",
         "from pbwdeg.pbwgrade import check_f0, filter_from_seed, "
         "pbw_filtration",
@@ -291,8 +303,7 @@ def test_filtration_checks_survive_python_O():
         "        2, error=ValueError)",
         "attempt(lambda: check_f0(rs, chevalley_constants(rs), 2,",
         "                         module=mod), error=ValueError)",
-        "WeylModuleP._ppower = lambda self, kind, beta, pe: "
-        "sp.csr_matrix((self.dim, self.dim), dtype=np.int64)",
+        "WeylModuleP._ppower = lambda self, kind, beta, pe: {}",
         "attempt(pbw_filtration, build_weyl_module_p(rs, 2, (1, 1),",
         "                                            use_cache=False))",
     ])

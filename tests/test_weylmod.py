@@ -27,6 +27,7 @@ from pbwdeg.weylmod import (
     FundFactor,
     RankMismatch,
     TensorAmbient,
+    WeightBlocks,
     WeylModuleP,
     build_weyl_lattice,
     build_weyl_module_p,
@@ -660,7 +661,7 @@ def test_validate_relations_large_prime():
 
 def test_validate_relations_locates_fault():
     mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
-    mod.inject_fault("F", (1, 0), 1, row=1, col=mod.hw_index, delta=1)
+    mod.inject_fault("F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
     witnesses = validate_relations(mod)
     assert witnesses
     w = witnesses[0]
@@ -703,3 +704,39 @@ def test_heights_nondecreasing_in_basis_order():
         hts.append(sum(c))
     assert hts == sorted(hts)
     assert mod.hw_index == 0
+
+
+def test_block_grouping_refuses_repeated_and_mixed_entries():
+    """The ambient coproduct has one entry per (row, col).  A doctored COO
+    that lists an entry twice, or that sends one weight block into two,
+    has no block form: densifying by assignment would drop the repeat."""
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    ambient = mod.ambient
+    rows, cols, vals = ambient._coproduct("F", (1, 0), 1)
+    layout = WeightBlocks(ambient.weights)
+    ops = layout.group(rows, cols, vals)
+    assert sum(len(v) for *_, v in ops.values()) == len(vals)
+    with pytest.raises(IntegrityError, match="one entry twice"):
+        layout.group(np.append(rows, rows[3]), np.append(cols, cols[3]),
+                     np.append(vals, vals[3]))
+    # the same column also reaching a block of another weight
+    other = next(i for i, w in enumerate(ambient.weights)
+                 if w != ambient.weights[rows[0]])
+    with pytest.raises(IntegrityError, match="not weight homogeneous"):
+        layout.group(np.append(rows, other), np.append(cols, cols[0]),
+                     np.append(vals, 1))
+
+
+def test_injected_fault_reaches_the_block_operator():
+    """inject_fault replaces the stored block form of a p-power, which the
+    csr view and the filtration both read; a fault that is not weight
+    homogeneous has no place there and is refused."""
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    hw, low = mod.hw_index, mod.weights.index((-1, 2))
+    with pytest.raises(IntegrityError, match="not weight homogeneous"):
+        mod.inject_fault("F", (1, 0), 1, row=mod.weights.index((2, -1)),
+                         col=hw, delta=1)
+    assert mod.op("F", (1, 0), 1)[low, hw] == 1
+    mod.inject_fault("F", (1, 0), 1, row=low, col=hw, delta=1)
+    assert mod.op("F", (1, 0), 1)[low, hw] == 0
+    assert (1, 1) not in mod.block_ops("F", (1, 0), 1)
