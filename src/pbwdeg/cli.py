@@ -23,15 +23,14 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .chevrep import NonIntegralDividedPower, chevalley_constants
 from .degenring import (check_degree_one_generation, check_mult_surjective,
                         hilbert_function)
-from .exactla import SparsePrimeMatrix, read_triplet_text, write_triplet_text
+from .exactla import read_triplet_text, write_triplet_text
 from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
                        _require_prime, check_f0, check_F0_order_invariance,
                        pbw_filtration)
@@ -159,8 +158,8 @@ def save_module(mod, cache_dir) -> str:
     tmp = cache_dir / f".tmp-{key}-{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
     for idx, pe, fname in _stored_ops(mod):
-        write_triplet_text(SparsePrimeMatrix.from_csr(
-            mod.op("F", mod.rs.positive_roots[idx], pe), mod.p), tmp / fname)
+        write_triplet_text(tmp / fname, (mod.dim, mod.dim), mod.p,
+                           *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
     (tmp / "weights.txt").write_text(
         "".join(_fmt_weight(w) + "\n" for w in mod.weights))
     sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
@@ -224,10 +223,14 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
                          "weights call for")
     dim = mod.dim
     for idx, pe, fname in ops:
-        m = read_triplet_text(_checked(path / fname, sums))
-        if (m.p, m.nrows, m.ncols) != (p, dim, dim):
+        shape, mp, rows, cols, vals = read_triplet_text(
+            _checked(path / fname, sums))
+        if (mp, shape) != (p, (dim, dim)):
             raise ValueError(f"{fname} is not a {dim} x {dim} matrix mod {p}")
-        mod._pp[(idx, pe)] = mod.group(m.to_csr())
+        vals = vals % p
+        keep = vals != 0
+        mod._pp[(idx, pe)] = mod.layout.group(rows[keep], cols[keep],
+                                              vals[keep])
     return mod
 
 
@@ -254,22 +257,14 @@ def _get_module(rs: RootSystemData, lam, p: int, size_ceiling: int,
 # output rendering
 
 
-def _kv_table(pairs) -> str:
-    lines = []
-    for k, v in pairs:
-        if isinstance(v, bool):
-            v = _fmt_bool(v)
-        lines.append(f"{k}: {v}")
+def _kv_table(pairs, sep: str = ": ", head=()) -> str:
+    lines = [*head, *(f"{k}{sep}{_fmt_bool(v) if isinstance(v, bool) else v}"
+                      for k, v in pairs)]
     return "\n".join(lines) + "\n"
 
 
 def _field_csv(pairs) -> str:
-    lines = ["field,value"]
-    for k, v in pairs:
-        if isinstance(v, bool):
-            v = _fmt_bool(v)
-        lines.append(f"{k},{v}")
-    return "\n".join(lines) + "\n"
+    return _kv_table(pairs, ",", ["field,value"])
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +443,8 @@ def _cmd_check_f0_sweep(cfg: RunConfig, cartans, primes) -> int:
     tasks = [(name, p, cfg.size_ceiling, cache)
              for name in cartans for p in primes]
     if cfg.jobs > 1:
+        # only this path starts worker processes, so only it pays the import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
@@ -559,12 +556,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
         "cartan": rs.name,
         "weight": list(lam),
         "p": cfg.p,
-        "z_witnesses": [{"relation": w.relation,
-                         "basis_index": w.basis_index,
-                         "detail": w.detail} for w in z_wit],
-        "p_witnesses": [{"relation": w.relation,
-                         "basis_index": w.basis_index,
-                         "detail": w.detail} for w in p_wit],
+        "z_witnesses": [asdict(w) for w in z_wit],
+        "p_witnesses": [asdict(w) for w in p_wit],
         "f0_order_invariant": f0_inv,
         "valid": valid,
         "tool_version": __version__,

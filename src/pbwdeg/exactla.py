@@ -7,7 +7,8 @@ matmul_mod, in float64 BLAS only while every partial sum is exact there.
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
 for matrices mod p is one header line ``nrows ncols p`` followed by
-``row col value`` lines sorted by (row, col).
+``row col value`` lines sorted by (row, col); it is written from and read
+into int64 COO arrays (rows, cols, values).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import isqrt
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 Vec = dict[int, int]
 
@@ -78,23 +78,6 @@ class SparsePrimeMatrix:
     p: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    @classmethod
-    def from_csr(cls, m, p: int) -> "SparsePrimeMatrix":
-        """Entries of a scipy sparse matrix, reduced mod p."""
-        coo = m.tocoo()
-        return cls(m.shape[0], m.shape[1], p,
-                   {(int(r), int(c)): int(v) % p
-                    for r, c, v in zip(coo.row, coo.col, coo.data) if v % p})
-
-    def to_csr(self) -> sp.csr_matrix:
-        """The entries reduced mod p, as an int64 csr matrix."""
-        m = sp.csr_matrix(([v % self.p for v in self.entries.values()],
-                           ([r for r, _ in self.entries],
-                            [c for _, c in self.entries])),
-                          shape=(self.nrows, self.ncols), dtype=np.int64)
-        m.eliminate_zeros()
-        return m
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for (r, c), v in self.entries.items():
@@ -102,23 +85,28 @@ class SparsePrimeMatrix:
         return out
 
 
-def write_triplet_text(m: SparsePrimeMatrix, path) -> None:
-    lines = [f"{m.nrows} {m.ncols} {m.p}"]
-    for (r, c) in sorted(m.entries):
-        lines.append(f"{r} {c} {m.entries[(r, c)]}")
+def write_triplet_text(path, shape, p: int, rows, cols, vals) -> None:
+    """Write the entries given as COO arrays, one per (row, col)."""
+    order = np.lexsort((cols, rows))
+    lines = [f"{shape[0]} {shape[1]} {p}"] + [
+        f"{r} {c} {v}" for r, c, v in
+        zip(*(x[order].tolist() for x in (rows, cols, vals)))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_triplet_text(path) -> SparsePrimeMatrix:
-    lines = Path(path).read_text().splitlines()
-    nr, nc, p = lines[0].split()
-    entries: dict[tuple[int, int], int] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        r, c, v = line.split()
-        entries[(int(r), int(c))] = int(v)
-    return SparsePrimeMatrix(int(nr), int(nc), int(p), entries)
+def read_triplet_text(path):
+    """((nrows, ncols), p, rows, cols, vals), the entries as int64 arrays;
+    ValueError on a malformed line or an entry outside the matrix."""
+    header, *body = Path(path).read_text().splitlines()
+    nr, nc, p = (int(x) for x in header.split())
+    rows, cols, vals = np.array(
+        [(r, c, v) for r, c, v in (line.split() for line in body
+                                   if line.strip())],
+        dtype=np.int64).reshape(-1, 3).T
+    if np.any((rows < 0) | (rows >= nr) | (cols < 0) | (cols >= nc)):
+        raise ValueError(f"{path} lists an entry outside its {nr} x {nc} "
+                         "matrix")
+    return (nr, nc), p, rows, cols, vals
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
-from .exactla import DenseEchelonModP, SparsePrimeMatrix, matmul_mod
+from .exactla import DenseEchelonModP, SparsePrimeMatrix
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
-from .weylmod import (ModuleP, WeightBlocks, block_dense, build_weyl_module_p,
+from .weylmod import (BlockOp, ModuleP, WeightBlocks, build_weyl_module_p,
                       weyl_dim)
 
 log = logging.getLogger(__name__)
@@ -132,7 +131,7 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     """Degree-tagged span of the seed under p-power lowering operators.
 
     `space` provides rs, p, weights (one per coordinate) and
-    block_ops(kind, beta, k) -> block operator (WeightBlocks).  Returns
+    op(kind, beta, k) -> BlockOp.  Returns
     (blocks, dims) where dims[n] = dim V_n for the degrees actually
     processed; the walk stops early once the span reaches `target`
     dimensions.
@@ -169,7 +168,7 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     total = 1
     last_new = 0
 
-    ops: dict[tuple, dict] = {}  # block operators, fetched when first used
+    ops: dict[tuple, BlockOp] = {}  # fetched when first used
     shifts = [(beta, rs.root_fund(beta)) for beta in rs.positive_roots]
 
     n = 0
@@ -190,14 +189,11 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
                     if dst is None or dst.full:
                         continue
                     if (beta, pe) not in ops:
-                        ops[beta, pe] = space.block_ops("F", beta, pe)
-                    entry = ops[beta, pe].get(w)
-                    if entry is None:
+                        ops[beta, pe] = space.op("F", beta, pe)
+                    img = ops[beta, pe].image(w, rows_mat)
+                    if img is None:
                         continue
-                    _, r, c, v = entry
-                    opm_t = block_dense((rows_mat.shape[1], len(dst.indices)),
-                                        c, r, v)
-                    stored = dst.insert(matmul_mod(rows_mat, opm_t, p), n)
+                    stored = dst.insert(img[1], n)
                     if len(stored):
                         added.setdefault(dst_w, []).append(stored)
                         total += len(stored)
@@ -275,23 +271,24 @@ def pbw_filtration(mod: ModuleP) -> PBWGraded:
 # norm form
 
 
-def _f0_csr(mod: ModuleP, order) -> sp.csr_matrix:
+def _f0_op(mod: ModuleP, order) -> BlockOp:
     roots = mod.rs.positive_roots
     n = len(roots)
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"order must be a permutation of 1..{n}: {order}")
-    acc = sp.identity(mod.dim, dtype=np.int64, format="csr")
+    acc = None
     for idx in reversed(list(order)):
-        acc = mod.op("F", roots[idx - 1], mod.p - 1) @ acc
-        acc.data %= mod.p
-        acc.eliminate_zeros()
+        factor = mod.op("F", roots[idx - 1], mod.p - 1)
+        acc = factor if acc is None else factor @ acc
     return acc
 
 
 def build_F0(mod: ModuleP, order) -> SparsePrimeMatrix:
     """Product of the (p-1)-st divided powers over all positive roots,
     factors taken in the given 1-based order, leftmost factor applied last."""
-    return SparsePrimeMatrix.from_csr(_f0_csr(mod, order), mod.p)
+    rows, cols, vals = (x.tolist() for x in _f0_op(mod, order).coo())
+    return SparsePrimeMatrix(mod.dim, mod.dim, mod.p,
+                             dict(zip(zip(rows, cols), vals)))
 
 
 def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
@@ -299,22 +296,18 @@ def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
     centrality.  Returns False (after logging the witness) on any defect."""
     n = len(mod.rs.positive_roots)
     canonical = tuple(range(1, n + 1))
-    base = build_F0(mod, canonical)
+    f0 = _f0_op(mod, canonical)
     rng = random.Random(ORDER_TRIAL_SEED)
     for _ in range(trials):
         order = list(canonical)
         rng.shuffle(order)
-        if build_F0(mod, tuple(order)) != base:
+        if _f0_op(mod, tuple(order)) != f0:
             log.warning("norm form differs between orders %s and %s",
                         canonical, tuple(order))
             return False
-    f0 = _f0_csr(mod, canonical)
     for beta in mod.rs.positive_roots:
         a = mod.op("F", beta, 1)
-        d = f0 @ a - a @ f0
-        d.data %= mod.p
-        d.eliminate_zeros()
-        if d.nnz:
+        if f0 @ a != a @ f0:
             log.warning("norm form fails to commute with F^(1) at %s", beta)
             return False
     return True
@@ -375,7 +368,7 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     graded = pbw_filtration(mod)
     vec = mod.hw_vector()
     for beta in reversed(rs.positive_roots):
-        vec = (mod.op("F", beta, p - 1) @ vec) % p
+        vec = mod.op("F", beta, p - 1) @ vec
     degree = (p - 1) * len(rs.positive_roots)
     nonzero = bool(vec.any()) and not graded.contains(vec, degree - 1)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))

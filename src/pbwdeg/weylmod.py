@@ -28,7 +28,6 @@ from itertools import permutations, product
 from math import factorial, prod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chevrep import (
     IntegralRep,
@@ -42,7 +41,6 @@ from .exactla import (
     IncrementalHNF,
     LatticeBasis,
     SparseIntMatrix,
-    SparsePrimeMatrix,
     Vec,
     matmul_mod,
     require_int64_safe,
@@ -217,13 +215,6 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 # tensor ambients
 
-def _coo(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries of a sparse matrix as int64 (rows, cols, vals) arrays."""
-    m = m.tocsr()
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows, m.indices.astype(np.int64), m.data.astype(np.int64)
-
-
 def kron_coproduct(factor_op, dims, k: int, p: int):
     """Coproduct of a divided power on a tensor product, mod p.
 
@@ -309,14 +300,10 @@ class FundFactor:
         """Divided power as int64 COO arrays (rows, cols, vals)."""
         key = (kind, beta, k)
         if key not in self._ops:
-            rows, cols, vals = [], [], []
-            for c, pairs in self.op_cols(kind, beta, k).items():
-                for r, v in pairs:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(v)
-            self._ops[key] = tuple(np.array(x, dtype=np.int64)
-                                   for x in (rows, cols, vals))
+            entries = [(r, c, v) for c, pairs in
+                       self.op_cols(kind, beta, k).items() for r, v in pairs]
+            self._ops[key] = tuple(np.array(entries, dtype=np.int64)
+                                   .reshape(-1, 3).T.copy())
         return self._ops[key]
 
 
@@ -324,12 +311,12 @@ class WeightBlocks:
     """Coordinates grouped into weight blocks, in order of first appearance.
 
     Each coordinate gets its block number and its position inside the
-    block.  A weight-homogeneous operator is held as a block operator: a
-    dict from source weight to (target weight, rows, cols, values), rows
-    and cols local to the target and source blocks, one entry per nonzero.
+    block.  A weight-homogeneous operator is held per source block (see
+    BlockOp).
     """
 
     def __init__(self, weights):
+        self.dim = len(weights)
         groups: dict[Weight, list[int]] = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
@@ -340,18 +327,15 @@ class WeightBlocks:
         for b, ix in enumerate(groups.values()):
             self.block_of[ix] = b
             self.block_pos[ix] = np.arange(len(ix))
-        # the flat indices block after block, where each block starts, and
-        # the place of each flat index in that order
-        self._flat = np.array([i for ix in groups.values() for i in ix],
-                              dtype=np.int64)
-        self._start = dict(zip(groups, np.cumsum(
-            [0] + [len(ix) for ix in groups.values()])[:-1].tolist()))
-        self._place = np.empty(len(weights), dtype=np.int64)
-        self._place[self._flat] = np.arange(len(weights))
+        # the flat indices of each block, and the place of each flat index
+        # in the order block after block
+        self.at = {w: np.array(ix, dtype=np.int64) for w, ix in groups.items()}
+        starts = np.cumsum([0] + [len(ix) for ix in groups.values()])
+        self._place = starts[self.block_of] + self.block_pos
 
     def group(self, rows, cols, vals) -> dict:
-        """The block operator of the entries given as COO arrays in global
-        coordinates, each block's entries sorted by local column, then row.
+        """The blocks of a BlockOp whose nonzero entries are given as COO
+        arrays in global coordinates, each sorted by local column, then row.
 
         Densifying a block by assignment would keep only one of two equal
         entries, and a source block reaching two target blocks has no block
@@ -373,15 +357,6 @@ class WeightBlocks:
                 for lo, hi in zip([0, *cuts], [*cuts, len(src)])
                 if lo < hi}
 
-    def coo(self, ops: dict):
-        """A block operator as int64 COO arrays in global coordinates."""
-        flat, start = self._flat, self._start
-        parts = [(flat[start[d] + r], flat[start[s] + c], v)
-                 for s, (d, r, c, v) in ops.items()]
-        if not parts:
-            return (np.zeros(0, dtype=np.int64),) * 3
-        return tuple(np.concatenate(x) for x in zip(*parts))
-
 
 def block_dense(shape, rows, cols, vals) -> np.ndarray:
     """One block of a block operator as a dense matrix, in float64, which
@@ -389,6 +364,100 @@ def block_dense(shape, rows, cols, vals) -> np.ndarray:
     out = np.zeros(shape)
     out[rows, cols] = vals
     return out
+
+
+class BlockOp:
+    """A weight-homogeneous operator mod p, held per weight block.
+
+    blocks maps a source weight of layout to (target weight of dst, rows,
+    cols, vals): the nonzero entries of that block, rows and cols local to
+    the target and source blocks, sorted by column then row, vals in
+    [1, p).  dst is layout itself for an operator on one space.  That form
+    is canonical, so equal operators have equal blocks.  A BlockOp is not
+    changed once made: coo() and nnz are computed once.
+    """
+
+    def __init__(self, layout: WeightBlocks, p: int, blocks: dict,
+                 dst: WeightBlocks | None = None):
+        self.layout = layout
+        self.dst = layout if dst is None else dst
+        self.p = p
+        self.blocks = blocks
+        self._coo = None
+
+    @cached_property
+    def nnz(self) -> int:
+        return sum(len(e[3]) for e in self.blocks.values())
+
+    def coo(self):
+        """Int64 COO arrays (rows, cols, vals) in global coordinates."""
+        if self._coo is None:
+            parts = [(self.dst.at[d][r], self.layout.at[s][c], v)
+                     for s, (d, r, c, v) in self.blocks.items()]
+            self._coo = tuple(np.concatenate(x) for x in zip(*parts)) \
+                if parts else (np.zeros(0, dtype=np.int64),) * 3
+        return self._coo
+
+    def toarray(self) -> np.ndarray:
+        rows, cols, vals = self.coo()
+        out = np.zeros((self.dst.dim, self.layout.dim), dtype=np.int64)
+        out[rows, cols] = vals
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockOp):
+            return NotImplemented
+        return self.blocks.keys() == other.blocks.keys() and all(
+            a[0] == b[0] and all(map(np.array_equal, a[1:], b[1:]))
+            for a, b in ((self.blocks[w], other.blocks[w])
+                         for w in self.blocks))
+
+    def __matmul__(self, other):
+        """self @ other mod p: composition, block by block through the
+        product of dense blocks, or the image of a vector."""
+        p = self.p
+        if not isinstance(other, BlockOp):
+            rows, cols, vals = self.coo()
+            out = np.zeros(self.dst.dim, dtype=np.int64)
+            np.add.at(out, rows, vals * (np.asarray(other)[cols] % p) % p)
+            return out % p
+        out = {}
+        for s, (mid, r1, c1, v1) in other.blocks.items():
+            entry = self.blocks.get(mid)
+            if entry is None:
+                continue
+            d, r2, c2, v2 = entry
+            n_mid = len(self.layout.flats[mid])
+            m = matmul_mod(
+                block_dense((len(self.dst.flats[d]), n_mid), r2, c2, v2),
+                block_dense((n_mid, len(other.layout.flats[s])), r1, c1, v1),
+                p)
+            c, r = np.nonzero(m.T)
+            if c.size:
+                out[s] = (d, r.astype(np.int32), c.astype(np.int32), m[r, c])
+        return BlockOp(other.layout, p, out, self.dst)
+
+    def image(self, w: Weight, rows: np.ndarray):
+        """(target weight, rows @ block^T mod p) for row vectors of the
+        source block of w, or None where the operator is zero."""
+        entry = self.blocks.get(w)
+        if entry is None:
+            return None
+        d, r, c, v = entry
+        return d, matmul_mod(rows, block_dense(
+            (len(self.layout.flats[w]), len(self.dst.flats[d])), c, r, v),
+            self.p)
+
+    def power(self, e: int) -> "BlockOp":
+        """self^e for e >= 1, by repeated squaring."""
+        acc, m = None, self
+        while True:
+            if e & 1:
+                acc = m if acc is None else acc @ m
+            e >>= 1
+            if not e:
+                return acc
+            m = m @ m
 
 
 class TensorAmbient:
@@ -400,12 +469,7 @@ class TensorAmbient:
         self.p = p
         self.dims = [f.dim for f in self.factors]
         self.dim = prod(self.dims) if self.factors else 1
-        strides = []
-        acc = 1
-        for d in reversed(self.dims):
-            strides.append(acc)
-            acc *= d
-        self.strides = list(reversed(strides))
+        self.strides = [prod(self.dims[j + 1:]) for j in range(len(self.dims))]
         self._scope: dict | None = None
 
     @classmethod
@@ -502,41 +566,36 @@ class TensorAmbient:
         return kron_coproduct(lambda j, a: self.factors[j].coo(kind, beta, a),
                               self.dims, k, self.p)
 
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        """Matrix of a divided power on the whole ambient, mod p."""
-        rows, cols, vals = self._coproduct(kind, beta, k)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
-                             dtype=np.int64)
-
-    def block_ops(self, kind: str, beta: Root, k: int) -> dict:
-        """A divided power on the whole ambient as a block operator mod p
-        (WeightBlocks), assembled by kron_coproduct once per op inside
-        op_scope(), else once per call."""
+    def op(self, kind: str, beta: Root, k: int) -> BlockOp:
+        """A divided power on the whole ambient as a block operator mod p,
+        assembled by kron_coproduct once per op inside op_scope(), else
+        once per call."""
         key = (kind, beta, k)
         if self._scope is not None and key in self._scope:
             return self._scope[key]
-        out = self._layout.group(*self._coproduct(kind, beta, k))
+        out = BlockOp(self._layout, self.p,
+                      self._layout.group(*self._coproduct(kind, beta, k)))
         if self._scope is not None:
             self._scope[key] = out
         return out
 
     def block_op_matrix(self, kind: str, beta: Root, k: int,
-                        src_flats, dst_index: dict[int, int]) -> sp.csr_matrix:
-        """Matrix of the op from one weight block to another, mod p: a csr
-        view of one block of block_ops.
+                        src_flats, dst_index: dict[int, int]) -> BlockOp:
+        """The op from one weight block to another, mod p: one block of
+        op() as a BlockOp between the two blocks alone.
 
         src_flats and dst_index must be whole weight blocks of blocks(),
         in that order.
         """
         if self.p is None:
             raise ValueError("block_op_matrix needs an ambient over F_p")
-        shape = (len(dst_index), len(src_flats))
-        entry = self.block_ops(kind, beta, k).get(
-            self.weight_of(src_flats[0])) if len(src_flats) else None
-        if entry is None:
-            return sp.csr_matrix(shape, dtype=np.int64)
-        _, rows, cols, vals = entry
-        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+        keys, block_of = self._layout.keys, self._layout.block_of
+        src, dst = (WeightBlocks([keys[block_of[f]] for f in flats])
+                    for flats in (src_flats, dst_index))
+        entry = self.op(kind, beta, k).blocks.get(src.keys[0]) \
+            if src.keys else None
+        ok = entry is not None and entry[0] in dst.flats
+        return BlockOp(src, self.p, {src.keys[0]: entry} if ok else {}, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +859,7 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 
 class _PBlock:
     """Weight space of a span over F_p: an echelon of the ambient's block of
-    that weight, pushed through the ambient's block_ops; pushes stop once
+    that weight, pushed through the ambient's operators; pushes stop once
     it reaches the weight multiplicity in mults."""
 
     def __init__(self, weight: Weight, ambient: TensorAmbient, mults: dict):
@@ -837,13 +896,9 @@ class _PBlock:
              dst: "_PBlock") -> None:
         if dst.saturated or not dst.flats:
             return
-        entry = ambient.block_ops("F", alpha, k).get(self.weight)
-        if entry is None:
-            return
-        _, rows, cols, vals = entry
-        opm_t = block_dense((len(self.flats), len(dst.flats)), cols, rows,
-                            vals)
-        dst.ech.add_rows(matmul_mod(self.rows, opm_t, self.ech.p))
+        img = ambient.op("F", alpha, k).image(self.weight, self.rows)
+        if img is not None:
+            dst.ech.add_rows(img[1])
 
 
 def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
@@ -861,48 +916,28 @@ def _is_ppower_digit(p: int, k: int) -> bool:
     return k == 1
 
 
-def _reduce_mod(m: sp.csr_matrix, p: int) -> sp.csr_matrix:
-    m.data %= p
-    m.eliminate_zeros()
-    return m
+def lucas_assemble(p: int, k: int, ppower) -> BlockOp:
+    """Divided power of order k >= 1 from its p-power factors mod p.
 
-
-def _csr_power(m: sp.csr_matrix, e: int, p: int) -> sp.csr_matrix:
-    """m^e mod p by repeated squaring."""
-    acc = sp.identity(m.shape[0], dtype=np.int64, format="csr")
-    while e:
-        if e & 1:
-            acc = _reduce_mod(acc @ m, p)
-        e >>= 1
-        if e:
-            m = _reduce_mod(m @ m, p)
-    return acc
-
-
-def lucas_assemble(p: int, dim: int, k: int, ppower) -> sp.csr_matrix:
-    """Divided power of general order from its p-power factors mod p.
-
-    ppower(p^e) must return the matrix of the p-power divided power; the
+    ppower(p^e) must return the BlockOp of the p-power divided power; the
     base p digits of k add without carries, so the ordered product of the
     digit factors equals the divided power up to the unit k! / prod (p^e)!.
     """
-    digits = []
-    kk, power = k, 1
+    acc, denom, kk, power = None, 1, k, 1
     while kk:
         kk, d = divmod(kk, p)
-        digits.append((power, d))
-        power *= p
-    acc = sp.identity(dim, dtype=np.int64, format="csr")
-    denom = 1
-    for power, d in digits:
         if d:
-            acc = _reduce_mod(acc @ _csr_power(ppower(power), d, p), p)
+            factor = ppower(power).power(d)
+            acc = factor if acc is None else acc @ factor
             denom *= factorial(power) ** d
+        power *= p
     unit = factorial(k) // denom
     if unit % p == 0:
         raise IntegrityError(f"k! / prod (p^e)! for k = {k} is not a unit "
                              f"mod {p}")
-    return _reduce_mod(acc * pow(unit % p, -1, p), p)
+    u = pow(unit % p, -1, p)
+    return BlockOp(acc.layout, p, {s: (d, r, c, v * u % p)
+                                   for s, (d, r, c, v) in acc.blocks.items()})
 
 
 class ModuleP:
@@ -910,12 +945,11 @@ class ModuleP:
 
     Holds the weight of every basis index and finds the highest weight
     line among them.  A subclass supplies only _ppower(kind, beta, p^e),
-    the p-power divided power as a block operator (WeightBlocks); that is
-    the one stored form of the operator, kept by block_ops().  op() is the
-    csr view: of the stored form for p-powers, and for general k the
-    product lucas_assemble forms from the p-power factors, a unit multiple
-    of the divided power because the base p digits of k add without
-    carries.
+    the blocks of the p-power divided power (as WeightBlocks.group gives
+    them).  op() returns every divided power as a BlockOp, kept once made:
+    the p-powers as supplied, and for general k the product lucas_assemble
+    forms from the p-power factors, a unit multiple of the divided power
+    because the base p digits of k add without carries.
     """
 
     def __init__(self, rs: RootSystemData, p: int, lam: Weight, weights):
@@ -931,8 +965,7 @@ class ModuleP:
                 f"in a module of {rs.name} over F_{p}, expected 1")
         self.hw_index = self.weights.index(self.lam)
         self.layout = WeightBlocks(self.weights)
-        self._op_cache: dict = {}
-        self._block_cache: dict = {}
+        self._ops: dict = {}
 
     def weight_multiplicities(self) -> dict[Weight, int]:
         return dict(Counter(self.weights))
@@ -954,55 +987,42 @@ class ModuleP:
         if beta not in self.rs.positive_roots:
             raise ValueError(f"{beta} is not a positive root")
 
-    def group(self, m) -> dict:
-        """A sparse matrix on the module as a block operator."""
-        return self.layout.group(*_coo(m))
-
-    def block_ops(self, kind: str, beta: Root, k: int) -> dict:
-        """A divided power of a root operator as a block operator mod p."""
-        self._check(kind, beta)
-        if not _is_ppower_digit(self.p, k):
-            return self.group(self.op(kind, beta, k))
-        key = (kind, beta, k)
-        if key not in self._block_cache:
-            self._block_cache[key] = self._ppower(kind, beta, k)
-        return self._block_cache[key]
-
     def coo(self, kind: str, beta: Root, k: int):
         """op() as int64 COO arrays (rows, cols, vals)."""
-        if _is_ppower_digit(self.p, k):
-            return self.layout.coo(self.block_ops(kind, beta, k))
-        return _coo(self.op(kind, beta, k))
+        return self.op(kind, beta, k).coo()
 
-    def op(self, kind: str, beta: Root, k: int) -> sp.csr_matrix:
-        """Matrix of a divided power of a root operator, mod p."""
+    def op(self, kind: str, beta: Root, k: int) -> BlockOp:
+        """A divided power of a root operator mod p, as a BlockOp."""
         self._check(kind, beta)
-        if _is_ppower_digit(self.p, k):
-            rows, cols, vals = self.coo(kind, beta, k)
-            return sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(self.dim, self.dim), dtype=np.int64)
         key = (kind, beta, k)
-        if key not in self._op_cache:
-            self._op_cache[key] = sp.identity(
-                self.dim, dtype=np.int64, format="csr") if k == 0 else \
-                lucas_assemble(self.p, self.dim, k,
-                               lambda pw: self.op(kind, beta, pw))
-        return self._op_cache[key]
+        if key not in self._ops:
+            if k == 0:
+                diag = np.arange(self.dim)
+                out = BlockOp(self.layout, self.p, self.layout.group(
+                    diag, diag, np.ones(self.dim, dtype=np.int64)))
+            elif _is_ppower_digit(self.p, k):
+                out = BlockOp(self.layout, self.p,
+                              self._ppower(kind, beta, k))
+            else:
+                out = lucas_assemble(self.p, k,
+                                     lambda pw: self.op(kind, beta, pw))
+            self._ops[key] = out
+        return self._ops[key]
 
     def inject_fault(self, kind: str, beta: Root, k: int,
                      row: int, col: int, delta: int) -> None:
-        """Perturb one entry of a stored operator (for testing): the block
-        operator of a p-power, which the filtration reads, else the cached
-        csr matrix.  A p-power entry outside its weight blocks has no block
-        form (IntegrityError)."""
-        m = self.op(kind, beta, k).tolil(copy=True)
-        m[row, col] = (m[row, col] + delta) % self.p
-        m = m.tocsr()
-        m.eliminate_zeros()
-        if _is_ppower_digit(self.p, k):
-            self._block_cache[(kind, beta, k)] = self.group(m)
-        else:
-            self._op_cache[(kind, beta, k)] = m
+        """Perturb one entry of a stored operator (for testing), the one
+        op() and the filtration read.  An entry that sends a weight block
+        into a second target block has no block form (IntegrityError)."""
+        rows, cols, vals = self.op(kind, beta, k).coo()
+        hit = (rows == row) & (cols == col)
+        rows, cols = np.append(rows[~hit], row), np.append(cols[~hit], col)
+        vals = np.append(vals[~hit], (int(vals[hit].sum()) + delta) % self.p)
+        keep = vals != 0
+        self._ops[(kind, beta, k)] = BlockOp(self.layout, self.p,
+                                             self.layout.group(rows[keep],
+                                                               cols[keep],
+                                                               vals[keep]))
 
 
 class WeylModuleP(ModuleP):
@@ -1029,22 +1049,16 @@ class WeylModuleP(ModuleP):
         """The ambient operator on each block's rows, in the target block's
         basis; raises IntegrityError unless the images lie in the span."""
         out = {}
-        p = self.p
         with self.ambient.op_scope():
-            ops = self.ambient.block_ops(kind, beta, k)
+            ops = self.ambient.op(kind, beta, k)
             for blk in self.blocks:
-                entry = ops.get(blk.weight)
-                if entry is None:
-                    continue
-                to, rows, cols, vals = entry
-                dst = self._by_weight.get(to)
+                dst = self._by_weight.get(
+                    ops.blocks.get(blk.weight, (None,))[0])
                 if dst is None:
-                    continue  # the target weight space is zero
-                opm_t = block_dense((len(blk.flats), len(dst.flats)), cols,
-                                    rows, vals)
-                images = matmul_mod(blk.rows, opm_t, p)
+                    continue  # no block, or the target weight space is zero
+                images = ops.image(blk.weight, blk.rows)[1]
                 coords = images[:, dst.pivots]
-                if not np.array_equal(matmul_mod(coords, dst.rows, p),
+                if not np.array_equal(matmul_mod(coords, dst.rows, self.p),
                                       images):
                     raise IntegrityError(
                         f"module not closed under {kind}^({k}) at {beta}")
@@ -1064,34 +1078,47 @@ def validate_relations(mod: ModuleP) -> list[RelationWitness]:
     rs, p = mod.rs, mod.p
     out = []
     for i in range(rs.rank):
-        ei = mod.op("E", rs.simple_root(i), 1)
-        col = ei[:, [mod.hw_index]].toarray().ravel() % p
+        alpha = rs.simple_root(i)
+        ei = mod.op("E", alpha, 1)
+        col = ei @ mod.hw_vector()
         if np.any(col):
             out.append(RelationWitness(
                 f"E_{i+1} v+ = 0", mod.hw_index,
                 f"nonzero rows {np.nonzero(col)[0].tolist()}"))
         for j in range(rs.rank):
             fj = mod.op("F", rs.simple_root(j), 1)
-            comm = (ei @ fj - fj @ ei).toarray() % p
-            if i == j:
-                h = np.array([rs.pairing(w, rs.simple_root(i)) % p
-                              for w in mod.weights], dtype=np.int64)
-                expect = np.diag(h)
-            else:
-                expect = np.zeros_like(comm)
-            if not np.array_equal(comm, expect):
-                bad = np.nonzero(np.any(comm != expect, axis=0))[0]
+            bad = _commutator_defects(mod, ei @ fj, fj @ ei,
+                                      alpha if i == j else None)
+            if bad:
                 name = f"[E_{i+1}, F_{j+1}] = " + \
                     (f"H_{i+1}" if i == j else "0")
-                out.append(RelationWitness(name, int(bad[0]),
+                out.append(RelationWitness(name, bad[0],
                                            f"{len(bad)} bad columns"))
     for i in range(rs.rank):
-        acc = _csr_power(mod.op("F", rs.simple_root(i), 1), p, p)
+        acc = mod.op("F", rs.simple_root(i), 1).power(p)
         if acc.nnz:
-            col = int(acc.nonzero()[1][0])
+            rows, cols, _ = acc.coo()
+            col = int(cols[np.lexsort((cols, rows))[0]])
             out.append(RelationWitness(f"(F_{i+1})^{p} = 0", col,
                                        f"nnz {acc.nnz}"))
     return out
+
+
+def _commutator_defects(mod: ModuleP, ab: BlockOp, ba: BlockOp,
+                        alpha: Root | None) -> list[int]:
+    """Ascending columns where ab - ba differs from H_alpha mod p (from 0
+    when alpha is None), summed entry by entry over the three COO forms."""
+    dim, parts = mod.dim, [ab.coo(), ba.coo()]
+    if alpha is not None:
+        diag = np.arange(dim)
+        parts.append((diag, diag, np.array(
+            [mod.rs.pairing(w, alpha) for w in mod.weights], dtype=np.int64)))
+    keys, inv = np.unique(np.concatenate([r * dim + c for r, c, _ in parts]),
+                          return_inverse=True)
+    total = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(total, inv, np.concatenate(
+        [sign * v for sign, (_, _, v) in zip((1, -1, -1), parts)]))
+    return np.unique(keys[total % mod.p != 0] % dim).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1226,12 @@ class LatticeModuleP(ModuleP):
     op = ModuleP.op
 
     def _ppower(self, kind: str, beta: Root, pe: int) -> dict:
-        entries = self.lattice.op_int(kind, beta, pe).entries
-        return self.group(SparsePrimeMatrix(self.dim, self.dim, self.p,
-                                            entries).to_csr())
+        p = self.p
+        entries = [(r, c, v % p) for (r, c), v in
+                   self.lattice.op_int(kind, beta, pe).entries.items()
+                   if v % p]
+        return self.layout.group(*np.array(entries, dtype=np.int64)
+                                 .reshape(-1, 3).T)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,19 +1250,11 @@ def bootstrap_cartan_component(rs: RootSystemData, vec_rep: IntegralRep,
         flat = ambient.flat(perm)
         seed[flat] = seed.get(flat, 0) + sign
     lat = _lattice(rs, lam, ambient, seed)
-    lowering, raising = [], []
-    for i in range(rs.rank):
-        alpha = rs.simple_root(i)
-        low = [[0] * lat.dim for _ in range(lat.dim)]
-        high = [[0] * lat.dim for _ in range(lat.dim)]
-        for (r, c), v in lat.op_int("F", alpha, 1).entries.items():
-            low[r][c] = v
-        for (r, c), v in lat.op_int("E", alpha, 1).entries.items():
-            high[r][c] = v
-        lowering.append(tuple(tuple(row) for row in low))
-        raising.append(tuple(tuple(row) for row in high))
+    lowering, raising = (tuple(
+        tuple(map(tuple, lat.op_int(kind, rs.simple_root(i), 1).to_dense()))
+        for i in range(rs.rank)) for kind in ("F", "E"))
     return IntegralRep(f"{rs.name}-w{k}", lat.dim, lat.weights,
-                       tuple(lowering), tuple(raising))
+                       lowering, raising)
 
 
 def _perm_sign(perm) -> int:

@@ -382,6 +382,94 @@ def test_cache_round_trip_operator_identity(tmp_path):
         loaded.op("E", rs.positive_roots[0], 1)
 
 
+# sha256 of every file of a cold cache entry, as cache format 3 writes it
+CACHE_ENTRY_SHA256 = {
+    ("G2", 2): {
+        "entry.json":
+            "79828a3cea5ab4fe39ec2f94c71d07468e31505aceab631929aecb05d464a81c",
+        "op_F_r0_k1.txt":
+            "c462c7927f43fb6a309f0712b42f4c3067c3c02922b24abd4b5cacb0ffd64ace",
+        "op_F_r0_k2.txt":
+            "fb687f428891e2548554aac077db00941dcf1ba818590fd54994c6ab94981cf5",
+        "op_F_r0_k4.txt":
+            "00bad9c6616d4b47d170dd41fdf05c801137020d71bd33c17bdfea9320eafa35",
+        "op_F_r1_k1.txt":
+            "bde0684c55730132ad3b3a0da9b0e4494777337dd062ad094b25a951abe5b544",
+        "op_F_r1_k2.txt":
+            "aea258082496cd5e53856a90aff76d2a173272039038e8b826442e740f3099f2",
+        "op_F_r1_k4.txt":
+            "391cfdcb82e5a122ba75b9402b9f8237e2005adc00cef24838f57d000bb34057",
+        "op_F_r1_k8.txt":
+            "72a3ad06a07c00cd1863431e838b476dfcd1ac78f76a6e94e7037a809c7e4c7f",
+        "op_F_r2_k1.txt":
+            "d5ec18f26d0f4ef9e1f653a48eb1b23fd6ffc3829f15f74e3056a03fce1af794",
+        "op_F_r2_k2.txt":
+            "66881a375fa84053ae21c05fdbba73f708a73d1b1eccedfc29ba9d22c1820e7a",
+        "op_F_r2_k4.txt":
+            "7b614c08892414c53717fd2d3df8c0e509f01714abc11f6993fcbe94b29939a9",
+        "op_F_r2_k8.txt":
+            "36820b045e4918b809008d746ac2063d9db590f82fbaa928fbd529ffcd82d453",
+        "op_F_r3_k1.txt":
+            "c0c5e7749132cd2d8ce0e21fbe4ccadd326519b5d47ba7bd888edc9c10cf4cdc",
+        "op_F_r3_k2.txt":
+            "dbf72b66503b7dea491c93f5e4a386b70567ed41af3ffa3a4748804b4a899c7b",
+        "op_F_r3_k4.txt":
+            "7be18efdfee926625476c550980022f317c2afadba81e66e11aebecfd0117d0c",
+        "op_F_r3_k8.txt":
+            "eabde107c088664833a866b00b109aa2dd7e04896b8994ebb6232a94a2aec75d",
+        "op_F_r4_k1.txt":
+            "cbbebd606646b012b1d206d1e14653c1ac04d74d9890d9117ef8ed80944f8692",
+        "op_F_r4_k2.txt":
+            "ff0c8e192e27557c3aaaa13c44ee1717b442627b6ee6d83953d200fb6e6a2b4a",
+        "op_F_r4_k4.txt":
+            "ca9db61947e56901341df658b7f4c3e2609ae4589c770de074632a33a8db0fed",
+        "op_F_r5_k1.txt":
+            "48a3f163e5d033d8650c3debe301697a44d191b9c659a0a47ee56de47521a833",
+        "op_F_r5_k2.txt":
+            "c6ad7caca14a1506606182ad0ce511eebbfa8cea8f6be461e4e9ef2cb5ecbffb",
+        "op_F_r5_k4.txt":
+            "8731138263150476967cfaa38b991166e0adf8894b3626183685a9a3ad357560",
+        "weights.txt":
+            "df85a914a628249465613b1d60300f0ff7c3e860845d1305ec3990efa0650502",
+    },
+    ("A2", 3): {
+        "entry.json":
+            "a9d569274959552c051d4a5723a66f259791e6e15bfa6f7c74273a42e0b36cd5",
+        "op_F_r0_k1.txt":
+            "45c5f9f79336859e420209e236c66e6e9930d9b34a5984929f6de85e3d8cc608",
+        "op_F_r0_k3.txt":
+            "376a733e497723b7b8df6d6beee674d3601d7dd6b286a3718dbe7a82f4543862",
+        "op_F_r1_k1.txt":
+            "f8bbe767441470f2667dbc0b685537b10786a9e9909f6b044c0bf65860016713",
+        "op_F_r1_k3.txt":
+            "356f47b7d0896c731c6f267f5dace3ed41d0b644e5d50247de2fb1feb7bbde8c",
+        "op_F_r2_k1.txt":
+            "cba2336c42514f470d4f17fbf486df1e954e93f4672721651aa6604cbe42d581",
+        "op_F_r2_k3.txt":
+            "8b4eb74e65c28c25be0c8bd785607fbd9d6c12c15e6c215a4e63575b5ba3ca33",
+        "weights.txt":
+            "711edb72c8c2e567918f444d079ef25e14022007f661bf7a3790005bf81e9645",
+    },
+}
+
+@pytest.mark.parametrize("name,p", sorted(CACHE_ENTRY_SHA256))
+def test_cache_entry_bytes_pinned(tmp_path, name, p):
+    """A cold entry of the splitting weight module holds the same bytes,
+    file by file, as format 3 has always written, and reads back as a
+    module with the same operators."""
+    rs = build_root_system(name)
+    lam = splitting_weight(rs, p)
+    fresh = build_weyl_module_p(rs, p, lam)
+    entry = tmp_path / save_module(fresh, tmp_path)
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted(entry.iterdir())}
+    assert got == CACHE_ENTRY_SHA256[name, p]
+    loaded = load_module(rs, lam, p, tmp_path)
+    for idx, pe, _ in _stored_ops(fresh):
+        beta = rs.positive_roots[idx]
+        assert loaded.op("F", beta, pe) == fresh.op("F", beta, pe)
+
+
 def test_cache_version_mismatch_forces_recompute(tmp_path, capsys):
     """A future format and the previous one (2, which also stored the
     raising operators and dims.json) are both stale misses."""

@@ -17,7 +17,6 @@ from pbwdeg.exactla import (
     DenseEchelonModP,
     IncrementalHNF,
     LatticeBasis,
-    SparsePrimeMatrix,
     matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
@@ -142,23 +141,42 @@ def test_intersection_dimension_formula(seed, data):
         assert eu.contains(np.array(v)) and ew.contains(np.array(v))
 
 
+def _coo(entries):
+    return tuple(np.array(x, dtype=np.int64)
+                 for x in zip(*((r, c, v) for (r, c), v in entries.items())))
+
+
 def test_triplet_roundtrip_prime(tmp_path):
-    m = SparsePrimeMatrix(2, 2, 5, {(0, 0): 3, (1, 1): 4})
+    entries = {(0, 0): 3, (1, 1): 4}
     path = tmp_path / "m.txt"
-    write_triplet_text(m, path)
-    m2 = read_triplet_text(path)
-    assert isinstance(m2, SparsePrimeMatrix)
-    assert (m2.p, m2.entries) == (5, m.entries)
+    write_triplet_text(path, (2, 2), 5, *_coo(entries))
+    shape, p, rows, cols, vals = read_triplet_text(path)
+    assert all(x.dtype == np.int64 for x in (rows, cols, vals))
+    assert (shape, p) == ((2, 2), 5)
+    assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == \
+        entries
     assert path.read_text().splitlines()[0] == "2 2 5"
 
 
 def test_triplet_deterministic_bytes(tmp_path):
-    m = SparsePrimeMatrix(2, 2, 5, {(1, 0): 4, (0, 1): 3})
+    entries = {(1, 0): 4, (0, 1): 3}
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_triplet_text(m, p1)
-    write_triplet_text(m, p2)
+    write_triplet_text(p1, (2, 2), 5, *_coo(entries))
+    write_triplet_text(p2, (2, 2), 5, *_coo(entries))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == "2 2 5\n0 1 3\n1 0 4\n"
+
+
+@pytest.mark.parametrize("body", ["0 1\n1 0\n0 0\n", "0 1 3 4\n",
+                                  "0 2 1\n", "-1 0 1\n", "0 x 1\n"])
+def test_triplet_reader_refuses_malformed_entries(tmp_path, body):
+    """A line without exactly three integers, or an entry outside the
+    header's shape (a negative index would wrap around in numpy), is a
+    ValueError, which the cache reader treats as a miss."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 5\n" + body)
+    with pytest.raises(ValueError):
+        read_triplet_text(path)
 
 
 # -- the exact mod-p product and the batched echelon -------------------------

@@ -226,7 +226,7 @@ def f0_faulted(request, monkeypatch):
         hw, beta = mod.hw_index, (1,)
         low = mod.weights.index((0,))
         mod.inject_fault("F", beta, 2, row=low, col=hw,
-                         delta=-int(mod.op("F", beta, 2)[low, hw]))
+                         delta=-int(mod.op("F", beta, 2).toarray()[low, hw]))
         if request.param == "lands_low":
             mod.inject_fault("F", beta, 2, row=mod.weights.index((2,)),
                              col=hw, delta=1)
@@ -274,7 +274,7 @@ def test_faulted_ppower_breaks_filtration_completeness():
     assert pbw_filtration(mod).graded_dims == (1, 1, 1)
     hw, mid = mod.hw_index, mod.weights.index((0,))
     mod.inject_fault("F", (1,), 1, row=mid, col=hw,
-                     delta=-int(mod.op("F", (1,), 1)[mid, hw]))
+                     delta=-int(mod.op("F", (1,), 1).toarray()[mid, hw]))
     with pytest.raises(IntegrityError, match="spans 2 of 3 dimensions"):
         pbw_filtration(mod)
 
