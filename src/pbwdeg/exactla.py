@@ -71,20 +71,6 @@ class SparseIntMatrix:
         return out
 
 
-@dataclass
-class SparsePrimeMatrix:
-    nrows: int
-    ncols: int
-    p: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v % self.p
-        return out
-
-
 def write_triplet_text(path, shape, p: int, rows, cols, vals) -> None:
     """Write the entries given as COO arrays, one per (row, col)."""
     order = np.lexsort((cols, rows))

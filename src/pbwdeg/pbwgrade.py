@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .exactla import DenseEchelonModP, SparsePrimeMatrix
+from .exactla import DenseEchelonModP
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
 from .weylmod import (BlockOp, ModuleP, WeightBlocks, build_weyl_module_p,
                       weyl_dim)
@@ -139,8 +139,7 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     rs, p = space.rs, space.p
     weights = space.weights
     layout = WeightBlocks(weights)
-    blocks = {w: _FiltBlock(p, np.array(ix, dtype=np.intp))
-              for w, ix in layout.flats.items()}
+    blocks = {w: _FiltBlock(p, ix) for w, ix in layout.flats.items()}
 
     nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
     if not nz.size:
@@ -271,7 +270,9 @@ def pbw_filtration(mod: ModuleP) -> PBWGraded:
 # norm form
 
 
-def _f0_op(mod: ModuleP, order) -> BlockOp:
+def norm_form(mod: ModuleP, order) -> BlockOp:
+    """Product of the (p-1)-st divided powers over all positive roots,
+    factors taken in the given 1-based order, leftmost factor applied last."""
     roots = mod.rs.positive_roots
     n = len(roots)
     if sorted(order) != list(range(1, n + 1)):
@@ -283,25 +284,17 @@ def _f0_op(mod: ModuleP, order) -> BlockOp:
     return acc
 
 
-def build_F0(mod: ModuleP, order) -> SparsePrimeMatrix:
-    """Product of the (p-1)-st divided powers over all positive roots,
-    factors taken in the given 1-based order, leftmost factor applied last."""
-    rows, cols, vals = (x.tolist() for x in _f0_op(mod, order).coo())
-    return SparsePrimeMatrix(mod.dim, mod.dim, mod.p,
-                             dict(zip(zip(rows, cols), vals)))
-
-
 def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
     """Norm form under pseudorandom root orders, plus module-level
     centrality.  Returns False (after logging the witness) on any defect."""
     n = len(mod.rs.positive_roots)
     canonical = tuple(range(1, n + 1))
-    f0 = _f0_op(mod, canonical)
+    f0 = norm_form(mod, canonical)
     rng = random.Random(ORDER_TRIAL_SEED)
     for _ in range(trials):
         order = list(canonical)
         rng.shuffle(order)
-        if _f0_op(mod, tuple(order)) != f0:
+        if norm_form(mod, tuple(order)) != f0:
             log.warning("norm form differs between orders %s and %s",
                         canonical, tuple(order))
             return False
@@ -350,7 +343,7 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     i.e. lies outside V_{(p-1)N - 1}.  The structure constants argument is
     the shared table for rs; builders consult the same cached object.  A
     prebuilt module for the splitting weight may be passed to skip the
-    construction step.
+    construction step; it must be a module of rs (ValueError otherwise).
     """
     _require_inputs(rs, sc, p)
     lam = splitting_weight(rs, p)
@@ -359,9 +352,11 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
         raise SizeCeilingExceeded(required, size_ceiling)
     t0 = time.perf_counter()
     if module is not None:
-        if module.p != p or tuple(module.lam) != lam:
-            raise ValueError(f"module V({tuple(module.lam)}) mod {module.p} "
-                             f"passed for V({lam}) mod {p}")
+        if (module.rs.name, module.p, tuple(module.lam)) != \
+                (rs.name, p, lam):
+            raise ValueError(f"module V({tuple(module.lam)}) of "
+                             f"{module.rs.name} mod {module.p} passed for "
+                             f"V({lam}) of {rs.name} mod {p}")
         mod = module
     else:
         mod = build_weyl_module_p(rs, p, lam)

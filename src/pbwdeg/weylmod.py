@@ -320,16 +320,16 @@ class WeightBlocks:
         groups: dict[Weight, list[int]] = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
-        self.flats = groups
+        #: the flat indices of each block, ascending
+        self.flats = {w: np.array(ix, dtype=np.int64)
+                      for w, ix in groups.items()}
         self.keys = list(groups)
         self.block_of = np.empty(len(weights), dtype=np.int32)
         self.block_pos = np.empty(len(weights), dtype=np.int32)
-        for b, ix in enumerate(groups.values()):
+        for b, ix in enumerate(self.flats.values()):
             self.block_of[ix] = b
             self.block_pos[ix] = np.arange(len(ix))
-        # the flat indices of each block, and the place of each flat index
-        # in the order block after block
-        self.at = {w: np.array(ix, dtype=np.int64) for w, ix in groups.items()}
+        # the place of each flat index in the order block after block
         starts = np.cumsum([0] + [len(ix) for ix in groups.values()])
         self._place = starts[self.block_of] + self.block_pos
 
@@ -367,20 +367,18 @@ def block_dense(shape, rows, cols, vals) -> np.ndarray:
 
 
 class BlockOp:
-    """A weight-homogeneous operator mod p, held per weight block.
+    """A weight-homogeneous operator mod p on the space of layout, held per
+    weight block.
 
-    blocks maps a source weight of layout to (target weight of dst, rows,
-    cols, vals): the nonzero entries of that block, rows and cols local to
-    the target and source blocks, sorted by column then row, vals in
-    [1, p).  dst is layout itself for an operator on one space.  That form
+    blocks maps a source weight to (target weight, rows, cols, vals): the
+    nonzero entries of that block, rows and cols local to the target and
+    source blocks, sorted by column then row, vals in [1, p).  That form
     is canonical, so equal operators have equal blocks.  A BlockOp is not
     changed once made: coo() and nnz are computed once.
     """
 
-    def __init__(self, layout: WeightBlocks, p: int, blocks: dict,
-                 dst: WeightBlocks | None = None):
+    def __init__(self, layout: WeightBlocks, p: int, blocks: dict):
         self.layout = layout
-        self.dst = layout if dst is None else dst
         self.p = p
         self.blocks = blocks
         self._coo = None
@@ -392,7 +390,8 @@ class BlockOp:
     def coo(self):
         """Int64 COO arrays (rows, cols, vals) in global coordinates."""
         if self._coo is None:
-            parts = [(self.dst.at[d][r], self.layout.at[s][c], v)
+            flats = self.layout.flats
+            parts = [(flats[d][r], flats[s][c], v)
                      for s, (d, r, c, v) in self.blocks.items()]
             self._coo = tuple(np.concatenate(x) for x in zip(*parts)) \
                 if parts else (np.zeros(0, dtype=np.int64),) * 3
@@ -400,7 +399,7 @@ class BlockOp:
 
     def toarray(self) -> np.ndarray:
         rows, cols, vals = self.coo()
-        out = np.zeros((self.dst.dim, self.layout.dim), dtype=np.int64)
+        out = np.zeros((self.layout.dim,) * 2, dtype=np.int64)
         out[rows, cols] = vals
         return out
 
@@ -415,10 +414,10 @@ class BlockOp:
     def __matmul__(self, other):
         """self @ other mod p: composition, block by block through the
         product of dense blocks, or the image of a vector."""
-        p = self.p
+        p, flats = self.p, self.layout.flats
         if not isinstance(other, BlockOp):
             rows, cols, vals = self.coo()
-            out = np.zeros(self.dst.dim, dtype=np.int64)
+            out = np.zeros(self.layout.dim, dtype=np.int64)
             np.add.at(out, rows, vals * (np.asarray(other)[cols] % p) % p)
             return out % p
         out = {}
@@ -427,15 +426,14 @@ class BlockOp:
             if entry is None:
                 continue
             d, r2, c2, v2 = entry
-            n_mid = len(self.layout.flats[mid])
+            n_mid = len(flats[mid])
             m = matmul_mod(
-                block_dense((len(self.dst.flats[d]), n_mid), r2, c2, v2),
-                block_dense((n_mid, len(other.layout.flats[s])), r1, c1, v1),
-                p)
+                block_dense((len(flats[d]), n_mid), r2, c2, v2),
+                block_dense((n_mid, len(flats[s])), r1, c1, v1), p)
             c, r = np.nonzero(m.T)
             if c.size:
                 out[s] = (d, r.astype(np.int32), c.astype(np.int32), m[r, c])
-        return BlockOp(other.layout, p, out, self.dst)
+        return BlockOp(self.layout, p, out)
 
     def image(self, w: Weight, rows: np.ndarray):
         """(target weight, rows @ block^T mod p) for row vectors of the
@@ -444,9 +442,9 @@ class BlockOp:
         if entry is None:
             return None
         d, r, c, v = entry
+        flats = self.layout.flats
         return d, matmul_mod(rows, block_dense(
-            (len(self.layout.flats[w]), len(self.dst.flats[d])), c, r, v),
-            self.p)
+            (len(flats[w]), len(flats[d])), c, r, v), self.p)
 
     def power(self, e: int) -> "BlockOp":
         """self^e for e >= 1, by repeated squaring."""
@@ -509,18 +507,20 @@ class TensorAmbient:
     def _layout(self) -> WeightBlocks:
         return WeightBlocks(self.weights)
 
-    def blocks(self) -> dict[Weight, list[int]]:
+    def blocks(self) -> dict[Weight, np.ndarray]:
         """Flat indices per weight, ascending."""
         return self._layout.flats
 
     def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
-        """Coproduct action on a sparse vector, in exact Python integers
-        (reduced mod p when the ambient has a prime).
+        """Coproduct action on a sparse vector, in exact Python integers,
+        on an ambient over Z (ValueError over F_p, where op() acts).
 
         The vector is pushed through the factors one at a time, tracking
         for each partial image the order r still to be spent on the later
         factors; the last factor spends all of it.
         """
+        if self.p is not None:
+            raise ValueError("apply_vec needs an ambient over Z")
         states: dict[tuple[int, int], int] = {(f, k): c
                                                for f, c in vec.items()}
         last = len(self.factors) - 1
@@ -539,14 +539,7 @@ class TensorAmbient:
                         key = (base + row * stride, r - a)
                         nxt[key] = nxt.get(key, 0) + c * v
             states = nxt
-        out: Vec = {}
-        for (flat, r), c in states.items():
-            if r == 0:
-                if self.p is not None:
-                    c %= self.p
-                if c:
-                    out[flat] = c
-        return out
+        return {flat: c for (flat, r), c in states.items() if r == 0 and c}
 
     @contextmanager
     def op_scope(self):
@@ -580,22 +573,13 @@ class TensorAmbient:
         return out
 
     def block_op_matrix(self, kind: str, beta: Root, k: int,
-                        src_flats, dst_index: dict[int, int]) -> BlockOp:
-        """The op from one weight block to another, mod p: one block of
-        op() as a BlockOp between the two blocks alone.
-
-        src_flats and dst_index must be whole weight blocks of blocks(),
-        in that order.
-        """
+                        weight: Weight) -> BlockOp:
+        """op() restricted to the source block of one weight, mod p."""
         if self.p is None:
             raise ValueError("block_op_matrix needs an ambient over F_p")
-        keys, block_of = self._layout.keys, self._layout.block_of
-        src, dst = (WeightBlocks([keys[block_of[f]] for f in flats])
-                    for flats in (src_flats, dst_index))
-        entry = self.op(kind, beta, k).blocks.get(src.keys[0]) \
-            if src.keys else None
-        ok = entry is not None and entry[0] in dst.flats
-        return BlockOp(src, self.p, {src.keys[0]: entry} if ok else {}, dst)
+        entry = self.op(kind, beta, k).blocks.get(weight)
+        return BlockOp(self._layout, self.p,
+                       {} if entry is None else {weight: entry})
 
 
 # ---------------------------------------------------------------------------
@@ -740,20 +724,6 @@ class WeylLatticeZ:
         self._op_cache[key] = out
         return out
 
-    def corrupt_block(self, weight: Weight, scale: int) -> "WeylLatticeZ":
-        """Copy with one weight space shrunk to a sublattice (for tests)."""
-        blocks = []
-        for b in self.blocks:
-            nb = _ZBlock(b.weight)
-            rows = [dict(r) for r in b.final.rows]
-            if b.weight == weight:
-                rows = [{c: scale * v for c, v in r.items()} for r in rows]
-            nb.final = LatticeBasis(b.final.ambient_dim, rows,
-                                    b.final.pivot_cols)
-            nb.offset = b.offset
-            blocks.append(nb)
-        return WeylLatticeZ(self.rs, self.lam, self.ambient, blocks)
-
 
 _LATTICE_CACHE: dict = {}
 
@@ -762,21 +732,19 @@ def _fund_list(rs: RootSystemData, lam: Weight) -> list[int]:
     return [i + 1 for i in range(rs.rank) for _ in range(lam[i])]
 
 
-def build_weyl_lattice(rs: RootSystemData, lam, *,
-                       use_cache: bool = True) -> WeylLatticeZ:
-    """Minimal admissible lattice inside a tensor of fundamental reps."""
+def build_weyl_lattice(rs: RootSystemData, lam) -> WeylLatticeZ:
+    """Minimal admissible lattice inside a tensor of fundamental reps, built
+    once per (type, lam) and shared by later calls."""
     from .chevrep import fundamental_rep
 
     lam = tuple(lam)
     key = (rs.name, lam)
-    if use_cache and key in _LATTICE_CACHE:
-        return _LATTICE_CACHE[key]
-    ambient = TensorAmbient.over_z(
-        rs, [fundamental_rep(rs, i) for i in _fund_list(rs, lam)])
-    lat = _lattice(rs, lam, ambient, {ambient.hw_flat: 1})
-    if use_cache:
-        _LATTICE_CACHE[key] = lat
-    return lat
+    if key not in _LATTICE_CACHE:
+        ambient = TensorAmbient.over_z(
+            rs, [fundamental_rep(rs, i) for i in _fund_list(rs, lam)])
+        _LATTICE_CACHE[key] = _lattice(rs, lam, ambient,
+                                       {ambient.hw_flat: 1})
+    return _LATTICE_CACHE[key]
 
 
 def _lattice(rs: RootSystemData, lam: Weight, ambient: TensorAmbient,
@@ -864,10 +832,10 @@ class _PBlock:
 
     def __init__(self, weight: Weight, ambient: TensorAmbient, mults: dict):
         self.weight = weight
-        self.flats = ambient.blocks().get(weight, [])
-        self.index = {f: i for i, f in enumerate(self.flats)}
+        flats = ambient.blocks().get(weight, np.zeros(0, dtype=np.int64))
+        self.index = {f: i for i, f in enumerate(flats.tolist())}
         self.expected = mults.get(weight, 0)
-        self.ech = DenseEchelonModP(ambient.p, len(self.flats))
+        self.ech = DenseEchelonModP(ambient.p, len(flats))
         self.rows: np.ndarray | None = None
         self.pivots: list[int] | None = None
         self.offset = -1
@@ -881,7 +849,7 @@ class _PBlock:
         return self.expected > 0 and self.ech.rank == self.expected
 
     def add(self, vec: Vec) -> None:
-        dense = np.zeros(len(self.flats), dtype=np.int64)
+        dense = np.zeros(self.ech.width, dtype=np.int64)
         for f, v in vec.items():
             dense[self.index[f]] = v % self.ech.p
         self.ech.add_row(dense)
@@ -894,7 +862,7 @@ class _PBlock:
 
     def push(self, ambient: TensorAmbient, alpha: Root, k: int,
              dst: "_PBlock") -> None:
-        if dst.saturated or not dst.flats:
+        if dst.saturated or not dst.ech.width:
             return
         img = ambient.op("F", alpha, k).image(self.weight, self.rows)
         if img is not None:
@@ -1009,21 +977,6 @@ class ModuleP:
             self._ops[key] = out
         return self._ops[key]
 
-    def inject_fault(self, kind: str, beta: Root, k: int,
-                     row: int, col: int, delta: int) -> None:
-        """Perturb one entry of a stored operator (for testing), the one
-        op() and the filtration read.  An entry that sends a weight block
-        into a second target block has no block form (IntegrityError)."""
-        rows, cols, vals = self.op(kind, beta, k).coo()
-        hit = (rows == row) & (cols == col)
-        rows, cols = np.append(rows[~hit], row), np.append(cols[~hit], col)
-        vals = np.append(vals[~hit], (int(vals[hit].sum()) + delta) % self.p)
-        keep = vals != 0
-        self._ops[(kind, beta, k)] = BlockOp(self.layout, self.p,
-                                             self.layout.group(rows[keep],
-                                                               cols[keep],
-                                                               vals[keep]))
-
 
 class WeylModuleP(ModuleP):
     """Weyl module over F_p with canonical per weight echelon bases."""
@@ -1038,12 +991,6 @@ class WeylModuleP(ModuleP):
 
     # the tracer wraps op per class by name (ROADMAP item 3)
     op = ModuleP.op
-
-    def block_weights(self) -> list[Weight]:
-        return [b.weight for b in self.blocks]
-
-    def block_rows(self, weight: Weight) -> np.ndarray:
-        return self._by_weight[weight].rows
 
     def _ppower(self, kind: str, beta: Root, k: int) -> dict:
         """The ambient operator on each block's rows, in the target block's
@@ -1128,9 +1075,9 @@ _MODP_CACHE: dict = {}
 
 
 def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
-                        ambient_mode: str = "peeled",
-                        use_cache: bool = True):
-    """Construct V_p(lambda) by spanning under p-power divided powers.
+                        ambient_mode: str = "peeled"):
+    """Construct V_p(lambda) by spanning under p-power divided powers, once
+    per (type, p, lambda, ambient_mode): later calls share the module.
 
     ambient_mode "peeled" builds up one fundamental factor at a time,
     nesting the previous stage as a tensor factor; "flat" spans inside the
@@ -1146,7 +1093,7 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     if ambient_mode not in ("peeled", "flat"):
         raise ValueError(ambient_mode)
     key = (rs.name, p, lam, ambient_mode)
-    if use_cache and key in _MODP_CACHE:
+    if key in _MODP_CACHE:
         return _MODP_CACHE[key]
     funds = _fund_list(rs, lam)
     omega = [tuple(int(j == i - 1) for j in range(rs.rank)) for i in funds]
@@ -1168,10 +1115,8 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
         log.info("ambient span mod %d for %s %s has rank %d, expected "
                  "%d; falling back to the lattice reduction",
                  p, rs.name, lam, exc.found, exc.expected)
-        lat = build_weyl_lattice(rs, lam, use_cache=use_cache)
-        mod = LatticeModuleP(lat, p)
-    if use_cache:
-        _MODP_CACHE[key] = mod
+        mod = LatticeModuleP(build_weyl_lattice(rs, lam), p)
+    _MODP_CACHE[key] = mod
     return mod
 
 

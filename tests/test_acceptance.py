@@ -19,9 +19,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dense_oracle import (DenseModule, dense_hilbert_value,
                           dense_mult_verdict, f0_nonzero_in_graded)
 
+from faults import inject_fault, shrink_weight_space
 from test_weylmod import MODP_SUITE
 
-from pbwdeg import weylmod
 from pbwdeg.chevrep import NonIntegralDividedPower, chevalley_constants
 from pbwdeg.pbwgrade import (check_F0_order_invariance, check_f0,
                              pbw_filtration)
@@ -165,13 +165,9 @@ def test_degree_one_generation_and_hilbert_values():
 
 
 def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
-        monkeypatch):
-    def fresh():
-        monkeypatch.setattr(weylmod, "_MODP_CACHE", {})
-        monkeypatch.setattr(weylmod, "_LATTICE_CACHE", {})
-
+        fresh_modules):
     rep1 = check_f0(RS["B2"], sc("B2"), 2)
-    fresh()
+    fresh_modules()
     rep2 = check_f0(RS["B2"], sc("B2"), 2)
     assert replace(rep1, elapsed_ms=0) == replace(rep2, elapsed_ms=0)
     oracle = f0_nonzero_in_graded(DenseModule(RS["B2"],
@@ -179,7 +175,7 @@ def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
                                               2))
     assert rep1.nonzero == oracle
     m1 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
-    fresh()
+    fresh_modules()
     m2 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
     assert replace(m1, elapsed_ms=0) == replace(m2, elapsed_ms=0)
     inj, strict, table = dense_mult_verdict(RS["B2"], (1, 0), (0, 1), 2)
@@ -187,15 +183,15 @@ def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
         (inj, strict, table)
 
 
-def test_defect_detectors_locate_injected_faults():
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+def test_defect_detectors_locate_injected_faults(fresh_modules):
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     assert validate_relations(mod) == []
-    mod.inject_fault("F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
+    inject_fault(mod, "F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
     witnesses = validate_relations(mod)
     assert witnesses
     assert all(0 <= w.basis_index < mod.dim for w in witnesses)
     assert any("F_" in w.relation for w in witnesses)
     lat = build_weyl_lattice(RS["A1"], (2,))
-    bad = lat.corrupt_block((-2,), scale=2)
+    shrink_weight_space(lat, (-2,), scale=2)
     with pytest.raises(NonIntegralDividedPower):
-        bad.op_int("F", (1,), 2)
+        lat.op_int("F", (1,), 2)

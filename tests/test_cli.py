@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pbwdeg import cli as cli_module, weylmod
+from pbwdeg import cli as cli_module
 from pbwdeg.cli import _stored_ops, cache_key, load_module, main, save_module
 from pbwdeg.rootsys import build_root_system, splitting_weight
 from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p
@@ -286,11 +286,12 @@ def test_check_mult_prime_beyond_int64_bound_exits_1():
     assert "largest safe p" in lines[0]
 
 
-def test_module_not_closed_under_operators_exits_3(capsys, monkeypatch):
+def test_module_not_closed_under_operators_exits_3(capsys, monkeypatch,
+                                                   fresh_modules):
     """A module whose weight-0 block no longer spans the operator images is
     an internal defect: exit 3 and one line, not an assertion traceback."""
     def corrupted(rs, p, lam, **_):
-        mod = build_weyl_module_p(rs, p, lam, use_cache=False)
+        mod = build_weyl_module_p(rs, p, lam)
         blk = mod._by_weight[(0, 0)]
         blk.rows = np.roll(blk.rows, 1, axis=1)
         return mod
@@ -570,7 +571,8 @@ def test_every_entry_file_is_load_bearing(tmp_path, capsys):
 
 
 def test_cold_check_f0_stores_only_lowering_operators(tmp_path, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      fresh_modules):
     """No raising operator is assembled on a cold cached check-f0, and the
     entry holds exactly the manifest, the weights and the F operators."""
     kinds = []
@@ -581,7 +583,6 @@ def test_cold_check_f0_stores_only_lowering_operators(tmp_path, capsys,
         return real(self, kind, beta, k)
 
     monkeypatch.setattr(WeylModuleP, "_ppower", recording)
-    monkeypatch.setattr(weylmod, "_MODP_CACHE", {})  # no module built earlier
     code, _, err = run_cli(capsys, "check-f0", "--cartan", "A2", "--p", "2",
                            "--cache-dir", str(tmp_path))
     assert code == 0 and err.startswith("cache miss")

@@ -485,11 +485,11 @@ def test_mult_not_strict_cli(capsys, not_strict, fmt):
                                  True, False)
 
 
-def test_mult_rank_short_over_z_exits_3(capsys, monkeypatch, rank_short):
+def test_mult_rank_short_over_z_exits_3(capsys, monkeypatch, rank_short,
+                                       fresh_modules):
     """If the Z lattice falls short as well, that is a defect, not a
     verdict: RankMismatch, exit 3."""
     _claim_extra_dimension(monkeypatch, weylmod, (1, 1))
-    monkeypatch.setattr(weylmod, "_LATTICE_CACHE", {})
     with pytest.raises(RankMismatch):
         check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1), 2)
     code = cli.main(list(MULT_ARGS))

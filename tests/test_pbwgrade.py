@@ -14,16 +14,17 @@ import pytest
 
 from pbwdeg import __version__, cli, pbwgrade
 from pbwdeg.chevrep import chevalley_constants
-from pbwdeg.exactla import DenseEchelonModP, SparsePrimeMatrix
+from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.rootsys import IntegrityError, build_root_system, splitting_weight
 from pbwdeg.pbwgrade import (DEFAULT_SIZE_CEILING, F0Report, PBWGraded,
                              SizeCeilingExceeded, _is_prime, _require_prime,
-                             build_F0, check_f0, check_F0_order_invariance,
-                             pbw_filtration)
-from pbwdeg.weylmod import build_weyl_module_p
+                             check_f0, check_F0_order_invariance,
+                             norm_form, pbw_filtration)
+from pbwdeg.weylmod import BlockOp, build_weyl_module_p
 
 from dense_oracle import DenseModule, f0_nonzero_in_graded
 from dense_oracle import graded_dims as oracle_graded_dims
+from faults import inject_fault
 
 RS = {n: build_root_system(n)
       for n in ["A1", "A2", "A3", "B2", "C2", "G2"]}
@@ -137,25 +138,25 @@ def test_lowering_respects_filtration_degrees():
 def test_build_f0_a1_matches_divided_powers():
     for p, k in [(2, 1), (3, 2)]:
         mod = build_weyl_module_p(RS["A1"], p, splitting_weight(RS["A1"], p))
-        f0 = build_F0(mod, (1,))
+        f0 = norm_form(mod, (1,))
         expect = mod.op("F", (1,), k).toarray()
-        assert isinstance(f0, SparsePrimeMatrix)
-        assert np.array_equal(f0.to_dense(), expect % p)
+        assert isinstance(f0, BlockOp)
+        assert np.array_equal(f0.toarray(), expect % p)
 
 
 def test_build_f0_order_independent_a2():
     mod = build_weyl_module_p(RS["A2"], 2, (2, 2))
-    assert build_F0(mod, (1, 2, 3)) == build_F0(mod, (3, 2, 1))
+    assert norm_form(mod, (1, 2, 3)) == norm_form(mod, (3, 2, 1))
 
 
 def test_build_f0_rejects_bad_orders():
     mod = build_weyl_module_p(RS["A2"], 2, (2, 2))
     with pytest.raises(ValueError):
-        build_F0(mod, (1, 1, 2))
+        norm_form(mod, (1, 1, 2))
     with pytest.raises(ValueError):
-        build_F0(mod, (0, 1, 2))
+        norm_form(mod, (0, 1, 2))
     with pytest.raises(ValueError):
-        build_F0(mod, (1, 2))
+        norm_form(mod, (1, 2))
 
 
 @pytest.mark.parametrize("name,p,lam,degree,nonzero,profile", F0_CASES)
@@ -211,25 +212,39 @@ def test_size_ceiling_refusal():
     assert DEFAULT_SIZE_CEILING == 20000
 
 
+def test_check_f0_refuses_module_of_another_type():
+    """Every rank-2 type has the splitting weight (2, 2) at p = 2, so a
+    prebuilt module is checked for its type along with p and the weight:
+    a B2 module passed for A2 is refused, not read as A2's filtration."""
+    a2, b2 = RS["A2"], RS["B2"]
+    mod = build_weyl_module_p(b2, 2, splitting_weight(b2, 2))
+    assert mod.lam == splitting_weight(a2, 2) == (2, 2)
+    with pytest.raises(ValueError, match=r"of B2 mod 2 passed for "
+                                         r"V\(\(2, 2\)\) of A2 mod 2"):
+        check_f0(a2, chevalley_constants(a2), 2, module=mod)
+    rep = check_f0(b2, chevalley_constants(b2), 2, module=mod)
+    assert rep.cartan == "B2" and sum(rep.graded_dims) == mod.dim == 81
+
+
 # -- the negative branch of the splitting criterion ------------------------
 
 
 @pytest.fixture(params=["vanishes", "lands_low"])
-def f0_faulted(request, monkeypatch):
+def f0_faulted(request, monkeypatch, fresh_modules):
     """check_f0 on A1 at p = 3 sees a module whose F^(2) is faulted on the
     highest weight vector v: F0 v = F^(2) v either vanishes or lands in V_1.
     The filtration spans with F^(1) and F^(3) only, so it is unaffected."""
     real = pbwgrade.build_weyl_module_p
 
     def faulted(rs, p, lam, **_):
-        mod = real(rs, p, lam, use_cache=False)
+        mod = real(rs, p, lam)
         hw, beta = mod.hw_index, (1,)
         low = mod.weights.index((0,))
-        mod.inject_fault("F", beta, 2, row=low, col=hw,
-                         delta=-int(mod.op("F", beta, 2).toarray()[low, hw]))
+        inject_fault(mod, "F", beta, 2, row=low, col=hw,
+                     delta=-int(mod.op("F", beta, 2).toarray()[low, hw]))
         if request.param == "lands_low":
-            mod.inject_fault("F", beta, 2, row=mod.weights.index((2,)),
-                             col=hw, delta=1)
+            inject_fault(mod, "F", beta, 2, row=mod.weights.index((2,)),
+                         col=hw, delta=1)
         return mod
 
     monkeypatch.setattr(pbwgrade, "build_weyl_module_p", faulted)
@@ -266,15 +281,15 @@ def test_check_f0_not_nonzero_cli(capsys, f0_faulted, fmt):
     assert out == NOT_NONZERO_CLI[fmt]
 
 
-def test_faulted_ppower_breaks_filtration_completeness():
+def test_faulted_ppower_breaks_filtration_completeness(fresh_modules):
     """Zeroing F^(1) on v_lam in V(2) of A1 at p = 2 leaves the weight 0
     unreachable: F^(2) v_lam still reaches -2, but nothing reaches 0, so the
     filtration spans 2 of 3 dimensions and says so."""
-    mod = build_weyl_module_p(RS["A1"], 2, (2,), use_cache=False)
+    mod = build_weyl_module_p(RS["A1"], 2, (2,))
     assert pbw_filtration(mod).graded_dims == (1, 1, 1)
     hw, mid = mod.hw_index, mod.weights.index((0,))
-    mod.inject_fault("F", (1,), 1, row=mid, col=hw,
-                     delta=-int(mod.op("F", (1,), 1).toarray()[mid, hw]))
+    inject_fault(mod, "F", (1,), 1, row=mid, col=hw,
+                 delta=-int(mod.op("F", (1,), 1).toarray()[mid, hw]))
     with pytest.raises(IntegrityError, match="spans 2 of 3 dimensions"):
         pbw_filtration(mod)
 
@@ -287,6 +302,7 @@ def test_filtration_checks_survive_python_O():
         "from pbwdeg.pbwgrade import check_f0, filter_from_seed, "
         "pbw_filtration",
         "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "from pbwdeg import weylmod",
         "from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p",
         "rs = build_root_system('A2')",
         "mod = build_weyl_module_p(rs, 2, (1, 1))",
@@ -304,8 +320,10 @@ def test_filtration_checks_survive_python_O():
         "attempt(lambda: check_f0(rs, chevalley_constants(rs), 2,",
         "                         module=mod), error=ValueError)",
         "WeylModuleP._ppower = lambda self, kind, beta, pe: {}",
-        "attempt(pbw_filtration, build_weyl_module_p(rs, 2, (1, 1),",
-        "                                            use_cache=False))",
+        # only V(1, 1) is built again: its factor V(1, 0) is still the one
+        # built before the patch, so the span has full rank
+        "del weylmod._MODP_CACHE[('A2', 2, (1, 1), 'peeled')]",
+        "attempt(pbw_filtration, build_weyl_module_p(rs, 2, (1, 1)))",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=120)
@@ -326,7 +344,7 @@ def test_f0_commutes_with_simple_lowerings():
     rs = RS["A2"]
     mod = build_weyl_module_p(rs, 2, (2, 2))
     n = len(rs.positive_roots)
-    f0 = build_F0(mod, tuple(range(1, n + 1))).to_dense()
+    f0 = norm_form(mod, tuple(range(1, n + 1))).toarray()
     for beta in rs.positive_roots:
         a = mod.op("F", beta, 1).toarray()
         assert np.array_equal((f0 @ a) % 2, (a @ f0) % 2)

@@ -23,6 +23,7 @@ from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
                             splitting_weight, star_weight)
+from faults import inject_fault, shrink_weight_space
 from pbwdeg.weylmod import (
     FundFactor,
     RankMismatch,
@@ -203,6 +204,19 @@ def test_tensor_apply_matches_kron(name, funds, kind, beta, k):
         assert got == want, (col, got, want)
 
 
+def test_ambient_operators_refuse_the_other_ring():
+    """apply_vec is the exact action over Z and block_op_matrix a block of
+    the operator mod p: each refuses an ambient over the other ring."""
+    rs = RS["A2"]
+    rep = fundamental_rep(rs, 1)
+    with pytest.raises(ValueError, match="over Z"):
+        TensorAmbient(rs, [FundFactor(rs, rep, 2)], 2).apply_vec(
+            "F", (1, 0), 1, {0: 1})
+    with pytest.raises(ValueError, match="over F_p"):
+        TensorAmbient.over_z(rs, [rep]).block_op_matrix("F", (1, 0), 1,
+                                                        (1, 0))
+
+
 def _dense_rep_power(rs, rep, kind, beta, a, p):
     sc = chevalley_constants(rs)
     m = divided_power_matrix(root_operator(rep, sc, kind, beta), a)
@@ -220,14 +234,13 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
     products of the factor matrices."""
     rs = RS[name]
     if isinstance(lam[0], tuple):
-        prev, last = (build_weyl_module_p(rs, p, w, use_cache=False)
-                      for w in lam)
+        prev, last = (build_weyl_module_p(rs, p, w) for w in lam)
         ambient = TensorAmbient(rs, [prev, last], p)
 
         def right(kind, beta, a):
             return last.op(kind, beta, a).toarray() % p
     else:
-        mod = build_weyl_module_p(rs, p, lam, use_cache=False)
+        mod = build_weyl_module_p(rs, p, lam)
         ambient = mod.ambient
         prev, last = ambient.factors
         assert isinstance(prev, WeylModuleP) and isinstance(last, FundFactor)
@@ -235,9 +248,8 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
         def right(kind, beta, a):
             return _dense_rep_power(rs, last.rep, kind, beta, a, p)
     blocks = ambient.blocks()
-    for kind, sign in (("E", 1), ("F", -1)):
+    for kind in ("E", "F"):
         for beta in rs.positive_roots:
-            shift = rs.root_fund(beta)
             for k in (1, p):
                 dense = np.zeros((ambient.dim, ambient.dim), dtype=np.int64)
                 for a in range(k + 1):
@@ -249,17 +261,13 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
                 covered = 0
                 with ambient.op_scope():
                     for mu, src in blocks.items():
-                        target = tuple(m + sign * k * s
-                                       for m, s in zip(mu, shift))
-                        dst = blocks.get(target)
-                        if dst is None:
-                            continue
-                        index = {f: i for i, f in enumerate(dst)}
-                        got = ambient.block_op_matrix(kind, beta, k, src,
-                                                      index).toarray() % p
-                        want = dense[np.ix_(dst, src)]
-                        assert np.array_equal(got, want), (kind, beta, k, mu)
-                        covered += int(np.count_nonzero(want))
+                        got = ambient.block_op_matrix(kind, beta, k, mu)
+                        want = np.zeros_like(dense)
+                        want[:, src] = dense[:, src]
+                        assert np.array_equal(got.toarray(), want), \
+                            (kind, beta, k, mu)
+                        assert got.nnz == np.count_nonzero(want)
+                        covered += got.nnz
                 assert ambient._scope is None
                 # the blocks account for every nonzero entry of the operator
                 assert covered == int(np.count_nonzero(dense))
@@ -271,12 +279,11 @@ def test_prime_beyond_int64_bound_refused():
     and the largest p the message names builds correctly."""
     rs = RS["A2"]
     with pytest.raises(ValueError, match="largest safe p") as exc:
-        build_weyl_module_p(rs, 4294967311, (2, 1), use_cache=False)
+        build_weyl_module_p(rs, 4294967311, (2, 1))
     width, limit = map(int, re.findall(r"\d+", str(exc.value))[-2:])
     assert width * (limit - 1) ** 2 < 2 ** 63 <= width * limit ** 2
     q = next(n for n in range(limit, 0, -1) if _is_prime(n))
-    graded = [pbw_filtration(build_weyl_module_p(rs, r, (2, 1),
-                                                 use_cache=False)).graded_dims
+    graded = [pbw_filtration(build_weyl_module_p(rs, r, (2, 1))).graded_dims
               for r in (q, 1000003)]
     assert graded[0] == graded[1] == (1, 3, 5, 6)
 
@@ -445,12 +452,12 @@ def test_lattice_divided_power_product_rule():
     assert np.array_equal(f1 @ f2, 3 * f3)
 
 
-def test_nonintegral_divided_power_on_corrupted_lattice():
+def test_nonintegral_divided_power_on_corrupted_lattice(fresh_modules):
     """Shrinking one lattice line breaks admissibility and the integer
     solve for F^(2) must report it."""
     rs = RS["A1"]
-    lat = build_weyl_lattice(rs, (2,))
-    bad = lat.corrupt_block((-2,), scale=2)
+    bad = build_weyl_lattice(rs, (2,))
+    shrink_weight_space(bad, (-2,), scale=2)
     with pytest.raises(NonIntegralDividedPower):
         bad.op_int("F", (1,), 2)
 
@@ -470,15 +477,14 @@ def test_direct_span_equals_lattice_reduction(name, lam, p):
     """The two construction routes must produce the same per weight bases
     (both are reduced echelon in the same flat ambient) and operators."""
     rs = RS[name]
-    direct = build_weyl_module_p(rs, p, lam, ambient_mode="flat",
-                                 use_cache=False)
+    direct = build_weyl_module_p(rs, p, lam, ambient_mode="flat")
     reduced = reduce_mod_p(build_weyl_lattice(rs, lam), p)
     assert direct.dim == weyl_dim(rs, lam)
     assert direct.weights == reduced.weights
-    for mod_w, red_w in zip(direct.block_weights(), reduced.block_weights()):
-        assert mod_w == red_w
-        assert np.array_equal(direct.block_rows(mod_w),
-                              reduced.block_rows(red_w))
+    assert len(direct.blocks) == len(reduced.blocks)
+    for a, b in zip(direct.blocks, reduced.blocks):
+        assert a.weight == b.weight
+        assert np.array_equal(a.rows, b.rows)
     for kind, beta, k in [("F", rs.simple_root(0), 1),
                           ("E", rs.simple_root(rs.rank - 1), 1),
                           ("F", rs.positive_roots[-1], 2)]:
@@ -491,10 +497,8 @@ def test_direct_span_equals_lattice_reduction(name, lam, p):
                                         ("A2", (2, 1), 3)])
 def test_peeled_ambient_route_agrees(name, lam, p):
     rs = RS[name]
-    flat = build_weyl_module_p(rs, p, lam, ambient_mode="flat",
-                               use_cache=False)
-    peeled = build_weyl_module_p(rs, p, lam, ambient_mode="peeled",
-                                 use_cache=False)
+    flat = build_weyl_module_p(rs, p, lam, ambient_mode="flat")
+    peeled = build_weyl_module_p(rs, p, lam, ambient_mode="peeled")
     assert flat.dim == peeled.dim
     assert flat.weight_multiplicities() == peeled.weight_multiplicities()
 
@@ -520,7 +524,7 @@ def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
     reductions of B3 omega_2 at p = 3 and of A2 (3, 1) at p = 2 also have
     nonzero non-p-power orders."""
     rs = RS["B3"]
-    fallback = build_weyl_module_p(rs, 2, (0, 1, 0), use_cache=False)
+    fallback = build_weyl_module_p(rs, 2, (0, 1, 0))
     assert isinstance(fallback, weylmod.LatticeModuleP)
     cases = [(fallback, (3,)),
              (weylmod.LatticeModuleP(fallback.lattice, 3), (2, 4)),
@@ -552,7 +556,7 @@ def test_modp_weight_dims_match_freudenthal():
 
 def test_a1_p2_frozen_operators():
     rs = RS["A1"]
-    mod = build_weyl_module_p(rs, 2, (2,), use_cache=False)
+    mod = build_weyl_module_p(rs, 2, (2,))
     assert mod.weights == ((2,), (0,), (-2,))
     assert mod.op("F", (1,), 1).toarray().tolist() == \
         [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
@@ -567,7 +571,7 @@ def test_a1_p2_frozen_operators():
 def test_modp_sl2_string_on_highest_weight():
     rs = RS["A2"]
     for p in (2, 3):
-        mod = build_weyl_module_p(rs, p, (2, 2), use_cache=False)
+        mod = build_weyl_module_p(rs, p, (2, 2))
         v = np.zeros(mod.dim, dtype=np.int64)
         v[mod.hw_index] = 1
         for i in range(rs.rank):
@@ -580,7 +584,7 @@ def test_modp_sl2_string_on_highest_weight():
 
 def test_modp_lucas_divided_power_consistency():
     rs = RS["A2"]
-    mod = build_weyl_module_p(rs, 3, (2, 1), use_cache=False)
+    mod = build_weyl_module_p(rs, 3, (2, 1))
     beta = (1, 1)
     f1 = mod.op("F", beta, 1).toarray()
     f2 = mod.op("F", beta, 2).toarray()
@@ -591,13 +595,16 @@ def test_modp_lucas_divided_power_consistency():
     assert not np.array_equal(f2, np.zeros_like(f2)) or mod.dim < 3
 
 
-def test_modp_determinism():
+def test_modp_determinism(fresh_modules):
     rs = RS["C2"]
-    a = build_weyl_module_p(rs, 2, (1, 1), use_cache=False)
-    b = build_weyl_module_p(rs, 2, (1, 1), use_cache=False)
+    a = build_weyl_module_p(rs, 2, (1, 1))
+    fresh_modules()
+    b = build_weyl_module_p(rs, 2, (1, 1))
+    assert a is not b
     assert a.weights == b.weights
-    for w in a.block_weights():
-        assert np.array_equal(a.block_rows(w), b.block_rows(w))
+    assert [x.weight for x in a.blocks] == [x.weight for x in b.blocks]
+    for x, y in zip(a.blocks, b.blocks):
+        assert np.array_equal(x.rows, y.rows)
     for beta in rs.positive_roots:
         assert np.array_equal(a.op("F", beta, 1).toarray(),
                               b.op("F", beta, 1).toarray())
@@ -650,20 +657,20 @@ def test_span_seed_checks_survive_python_O(flags):
 
 
 def test_validate_relations_clean():
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     assert validate_relations(mod) == []
 
 
 def test_validate_relations_large_prime():
     """(F_i)^p = 0 is checked by repeated squaring: about 2 log2(p)
     products rather than p of them."""
-    mod = build_weyl_module_p(RS["A2"], 1000003, (2, 1), use_cache=False)
+    mod = build_weyl_module_p(RS["A2"], 1000003, (2, 1))
     assert validate_relations(mod) == []
 
 
-def test_validate_relations_locates_fault():
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
-    mod.inject_fault("F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
+def test_validate_relations_locates_fault(fresh_modules):
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
+    inject_fault(mod, "F", (1, 0), 1, row=2, col=mod.hw_index, delta=1)
     witnesses = validate_relations(mod)
     assert witnesses
     w = witnesses[0]
@@ -678,10 +685,10 @@ def test_validate_relations_locates_fault():
     assert np.any(defect[:, w.basis_index])
 
 
-def test_op_rejects_block_not_closed_under_operators():
+def test_op_rejects_block_not_closed_under_operators(fresh_modules):
     """A weight block whose rows no longer span the images of the operators
     is a defect: IntegrityError, which python -O keeps."""
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     blk = mod._by_weight[(0, 0)]
     blk.rows = np.roll(blk.rows, 1, axis=1)
     with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
@@ -691,14 +698,14 @@ def test_op_rejects_block_not_closed_under_operators():
 def test_trivial_weight():
     rs = RS["A2"]
     assert weyl_dim(rs, (0, 0)) == 1
-    mod = build_weyl_module_p(rs, 2, (0, 0), use_cache=False)
+    mod = build_weyl_module_p(rs, 2, (0, 0))
     assert mod.dim == 1
     assert mod.op("F", (1, 0), 1).toarray().tolist() == [[0]]
 
 
 def test_heights_nondecreasing_in_basis_order():
     rs = RS["B2"]
-    mod = build_weyl_module_p(rs, 2, (1, 1), use_cache=False)
+    mod = build_weyl_module_p(rs, 2, (1, 1))
     lam = (1, 1)
     hts = []
     for mu in mod.weights:
@@ -713,7 +720,7 @@ def test_block_op_algebra_matches_dense_matrices():
     the dense products mod p, and equal operators compare equal whatever
     product formed them (the block form is canonical)."""
     rs, p = RS["A2"], 3
-    mod = build_weyl_module_p(rs, p, (2, 1), use_cache=False)
+    mod = build_weyl_module_p(rs, p, (2, 1))
     ops = [mod.op(kind, beta, k) for kind in ("E", "F")
            for beta in rs.positive_roots for k in (1, 2, 3)]
     rng = np.random.default_rng(5)
@@ -740,7 +747,7 @@ def test_block_grouping_refuses_repeated_and_mixed_entries():
     """The ambient coproduct has one entry per (row, col).  A doctored COO
     that lists an entry twice, or that sends one weight block into two,
     has no block form: densifying by assignment would drop the repeat."""
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
+    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     ambient = mod.ambient
     rows, cols, vals = ambient._coproduct("F", (1, 0), 1)
     layout = WeightBlocks(ambient.weights)
@@ -756,17 +763,3 @@ def test_block_grouping_refuses_repeated_and_mixed_entries():
         layout.group(np.append(rows, other), np.append(cols, cols[0]),
                      np.append(vals, 1))
 
-
-def test_injected_fault_reaches_the_block_operator():
-    """inject_fault replaces the stored block form of a p-power, which op()
-    and the filtration both read; a fault that is not weight homogeneous
-    has no place there and is refused."""
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1), use_cache=False)
-    hw, low = mod.hw_index, mod.weights.index((-1, 2))
-    with pytest.raises(IntegrityError, match="not weight homogeneous"):
-        mod.inject_fault("F", (1, 0), 1, row=mod.weights.index((2, -1)),
-                         col=hw, delta=1)
-    assert mod.op("F", (1, 0), 1).toarray()[low, hw] == 1
-    mod.inject_fault("F", (1, 0), 1, row=low, col=hw, delta=1)
-    assert mod.op("F", (1, 0), 1).toarray()[low, hw] == 0
-    assert (1, 1) not in mod.op("F", (1, 0), 1).blocks
