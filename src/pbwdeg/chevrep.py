@@ -71,7 +71,10 @@ class IntegralRep:
     weights: tuple[Weight, ...]
     simple_lowering: tuple[Matrix, ...]
     simple_raising: tuple[Matrix, ...]
-    _op_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    #: root operators and divided power tables, filled by root_operator and
+    #: divided_powers; a copy made by dataclasses.replace starts empty
+    _op_cache: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -573,4 +576,33 @@ def root_operator(rep: IntegralRep, sc: StructureConstants, kind: str,
                              _string_depth(rs, alpha, gamma) + 1,
                              f"{kind}_{beta} on {rep.name}")
         rep._op_cache[key] = out
+    return rep._op_cache[key]
+
+
+def divided_powers(rep: IntegralRep, sc: StructureConstants, kind: str,
+                   beta: Root) -> tuple[dict, ...]:
+    """The divided powers X^(1), X^(2), ... of X = root_operator(rep, sc,
+    kind, beta), up to the last nonzero one, exact over Z.
+
+    Entry a - 1 is X^(a) as a column table {col: ((row, value), ...)} of
+    its nonzero entries, rows ascending.  The first zero power ends the
+    table, because (a+1) X^(a+1) = X^(a) X makes every later one zero too.
+    The table is computed once per (kind, beta) and kept on rep, so every
+    tensor factor built on rep, over Z or over F_p, reads the same one.
+    Raises NonIntegralDividedPower if an order before the end leaves the
+    lattice.
+    """
+    key = ("dp", kind, beta)
+    if key not in rep._op_cache:
+        x = root_operator(rep, sc, kind, beta)
+        table = []
+        while True:
+            m = divided_power_matrix(x, len(table) + 1)
+            cols: dict[int, list[tuple[int, int]]] = {}
+            for r, c in zip(*np.nonzero(m)):
+                cols.setdefault(int(c), []).append((int(r), int(m[r, c])))
+            if not cols:
+                break
+            table.append({c: tuple(pairs) for c, pairs in cols.items()})
+        rep._op_cache[key] = tuple(table)
     return rep._op_cache[key]

@@ -33,8 +33,7 @@ from .chevrep import (
     IntegralRep,
     NonIntegralDividedPower,
     chevalley_constants,
-    divided_power_matrix,
-    root_operator,
+    divided_powers,
 )
 from .exactla import (
     DenseEchelonModP,
@@ -260,7 +259,15 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
 
 
 class FundFactor:
-    """Tensor factor backed by an explicit integral representation."""
+    """Tensor factor backed by an explicit integral representation.
+
+    Its divided powers are views of the representation's own table
+    (chevrep.divided_powers): computed once per (rep, kind, beta), up to
+    the last nonzero order, and shared by every factor on that rep, over Z
+    and over F_p.  apply_vec reads the table itself; coo() keeps the int64
+    form of one order per factor, reduced mod p when the factor has a
+    prime.
+    """
 
     def __init__(self, rs: RootSystemData, rep: IntegralRep, p: int | None = None):
         self.rs = rs
@@ -275,33 +282,32 @@ class FundFactor:
             raise IntegrityError(f"{rep.name} has {tops} weights of the "
                                  "greatest height, expected 1")
         self.hw_index = heights.index(max(heights))
-        self._cols: dict = {}
         self._ops: dict = {}
 
-    def op_cols(self, kind: str, beta: Root, k: int):
-        """Divided power as a column dict {col: [(row, value)]}, exact over
-        Z (reduced mod p when the factor has a prime)."""
-        key = (kind, beta, k)
-        if key in self._cols:
-            return self._cols[key]
-        sc = chevalley_constants(self.rs)
-        m = divided_power_matrix(root_operator(self.rep, sc, kind, beta), k)
-        cols: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in np.ndenumerate(m):
-            v = int(v)
-            if self.p is not None:
-                v %= self.p
-            if v:
-                cols.setdefault(int(c), []).append((int(r), v))
-        self._cols[key] = cols
-        return cols
+    @cached_property
+    def _sc(self):
+        return chevalley_constants(self.rs)
+
+    def powers(self, kind: str, beta: Root) -> tuple:
+        """The exact table of X^(1), ..., X^(top) as column dicts
+        {col: ((row, value), ...)}; X^(a) is zero for every a > top."""
+        return divided_powers(self.rep, self._sc, kind, beta)
 
     def coo(self, kind: str, beta: Root, k: int):
-        """Divided power as int64 COO arrays (rows, cols, vals)."""
+        """Divided power as int64 COO arrays (rows, cols, vals): the
+        identity at k = 0, else read off the table, with the entries
+        reduced mod p when the factor has a prime."""
         key = (kind, beta, k)
         if key not in self._ops:
-            entries = [(r, c, v) for c, pairs in
-                       self.op_cols(kind, beta, k).items() for r, v in pairs]
+            if k == 0:
+                entries = [(c, c, 1) for c in range(self.dim)]
+            else:
+                table = self.powers(kind, beta)
+                cols = table[k - 1] if k <= len(table) else {}
+                p = self.p
+                entries = [(r, c, v % p if p else v)
+                           for c, pairs in cols.items() for r, v in pairs
+                           if not p or v % p]
             self._ops[key] = tuple(np.array(entries, dtype=np.int64)
                                    .reshape(-1, 3).T.copy())
         return self._ops[key]
@@ -517,29 +523,43 @@ class TensorAmbient:
 
         The vector is pushed through the factors one at a time, tracking
         for each partial image the order r still to be spent on the later
-        factors; the last factor spends all of it.
+        factors; the last factor spends all of it.  Each factor's table of
+        divided powers is fetched once per call, and factor j spends at
+        most its top order t_j.  A partial image whose remaining order
+        exceeds the sum of the later factors' top orders cannot reach
+        r = 0 and is never formed; if all the top orders together fall
+        short of k, the image is {} at once.
         """
         if self.p is not None:
             raise ValueError("apply_vec needs an ambient over Z")
+        tables = [f.powers(kind, beta) for f in self.factors]
+        later = sum(map(len, tables))
+        if later < k:
+            return {}
         states: dict[tuple[int, int], int] = {(f, k): c
                                                for f, c in vec.items()}
-        last = len(self.factors) - 1
-        for j, factor in enumerate(self.factors):
-            stride, d = self.strides[j], self.dims[j]
+        for table, stride, d in zip(tables, self.strides, self.dims):
+            top = len(table)
+            later -= top
             nxt: dict[tuple[int, int], int] = {}
             for (flat, r), c in states.items():
+                # spend a in [lo, hi]: r - a <= later and a <= top
+                lo = r - later
+                if lo <= 0:
+                    key = (flat, r)
+                    nxt[key] = nxt.get(key, 0) + c
+                    lo = 1
+                hi = r if r < top else top
+                if lo > hi:
+                    continue
                 idx = flat // stride % d
                 base = flat - idx * stride
-                for a in ((r,) if j == last else range(r + 1)):
-                    if a == 0:
-                        key = (flat, r)
-                        nxt[key] = nxt.get(key, 0) + c
-                        continue
-                    for row, v in factor.op_cols(kind, beta, a).get(idx, ()):
+                for a in range(lo, hi + 1):
+                    for row, v in table[a - 1].get(idx, ()):
                         key = (base + row * stride, r - a)
                         nxt[key] = nxt.get(key, 0) + c * v
             states = nxt
-        return {flat: c for (flat, r), c in states.items() if r == 0 and c}
+        return {flat: c for (flat, _), c in states.items() if c}
 
     @contextmanager
     def op_scope(self):

@@ -8,6 +8,7 @@ decomposition (lex-smallest simple alpha_i with beta - alpha_i a root).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import subprocess
@@ -23,6 +24,7 @@ from pbwdeg.chevrep import (
     NonIntegralDividedPower,
     chevalley_constants,
     divided_power_matrix,
+    divided_powers,
     fundamental_rep,
     root_operator,
 )
@@ -336,6 +338,64 @@ def test_divided_power_product_rule():
         lhs = divided_power_matrix(f, j) @ divided_power_matrix(f, k)
         rhs = math.comb(j + k, j) * divided_power_matrix(f, j + k)
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
+def test_divided_power_table_matches_divided_power_matrix(name):
+    """Each table holds X^(1), ..., X^(top) column by column, exactly as
+    divided_power_matrix gives them, X^(top + 1) is zero, and a second
+    call returns the same table."""
+    rs = build_root_system(name)
+    sc = chevalley_constants(rs)
+    for i in range(1, rs.rank + 1):
+        rep = fundamental_rep(rs, i)
+        for kind, beta in product("EF", rs.positive_roots):
+            table = divided_powers(rep, sc, kind, beta)
+            assert divided_powers(rep, sc, kind, beta) is table
+            x = root_operator(rep, sc, kind, beta)
+            for a in range(1, len(table) + 2):
+                dense = np.zeros((rep.dim, rep.dim), dtype=object)
+                if a <= len(table):
+                    assert all(list(pairs) == sorted(pairs)
+                               for pairs in table[a - 1].values())
+                    for c, pairs in table[a - 1].items():
+                        for r, v in pairs:
+                            assert v
+                            dense[r, c] = v
+                assert np.array_equal(dense, divided_power_matrix(x, a))
+            assert len(table) >= 1
+
+
+def test_root_operator_memo_not_shared_by_copies(monkeypatch):
+    """A second call for the same rep reads the memo kept on it; a copy
+    made by dataclasses.replace starts empty and recomputes, so a copy with
+    zeroed lowering matrices sees its own zero operators.  The memo takes
+    no part in equality."""
+    import pbwdeg.chevrep as chevrep
+
+    rs = build_root_system("A2")
+    sc = chevalley_constants(rs)
+    rep = dataclasses.replace(fundamental_rep(rs, 1))
+    brackets = []
+    real = chevrep._bracket
+    monkeypatch.setattr(chevrep, "_bracket",
+                        lambda a, b: brackets.append(1) or real(a, b))
+    first = root_operator(rep, sc, "F", (1, 1))
+    assert len(brackets) == 1
+    assert root_operator(rep, sc, "F", (1, 1)) is first
+    assert len(brackets) == 1
+    copy = dataclasses.replace(rep)
+    assert copy == rep
+    again = root_operator(copy, sc, "F", (1, 1))
+    assert len(brackets) == 2
+    assert again is not first and np.array_equal(again, first)
+    zero = tuple(tuple(0 for _ in row) for row in rep.simple_lowering[0])
+    zeroed = dataclasses.replace(
+        rep, simple_lowering=(zero,) + rep.simple_lowering[1:])
+    assert not root_operator(zeroed, sc, "F", (1, 0)).any()
+    assert divided_powers(zeroed, sc, "F", (1, 0)) == ()
+    assert root_operator(rep, sc, "F", (1, 0)).any()
+    assert len(divided_powers(rep, sc, "F", (1, 0))) == 1
 
 
 def test_corrupted_seed_rep_checks_survive_python_O():

@@ -6,6 +6,7 @@ positive roots), hook content dims in type A, and sl2 string coefficients.
 """
 
 import dataclasses
+import hashlib
 import math
 import re
 import subprocess
@@ -15,7 +16,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pbwdeg import weylmod
+from pbwdeg import chevrep, weylmod
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_operator)
@@ -159,30 +160,36 @@ def test_freudenthal_cached_on_root_system(name, monkeypatch):
 # ---------------------------------------------------------------------------
 # tensor ambient against a dense Kronecker oracle
 
-def _dense_op(ambient, kind, beta, k, p=None):
-    """Sum over compositions of Kronecker products, assembled densely."""
-    mats = []
-    for factor in ambient.factors:
-        per_k = {}
-        for kk in range(k + 1):
-            cols = factor.op_cols(kind, beta, kk)
-            m = np.zeros((factor.dim, factor.dim), dtype=object)
-            for c, pairs in cols.items():
-                for r, v in pairs:
-                    m[r, c] = v
-            per_k[kk] = m
-        mats.append(per_k)
-    total = np.zeros((ambient.dim, ambient.dim), dtype=object)
-    splits = [c for c in product(range(k + 1), repeat=len(mats))
-              if sum(c) == k]
-    for split in splits:
+def _factor_powers(ambient, kind, beta, k):
+    """X^(0), ..., X^(k) on each factor, straight from divided_power_matrix
+    (not from the factors' tables)."""
+    sc = chevalley_constants(ambient.rs)
+    return [[divided_power_matrix(root_operator(f.rep, sc, kind, beta), a)
+             for a in range(k + 1)] for f in ambient.factors]
+
+
+def _dense_op(mats, k):
+    """Sum over compositions of k of Kronecker products of the factor
+    powers mats[j][a], assembled densely; compositions through a zero
+    power are skipped."""
+    dim = math.prod(m[0].shape[0] for m in mats)
+    total = np.zeros((dim, dim), dtype=object)
+    for split in product(range(k + 1), repeat=len(mats)):
+        if sum(split) != k or any(not m[a].any()
+                                  for m, a in zip(mats, split)):
+            continue
         term = np.eye(1, dtype=object)
-        for factor_mats, kk in zip(mats, split):
-            term = np.kron(term, factor_mats[kk])
+        for m, a in zip(mats, split):
+            term = np.kron(term, m[a])
         total = total + term
-    if p is not None:
-        total = total % p
     return total
+
+
+def _top_order(powers) -> int:
+    """The last nonzero order; every later one is checked to be zero."""
+    top = max(a for a, m in enumerate(powers) if m.any())
+    assert top < len(powers) - 1
+    return top
 
 
 @pytest.mark.parametrize("name,funds,kind,beta,k", [
@@ -193,15 +200,90 @@ def _dense_op(ambient, kind, beta, k, p=None):
     ("B2", (1, 2), "F", (1, 1), 2),
     ("B2", (1, 2), "E", (1, 2), 1),
     ("G2", (1, 1), "F", (2, 1), 2),
+    # every order from 0 to one past the sum of the factors' top orders
+    pytest.param("A2", (1, 2, 1, 2), "F", (1, 1), None, id="A2x4-F-all"),
+    pytest.param("A2", (1, 2, 1, 2), "E", (1, 1), None, id="A2x4-E-all"),
+    pytest.param("B2", (1, 2, 1), "F", (1, 1), None, id="B2x3-F-all"),
+    pytest.param("B2", (2, 1, 2), "E", (1, 2), None, id="B2x3-E-all"),
+    pytest.param("B2", (2, 2, 2, 2), "F", (1, 2), None, id="B2x4-F-all"),
+    pytest.param("B2", (2, 2, 2, 2), "E", (1, 1), None, id="B2x4-E-all"),
+    pytest.param("G2", (1, 1, 1), "F", (2, 1), None, id="G2x3-F-all"),
+    pytest.param("G2", (1, 1, 1), "E", (3, 2), None, id="G2x3-E-all"),
+    pytest.param("G2", (1, 1, 1), "E", (1, 1), None, id="G2x3-E-short"),
 ])
 def test_tensor_apply_matches_kron(name, funds, kind, beta, k):
+    """apply_vec on every basis vector equals the column of the dense sum
+    of Kronecker products.  With k None, every order is checked, up to
+    one past the sum of the factors' top orders, where the image is {}."""
     rs = RS[name]
     ambient = TensorAmbient.over_z(rs, [fundamental_rep(rs, i) for i in funds])
-    dense = _dense_op(ambient, kind, beta, k)
-    for col in range(ambient.dim):
-        got = ambient.apply_vec(kind, beta, k, {col: 1})
-        want = {r: int(v) for r, v in enumerate(dense[:, col]) if v}
-        assert got == want, (col, got, want)
+    if k is None:
+        mats = _factor_powers(ambient, kind, beta, 4)
+        total = sum(map(_top_order, mats))
+        mats = _factor_powers(ambient, kind, beta, total + 1)
+        orders = range(total + 2)
+    else:
+        mats = _factor_powers(ambient, kind, beta, k)
+        orders = [k]
+    for kk in orders:
+        dense = _dense_op(mats, kk)
+        for col in range(ambient.dim):
+            got = ambient.apply_vec(kind, beta, kk, {col: 1})
+            want = {r: int(v) for r, v in enumerate(dense[:, col]) if v}
+            assert got == want, (kk, col, got, want)
+
+
+def test_divided_powers_computed_once_per_rep(fresh_modules, monkeypatch):
+    """Two lattices of one type, then a module mod p of that type: every
+    tensor factor reads its representation's one table, so no order of
+    a root operator on a representation is computed a second time."""
+    monkeypatch.setattr(chevrep, "_FUND_CACHE", {})
+    assert not hasattr(weylmod, "divided_power_matrix")
+    calls, kept = [], []
+    real = chevrep.divided_power_matrix
+
+    def counted(m, k):
+        kept.append(m)  # keeps id(m) unique while the test runs
+        calls.append((id(m), k))
+        return real(m, k)
+
+    monkeypatch.setattr(chevrep, "divided_power_matrix", counted)
+    rs = RS["B2"]
+    build_weyl_lattice(rs, (1, 1))
+    assert calls
+    build_weyl_lattice(rs, (2, 1))
+    build_weyl_module_p(rs, 2, (1, 2))
+    assert len(set(calls)) == len(calls), calls
+
+
+# sha256 of the HNF rows of build_weyl_lattice, per weight block, and of
+# op_int("F", alpha_1, 1) on G2 (1, 1), recorded from the walk over every
+# composition of k, before it was pruned
+LATTICE_PIN_CASES = [
+    ("A2", (2, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)), ("B3", (0, 1, 0)),
+    ("C2", (1, 1)), ("C3", (0, 1, 0)), ("G2", (1, 0)), ("G2", (0, 1)),
+    ("A2", (3, 0)), ("B2", (0, 3)), ("C2", (1, 2)), ("G2", (1, 1))]
+LATTICE_PIN = \
+    "2454543029285802cd5bd65b9cfd8e6ae240ccccdbea10118ac0c349add7e3f1"
+OP_INT_PIN = \
+    "9c32717a9d52ec3e402b1f9a3e407a3e5c71c24a227f84396ff2cb250b03d46d"
+
+
+def test_lattice_bases_pinned():
+    """The lattice bases, which reduce_mod_p and LatticeModuleP read, and
+    one lattice operator are bit for bit the recorded ones."""
+    h = hashlib.sha256()
+    for name, lam in LATTICE_PIN_CASES:
+        lat = build_weyl_lattice(RS[name], lam)
+        assert lat.dim == weyl_dim(RS[name], lam) <= 100
+        h.update(repr((name, lam, [
+            (b.weight, [sorted(r.items()) for r in b.final.rows])
+            for b in lat.blocks])).encode())
+    assert h.hexdigest() == LATTICE_PIN
+    rs = RS["G2"]
+    ops = build_weyl_lattice(rs, (1, 1)).op_int("F", rs.simple_root(0), 1)
+    assert hashlib.sha256(repr(sorted(ops.entries.items())).encode()) \
+        .hexdigest() == OP_INT_PIN
 
 
 def test_ambient_operators_refuse_the_other_ring():
