@@ -38,6 +38,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -47,7 +48,18 @@ from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
                        _require_inputs, filter_from_seed, pbw_filtration)
 from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
 from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
-                      build_weyl_module_p, tensor_width_bound, weyl_dim)
+                      build_weyl_module_p, freudenthal_multiplicities,
+                      tensor_width_bound, weyl_dim)
+
+#: PBW filtration per factor module, shared by the component maps that
+#: take the same module object as a factor
+_FACTOR_FILTRATIONS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _factor_filtration(mod: WeylModuleP) -> PBWGraded:
+    if mod not in _FACTOR_FILTRATIONS:
+        _FACTOR_FILTRATIONS[mod] = pbw_filtration(mod)
+    return _FACTOR_FILTRATIONS[mod]
 
 
 class CartanComponentMap:
@@ -63,9 +75,12 @@ class CartanComponentMap:
         self.space = TensorAmbient(rs, factors, p)
         seed = np.zeros(self.space.dim, dtype=np.int64)
         seed[self.space.hw_flat] = 1
-        self.factor_graded: list[PBWGraded] = [pbw_filtration(m)
+        self.factor_graded: list[PBWGraded] = [_factor_filtration(m)
                                                for m in factors]
-        blocks, dims = filter_from_seed(self.space, seed)
+        # the image is a quotient of the Weyl module V(lam+mu), so no weight
+        # space of it exceeds the Freudenthal multiplicity
+        blocks, dims = filter_from_seed(
+            self.space, seed, caps=freudenthal_multiplicities(rs, self.total))
         self._image_blocks = blocks
         self._dims = tuple(dims)
         self.rank_phi = dims[-1]
@@ -124,18 +139,19 @@ class CartanComponentMap:
                 out[w] = rows[:k]
         return out
 
-    def meet_dim(self, image_rows: dict, t_echelons: dict) -> int:
-        """dim(U cap T) summed over weights, for independent rows U and an
-        echelon of T per weight: |U| less the rank of U's residues mod T."""
-        total = 0
+    def meet_dim(self, image_rows: dict, t_echelons: dict) -> dict:
+        """dim(U cap T) per weight, for independent rows U and an echelon of
+        T per weight: |U| less the rank of U's residues mod T."""
+        out = {}
         for w, rows in image_rows.items():
             t = t_echelons.get(w)
             if t is None or not t.rank:
+                out[w] = 0
                 continue
             left = DenseEchelonModP(self.p, t.width)
             left.add_rows(t.residue(rows))
-            total += rows.shape[0] - left.rank
-        return total
+            out[w] = rows.shape[0] - left.rank
+        return out
 
 
 def cartan_component_map(rs: RootSystemData, sc, lam, mu, p: int, *,
@@ -204,23 +220,48 @@ def _degree_table(cm: CartanComponentMap):
 
     T_n is held in one echelon per image weight; each degree adds the rows
     that are new at that degree (the basis rows of T_n extend those of
-    T_{n-1}, so the echelon's rank counts the rows it already holds).
+    T_{n-1}, so the echelon's rank counts the rows it already holds, and a
+    row it rejects is a defect).  Image rows and T rows are both prefixes
+    in degree order, so the meet at a weight depends only on (|U_w|,
+    rank T_w): it is computed once per pair, and is |U_w| once T_w spans
+    the whole weight space.
     """
     image_full = cm.image_rows_by_weight()
     t_ech = {w: DenseEchelonModP(cm.p, rows.shape[1])
              for w, rows in image_full.items()}
+    meets: dict[tuple, int] = {}  # (w, |U_w|, rank T_w) -> dim(U_w cap T_w)
+
+    def meet(image_rows) -> int:
+        todo = {}
+        for w, rows in image_rows.items():
+            t = t_ech[w]
+            key = (w, rows.shape[0], t.rank)
+            if t.rank == t.width:
+                meets[key] = rows.shape[0]
+            elif key not in meets:
+                todo[w] = rows
+        if todo:
+            for w, d in cm.meet_dim(todo, t_ech).items():
+                meets[w, todo[w].shape[0], t_ech[w].rank] = d
+        return sum(meets[w, rows.shape[0], t_ech[w].rank]
+                   for w, rows in image_rows.items())
+
     table, grdims = [], []
     dims = cm.image_dims()
     n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
     while True:
         a = dims[min(n, len(dims) - 1)]
-        grdims.append(a - cm.meet_dim(cm.image_rows_by_weight(n), t_ech))
+        grdims.append(a - meet(cm.image_rows_by_weight(n)))
         t_rows = cm.t_rows_by_weight(n)
         for w, ech in t_ech.items():
             if w in t_rows:
-                ech.add_rows(t_rows[w][ech.rank:])
-        b = cm.meet_dim(image_full, t_ech)
+                new = t_rows[w][ech.rank:]
+                if len(ech.add_rows(new)[0]) != len(new):
+                    raise IntegrityError(
+                        f"a basis row of T_{n} at weight {w} depends on "
+                        "the rows before it")
+        b = meet(image_full)
         table.append((n, a, b))
         if a == cm.rank_phi and b == cm.rank_phi:
             return table, grdims

@@ -96,16 +96,18 @@ def _require_inputs(rs: RootSystemData, sc, p: int) -> None:
 
 
 class _FiltBlock:
-    """Per-weight cumulative echelon plus insertion-degree tags."""
+    """Per-weight cumulative echelon plus insertion-degree tags; the block
+    is full once its rank reaches cap."""
 
-    def __init__(self, p: int, indices: np.ndarray):
+    def __init__(self, p: int, indices: np.ndarray, cap: int):
         self.indices = indices
+        self.cap = cap
         self.ech = DenseEchelonModP(p, len(indices))
         self.tagged: list[tuple[int, np.ndarray]] = []
 
     @property
     def full(self) -> bool:
-        return self.ech.rank == len(self.indices)
+        return self.ech.rank >= self.cap
 
     def insert(self, rows: np.ndarray, degree: int) -> np.ndarray:
         """Add rows in order; returns those accepted, as stored."""
@@ -127,19 +129,24 @@ def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
     return sum(rc)
 
 
-def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
+def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None):
     """Degree-tagged span of the seed under p-power lowering operators.
 
     `space` provides rs, p, weights (one per coordinate) and
     op(kind, beta, k) -> BlockOp.  Returns
     (blocks, dims) where dims[n] = dim V_n for the degrees actually
-    processed; the walk stops early once the span reaches `target`
-    dimensions.
+    processed.  caps bounds the dimension of the span per weight (a weight
+    it omits has none), capped in turn by the width of the weight space;
+    None means the widths alone.  A block at its cap takes no more rows,
+    and the walk stops once every block is at its cap.
     """
     rs, p = space.rs, space.p
     weights = space.weights
     layout = WeightBlocks(weights)
-    blocks = {w: _FiltBlock(p, ix) for w, ix in layout.flats.items()}
+    blocks = {w: _FiltBlock(p, ix, len(ix) if caps is None else
+                            min(caps.get(w, 0), len(ix)))
+              for w, ix in layout.flats.items()}
+    goal = sum(b.cap for b in blocks.values())
 
     nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
     if not nz.size:
@@ -171,7 +178,7 @@ def filter_from_seed(space, seed: np.ndarray, *, target: int | None = None):
     shifts = [(beta, rs.root_fund(beta)) for beta in rs.positive_roots]
 
     n = 0
-    while n < bound and (target is None or total != target):
+    while n < bound and total < goal:
         if n >= last_new + max_pe:
             break  # nothing in reach of any remaining power
         n += 1
@@ -259,7 +266,7 @@ class PBWGraded:
 
 def pbw_filtration(mod: ModuleP) -> PBWGraded:
     """PBW filtration of a Weyl module mod p from its highest weight line."""
-    blocks, dims = filter_from_seed(mod, mod.hw_vector(), target=mod.dim)
+    blocks, dims = filter_from_seed(mod, mod.hw_vector())
     if dims[-1] != mod.dim:
         raise IntegrityError(f"PBW filtration of V({mod.lam}) mod {mod.p} "
                              f"spans {dims[-1]} of {mod.dim} dimensions")

@@ -163,7 +163,7 @@ class RootSystemData:
     def rho(self) -> Weight:
         return tuple(1 for _ in range(self.rank))
 
-    @property
+    @cached_property
     def name(self) -> str:
         return str(self.cartan)
 

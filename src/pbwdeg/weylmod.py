@@ -148,65 +148,95 @@ class _WeightBox:
         c = self.coords(mu)
         return None if c is None else sum(c)
 
-    def all_weights(self):
-        """Box weights as (height, weight, c), ascending by height then
-        weight."""
-        rs = self.rs
-        out = []
-        for c in product(*(range(x + 1) for x in self.cmax)):
-            shift = rs.root_fund(c)
-            out.append((sum(c), _sub(self.lam, shift), c))
-        out.sort(key=lambda t: (t[0], tuple(-x for x in t[1])))
-        return out
+
+def _check_gram(rs: RootSystemData) -> None:
+    """2 (omega_j, alpha_i) = delta_ij (alpha_i, alpha_i), the left side from
+    the scaled Gram matrix and the right side from the Cartan matrix and its
+    symmetrizer: every inner product Freudenthal takes rests on it."""
+    det, d, a = rs.cartan_det, rs.symmetrizer, rs.cartan_matrix
+    for i in range(rs.rank):
+        g = rs.root_gram[rs.root_index(rs.simple_root(i))]
+        for j in range(rs.rank):
+            if 2 * g[j] != (i == j) * det * d[i] * a[i][i]:
+                raise IntegrityError(
+                    f"Gram data of {rs.name} gives det (omega_{j + 1}, "
+                    f"alpha_{i + 1}) = {g[j]}, not "
+                    f"{(i == j) * det * d[i]}")
+
+
+def _dominant_weights(rs: RootSystemData, lam: Weight) -> list[Weight]:
+    """Dominant weights mu <= lambda, by depth (the height of lambda - mu)
+    and then by descending weight.  Each one is reached from lambda through
+    dominant weights, one positive root at a time (Stembridge), so the walk
+    that keeps only dominant weights finds all of them."""
+    shifts = [(sum(beta), rs.root_fund(beta)) for beta in rs.positive_roots]
+    depth = {lam: 0}
+    todo = [lam]
+    for mu in todo:
+        for ht, s in shifts:
+            nu = _sub(mu, s)
+            if min(nu) >= 0 and nu not in depth:
+                depth[nu] = depth[mu] + ht
+                todo.append(nu)
+    return sorted(depth, key=lambda mu: (depth[mu], _neg(mu)))
+
+
+def _orbit(mu: Weight, simple_funds) -> list[Weight]:
+    """W-orbit of a dominant weight: lower by s_i wherever <nu, alpha_i^vee>
+    is positive, which reaches every element."""
+    out = [mu]
+    seen = {mu}
+    for nu in out:
+        for i, a in enumerate(simple_funds):
+            if nu[i] > 0:
+                r = tuple(x - nu[i] * y for x, y in zip(nu, a))
+                if r not in seen:
+                    seen.add(r)
+                    out.append(r)
+    return out
 
 
 def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
     """Exact weight multiplicities of V(lambda) by Freudenthal recursion.
 
+    The recursion runs on the dominant weights only (Moody-Patera), taken
+    by depth below lambda; each value is copied over its W-orbit at once.
+    A weight nu = mu + j beta above a dominant mu has its dominant
+    representative higher still, so m(nu) is known when mu is reached, and
+    the beta-string of mu ends at the first nu that is not a weight.
     Inner products are taken as cartan_det times their value, which is an
-    integer; the factor cancels in the quotient.  Weights nu = mu + j beta
-    above mu are located by their box coordinates c_mu - j beta.  The
+    integer; the factor cancels in the quotient.  The Gram data is checked
+    first: a minuscule lambda has no dominant weight to recurse on.  The
     result is kept on rs per lam and shared by later calls: do not mutate.
     """
     lam = tuple(lam)
     if lam in rs.multiplicities:
         return rs.multiplicities[lam]
     box = _WeightBox(rs, lam)
+    _check_gram(rs)
     top = _add(lam, rs.rho)
     norm_top = rs.inner_scaled(top, top)
-    # per root: beta, G beta (mu . G beta = det (mu, beta)), det (beta, beta)
-    roots = [(beta, g, _dot(rs.root_fund(beta), g))
-             for beta, g in zip(rs.positive_roots, rs.root_gram)]
-    mults: dict[Weight, int] = {}
-    by_coords: dict[tuple[int, ...], int] = {}
-    for ht, mu, c in box.all_weights():
-        if ht == 0:
-            mults[mu] = by_coords[c] = 1
-            continue
+    # per root: beta in fundamental coords, G beta (mu . G beta = det (mu,
+    # beta)), det (beta, beta)
+    roots = [(bf, g, _dot(bf, g)) for bf, g in
+             zip(map(rs.root_fund, rs.positive_roots), rs.root_gram)]
+    mults = dict.fromkeys(_orbit(lam, box.simple_funds), 1)
+    for mu in _dominant_weights(rs, lam)[1:]:
         shifted = _add(mu, rs.rho)
         denom = norm_top - rs.inner_scaled(shifted, shifted)
-        if denom == 0:
-            continue  # mu + rho is singular-conjugate to lam + rho: not a weight
         acc = 0
-        for beta, g, bb in roots:
+        for bf, g, bb in roots:
             base = _dot(mu, g)
-            cn = c
-            j = 0
-            while True:
-                cn = tuple(x - b for x, b in zip(cn, beta))
-                if any(x < 0 for x in cn):
-                    break
+            nu, j = mu, 1
+            while m := mults.get(nu := _add(nu, bf)):
+                acc += m * (base + j * bb)  # det (mu + j beta, beta)
                 j += 1
-                m = by_coords.get(cn)
-                if m:
-                    acc += m * (base + j * bb)  # det (mu + j beta, beta)
-        val, rem = divmod(2 * acc, denom)
-        if rem or val < 0:
+        if denom <= 0 or acc <= 0 or 2 * acc % denom:
             raise IntegrityError(
                 f"Freudenthal value at {mu} in V({lam}) for {rs.name} is "
-                f"{2 * acc}/{denom}, not a nonnegative integer")
-        if val:
-            mults[mu] = by_coords[c] = val
+                f"{2 * acc}/{denom}, not a positive integer")
+        mults.update(dict.fromkeys(_orbit(mu, box.simple_funds),
+                                   2 * acc // denom))
     rs.multiplicities[lam] = mults
     return mults
 

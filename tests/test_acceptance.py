@@ -87,6 +87,27 @@ def test_span_ranks_per_weight_match_freudenthal():
                 freudenthal_multiplicities(RS[name], lam), (name, lam, p, mode)
 
 
+def test_freudenthal_matches_span_route_on_every_suite_weight():
+    """The dominant-chamber recursion gives the weight multiplicities of the
+    module spanned at p = 2, on every suite weight."""
+    for name, lam in weight_suite():
+        assert build_weyl_module_p(RS[name], 2, lam).weight_multiplicities() \
+            == freudenthal_multiplicities(RS[name], lam), (name, lam)
+
+
+def test_freudenthal_invariant_under_simple_reflections():
+    """m(s_i nu) = m(nu) for every weight nu and simple reflection s_i, with
+    s_i nu = nu - <nu, alpha_i^vee> alpha_i read off the Cartan matrix."""
+    for name, lam in weight_suite():
+        rs = RS[name]
+        mults = freudenthal_multiplicities(rs, lam)
+        for nu, m in mults.items():
+            for i in range(rs.rank):
+                s_nu = tuple(x - nu[i] * rs.cartan_matrix[k][i]
+                             for k, x in enumerate(nu))
+                assert mults.get(s_nu) == m, (name, lam, nu, i)
+
+
 def test_graded_dimensions_sum_to_module_dimension():
     for name, lam in weight_suite():
         mod = build_weyl_module_p(RS[name], 2, lam)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from itertools import count
 
+import numpy as np
 import pytest
 
 from pbwdeg import __version__, cli, degenring, weylmod
@@ -19,9 +20,11 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
                               check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
-from pbwdeg.pbwgrade import SizeCeilingExceeded, _is_prime, pbw_filtration
+from pbwdeg.pbwgrade import (SizeCeilingExceeded, _is_prime,
+                             filter_from_seed, pbw_filtration)
 from pbwdeg.rootsys import build_root_system, star_weight
-from pbwdeg.weylmod import RankMismatch, build_weyl_module_p, weyl_dim
+from pbwdeg.weylmod import (RankMismatch, build_weyl_module_p,
+                            freudenthal_multiplicities, weyl_dim)
 
 from dense_oracle import DensePairMap, dense_mult_verdict, gauss_rank
 
@@ -65,19 +68,84 @@ def test_mult_frozen_tables(name, lam, mu, p, table):
     assert rep.table == table
 
 
-@pytest.mark.parametrize("name,lam,mu,p", [
+ORACLE_PAIRS = [
     ("A2", (1, 1), (1, 0), 2),
     ("B2", (1, 0), (1, 0), 2),
     ("A3", (1, 0, 0), (0, 0, 1), 2),
     ("A1", (2,), (3,), 2),
     ("C2", (1, 1), (1, 0), 2),
-])
+]
+
+
+@pytest.mark.parametrize("name,lam,mu,p", ORACLE_PAIRS)
 def test_mult_matches_dense_oracle(name, lam, mu, p):
     rep = check_mult_surjective(RS[name], sc(name), lam, mu, p)
     inj, strict, table = dense_mult_verdict(RS[name], lam, mu, p)
     assert rep.injective_ungraded == inj
     assert rep.strict == strict
     assert rep.table == table
+
+
+@pytest.mark.parametrize("name,lam,mu,p", ORACLE_PAIRS)
+def test_weyl_caps_leave_the_image_filtration_unchanged(name, lam, mu, p):
+    """The image of phi has no weight space above the Freudenthal
+    multiplicity of lam + mu, so stopping there changes no dimension and no
+    tagged row of the image filtration."""
+    cm = cartan_component_map(RS[name], sc(name), lam, mu, p)
+    seed = np.zeros(cm.space.dim, dtype=np.int64)
+    seed[cm.space.hw_flat] = 1
+    runs = [filter_from_seed(cm.space, seed, caps=caps) for caps in
+            (freudenthal_multiplicities(RS[name], cm.total), None)]
+    (capped, dims), (free, free_dims) = runs
+    assert dims == free_dims == list(cm.image_dims())
+    assert capped.keys() == free.keys()
+    for w, blk in capped.items():
+        assert [(d, r.tolist()) for d, r in blk.tagged] == \
+            [(d, r.tolist()) for d, r in free[w].tagged], w
+
+
+def test_factor_filtrations_are_shared_per_module():
+    """Two component maps with the same factor module reuse its PBW
+    filtration; the filtration is that of pbw_filtration."""
+    rs = RS["A2"]
+    a = cartan_component_map(rs, sc("A2"), (1, 0), (0, 1), 2)
+    b = cartan_component_map(rs, sc("A2"), (1, 0), (1, 0), 2)
+    assert a.factors[0] is b.factors[0]
+    assert a.factor_graded[0] is b.factor_graded[0] is \
+        b.factor_graded[1]
+    assert a.factor_graded[0].cumulative_dims() == \
+        pbw_filtration(a.factors[0]).cumulative_dims()
+
+
+def test_dependent_convolution_row_raises_under_python_O():
+    """A basis row of T_n that the rows before it already span is a defect,
+    also with asserts stripped: here the products at the highest weight
+    carry their one row twice."""
+    code = "\n".join([
+        "import numpy as np",
+        "from pbwdeg.chevrep import chevalley_constants",
+        "from pbwdeg.degenring import (CartanComponentMap,",
+        "                              check_mult_surjective)",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        "print(__debug__)",
+        "real = CartanComponentMap._tagged_products",
+        "def doubled(self):",
+        "    out = real(self)",
+        "    degs, rows = out[self.total]",
+        "    out[self.total] = (np.repeat(degs, 2), np.repeat(rows, 2, axis=0))",
+        "    return out",
+        "CartanComponentMap._tagged_products = doubled",
+        "rs = build_root_system('A2')",
+        "try:",
+        "    check_mult_surjective(rs, chevalley_constants(rs), (1, 0),",
+        "                          (0, 1), 2)",
+        "except IntegrityError as exc:",
+        "    print('raised', 'depends' in str(exc))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised", "True"]
 
 
 def test_mult_symmetry():

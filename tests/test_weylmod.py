@@ -136,6 +136,15 @@ def test_freudenthal_total_matches_weyl_dim(name, lam):
     assert sorted(m.values()) == sorted(mstar.values())
 
 
+@pytest.mark.parametrize("name,lam", [("C3", (2, 2, 2)),
+                                      ("D4", (1, 1, 1, 1))])
+def test_freudenthal_total_matches_weyl_dim_on_large_weights(name, lam):
+    """19683 and 4096 dimensions, from few dominant weights."""
+    rs = RS[name]
+    assert sum(freudenthal_multiplicities(rs, lam).values()) == \
+        weyl_dim(rs, lam)
+
+
 @pytest.mark.parametrize("name", sorted(RS))
 def test_freudenthal_cached_on_root_system(name, monkeypatch):
     """A second call for the same (rs, lam) reads the cache kept on rs; a
