@@ -45,11 +45,12 @@ import numpy as np
 from . import __version__
 from .exactla import DenseEchelonModP, require_int64_safe
 from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
-                       _require_inputs, filter_from_seed, pbw_filtration)
+                       _require_inputs, pbw_filtration)
 from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
 from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
-                      build_weyl_module_p, freudenthal_multiplicities,
-                      tensor_width_bound, weyl_dim)
+                      build_weyl_module_p, filter_from_seed,
+                      freudenthal_multiplicities, tensor_width_bound,
+                      weyl_dim)
 
 #: PBW filtration per factor module, shared by the component maps that
 #: take the same module object as a factor

@@ -2,7 +2,8 @@
 
 The filtration V_n is spanned by applying products of divided-power
 lowering operators of total exponent at most n to the highest weight
-vector.  The engine spans by words in the p-power divided powers
+vector.  The engine, weylmod.filter_from_seed (the walk that also spans
+the modules), spans by words in the p-power divided powers
 F_beta^(p^e), counting p^e toward the degree: base-p digits multiply out
 to any divided power without changing the exponent sum, and straightening
 a word against the ordered monomial basis never raises the total degree,
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .exactla import DenseEchelonModP
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
-from .weylmod import (BlockOp, ModuleP, WeightBlocks, build_weyl_module_p,
+from .weylmod import (BlockOp, ModuleP, build_weyl_module_p, filter_from_seed,
                       weyl_dim)
 
 log = logging.getLogger(__name__)
@@ -89,129 +90,6 @@ def _require_inputs(rs: RootSystemData, sc, p: int) -> None:
     if sc.rs.name != rs.name:
         raise ValueError(f"structure constants of {sc.rs.name} passed for "
                          f"{rs.name}")
-
-
-# ---------------------------------------------------------------------------
-# generic degree-tagged spanning
-
-
-class _FiltBlock:
-    """Per-weight cumulative echelon plus insertion-degree tags; the block
-    is full once its rank reaches cap."""
-
-    def __init__(self, p: int, indices: np.ndarray, cap: int):
-        self.indices = indices
-        self.cap = cap
-        self.ech = DenseEchelonModP(p, len(indices))
-        self.tagged: list[tuple[int, np.ndarray]] = []
-
-    @property
-    def full(self) -> bool:
-        return self.ech.rank >= self.cap
-
-    def insert(self, rows: np.ndarray, degree: int) -> np.ndarray:
-        """Add rows in order; returns those accepted, as stored."""
-        stored = self.ech.add_rows(rows)[1]
-        self.tagged.extend((degree, r) for r in stored)
-        return stored
-
-    def rows_upto(self, n: int) -> np.ndarray:
-        rows = [r for d, r in self.tagged if d <= n]
-        if not rows:
-            return np.zeros((0, len(self.indices)), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
-
-
-def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
-    rc = rs.root_coords_int(tuple(a - b for a, b in zip(top, low)))
-    if rc is None or any(x < 0 for x in rc):
-        return None
-    return sum(rc)
-
-
-def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None):
-    """Degree-tagged span of the seed under p-power lowering operators.
-
-    `space` provides rs, p, weights (one per coordinate) and
-    op(kind, beta, k) -> BlockOp.  Returns
-    (blocks, dims) where dims[n] = dim V_n for the degrees actually
-    processed.  caps bounds the dimension of the span per weight (a weight
-    it omits has none), capped in turn by the width of the weight space;
-    None means the widths alone.  A block at its cap takes no more rows,
-    and the walk stops once every block is at its cap.
-    """
-    rs, p = space.rs, space.p
-    weights = space.weights
-    layout = WeightBlocks(weights)
-    blocks = {w: _FiltBlock(p, ix, len(ix) if caps is None else
-                            min(caps.get(w, 0), len(ix)))
-              for w, ix in layout.flats.items()}
-    goal = sum(b.cap for b in blocks.values())
-
-    nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
-    if not nz.size:
-        raise IntegrityError(f"seed vanishes mod {p}")
-    seed_wt = weights[int(nz[0])]
-    if any(weights[int(i)] != seed_wt for i in nz):
-        raise IntegrityError("seed is not weight homogeneous")
-
-    bound = max((d for w in blocks
-                 if (d := _height_drop(rs, seed_wt, w)) is not None),
-                default=0)
-    powers = []
-    pe = 1
-    while pe <= max(bound, 1):
-        powers.append(pe)
-        pe *= p
-    max_pe = powers[-1]
-
-    seed_blk = blocks[seed_wt]
-    first = seed_blk.insert(np.asarray(seed, dtype=np.int64)[seed_blk.indices]
-                            % p, 0)
-    frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
-        0: {seed_wt: [first]}}
-    dims = [1]
-    total = 1
-    last_new = 0
-
-    ops: dict[tuple, BlockOp] = {}  # fetched when first used
-    shifts = [(beta, rs.root_fund(beta)) for beta in rs.positive_roots]
-
-    n = 0
-    while n < bound and total < goal:
-        if n >= last_new + max_pe:
-            break  # nothing in reach of any remaining power
-        n += 1
-        added: dict[Weight, list[np.ndarray]] = {}
-        for pe in powers:
-            src = frontier.get(n - pe)
-            if src is None or pe > n:
-                continue
-            for w, rows in src.items():
-                rows_mat = np.vstack(rows)
-                for beta, shift in shifts:
-                    dst_w = tuple(a - pe * s for a, s in zip(w, shift))
-                    dst = blocks.get(dst_w)
-                    if dst is None or dst.full:
-                        continue
-                    if (beta, pe) not in ops:
-                        ops[beta, pe] = space.op("F", beta, pe)
-                    img = ops[beta, pe].image(w, rows_mat)
-                    if img is None:
-                        continue
-                    stored = dst.insert(img[1], n)
-                    if len(stored):
-                        added.setdefault(dst_w, []).append(stored)
-                        total += len(stored)
-        if added:
-            frontier[n] = added
-            last_new = n
-        dims.append(total)
-
-    # drop trailing degrees that added nothing beyond the last growth
-    while len(dims) > last_new + 1 and dims[-1] == dims[-2]:
-        dims.pop()
-    return blocks, dims
 
 
 # ---------------------------------------------------------------------------

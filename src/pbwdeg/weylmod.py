@@ -3,10 +3,13 @@
 Construction is by spanning: starting from a highest weight vector inside a
 tensor product of explicit integral representations, close the span under
 divided powers of the simple lowering operators.  Over Z this produces the
-minimal admissible lattice as a Hermite normal form per weight space; over
-F_p the span under p-power divided powers is echelonized per weight space
-and checked against the Weyl dimension, which pins the result down as the
-reduction of the universal highest weight module.
+minimal admissible lattice as a Hermite normal form per weight space
+(_span, by weight-box height).  Over F_p the span under the simple p-power
+divided powers is the degree-tagged walk filter_from_seed, the one that
+also builds the PBW filtrations, with each weight capped at its Freudenthal
+multiplicity; its echelon per weight space is checked against the Weyl
+dimension, which pins the result down as the reduction of the universal
+highest weight module.
 
 Tensor factors are either explicit fundamental representations or
 previously built modules, so a large weight can be built stage by stage
@@ -21,9 +24,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -504,7 +506,6 @@ class TensorAmbient:
         self.dims = [f.dim for f in self.factors]
         self.dim = prod(self.dims) if self.factors else 1
         self.strides = [prod(self.dims[j + 1:]) for j in range(len(self.dims))]
-        self._scope: dict | None = None
 
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
@@ -540,12 +541,8 @@ class TensorAmbient:
                      for ws in product(*(f.weights for f in self.factors)))
 
     @cached_property
-    def _layout(self) -> WeightBlocks:
+    def layout(self) -> WeightBlocks:
         return WeightBlocks(self.weights)
-
-    def blocks(self) -> dict[Weight, np.ndarray]:
-        """Flat indices per weight, ascending."""
-        return self._layout.flats
 
     def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
         """Coproduct action on a sparse vector, in exact Python integers,
@@ -591,36 +588,16 @@ class TensorAmbient:
             states = nxt
         return {flat: c for (flat, _), c in states.items() if c}
 
-    @contextmanager
-    def op_scope(self):
-        """Keep assembled ambient operators for the length of one span or
-        module operator build.  They are dropped when the scope ends, so
-        memory does not grow with the number of operators used."""
-        if self._scope is not None:
-            yield
-            return
-        self._scope = {}
-        try:
-            yield
-        finally:
-            self._scope = None
-
     def _coproduct(self, kind: str, beta: Root, k: int):
         return kron_coproduct(lambda j, a: self.factors[j].coo(kind, beta, a),
                               self.dims, k, self.p)
 
     def op(self, kind: str, beta: Root, k: int) -> BlockOp:
         """A divided power on the whole ambient as a block operator mod p,
-        assembled by kron_coproduct once per op inside op_scope(), else
-        once per call."""
-        key = (kind, beta, k)
-        if self._scope is not None and key in self._scope:
-            return self._scope[key]
-        out = BlockOp(self._layout, self.p,
-                      self._layout.group(*self._coproduct(kind, beta, k)))
-        if self._scope is not None:
-            self._scope[key] = out
-        return out
+        assembled by kron_coproduct on every call: a caller that reuses
+        one keeps it."""
+        return BlockOp(self.layout, self.p,
+                       self.layout.group(*self._coproduct(kind, beta, k)))
 
     def block_op_matrix(self, kind: str, beta: Root, k: int,
                         weight: Weight) -> BlockOp:
@@ -628,85 +605,74 @@ class TensorAmbient:
         if self.p is None:
             raise ValueError("block_op_matrix needs an ambient over F_p")
         entry = self.op(kind, beta, k).blocks.get(weight)
-        return BlockOp(self._layout, self.p,
+        return BlockOp(self.layout, self.p,
                        {} if entry is None else {weight: entry})
 
 
 # ---------------------------------------------------------------------------
 # spanning
 
-def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec, lam: Weight,
-          new_block, powers: int | None) -> list:
-    """Close a seed vector under the divided powers F_i^(k), one weight
-    block at a time.
-
-    The seed must lie in a single weight of the weight box of lam.  Blocks
-    are visited by height, then by descending weight, so every block has
-    received all its images when it is finalized.  new_block(mu) makes an
-    empty block with add(vec), finalize(), rank and push(ambient, alpha, k,
-    dst); powers is None for every order k, or a prime p for the powers of
-    p.  Returns the blocks of nonzero rank in visiting order, each with its
-    offset in the module basis.
-    """
-    box = _WeightBox(rs, lam)
+def _seed_weight(ambient: TensorAmbient, seed: Vec, box: _WeightBox) -> Weight:
+    """The one weight of a span's seed vector, which must lie in the weight
+    box of the module spanned."""
     found = sorted({ambient.weight_of(f) for f in seed})
-    h0 = box.height(found[0]) if len(found) == 1 else None
-    if h0 is None:
+    if len(found) != 1 or box.coords(found[0]) is None:
         raise IntegrityError(f"seed vector of weights {found} is not in a "
-                             f"single weight of the weight box of {lam}")
-    levels = {h0: {found[0]: new_block(found[0])}}
-    levels[h0][found[0]].add(seed)
-    orders = [k for k in range(1, max(box.cmax, default=0) + 1)
-              if powers is None or _is_ppower_digit(powers, k)]
-    blocks, offset = [], 0
-    for h in range(h0, sum(box.cmax) + 1):
-        level = levels.pop(h, {})
-        for mu in sorted(level, key=lambda w: tuple(-x for x in w)):
-            blk = level[mu]
-            blk.finalize()
-            if not blk.rank:
-                continue
-            blk.offset, offset = offset, offset + blk.rank
-            blocks.append(blk)
-            c = box.coords(mu)
-            for i, alpha_f in enumerate(box.simple_funds):
-                # F_i^(k) moves c to c + k e_i: inside the box up to cmax_i
-                for k in orders:
-                    if k > box.cmax[i] - c[i]:
-                        break
-                    target = _sub(mu, tuple(k * x for x in alpha_f))
-                    dst = levels.setdefault(h + k, {})
-                    if target not in dst:
-                        dst[target] = new_block(target)
-                    blk.push(ambient, rs.simple_root(i), k, dst[target])
-    return blocks
+                             f"single weight of the weight box of {box.lam}")
+    return found[0]
 
 
+@dataclass
 class _ZBlock:
-    """Weight space of a span over Z: an HNF, pushed through apply_vec."""
+    """Weight space of the Z lattice: its HNF basis and its offset in the
+    lattice basis."""
 
-    def __init__(self, weight: Weight):
-        self.weight = weight
-        self.hnf = IncrementalHNF(0)
-        self.final: LatticeBasis | None = None
-        self.offset = -1
+    weight: Weight
+    final: LatticeBasis
+    offset: int
 
     @property
     def rank(self) -> int:
         return self.final.rank
 
-    def add(self, vec: Vec) -> None:
-        self.hnf.add(vec)
 
-    def finalize(self) -> None:
-        self.final = self.hnf.finalize()
+def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
+          lam: Weight) -> list[_ZBlock]:
+    """Close a seed vector under the divided powers F_i^(k) over Z, one
+    weight block at a time, with an HNF per weight.
 
-    def push(self, ambient: TensorAmbient, alpha: Root, k: int,
-             dst: "_ZBlock") -> None:
-        for row in self.final.rows:
-            img = ambient.apply_vec("F", alpha, k, row)
-            if img:
-                dst.add(img)
+    Blocks are visited by height, then by descending weight, so every block
+    has received all its images when it is finalized.  Returns the blocks
+    of nonzero rank in visiting order.
+    """
+    box = _WeightBox(rs, lam)
+    top = _seed_weight(ambient, seed, box)
+    h0 = box.height(top)
+    levels = {h0: {top: IncrementalHNF(0)}}
+    levels[h0][top].add(seed)
+    blocks, offset = [], 0
+    for h in range(h0, sum(box.cmax) + 1):
+        level = levels.pop(h, {})
+        for mu in sorted(level, key=_neg):
+            final = level[mu].finalize()
+            if not final.rank:
+                continue
+            blocks.append(_ZBlock(mu, final, offset))
+            offset += final.rank
+            c = box.coords(mu)
+            for i, alpha_f in enumerate(box.simple_funds):
+                # F_i^(k) moves c to c + k e_i: inside the box up to cmax_i
+                for k in range(1, box.cmax[i] - c[i] + 1):
+                    target = _sub(mu, tuple(k * x for x in alpha_f))
+                    dst = levels.setdefault(h + k, {})
+                    if target not in dst:
+                        dst[target] = IncrementalHNF(0)
+                    for row in final.rows:
+                        img = ambient.apply_vec("F", rs.simple_root(i), k,
+                                                row)
+                        if img:
+                            dst[target].add(img)
+    return blocks
 
 
 class WeylLatticeZ:
@@ -802,8 +768,7 @@ def _lattice(rs: RootSystemData, lam: Weight, ambient: TensorAmbient,
     """The Z span of seed as a lattice of V(lam); RankMismatch unless it
     has the Weyl dimension."""
     expected = weyl_dim(rs, lam)
-    lat = WeylLatticeZ(rs, lam, ambient,
-                       _span(rs, ambient, seed, lam, _ZBlock, None))
+    lat = WeylLatticeZ(rs, lam, ambient, _span(rs, ambient, seed, lam))
     if lat.dim != expected:
         raise RankMismatch(lam, expected, lat.dim)
     return lat
@@ -875,56 +840,143 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 # spanning over F_p
 
-class _PBlock:
-    """Weight space of a span over F_p: an echelon of the ambient's block of
-    that weight, pushed through the ambient's operators; pushes stop once
-    it reaches the weight multiplicity in mults."""
+class _FiltBlock:
+    """Per-weight cumulative echelon plus insertion-degree tags; the block
+    is full once its rank reaches cap."""
 
-    def __init__(self, weight: Weight, ambient: TensorAmbient, mults: dict):
+    def __init__(self, p: int, indices: np.ndarray, cap: int):
+        self.indices = indices
+        self.cap = cap
+        self.ech = DenseEchelonModP(p, len(indices))
+        self.tagged: list[tuple[int, np.ndarray]] = []
+
+    @property
+    def full(self) -> bool:
+        return self.ech.rank >= self.cap
+
+    def insert(self, rows: np.ndarray, degree: int) -> np.ndarray:
+        """Add rows in order; returns those accepted, as stored."""
+        stored = self.ech.add_rows(rows)[1]
+        self.tagged.extend((degree, r) for r in stored)
+        return stored
+
+    def rows_upto(self, n: int) -> np.ndarray:
+        rows = [r for d, r in self.tagged if d <= n]
+        if not rows:
+            return np.zeros((0, len(self.indices)), dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
+
+
+def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
+    rc = rs.root_coords_int(_sub(top, low))
+    if rc is None or any(x < 0 for x in rc):
+        return None
+    return sum(rc)
+
+
+def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None,
+                     roots=None):
+    """Degree-tagged span of the seed under p-power lowering operators.
+
+    `space` provides rs, p, layout (the WeightBlocks of its coordinates)
+    and op(kind, beta, k) -> BlockOp.  The seed is lowered by the
+    F_beta^(p^e) for beta in roots, every positive root when None, and
+    p^e counts toward the degree.  Returns (blocks, dims), blocks a
+    _FiltBlock per weight and dims[n] = dim V_n for the degrees actually
+    processed.  caps bounds the dimension of the span per weight (a weight
+    it omits has none), capped in turn by the width of the weight space;
+    None means the widths alone.  A block at its cap takes no more rows,
+    and the walk stops once every block is at its cap.
+
+    Over the simple roots alone the degree of a word is its height drop,
+    so each weight receives all its rows at one degree, from weights that
+    are complete by then; build_weyl_module_p spans V_p(lambda) this way.
+    """
+    rs, p, layout = space.rs, space.p, space.layout
+    blocks = {w: _FiltBlock(p, ix, len(ix) if caps is None else
+                            min(caps.get(w, 0), len(ix)))
+              for w, ix in layout.flats.items()}
+    goal = sum(b.cap for b in blocks.values())
+
+    nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
+    if not nz.size:
+        raise IntegrityError(f"seed vanishes mod {p}")
+    seed_blocks = layout.block_of[nz]
+    if np.any(seed_blocks != seed_blocks[0]):
+        raise IntegrityError("seed is not weight homogeneous")
+    seed_wt = layout.keys[seed_blocks[0]]
+
+    bound = max((d for w in blocks
+                 if (d := _height_drop(rs, seed_wt, w)) is not None),
+                default=0)
+    powers = []
+    pe = 1
+    while pe <= max(bound, 1):
+        powers.append(pe)
+        pe *= p
+    max_pe = powers[-1]
+
+    seed_blk = blocks[seed_wt]
+    first = seed_blk.insert(np.asarray(seed, dtype=np.int64)[seed_blk.indices]
+                            % p, 0)
+    frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
+        0: {seed_wt: [first]}}
+    dims = [1]
+    total = 1
+    last_new = 0
+
+    ops: dict[tuple, BlockOp] = {}  # fetched when first used
+    shifts = [(beta, rs.root_fund(beta)) for beta in
+              (rs.positive_roots if roots is None else roots)]
+
+    n = 0
+    while n < bound and total < goal:
+        if n >= last_new + max_pe:
+            break  # nothing in reach of any remaining power
+        n += 1
+        added: dict[Weight, list[np.ndarray]] = {}
+        for pe in powers:
+            src = frontier.get(n - pe)
+            if src is None or pe > n:
+                continue
+            for w, rows in src.items():
+                rows_mat = np.vstack(rows)
+                for beta, shift in shifts:
+                    dst_w = tuple(a - pe * s for a, s in zip(w, shift))
+                    dst = blocks.get(dst_w)
+                    if dst is None or dst.full:
+                        continue
+                    if (beta, pe) not in ops:
+                        ops[beta, pe] = space.op("F", beta, pe)
+                    img = ops[beta, pe].image(w, rows_mat)
+                    if img is None:
+                        continue
+                    stored = dst.insert(img[1], n)
+                    if len(stored):
+                        added.setdefault(dst_w, []).append(stored)
+                        total += len(stored)
+        if added:
+            frontier[n] = added
+            last_new = n
+        dims.append(total)
+
+    # drop trailing degrees that added nothing beyond the last growth
+    while len(dims) > last_new + 1 and dims[-1] == dims[-2]:
+        dims.pop()
+    return blocks, dims
+
+
+class _EchelonBlock:
+    """Weight space of a module over F_p: the reduced rows of an echelon
+    sorted by pivot column, which are canonical for the subspace they
+    span, and the offset of the block in the module basis."""
+
+    def __init__(self, weight: Weight, ech: DenseEchelonModP, offset: int):
         self.weight = weight
-        flats = ambient.blocks().get(weight, np.zeros(0, dtype=np.int64))
-        self.index = {f: i for i, f in enumerate(flats.tolist())}
-        self.expected = mults.get(weight, 0)
-        self.ech = DenseEchelonModP(ambient.p, len(flats))
-        self.rows: np.ndarray | None = None
-        self.pivots: list[int] | None = None
-        self.offset = -1
-
-    @property
-    def rank(self) -> int:
-        return self.ech.rank
-
-    @property
-    def saturated(self) -> bool:
-        return self.expected > 0 and self.ech.rank == self.expected
-
-    def add(self, vec: Vec) -> None:
-        dense = np.zeros(self.ech.width, dtype=np.int64)
-        for f, v in vec.items():
-            dense[self.index[f]] = v % self.ech.p
-        self.ech.add_row(dense)
-
-    def finalize(self) -> None:
-        order = np.argsort(np.array(self.ech.pivot_cols, dtype=np.int64),
-                           kind="stable")
-        self.rows = self.ech.basis_matrix()[order].copy()
-        self.pivots = sorted(self.ech.pivot_cols)
-
-    def push(self, ambient: TensorAmbient, alpha: Root, k: int,
-             dst: "_PBlock") -> None:
-        if dst.saturated or not dst.ech.width:
-            return
-        img = ambient.op("F", alpha, k).image(self.weight, self.rows)
-        if img is not None:
-            dst.ech.add_rows(img[1])
-
-
-def _span_modp(rs: RootSystemData, p: int, ambient: TensorAmbient,
-               seed: Vec, lam: Weight) -> list[_PBlock]:
-    new_block = partial(_PBlock, ambient=ambient,
-                        mults=freudenthal_multiplicities(rs, lam))
-    with ambient.op_scope():
-        return _span(rs, ambient, seed, lam, new_block, p)
+        self.rows = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
+        self.pivots = sorted(ech.pivot_cols)
+        self.rank = len(self.pivots)
+        self.offset = offset
 
 
 def _is_ppower_digit(p: int, k: int) -> bool:
@@ -1032,9 +1084,9 @@ class WeylModuleP(ModuleP):
     """Weyl module over F_p with canonical per weight echelon bases."""
 
     def __init__(self, rs: RootSystemData, p: int, lam: Weight,
-                 ambient: TensorAmbient, blocks: list[_PBlock]):
+                 ambient: TensorAmbient, blocks: list[_EchelonBlock]):
         super().__init__(rs, p, lam, (b.weight for b in blocks
-                                      for _ in range(b.ech.rank)))
+                                      for _ in range(b.rank)))
         self.ambient = ambient
         self.blocks = blocks
         self._by_weight = {b.weight: b for b in blocks}
@@ -1046,23 +1098,21 @@ class WeylModuleP(ModuleP):
         """The ambient operator on each block's rows, in the target block's
         basis; raises IntegrityError unless the images lie in the span."""
         out = {}
-        with self.ambient.op_scope():
-            ops = self.ambient.op(kind, beta, k)
-            for blk in self.blocks:
-                dst = self._by_weight.get(
-                    ops.blocks.get(blk.weight, (None,))[0])
-                if dst is None:
-                    continue  # no block, or the target weight space is zero
-                images = ops.image(blk.weight, blk.rows)[1]
-                coords = images[:, dst.pivots]
-                if not np.array_equal(matmul_mod(coords, dst.rows, self.p),
-                                      images):
-                    raise IntegrityError(
-                        f"module not closed under {kind}^({k}) at {beta}")
-                i, j = np.nonzero(coords)
-                if i.size:
-                    out[blk.weight] = (dst.weight, j.astype(np.int32),
-                                       i.astype(np.int32), coords[i, j])
+        ops = self.ambient.op(kind, beta, k)
+        for blk in self.blocks:
+            dst = self._by_weight.get(ops.blocks.get(blk.weight, (None,))[0])
+            if dst is None:
+                continue  # no block, or the target weight space is zero
+            images = ops.image(blk.weight, blk.rows)[1]
+            coords = images[:, dst.pivots]
+            if not np.array_equal(matmul_mod(coords, dst.rows, self.p),
+                                  images):
+                raise IntegrityError(
+                    f"module not closed under {kind}^({k}) at {beta}")
+            i, j = np.nonzero(coords)
+            if i.size:
+                out[blk.weight] = (dst.weight, j.astype(np.int32),
+                                   i.astype(np.int32), coords[i, j])
         return out
 
 
@@ -1132,10 +1182,12 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     ambient_mode "peeled" builds up one fundamental factor at a time,
     nesting the previous stage as a tensor factor; "flat" spans inside the
     full tensor product of fundamental representations directly.  Either
-    way the span is the image of the minimal lattice mod p; when that
-    image collapses below the Weyl dimension (the lattice is not saturated
-    at p in the ambient) the module is rebuilt as the abstract reduction
-    of the Z lattice instead, so the result always has the Weyl dimension.
+    way the span is the image of the minimal lattice mod p.  When that
+    image collapses below the Weyl dimension, the lattice is checked with
+    reduce_mod_p: if it loses rank mod p (it is not saturated at p in the
+    ambient), the module is rebuilt as the abstract reduction of the Z
+    lattice instead, so the result always has the Weyl dimension; if it
+    keeps its rank, the collapse is a defect and raises IntegrityError.
     """
     from .chevrep import fundamental_rep
 
@@ -1162,42 +1214,66 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     try:
         mod = _finish_modp(rs, p, lam, ambient, {ambient.hw_flat: 1})
     except RankMismatch as exc:
-        log.info("ambient span mod %d for %s %s has rank %d, expected "
-                 "%d; falling back to the lattice reduction",
-                 p, rs.name, lam, exc.found, exc.expected)
-        mod = LatticeModuleP(build_weyl_lattice(rs, lam), p)
+        lat = build_weyl_lattice(rs, lam)
+        try:
+            reduce_mod_p(lat, p)
+        except IntegrityError:
+            log.info("ambient span mod %d for %s %s has rank %d, expected "
+                     "%d; falling back to the lattice reduction",
+                     p, rs.name, lam, exc.found, exc.expected)
+            mod = LatticeModuleP(lat, p)
+        else:
+            raise IntegrityError(
+                f"the ambient span mod {p} of V({lam}) for {rs.name} has "
+                f"rank {exc.found}, expected {exc.expected}, but the Z "
+                f"lattice keeps its rank mod {p}: a factor of the ambient "
+                "is defective") from exc
     _MODP_CACHE[key] = mod
     return mod
 
 
-def _finish_modp(rs, p, lam, ambient, seed) -> WeylModuleP:
-    blocks = _span_modp(rs, p, ambient, seed, lam)
-    total = sum(b.rank for b in blocks)
+def _finish_modp(rs, p, lam, ambient, seed: Vec) -> WeylModuleP:
+    """The span of seed under the simple p-power lowerings as V_p(lam),
+    each weight capped at its multiplicity; RankMismatch unless it has the
+    Weyl dimension.  The blocks of nonzero rank are kept by height, then
+    by descending weight."""
+    box = _WeightBox(rs, lam)
+    _seed_weight(ambient, seed, box)
+    dense = np.zeros(ambient.dim, dtype=np.int64)
+    for f, v in seed.items():
+        dense[f] = v % p
+    spans, _ = filter_from_seed(
+        ambient, dense, caps=freudenthal_multiplicities(rs, lam),
+        roots=[rs.simple_root(i) for i in range(rs.rank)])
+    blocks, offset = [], 0
+    for w in sorted((w for w, b in spans.items() if b.ech.rank),
+                    key=lambda w: (box.height(w), _neg(w))):
+        blocks.append(_EchelonBlock(w, spans[w].ech, offset))
+        offset += blocks[-1].rank
     expected = weyl_dim(rs, lam)
-    if total != expected:
-        raise RankMismatch(lam, expected, total)
+    if offset != expected:
+        raise RankMismatch(lam, expected, offset)
     return WeylModuleP(rs, p, lam, ambient, blocks)
 
 
 def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
     """Reduction of the Z lattice: a second, independent route to V_p, in
-    the lattice's order of weight blocks."""
+    the lattice's order of weight blocks.  IntegrityError where a weight
+    space loses rank mod p."""
     rs = lat.rs
     ambient = TensorAmbient(rs, [FundFactor(rs, f.rep, p)
                                  for f in lat.ambient.factors], p)
-    mults = freudenthal_multiplicities(rs, lat.lam)
     blocks = []
     for zb in lat.blocks:
-        pb = _PBlock(zb.weight, ambient, mults)
-        for row in zb.final.rows:
-            pb.add(row)
-        if pb.rank != zb.rank:
+        flats = ambient.layout.flats[zb.weight].tolist()
+        ech = DenseEchelonModP(p, len(flats))
+        ech.add_rows(np.array([[row.get(f, 0) % p for f in flats]
+                               for row in zb.final.rows], dtype=np.int64))
+        if ech.rank != zb.rank:
             raise IntegrityError(
                 f"weight space {zb.weight} of the Z lattice has rank "
-                f"{zb.rank} but {pb.rank} mod {p}")
-        pb.finalize()
-        pb.offset = zb.offset
-        blocks.append(pb)
+                f"{zb.rank} but {ech.rank} mod {p}")
+        blocks.append(_EchelonBlock(zb.weight, ech, zb.offset))
     return WeylModuleP(rs, p, lat.lam, ambient, blocks)
 
 

@@ -148,6 +148,21 @@ def test_dependent_convolution_row_raises_under_python_O():
     assert proc.stdout.split() == ["False", "raised", "True"]
 
 
+G2_PAIRS = [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (0, 1)),
+            ((1, 1), (1, 0)), ((1, 1), (0, 1))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("lam,mu", G2_PAIRS)
+def test_g2_mult_gr_injective(lam, mu, p):
+    """G2 is the paper's new case: the component map is gr-injective on the
+    pairs of fundamental weights and of rho with a fundamental weight."""
+    rs = RS["G2"]
+    rep = check_mult_surjective(rs, sc("G2"), lam, mu, p)
+    assert rep.gr_injective and rep.verdict_mult_surjective
+    assert rep.table[-1][1] == weyl_dim(rs, tuple(map(sum, zip(lam, mu))))
+
+
 def test_mult_symmetry():
     for name, lam, mu, p in [("A2", (1, 0), (0, 1), 2),
                              ("C2", (1, 0), (0, 1), 2)]:
@@ -363,13 +378,17 @@ def test_hilbert_a2_adjoint_reaches_n5():
     ("G2", (1, 0), 2, 4),
     ("C2", (0, 1), 2, 4),
     ("A3", (0, 1, 0), 3, 3),
+    ("G2", (1, 0), 3, 3),
+    ("G2", (0, 1), 3, 3),
 ])
 def test_hilbert_profiles_are_pbw_graded_dims(name, lam, p, n_max):
-    """Where generation holds, the profile of step n is the PBW graded
-    dims of V(n lam), built and filtered on its own."""
+    """Where generation holds, h(n) is dim V(n lam) and the profile of step
+    n is the PBW graded dims of V(n lam), built and filtered on its own."""
     rs = RS[name]
     rep = hilbert_function(rs, sc(name), lam, p, n_max)
     assert sorted(rep.profiles) == list(range(n_max + 1))
+    assert [h for _, h, _ in rep.values] == \
+        [weyl_dim(rs, tuple(n * x for x in lam)) for n in range(n_max + 1)]
     for n in range(1, n_max + 1):
         mod = build_weyl_module_p(rs, p, tuple(n * x for x in lam))
         assert rep.profiles[n] == pbw_filtration(mod).graded_dims, n

@@ -23,8 +23,6 @@ PKG = ROOT / "src" / "pbwdeg"
 
 #: public names that only tests reach, each kept for a reason
 ALLOWED = {
-    "reduce_mod_p": "the independent reduction of the Z lattice that the "
-                    "direct span is compared against",
     "BlockOp.toarray": "the dense view that every operator test compares "
                        "against",
     "StructureConstants.n_constant": "the N(alpha, beta) that the frozen "

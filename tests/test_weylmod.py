@@ -295,6 +295,31 @@ def test_lattice_bases_pinned():
         .hexdigest() == OP_INT_PIN
 
 
+# sha256 of the weights and the per weight echelon rows and pivots of
+# build_weyl_module_p, recorded from the span walk by weight-box height
+# before the module build moved onto filter_from_seed
+MODULE_PIN_CASES = [
+    ("A2", (2, 1), 3, "peeled"), ("B2", (1, 1), 2, "peeled"),
+    ("C3", (0, 1, 1), 2, "peeled"), ("D4", (0, 1, 0, 0), 3, "peeled"),
+    ("G2", (1, 1), 2, "peeled"), ("G2", (1, 1), 3, "peeled"),
+    ("B3", (0, 1, 1), 2, "peeled"), ("A2", (1, 1), 2, "flat"),
+    ("G2", (1, 1), 2, "flat")]
+MODULE_PIN = \
+    "2e10e02e74adf4d7e8cc1115c162105419bf2521c387890831258d26205a6acc"
+
+
+def test_module_bases_pinned():
+    """The mod-p module bases, which every operator and filtration reads,
+    are bit for bit the recorded ones, peeled and flat."""
+    h = hashlib.sha256()
+    for name, lam, p, mode in MODULE_PIN_CASES:
+        mod = build_weyl_module_p(RS[name], p, lam, ambient_mode=mode)
+        assert isinstance(mod, WeylModuleP)
+        h.update(repr((mod.weights, [(b.weight, b.rows.tolist(), b.pivots)
+                                     for b in mod.blocks])).encode())
+    assert h.hexdigest() == MODULE_PIN
+
+
 def test_ambient_operators_refuse_the_other_ring():
     """apply_vec is the exact action over Z and block_op_matrix a block of
     the operator mod p: each refuses an ambient over the other ring."""
@@ -338,7 +363,7 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
 
         def right(kind, beta, a):
             return _dense_rep_power(rs, last.rep, kind, beta, a, p)
-    blocks = ambient.blocks()
+    blocks = ambient.layout.flats
     for kind in ("E", "F"):
         for beta in rs.positive_roots:
             for k in (1, p):
@@ -350,16 +375,14 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
                 assert np.array_equal(
                     ambient.op(kind, beta, k).toarray() % p, dense)
                 covered = 0
-                with ambient.op_scope():
-                    for mu, src in blocks.items():
-                        got = ambient.block_op_matrix(kind, beta, k, mu)
-                        want = np.zeros_like(dense)
-                        want[:, src] = dense[:, src]
-                        assert np.array_equal(got.toarray(), want), \
-                            (kind, beta, k, mu)
-                        assert got.nnz == np.count_nonzero(want)
-                        covered += got.nnz
-                assert ambient._scope is None
+                for mu, src in blocks.items():
+                    got = ambient.block_op_matrix(kind, beta, k, mu)
+                    want = np.zeros_like(dense)
+                    want[:, src] = dense[:, src]
+                    assert np.array_equal(got.toarray(), want), \
+                        (kind, beta, k, mu)
+                    assert got.nnz == np.count_nonzero(want)
+                    covered += got.nnz
                 # the blocks account for every nonzero entry of the operator
                 assert covered == int(np.count_nonzero(dense))
 
@@ -606,6 +629,29 @@ def test_peeled_ambient_route_agrees(name, lam, p):
         assert rank(flat.op(kind, beta, k)) == rank(peeled.op(kind, beta, k))
 
 
+DEFECTIVE_FACTOR = "\n".join([
+    "from pbwdeg import weylmod",
+    "from pbwdeg.rootsys import IntegrityError, build_root_system",
+    "weylmod.WeylModuleP._ppower = lambda self, kind, beta, k: {}",
+    "try:",
+    "    weylmod.build_weyl_module_p(build_root_system('A2'), 2, (1, 1))",
+    "except IntegrityError as exc:",
+    "    print('raised' if 'keeps its rank' in str(exc) else exc)",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_defective_factor_is_not_hidden_by_the_fallback(flags):
+    """With every p-power operator of V(1,0) zeroed, the peeled span of
+    A2 (1,1) at p = 2 collapses.  Its Z lattice keeps its rank mod 2, so
+    the collapse is a defect of the factor: IntegrityError, not the
+    lattice reduction, with asserts on or stripped."""
+    proc = subprocess.run([sys.executable, *flags, "-c", DEFECTIVE_FACTOR],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"]
+
+
 @pytest.mark.parametrize("kind", ["E", "F"])
 def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
     """LatticeModuleP assembles a non-p-power k from its p-power factors by
@@ -613,10 +659,15 @@ def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
     B3 omega_2 at p = 2 is the fallback the builder takes, where k = 3 is
     the product of the nonzero factors k = 1 and k = 2; the lattice
     reductions of B3 omega_2 at p = 3 and of A2 (3, 1) at p = 2 also have
-    nonzero non-p-power orders."""
+    nonzero non-p-power orders.  The fallback is taken because the Z
+    lattice loses rank mod 2, and it keeps the Freudenthal multiplicities."""
     rs = RS["B3"]
+    with pytest.raises(IntegrityError, match="mod 2"):
+        reduce_mod_p(build_weyl_lattice(rs, (0, 1, 0)), 2)
     fallback = build_weyl_module_p(rs, 2, (0, 1, 0))
     assert isinstance(fallback, weylmod.LatticeModuleP)
+    assert fallback.weight_multiplicities() == \
+        freudenthal_multiplicities(rs, (0, 1, 0))
     cases = [(fallback, (3,)),
              (weylmod.LatticeModuleP(fallback.lattice, 3), (2, 4)),
              (weylmod.LatticeModuleP(build_weyl_lattice(RS["A2"], (3, 1)),
@@ -725,8 +776,8 @@ SEED_CHECKS = "\n".join([
     "rep = fundamental_rep(rs, 1)",
     "vec = weylmod.FundFactor(rs, rep, 3)",
     "amb = weylmod.TensorAmbient(rs, [vec, vec], 3)",
-    "attempt(weylmod._span_modp, rs, 3, amb, {0: 1, 3: 1}, (2,))",
-    "attempt(weylmod._span_modp, rs, 3, amb, {0: 1}, (0,))",
+    "attempt(weylmod._finish_modp, rs, 3, (2,), amb, {0: 1, 3: 1})",
+    "attempt(weylmod._finish_modp, rs, 3, (0,), amb, {0: 1})",
     "attempt(weylmod._lattice, rs, (2,),",
     "        weylmod.TensorAmbient.over_z(rs, [rep, rep]), {0: 1, 3: 1})",
     "twin = dataclasses.replace(rep, weights=(rep.weights[0],) * 2)",
