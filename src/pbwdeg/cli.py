@@ -23,7 +23,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -54,26 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one subcommand plus its knobs.
-
-    Defaults: size ceiling DEFAULT_SIZE_CEILING, order trials 5, n_max 3,
-    format table, one job, no cache directory.
-    """
-
-    command: str
-    cartan: str
-    weights: tuple
-    p: int | None
-    n_max: int
-    trials: int
-    size_ceiling: int
-    fmt: str
-    cache_dir: Path | None
-    jobs: int
-
-
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(x) for x in text.split(","))
@@ -86,18 +66,6 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     if any(c < 0 for c in coords):
         raise ValueError(f"weight {text!r} is not dominant")
     return coords
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _fmt_weight(w) -> str:
-    return " ".join(str(x) for x in w)
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _diag(msg: str) -> None:
@@ -160,8 +128,7 @@ def save_module(mod, cache_dir) -> str:
     for idx, pe, fname in _stored_ops(mod):
         write_triplet_text(tmp / fname, (mod.dim, mod.dim), mod.p,
                            *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
-    (tmp / "weights.txt").write_text(
-        "".join(_fmt_weight(w) + "\n" for w in mod.weights))
+    (tmp / "weights.txt").write_text(_lines(mod.weights, " "))
     sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
     (tmp / "entry.json").write_text(json.dumps({
         "format_version": CACHE_FORMAT_VERSION,
@@ -239,7 +206,7 @@ def _get_module(rs: RootSystemData, lam, p: int, size_ceiling: int,
     required = int(weyl_dim(rs, lam))
     if required > size_ceiling:
         raise SizeCeilingExceeded(required, size_ceiling)
-    if cache_dir is not None:
+    if cache_dir:
         mod = load_module(rs, lam, p, cache_dir)
         if mod is not None:
             if not quiet:
@@ -257,67 +224,68 @@ def _get_module(rs: RootSystemData, lam, p: int, size_ceiling: int,
 # output rendering
 
 
-def _kv_table(pairs, sep: str = ": ", head=()) -> str:
-    lines = [*head, *(f"{k}{sep}{_fmt_bool(v) if isinstance(v, bool) else v}"
-                      for k, v in pairs)]
-    return "\n".join(lines) + "\n"
+def _cell(v) -> str:
+    """One table or CSV cell: true/false, a sequence space-separated, None
+    empty."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    if isinstance(v, (list, tuple)):
+        return " ".join(map(str, v))
+    return str(v)
 
 
-def _field_csv(pairs) -> str:
-    return _kv_table(pairs, ",", ["field,value"])
+def _lines(rows, sep: str = ",") -> str:
+    """One line per row, its cells joined by sep: CSV rows, aligned table
+    rows, or key-value pairs with sep ": "."""
+    return "".join(sep.join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _show(fmt: str, payload: dict, csv: str, table: str) -> None:
+    """Write one command's output in the requested format."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps({**payload,
+                                     "tool_version": __version__}) + "\n")
+    else:
+        sys.stdout.write(csv if fmt == "csv" else table)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_root_system(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
-    roots = [{"root_coords": list(b), "fund_coords": list(rs.root_fund(b)),
-              "height": rs.heights[i]}
+def _cmd_root_system(args) -> int:
+    rs = build_root_system(args.cartan)
+    roots = [(b, rs.root_fund(b), rs.heights[i])
              for i, b in enumerate(rs.positive_roots)]
-    if cfg.fmt == "json":
-        _emit(json.dumps({
-            "cartan": rs.name,
-            "rank": rs.rank,
-            "cartan_matrix": [list(row) for row in rs.cartan_matrix],
-            "positive_roots": roots,
-            "num_positive_roots": rs.n_positive,
-            "tool_version": __version__,
-        }))
-    elif cfg.fmt == "csv":
-        lines = ["index,root_coords,fund_coords,height"]
-        for i, r in enumerate(roots):
-            lines.append(f"{i},{_fmt_weight(r['root_coords'])},"
-                         f"{_fmt_weight(r['fund_coords'])},{r['height']}")
-        _emit("\n".join(lines) + "\n")
-    else:
-        pairs = [("cartan", rs.name), ("rank", rs.rank),
-                 ("positive roots", rs.n_positive)]
-        body = _kv_table(pairs)
-        for r in roots:
-            body += (f"  root {_fmt_weight(r['root_coords'])}  "
-                     f"fund {_fmt_weight(r['fund_coords'])}  "
-                     f"height {r['height']}\n")
-        _emit(body)
+    payload = {
+        "cartan": rs.name,
+        "rank": rs.rank,
+        "cartan_matrix": rs.cartan_matrix,
+        "positive_roots": [{"root_coords": b, "fund_coords": f, "height": h}
+                           for b, f, h in roots],
+        "num_positive_roots": rs.n_positive,
+    }
+    csv = _lines([("index", "root_coords", "fund_coords", "height"),
+                  *((i, *r) for i, r in enumerate(roots))])
+    table = _lines([("cartan", rs.name), ("rank", rs.rank),
+                    ("positive roots", rs.n_positive)], ": ")
+    table += "".join(f"  root {_cell(b)}  fund {_cell(f)}  height {h}\n"
+                     for b, f, h in roots)
+    _show(args.format, payload, csv, table)
     return 0
 
 
-def _cmd_weyl_dim(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
-    dims = [(w, int(weyl_dim(rs, w))) for w in cfg.weights]
-    if cfg.fmt == "json":
-        _emit(json.dumps({
-            "cartan": rs.name,
-            "dims": [{"weight": list(w), "dim": d} for w, d in dims],
-            "tool_version": __version__,
-        }))
-    elif cfg.fmt == "csv":
-        lines = ["weight,dim"] + [f"{_fmt_weight(w)},{d}" for w, d in dims]
-        _emit("\n".join(lines) + "\n")
-    else:
-        _emit(_kv_table([("cartan", rs.name)] +
-                        [(f"weight {_fmt_weight(w)}", d) for w, d in dims]))
+def _cmd_weyl_dim(args) -> int:
+    rs = build_root_system(args.cartan)
+    dims = [(w, int(weyl_dim(rs, w))) for w in args.weights]
+    payload = {"cartan": rs.name,
+               "dims": [{"weight": w, "dim": d} for w, d in dims]}
+    csv = _lines([("weight", "dim"), *dims])
+    table = _lines([("cartan", rs.name),
+                    *((f"weight {_cell(w)}", d) for w, d in dims)], ": ")
+    _show(args.format, payload, csv, table)
     return 0
 
 
@@ -331,257 +299,200 @@ def _height_drop_key(rs: RootSystemData, lam):
     return key
 
 
-def _cmd_build_module(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
-    lam = cfg.weights[0]
-    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
+def _cmd_build_module(args) -> int:
+    rs = build_root_system(args.cartan)
+    lam = args.weights[0]
+    mod = _get_module(rs, lam, args.p, args.size_ceiling, args.cache_dir)
     mults = sorted(mod.weight_multiplicities().items(),
                    key=_height_drop_key(rs, lam))
-    if cfg.fmt == "json":
-        _emit(json.dumps({
-            "cartan": rs.name,
-            "weight": list(lam),
-            "p": cfg.p,
-            "dim": mod.dim,
-            "num_weights": len(mults),
-            "multiplicities": [[list(w), m] for w, m in mults],
-            "tool_version": __version__,
-        }))
-    elif cfg.fmt == "csv":
-        lines = ["weight,multiplicity"]
-        lines += [f"{_fmt_weight(w)},{m}" for w, m in mults]
-        _emit("\n".join(lines) + "\n")
-    else:
-        pairs = [("cartan", rs.name), ("weight", _fmt_weight(lam)),
-                 ("p", cfg.p), ("dim", mod.dim),
-                 ("weights", len(mults))]
-        body = _kv_table(pairs)
-        for w, m in mults:
-            body += f"  weight {_fmt_weight(w)}: {m}\n"
-        _emit(body)
+    payload = {"cartan": rs.name, "weight": lam, "p": args.p, "dim": mod.dim,
+               "num_weights": len(mults), "multiplicities": mults}
+    csv = _lines([("weight", "multiplicity"), *mults])
+    table = _lines([("cartan", rs.name), ("weight", lam), ("p", args.p),
+                    ("dim", mod.dim), ("weights", len(mults))], ": ")
+    table += "".join(f"  weight {_cell(w)}: {m}\n" for w, m in mults)
+    _show(args.format, payload, csv, table)
     return 0
 
 
-def _cmd_pbw_dims(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
-    lam = cfg.weights[0]
-    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
+def _cmd_pbw_dims(args) -> int:
+    rs = build_root_system(args.cartan)
+    lam = args.weights[0]
+    mod = _get_module(rs, lam, args.p, args.size_ceiling, args.cache_dir)
     graded = pbw_filtration(mod)
     cum = graded.cumulative_dims()
-    if cfg.fmt == "json":
-        _emit(json.dumps({
-            "cartan": rs.name,
-            "weight": list(lam),
-            "p": cfg.p,
-            "dim": mod.dim,
-            "n_top": graded.n_top,
-            "graded_dims": list(graded.graded_dims),
-            "cumulative_dims": list(cum),
-            "tool_version": __version__,
-        }))
-    elif cfg.fmt == "csv":
-        lines = ["n,graded_dim,cumulative_dim"]
-        lines += [f"{n},{g},{c}" for n, (g, c)
-                  in enumerate(zip(graded.graded_dims, cum))]
-        _emit("\n".join(lines) + "\n")
-    else:
-        _emit(_kv_table([
-            ("cartan", rs.name), ("weight", _fmt_weight(lam)),
-            ("p", cfg.p), ("dim", mod.dim), ("n_top", graded.n_top),
-            ("graded_dims", _fmt_weight(graded.graded_dims)),
-            ("cumulative_dims", _fmt_weight(cum))]))
+    payload = {"cartan": rs.name, "weight": lam, "p": args.p, "dim": mod.dim,
+               "n_top": graded.n_top, "graded_dims": graded.graded_dims,
+               "cumulative_dims": cum}
+    csv = _lines([("n", "graded_dim", "cumulative_dim"),
+                  *((n, g, c) for n, (g, c)
+                    in enumerate(zip(graded.graded_dims, cum)))])
+    _show(args.format, payload, csv, _lines(payload.items(), ": "))
     return 0
 
 
-def _f0_pairs(rep):
-    return [("cartan", rep.cartan), ("p", rep.p),
-            ("weight", _fmt_weight(rep.lam)), ("degree", rep.degree),
-            ("nonzero", rep.nonzero),
-            ("graded_dims", _fmt_weight(rep.graded_dims)),
-            ("tool_version", rep.tool_version)]
+def _f0_payload(rep) -> dict:
+    return {"cartan": rep.cartan, "p": rep.p, "weight": rep.lam,
+            "degree": rep.degree, "nonzero": rep.nonzero,
+            "graded_dims": rep.graded_dims}
 
 
-def _cmd_check_f0(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
+def _cmd_check_f0(args) -> int:
+    rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
     module = None
-    if cfg.cache_dir is not None:
-        lam = splitting_weight(rs, cfg.p)
-        module = _get_module(rs, lam, cfg.p, cfg.size_ceiling, cfg.cache_dir)
-    rep = check_f0(rs, sc, cfg.p, size_ceiling=cfg.size_ceiling,
+    if args.cache_dir:
+        lam = splitting_weight(rs, args.p)
+        module = _get_module(rs, lam, args.p, args.size_ceiling,
+                             args.cache_dir)
+    rep = check_f0(rs, sc, args.p, size_ceiling=args.size_ceiling,
                    module=module)
-    if cfg.fmt == "json":
-        _emit(rep.to_json())
-    elif cfg.fmt == "csv":
-        _emit(_field_csv(_f0_pairs(rep)))
-    else:
-        _emit(_kv_table(_f0_pairs(rep)))
+    payload = _f0_payload(rep)
+    pairs = [*payload.items(), ("tool_version", __version__)]
+    _show(args.format, payload, _lines([("field", "value"), *pairs]),
+          _lines(pairs, ": "))
     return 0
 
 
 def _sweep_task(task):
+    """The F0Report of one (type, prime), or the reason it was skipped."""
     name, p, ceiling, cache_dir = task
     rs = build_root_system(name)
     sc = chevalley_constants(rs)
     try:
         module = None
-        if cache_dir is not None:
+        if cache_dir:
             module = _get_module(rs, splitting_weight(rs, p), p, ceiling,
                                  cache_dir, quiet=True)
-        rep = check_f0(rs, sc, p, size_ceiling=ceiling, module=module)
-        return json.loads(rep.to_json())
+        return check_f0(rs, sc, p, size_ceiling=ceiling, module=module)
     except SizeCeilingExceeded as exc:
-        return {"cartan": name, "p": p, "skipped": str(exc)}
+        return str(exc)
 
 
-def _cmd_check_f0_sweep(cfg: RunConfig, cartans, primes) -> int:
+def _cmd_check_f0_sweep(args) -> int:
+    cartans = [c.strip() for c in args.cartans.split(",") if c.strip()]
+    primes = [int(x) for x in args.primes.split(",") if x.strip()]
+    if not cartans or not primes:
+        raise ValueError("a sweep needs at least one Cartan type and one "
+                         "prime")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     for name in cartans:
         build_root_system(name)  # unsupported types are user errors
     for p in primes:
         _require_prime(p)
-    cache = str(cfg.cache_dir) if cfg.cache_dir is not None else None
-    tasks = [(name, p, cfg.size_ceiling, cache)
+    tasks = [(name, p, args.size_ceiling, args.cache_dir)
              for name in cartans for p in primes]
-    if cfg.jobs > 1:
+    if args.jobs > 1:
         # only this path starts worker processes, so only it pays the import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]
-    if cfg.fmt == "json":
-        _emit(json.dumps({"tasks": results, "tool_version": __version__}))
-    elif cfg.fmt == "csv":
-        lines = ["cartan,p,degree,nonzero,skipped"]
-        for r in results:
-            if "skipped" in r:
-                lines.append(f"{r['cartan']},{r['p']},,,{r['skipped']}")
-            else:
-                lines.append(f"{r['cartan']},{r['p']},{r['degree']},"
-                             f"{_fmt_bool(r['nonzero'])},")
-        _emit("\n".join(lines) + "\n")
-    else:
-        body = ""
-        for r in results:
-            if "skipped" in r:
-                body += (f"{r['cartan']} p={r['p']}: "
-                         f"skipped ({r['skipped']})\n")
-            else:
-                body += (f"{r['cartan']} p={r['p']}: nonzero="
-                         f"{_fmt_bool(r['nonzero'])} "
-                         f"degree={r['degree']}\n")
-        _emit(body)
+    payload, table = [], ""
+    rows = [("cartan", "p", "degree", "nonzero", "skipped")]
+    for (name, p, *_), r in zip(tasks, results):
+        if isinstance(r, str):
+            payload.append({"cartan": name, "p": p, "skipped": r})
+            rows.append((name, p, None, None, r))
+            table += f"{name} p={p}: skipped ({r})\n"
+        else:
+            payload.append({**_f0_payload(r), "tool_version": __version__})
+            rows.append((name, p, r.degree, r.nonzero, None))
+            table += (f"{name} p={p}: nonzero={_cell(r.nonzero)} "
+                      f"degree={r.degree}\n")
+    _show(args.format, {"tasks": payload}, _lines(rows), table)
     return 0
 
 
-def _cmd_check_mult(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
+def _cmd_check_mult(args) -> int:
+    rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
-    lam, mu = cfg.weights
-    rep = check_mult_surjective(rs, sc, lam, mu, cfg.p,
-                               size_ceiling=cfg.size_ceiling)
-    if cfg.fmt == "json":
-        _emit(rep.to_json())
-    elif cfg.fmt == "csv":
-        _emit(rep.to_csv())
-    else:
-        body = _kv_table([
-            ("cartan", rep.cartan), ("lambda", _fmt_weight(rep.lam)),
-            ("mu", _fmt_weight(rep.mu)), ("p", rep.p)])
-        body += "n  phi_dim  meet_dim\n"
-        for n, a, b in rep.table:
-            body += f"{n}  {a}  {b}\n"
-        body += _kv_table([
-            ("injective_ungraded", rep.injective_ungraded),
-            ("strict", rep.strict),
-            ("gr_injective", rep.gr_injective),
-            ("verdict_mult_surjective", rep.verdict_mult_surjective)])
-        _emit(body)
+    lam, mu = args.weights
+    rep = check_mult_surjective(rs, sc, lam, mu, args.p,
+                                size_ceiling=args.size_ceiling)
+    flags = [("injective_ungraded", rep.injective_ungraded),
+             ("strict", rep.strict), ("gr_injective", rep.gr_injective),
+             ("verdict_mult_surjective", rep.verdict_mult_surjective)]
+    payload = {"cartan": rep.cartan, "p": rep.p, "lambda": rep.lam,
+               "mu": rep.mu, **dict(flags), "table": rep.table,
+               "note": rep.note}
+    head = ("n", "phi_dim", "meet_dim")
+    table = (_lines([("cartan", rep.cartan), ("lambda", rep.lam),
+                     ("mu", rep.mu), ("p", rep.p)], ": ")
+             + _lines([head, *rep.table], "  ") + _lines(flags, ": "))
+    _show(args.format, payload, _lines([head, *rep.table]), table)
     return 0
 
 
-def _cmd_check_gen(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
+def _cmd_check_gen(args) -> int:
+    rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
-    rep = check_degree_one_generation(rs, sc, cfg.weights[0], cfg.p,
-                                      cfg.n_max,
-                                      size_ceiling=cfg.size_ceiling)
-    if cfg.fmt == "json":
-        _emit(rep.to_json())
-    elif cfg.fmt == "csv":
-        _emit(rep.to_csv())
-    else:
-        body = _kv_table([
-            ("cartan", rep.cartan), ("lambda", _fmt_weight(rep.lam)),
-            ("p", rep.p), ("n_max", rep.n_max)])
-        for n, v in rep.per_n:
-            body += f"  n={n}: gr_injective={_fmt_bool(v)}\n"
-        body += _kv_table([("generated", rep.generated)])
-        _emit(body)
+    rep = check_degree_one_generation(rs, sc, args.weights[0], args.p,
+                                      args.n_max,
+                                      size_ceiling=args.size_ceiling)
+    payload = {"cartan": rep.cartan, "p": rep.p, "lambda": rep.lam,
+               "n_max": rep.n_max, "per_n": rep.per_n,
+               "generated": rep.generated}
+    table = (_lines([("cartan", rep.cartan), ("lambda", rep.lam),
+                     ("p", rep.p), ("n_max", rep.n_max)], ": ")
+             + "".join(f"  n={n}: gr_injective={_cell(v)}\n"
+                       for n, v in rep.per_n)
+             + _lines([("generated", rep.generated)], ": "))
+    _show(args.format, payload, _lines([("n", "gr_injective"), *rep.per_n]),
+          table)
     return 0
 
 
-def _cmd_hilbert(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
+def _cmd_hilbert(args) -> int:
+    rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
-    rep = hilbert_function(rs, sc, cfg.weights[0], cfg.p, cfg.n_max,
-                           size_ceiling=cfg.size_ceiling)
-    if cfg.fmt == "json":
-        _emit(rep.to_json())
-    elif cfg.fmt == "csv":
-        _emit(rep.to_csv())
-    else:
-        body = _kv_table([
-            ("cartan", rep.cartan), ("lambda", _fmt_weight(rep.lam)),
-            ("p", rep.p)])
-        body += "n  h  weyl_dim\n"
-        for n, h, w in rep.values:
-            body += f"{n}  {h}  {w}\n"
-        _emit(body)
+    rep = hilbert_function(rs, sc, args.weights[0], args.p, args.n_max,
+                           size_ceiling=args.size_ceiling)
+    payload = {"cartan": rep.cartan, "p": rep.p, "lambda": rep.lam,
+               "n_max": rep.n_max, "values": rep.values,
+               "profiles": rep.profiles}
+    head = ("n", "h", "weyl_dim")
+    table = (_lines([("cartan", rep.cartan), ("lambda", rep.lam),
+                     ("p", rep.p)], ": ")
+             + _lines([head, *rep.values], "  "))
+    _show(args.format, payload, _lines([head, *rep.values]), table)
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    rs = build_root_system(cfg.cartan)
-    lam = cfg.weights[0]
-    mod = _get_module(rs, lam, cfg.p, cfg.size_ceiling, None)
+def _cmd_validate(args) -> int:
+    rs = build_root_system(args.cartan)
+    lam = args.weights[0]
+    mod = _get_module(rs, lam, args.p, args.size_ceiling, None)
     p_wit = validate_relations(mod)
     lat = build_weyl_lattice(rs, lam)
     z_wit = validate_lattice_relations(lat)
     f0_inv = None
-    if lam == splitting_weight(rs, cfg.p):
-        f0_inv = check_F0_order_invariance(mod, trials=cfg.trials)
+    if lam == splitting_weight(rs, args.p):
+        f0_inv = check_F0_order_invariance(mod, trials=args.trials)
     valid = not z_wit and not p_wit and f0_inv is not False
     payload = {
         "cartan": rs.name,
-        "weight": list(lam),
-        "p": cfg.p,
+        "weight": lam,
+        "p": args.p,
         "z_witnesses": [asdict(w) for w in z_wit],
         "p_witnesses": [asdict(w) for w in p_wit],
         "f0_order_invariant": f0_inv,
         "valid": valid,
-        "tool_version": __version__,
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(payload))
-    elif cfg.fmt == "csv":
-        _emit(_field_csv([
-            ("cartan", rs.name), ("weight", _fmt_weight(lam)),
-            ("p", cfg.p), ("z_witnesses", len(z_wit)),
-            ("p_witnesses", len(p_wit)),
-            ("f0_order_invariant",
-             "" if f0_inv is None else _fmt_bool(f0_inv)),
-            ("valid", valid)]))
-    else:
-        pairs = [("cartan", rs.name), ("weight", _fmt_weight(lam)),
-                 ("p", cfg.p)]
-        body = _kv_table(pairs)
-        for w in z_wit + p_wit:
-            body += f"  witness {w.relation} at {w.basis_index}: {w.detail}\n"
-        if f0_inv is not None:
-            body += _kv_table([("f0_order_invariant", f0_inv)])
-        body += _kv_table([("valid", valid)])
-        _emit(body)
+    csv = _lines([("field", "value"), ("cartan", rs.name), ("weight", lam),
+                  ("p", args.p), ("z_witnesses", len(z_wit)),
+                  ("p_witnesses", len(p_wit)),
+                  ("f0_order_invariant", f0_inv), ("valid", valid)])
+    table = _lines([("cartan", rs.name), ("weight", lam), ("p", args.p)],
+                   ": ")
+    for w in z_wit + p_wit:
+        table += f"  witness {w.relation} at {w.basis_index}: {w.detail}\n"
+    if f0_inv is not None:
+        table += _lines([("f0_order_invariant", f0_inv)], ": ")
+    table += _lines([("valid", valid)], ": ")
+    _show(args.format, payload, csv, table)
     if not valid:
         _diag("validation found defects")
         return 3
@@ -591,13 +502,15 @@ def _cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pbwdeg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp_, p_flag=True, weight=None, lam_mu=False, n_max=False,
-               trials=False, jobs=False, sweep=False, cache=False):
+    def command(name, run, p_flag=True, weight=None, lam_mu=False,
+                n_max=False, trials=False, jobs=False, sweep=False,
+                cache=False):
+        sp_ = sub.add_parser(name)
+        sp_.set_defaults(run=run)
         if weight == "one":
             sp_.add_argument("--weight", required=True)
         elif weight == "many":
@@ -626,68 +539,35 @@ def build_parser() -> _Parser:
         if cache:
             sp_.add_argument("--cache-dir", default=None)
 
-    common(sub.add_parser("root-system"), p_flag=False)
-    common(sub.add_parser("weyl-dim"), p_flag=False, weight="many")
-    common(sub.add_parser("build-module"), weight="one", cache=True)
-    common(sub.add_parser("pbw-dims"), weight="one", cache=True)
-    common(sub.add_parser("check-f0"), cache=True)
-    common(sub.add_parser("check-f0-sweep"), p_flag=False, jobs=True,
-           sweep=True, cache=True)
-    common(sub.add_parser("check-mult"), lam_mu="pair")
-    common(sub.add_parser("check-gen"), lam_mu=True, n_max=True)
-    common(sub.add_parser("hilbert"), lam_mu=True, n_max=True)
-    common(sub.add_parser("validate"), weight="one", trials=True)
+    command("root-system", _cmd_root_system, p_flag=False)
+    command("weyl-dim", _cmd_weyl_dim, p_flag=False, weight="many")
+    command("build-module", _cmd_build_module, weight="one", cache=True)
+    command("pbw-dims", _cmd_pbw_dims, weight="one", cache=True)
+    command("check-f0", _cmd_check_f0, cache=True)
+    command("check-f0-sweep", _cmd_check_f0_sweep, p_flag=False, jobs=True,
+            sweep=True, cache=True)
+    command("check-mult", _cmd_check_mult, lam_mu="pair")
+    command("check-gen", _cmd_check_gen, lam_mu=True, n_max=True)
+    command("hilbert", _cmd_hilbert, lam_mu=True, n_max=True)
+    command("validate", _cmd_validate, weight="one", trials=True)
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        cartan=getattr(args, "cartan", ""),
-        weights=(),
-        p=getattr(args, "p", None),
-        n_max=getattr(args, "n_max", 3),
-        trials=getattr(args, "trials", 5),
-        size_ceiling=args.size_ceiling,
-        fmt=args.format,
-        cache_dir=Path(args.cache_dir) if getattr(args, "cache_dir", None)
-        else None,
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
-def _resolve_weights(cfg: RunConfig, args) -> RunConfig:
-    """Parse weight flags against the rank of the requested system."""
-    if cfg.command == "check-f0-sweep":
-        return cfg
-    rs = build_root_system(cfg.cartan)
-    texts = []
-    if hasattr(args, "lam"):
-        texts.append(args.lam)
-        if hasattr(args, "mu"):
-            texts.append(args.mu)
-    elif getattr(args, "weight", None) is not None:
-        w = args.weight
-        texts = list(w) if isinstance(w, list) else [w]
-    cfg.weights = tuple(_parse_weight(t, rs.rank) for t in texts)
-    if cfg.p is not None:
-        _require_prime(cfg.p)
-    if cfg.command in ("check-gen", "hilbert") and cfg.n_max < 1:
+def _resolve_weights(args) -> None:
+    """Parse the weight flags against the rank of the requested system into
+    args.weights, and refuse a composite p or a count that means nothing."""
+    if hasattr(args, "cartan"):  # a sweep names its types in --cartans
+        rank = build_root_system(args.cartan).rank
+        texts = [getattr(args, k) for k in ("lam", "mu") if hasattr(args, k)]
+        w = getattr(args, "weight", [])
+        texts += w if isinstance(w, list) else [w]
+        args.weights = tuple(_parse_weight(t, rank) for t in texts)
+    if getattr(args, "p", None) is not None:
+        _require_prime(args.p)
+    if getattr(args, "n_max", 1) < 1:
         raise ValueError("n_max must be positive")
-    return cfg
-
-
-_HANDLERS = {
-    "root-system": _cmd_root_system,
-    "weyl-dim": _cmd_weyl_dim,
-    "build-module": _cmd_build_module,
-    "pbw-dims": _cmd_pbw_dims,
-    "check-f0": _cmd_check_f0,
-    "check-mult": _cmd_check_mult,
-    "check-gen": _cmd_check_gen,
-    "hilbert": _cmd_hilbert,
-    "validate": _cmd_validate,
-}
+    if getattr(args, "trials", 0) < 0:
+        raise ValueError(f"--trials must be at least 0, not {args.trials}")
 
 
 def main(argv=None) -> int:
@@ -698,12 +578,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = _resolve_weights(_config_from(args), args)
-        if cfg.command == "check-f0-sweep":
-            cartans = [c.strip() for c in args.cartans.split(",") if c.strip()]
-            primes = [int(x) for x in args.primes.split(",") if x.strip()]
-            return _cmd_check_f0_sweep(cfg, cartans, primes)
-        return _HANDLERS[cfg.command](cfg)
+        _resolve_weights(args)
+        return args.run(args)
     except SizeCeilingExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

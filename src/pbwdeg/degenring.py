@@ -34,15 +34,12 @@ psi_n: V(n lam) -> V((n-1) lam) x V(lam), with psi_1 the pair (0, lam):
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import __version__
 from .exactla import DenseEchelonModP, require_int64_safe
 from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
                        _require_inputs, pbw_filtration)
@@ -186,33 +183,10 @@ class MultReport:
     gr_injective: bool
     table: list
     note: str
-    elapsed_ms: int
-    tool_version: str = field(default=__version__)
 
     @property
     def verdict_mult_surjective(self) -> bool:
         return self.gr_injective
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "cartan": self.cartan,
-            "p": self.p,
-            "lambda": list(self.lam),
-            "mu": list(self.mu),
-            "injective_ungraded": self.injective_ungraded,
-            "strict": self.strict,
-            "gr_injective": self.gr_injective,
-            "verdict_mult_surjective": self.verdict_mult_surjective,
-            "table": [list(row) for row in self.table],
-            "note": self.note,
-            "elapsed_ms": self.elapsed_ms,
-            "tool_version": self.tool_version,
-        })
-
-    def to_csv(self) -> str:
-        lines = ["n,phi_dim,meet_dim"]
-        lines += [f"{n},{a},{b}" for n, a, b in self.table]
-        return "\n".join(lines) + "\n"
 
 
 def _degree_table(cm: CartanComponentMap):
@@ -298,7 +272,6 @@ def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
     dimension; only when it falls short is the Z lattice of lam+mu built,
     so that a rank drop over Z surfaces as a defect rather than a verdict.
     """
-    t0 = time.perf_counter()
     injective, strict, table, _ = _pair_analysis(rs, sc, lam, mu, p,
                                                  size_ceiling)
     lam_star = list(star_weight(rs, tuple(lam)))
@@ -306,11 +279,10 @@ def check_mult_surjective(rs: RootSystemData, sc, lam, mu, p: int, *,
     tot_star = list(star_weight(rs, tuple(a + b for a, b in zip(lam, mu))))
     note = (f"ring side: multiplication H0a({lam_star}) (x) H0a({mu_star})"
             f" -> H0a({tot_star}) is surjective iff this map is gr-injective")
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return MultReport(cartan=rs.name, p=p, lam=tuple(lam), mu=tuple(mu),
                       injective_ungraded=injective, strict=strict,
                       gr_injective=injective and strict, table=table,
-                      note=note, elapsed_ms=elapsed_ms)
+                      note=note)
 
 
 @dataclass(frozen=True)
@@ -321,25 +293,6 @@ class GenReport:
     n_max: int
     per_n: tuple
     generated: bool
-    elapsed_ms: int
-    tool_version: str = field(default=__version__)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "cartan": self.cartan,
-            "p": self.p,
-            "lambda": list(self.lam),
-            "n_max": self.n_max,
-            "per_n": [[n, bool(v)] for n, v in self.per_n],
-            "generated": self.generated,
-            "elapsed_ms": self.elapsed_ms,
-            "tool_version": self.tool_version,
-        })
-
-    def to_csv(self) -> str:
-        lines = ["n,gr_injective"]
-        lines += [f"{n},{str(bool(v)).lower()}" for n, v in self.per_n]
-        return "\n".join(lines) + "\n"
 
 
 def _chain(rs, sc, lam, p: int, first: int, n_max: int, size_ceiling):
@@ -364,14 +317,11 @@ def check_degree_one_generation(rs: RootSystemData, sc, lam, p: int,
     failing step.  The Z lattice of n lam is built only if a rank is short."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    t0 = time.perf_counter()
     per_n = [(n, ok) for n, ok, _ in _chain(rs, sc, lam, p, 2, n_max,
                                             size_ceiling)]
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return GenReport(cartan=rs.name, p=p, lam=tuple(lam), n_max=n_max,
                      per_n=tuple(per_n),
-                     generated=all(v for _, v in per_n),
-                     elapsed_ms=elapsed_ms)
+                     generated=all(v for _, v in per_n))
 
 
 @dataclass(frozen=True)
@@ -382,32 +332,6 @@ class HilbertReport:
     n_max: int
     values: tuple
     profiles: dict
-    elapsed_ms: int
-    tool_version: str = field(default=__version__)
-
-    def h(self, n: int) -> int:
-        for nn, hh, _ in self.values:
-            if nn == n:
-                return hh
-        raise KeyError(n)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "cartan": self.cartan,
-            "p": self.p,
-            "lambda": list(self.lam),
-            "n_max": self.n_max,
-            "values": [list(row) for row in self.values],
-            "profiles": {str(n): list(prof)
-                         for n, prof in sorted(self.profiles.items())},
-            "elapsed_ms": self.elapsed_ms,
-            "tool_version": self.tool_version,
-        })
-
-    def to_csv(self) -> str:
-        lines = ["n,h,weyl_dim"]
-        lines += [f"{n},{h},{w}" for n, h, w in self.values]
-        return "\n".join(lines) + "\n"
 
 
 def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
@@ -420,7 +344,6 @@ def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
     Step n reads it off V(n lam) -> V((n-1) lam) x V(lam); values and
     profiles end with the first step that is not gr-injective.
     """
-    t0 = time.perf_counter()
     values = [(0, 1, 1)]
     profiles = {0: (1,)}
     for n, _, grdims in _chain(rs, sc, lam, p, 1, n_max, size_ceiling):
@@ -430,7 +353,5 @@ def hilbert_function(rs: RootSystemData, sc, lam, p: int, n_max: int, *,
             raise IntegrityError(f"h({n}) = {h} exceeds dim V({n}lam) = {w}")
         values.append((n, h, w))
         profiles[n] = grdims
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return HilbertReport(cartan=rs.name, p=p, lam=tuple(lam), n_max=n_max,
-                         values=tuple(values), profiles=profiles,
-                         elapsed_ms=elapsed_ms)
+                         values=tuple(values), profiles=profiles)

@@ -17,15 +17,12 @@ criterion: nonzero exactly when F0 v stays out of V_{(p-1)N - 1}.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .exactla import DenseEchelonModP
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
 from .weylmod import (BlockOp, ModuleP, build_weyl_module_p, filter_from_seed,
@@ -203,20 +200,6 @@ class F0Report:
     degree: int
     nonzero: bool
     graded_dims: tuple[int, ...]
-    elapsed_ms: int
-    tool_version: str = field(default=__version__)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "cartan": self.cartan,
-            "p": self.p,
-            "weight": list(self.lam),
-            "degree": self.degree,
-            "nonzero": self.nonzero,
-            "graded_dims": list(self.graded_dims),
-            "elapsed_ms": self.elapsed_ms,
-            "tool_version": self.tool_version,
-        })
 
 
 def check_f0(rs: RootSystemData, sc, p: int, *,
@@ -235,7 +218,6 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     required = int(weyl_dim(rs, lam))
     if required > size_ceiling:
         raise SizeCeilingExceeded(required, size_ceiling)
-    t0 = time.perf_counter()
     if module is not None:
         if (module.rs.name, module.p, tuple(module.lam)) != \
                 (rs.name, p, lam):
@@ -251,7 +233,5 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
         vec = mod.op("F", beta, p - 1) @ vec
     degree = (p - 1) * len(rs.positive_roots)
     nonzero = bool(vec.any()) and not graded.contains(vec, degree - 1)
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     return F0Report(cartan=rs.name, p=p, lam=lam, degree=degree,
-                    nonzero=nonzero, graded_dims=graded.graded_dims,
-                    elapsed_ms=elapsed_ms)
+                    nonzero=nonzero, graded_dims=graded.graded_dims)

@@ -8,7 +8,6 @@ call the independent dense implementation in tests/dense_oracle.py live.
 
 import sys
 import time
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -181,7 +180,7 @@ def test_degree_one_generation_and_hilbert_values():
     hil = hilbert_function(rs, s, (1, 1), 2, 3)
     for n in (1, 2, 3):
         expect = weyl_dim(rs, (n, n))
-        assert hil.h(n) == expect, n
+        assert hil.values[n] == (n, expect, expect), n
         assert dense_hilbert_value(rs, (1, 1), 2, n) == expect, n
 
 
@@ -190,7 +189,7 @@ def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
     rep1 = check_f0(RS["B2"], sc("B2"), 2)
     fresh_modules()
     rep2 = check_f0(RS["B2"], sc("B2"), 2)
-    assert replace(rep1, elapsed_ms=0) == replace(rep2, elapsed_ms=0)
+    assert rep1 == rep2
     oracle = f0_nonzero_in_graded(DenseModule(RS["B2"],
                                               splitting_weight(RS["B2"], 2),
                                               2))
@@ -198,7 +197,7 @@ def test_rank_two_bc_evidence_runs_deterministic_and_oracle_confirmed(
     m1 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
     fresh_modules()
     m2 = check_mult_surjective(RS["B2"], sc("B2"), (1, 0), (0, 1), 2)
-    assert replace(m1, elapsed_ms=0) == replace(m2, elapsed_ms=0)
+    assert m1 == m2
     inj, strict, table = dense_mult_verdict(RS["B2"], (1, 0), (0, 1), 2)
     assert (m1.injective_ungraded, m1.strict, m1.table) == \
         (inj, strict, table)

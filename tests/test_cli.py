@@ -250,6 +250,12 @@ def test_validate_splitting_weight_runs_f0_trials(capsys):
      "--n-max", "1"),
     ("no-such-command",),
     ("check-f0", "--cartan", "A1"),
+    ("validate", "--cartan", "A1", "--weight", "2", "--p", "2",
+     "--trials", "-3"),
+    ("check-f0-sweep", "--cartans", "A1", "--primes", "2", "--jobs", "0"),
+    ("check-f0-sweep", "--cartans", "A1", "--primes", "2", "--jobs", "-4"),
+    ("check-f0-sweep", "--cartans", "A1", "--primes", ""),
+    ("check-f0-sweep", "--cartans", " , ", "--primes", "2"),
 ])
 def test_user_errors_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -639,15 +645,17 @@ def test_cached_module_check_survives_python_O():
 # -- determinism ------------------------------------------------------------
 
 
-def test_repeated_runs_byte_identical_modulo_elapsed(capsys):
-    outs = []
-    for _ in range(2):
-        data = json_out(capsys, "check-mult", "--cartan", "A2",
-                        "--lambda", "1,0", "--mu", "1,0", "--p", "3",
-                        "--format", "json")
-        data["elapsed_ms"] = 0
-        outs.append(json.dumps(data, sort_keys=True))
-    assert outs[0] == outs[1]
+def test_repeated_runs_byte_identical(capsys, fresh_modules):
+    for fmt in ("table", "json", "csv"):
+        outs = []
+        for _ in range(2):
+            fresh_modules()
+            code, out, err = run_cli(capsys, "check-mult", "--cartan", "A2",
+                                     "--lambda", "1,0", "--mu", "1,0",
+                                     "--p", "3", "--format", fmt)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] != "", fmt
 
 
 def test_csv_outputs_byte_identical(capsys):

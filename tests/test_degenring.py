@@ -192,26 +192,33 @@ def test_mult_zero_weight_trivial():
     assert rep.table[-1][1] == weyl_dim(rs, (1, 0))
 
 
-def test_mult_report_serialization():
+def _stdout(capsys, *argv) -> str:
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_mult_report_serialization(capsys):
     rs = RS["A2"]
     rep = check_mult_surjective(rs, sc("A2"), (1, 0), (0, 1), 2)
-    payload = json.loads(rep.to_json())
+    args = ("check-mult", "--cartan", "A2", "--lambda", "1,0", "--mu", "0,1",
+            "--p", "2", "--format")
+    out = _stdout(capsys, *args, "json")
+    payload = json.loads(out)
     assert payload["cartan"] == "A2"
     assert payload["lambda"] == [1, 0]
     assert payload["mu"] == [0, 1]
     assert payload["verdict_mult_surjective"] is True
+    assert payload["table"] == [list(row) for row in rep.table]
+    assert payload["note"] == rep.note
     assert payload["tool_version"] == __version__
     # the ring-side translation is spelled out with starred weights
     lam_star = list(star_weight(rs, (1, 0)))
     assert str(lam_star) in payload["note"] or "0, 1" in payload["note"]
-    lines = rep.to_csv().strip().splitlines()
+    lines = _stdout(capsys, *args, "csv").strip().splitlines()
     assert lines[0] == "n,phi_dim,meet_dim"
     assert len(lines) == 1 + len(rep.table)
-    a = json.loads(check_mult_surjective(rs, sc("A2"), (1, 0), (0, 1), 2)
-                   .to_json())
-    b = dict(payload)
-    a["elapsed_ms"] = b["elapsed_ms"] = 0
-    assert a == b
+    assert lines[1:] == [f"{n},{a},{b}" for n, a, b in rep.table]
+    assert _stdout(capsys, *args, "json") == out
 
 
 def test_mult_size_ceiling():
@@ -310,13 +317,14 @@ def test_foreign_structure_constants_refused():
             call()
 
 
-def test_generation_serialization():
-    rep = check_degree_one_generation(RS["A1"], sc("A1"), (1,), 2, 2)
-    payload = json.loads(rep.to_json())
+def test_generation_serialization(capsys):
+    args = ("check-gen", "--cartan", "A1", "--lambda", "1", "--p", "2",
+            "--n-max", "2", "--format")
+    payload = json.loads(_stdout(capsys, *args, "json"))
     assert payload["generated"] is True
     assert payload["lambda"] == [1]
-    lines = rep.to_csv().strip().splitlines()
-    assert lines[0] == "n,gr_injective"
+    assert payload["per_n"] == [[2, True]]
+    assert _stdout(capsys, *args, "csv") == "n,gr_injective\n2,true\n"
 
 
 def test_hilbert_a2_adjoint_matches_weyl_dims():
@@ -324,8 +332,8 @@ def test_hilbert_a2_adjoint_matches_weyl_dims():
     rep = hilbert_function(rs, sc("A2"), (1, 1), 2, 3)
     assert isinstance(rep, HilbertReport)
     assert rep.values == ((0, 1, 1), (1, 8, 8), (2, 27, 27), (3, 64, 64))
-    assert rep.h(0) == 1
-    assert rep.h(1) == weyl_dim(rs, (1, 1))
+    assert rep.values[0][1] == 1
+    assert rep.values[1][1] == weyl_dim(rs, (1, 1))
     # the degenerate profile of the 1-fold map is the module's own profile
     mod = build_weyl_module_p(rs, 2, (1, 1))
     assert tuple(rep.profiles[1]) == pbw_filtration(mod).graded_dims
@@ -352,13 +360,16 @@ def test_hilbert_bound_invariant():
         assert w == weyl_dim(RS["B2"], tuple(n * x for x in (1, 0)))
 
 
-def test_hilbert_serialization():
-    rep = hilbert_function(RS["A1"], sc("A1"), (1,), 2, 2)
-    payload = json.loads(rep.to_json())
+def test_hilbert_serialization(capsys):
+    args = ("hilbert", "--cartan", "A1", "--lambda", "1", "--p", "2",
+            "--n-max", "2", "--format")
+    payload = json.loads(_stdout(capsys, *args, "json"))
     assert payload["values"] == [[0, 1, 1], [1, 2, 2], [2, 3, 3]]
-    lines = rep.to_csv().strip().splitlines()
+    assert payload["profiles"] == {"0": [1], "1": [1, 1], "2": [1, 1, 1]}
+    lines = _stdout(capsys, *args, "csv").strip().splitlines()
     assert lines[0] == "n,h,weyl_dim"
     assert lines[1] == "0,1,1"
+    assert lines[1:] == ["0,1,1", "1,2,2", "2,3,3"]
 
 
 # -- the pairwise chain -----------------------------------------------------
@@ -368,8 +379,8 @@ def test_hilbert_a2_adjoint_reaches_n5():
     """Step 5 maps into V(4,4) x V(1,1), of dim 1000; the 5-fold tensor
     power, 8^5 = 32768, was over the default size ceiling."""
     rep = hilbert_function(RS["A2"], sc("A2"), (1, 1), 2, 5)
-    assert rep.h(4) == 125
-    assert rep.h(5) == 216
+    assert [n for n, _, _ in rep.values] == [0, 1, 2, 3, 4, 5]
+    assert rep.values[4:] == ((4, 125, 125), (5, 216, 216))
 
 
 @pytest.mark.parametrize("name,lam,p,n_max", [
@@ -450,12 +461,12 @@ FIRST_FAILURE_CLI = {
 
 def _cli_stdout(capsys, fmt, *argv):
     """Exit code and stdout of one in-process CLI run; json is parsed and
-    stripped of elapsed_ms and tool_version."""
+    its tool_version, the last key, is checked and dropped."""
     code = cli.main([*argv, "--format", fmt])
     out = capsys.readouterr().out
     if fmt == "json":
         out = json.loads(out)
-        del out["elapsed_ms"]
+        assert list(out)[-1] == "tool_version"
         assert out.pop("tool_version") == __version__
     return code, out
 
@@ -478,7 +489,8 @@ def test_lattice_not_built_when_rank_is_full(monkeypatch):
                         lambda rs, lam, **_: calls.append(lam))
     assert check_mult_surjective(RS["A2"], sc("A2"), (1, 0), (0, 1),
                                  2).gr_injective
-    assert hilbert_function(RS["A2"], sc("A2"), (1, 1), 2, 3).h(3) == 64
+    assert hilbert_function(RS["A2"], sc("A2"), (1, 1), 2,
+                            3).values[3] == (3, 64, 64)
     assert calls == []
 
 
