@@ -289,22 +289,11 @@ def _cmd_weyl_dim(args) -> int:
     return 0
 
 
-def _height_drop_key(rs: RootSystemData, lam):
-    def key(item):
-        w = item[0]
-        diff = tuple(a - b for a, b in zip(lam, w))
-        # the drop scaled by cartan_det > 0 sorts like the drop itself
-        drop = sum(rs.root_coords_scaled(diff))
-        return (drop, tuple(-x for x in w))
-    return key
-
-
 def _cmd_build_module(args) -> int:
     rs = build_root_system(args.cartan)
     lam = args.weights[0]
     mod = _get_module(rs, lam, args.p, args.size_ceiling, args.cache_dir)
-    mults = sorted(mod.weight_multiplicities().items(),
-                   key=_height_drop_key(rs, lam))
+    mults = list(mod.weight_multiplicities().items())
     payload = {"cartan": rs.name, "weight": lam, "p": args.p, "dim": mod.dim,
                "num_weights": len(mults), "multiplicities": mults}
     csv = _lines([("weight", "multiplicity"), *mults])
@@ -381,8 +370,9 @@ def _cmd_check_f0_sweep(args) -> int:
         build_root_system(name)  # unsupported types are user errors
     for p in primes:
         _require_prime(p)
-    tasks = [(name, p, args.size_ceiling, args.cache_dir)
-             for name in cartans for p in primes]
+    # each distinct (type, prime) once, in the order first listed
+    tasks = list(dict.fromkeys((name, p, args.size_ceiling, args.cache_dir)
+                               for name in cartans for p in primes))
     if args.jobs > 1:
         # only this path starts worker processes, so only it pays the import
         from concurrent.futures import ProcessPoolExecutor
@@ -556,6 +546,9 @@ def build_parser() -> _Parser:
 def _resolve_weights(args) -> None:
     """Parse the weight flags against the rank of the requested system into
     args.weights, and refuse a composite p or a count that means nothing."""
+    if args.size_ceiling < 1:
+        raise ValueError("--size-ceiling must be at least 1, not "
+                         f"{args.size_ceiling}")
     if hasattr(args, "cartan"):  # a sweep names its types in --cartans
         rank = build_root_system(args.cartan).rank
         texts = [getattr(args, k) for k in ("lam", "mu") if hasattr(args, k)]

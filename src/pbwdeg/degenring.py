@@ -4,6 +4,9 @@ The comultiplication phi: V(lam+mu) -> V(lam) x V(mu) sends the highest
 weight vector to the tensor of highest weight vectors and commutes with
 the lowering operators, so its image is the span of v_lam x v_mu under
 the hyperalgebra: everything about phi is a rank question on that span.
+The walk weylmod.filter_from_seed from v_lam x v_mu gives it as a
+PBWGraded whose degree-n piece is phi(V_n), each weight capped at its
+multiplicity in V(lam+mu), of which the span is a quotient.
 gr-injectivity of phi (equivalently surjectivity of the multiplication of
 sections on the ring side) is injectivity plus strictness with respect to
 the PBW filtration of the source and the convolution filtration
@@ -41,13 +44,12 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .exactla import DenseEchelonModP, require_int64_safe
-from .pbwgrade import (DEFAULT_SIZE_CEILING, PBWGraded, SizeCeilingExceeded,
+from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
                        _require_inputs, pbw_filtration)
 from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
-from .weylmod import (TensorAmbient, WeylModuleP, build_weyl_lattice,
-                      build_weyl_module_p, filter_from_seed,
-                      freudenthal_multiplicities, tensor_width_bound,
-                      weyl_dim)
+from .weylmod import (PBWGraded, TensorAmbient, WeylModuleP,
+                      build_weyl_lattice, build_weyl_module_p,
+                      filter_from_seed, tensor_width_bound, weyl_dim)
 
 #: PBW filtration per factor module, shared by the component maps that
 #: take the same module object as a factor
@@ -75,28 +77,10 @@ class CartanComponentMap:
         seed[self.space.hw_flat] = 1
         self.factor_graded: list[PBWGraded] = [_factor_filtration(m)
                                                for m in factors]
-        # the image is a quotient of the Weyl module V(lam+mu), so no weight
-        # space of it exceeds the Freudenthal multiplicity
-        blocks, dims = filter_from_seed(
-            self.space, seed, caps=freudenthal_multiplicities(rs, self.total))
-        self._image_blocks = blocks
-        self._dims = tuple(dims)
-        self.rank_phi = dims[-1]
+        #: phi(V_n) = U_{<=n} (v_lam x v_mu), the filtered image of phi
+        self.image: PBWGraded = filter_from_seed(self.space, seed)
+        self.rank_phi = self.image.cumulative_dims()[-1]
         self._conv = self._tagged_products()
-
-    # -- the image side ---------------------------------------------------
-
-    def image_dims(self) -> tuple[int, ...]:
-        """Cumulative dims of phi(V_n) = U_{<=n} (v_lam x v_mu)."""
-        return self._dims
-
-    def image_rows_by_weight(self, n: int | None = None):
-        out = {}
-        for w, blk in self._image_blocks.items():
-            rows = blk.ech.basis_matrix() if n is None else blk.rows_upto(n)
-            if rows.shape[0]:
-                out[w] = rows
-        return out
 
     # -- the convolution filtration ---------------------------------------
 
@@ -116,7 +100,7 @@ class CartanComponentMap:
                 rows = (rows[:, None, :, None] * r[None, :, None, :]).reshape(
                     len(degs), len(flats)) % self.p
             wt = tuple(map(sum, zip(*(w for w, *_ in combo))))
-            cols = self._image_blocks[wt].indices
+            cols = self.space.layout.flats[wt]
             wide = np.zeros((len(degs), len(cols)), dtype=np.int64)
             wide[:, np.searchsorted(cols, flats)] = rows
             found.setdefault(wt, []).append((degs, wide))
@@ -129,7 +113,7 @@ class CartanComponentMap:
 
     def t_rows_by_weight(self, n: int) -> dict[Weight, np.ndarray]:
         """Basis rows of T_n per weight, in the local coordinates of the
-        image blocks; the rows of T_{n-1} come first."""
+        weight blocks of the target; the rows of T_{n-1} come first."""
         out = {}
         for w, (degs, rows) in self._conv.items():
             k = int(np.searchsorted(degs, n, side="right"))
@@ -201,7 +185,7 @@ def _degree_table(cm: CartanComponentMap):
     rank T_w): it is computed once per pair, and is |U_w| once T_w spans
     the whole weight space.
     """
-    image_full = cm.image_rows_by_weight()
+    image_full = cm.image.rows_by_weight(cm.image.n_top)
     t_ech = {w: DenseEchelonModP(cm.p, rows.shape[1])
              for w, rows in image_full.items()}
     meets: dict[tuple, int] = {}  # (w, |U_w|, rank T_w) -> dim(U_w cap T_w)
@@ -222,12 +206,12 @@ def _degree_table(cm: CartanComponentMap):
                    for w, rows in image_rows.items())
 
     table, grdims = [], []
-    dims = cm.image_dims()
+    dims = cm.image.cumulative_dims()
     n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
     while True:
         a = dims[min(n, len(dims) - 1)]
-        grdims.append(a - meet(cm.image_rows_by_weight(n)))
+        grdims.append(a - meet(cm.image.rows_by_weight(n)))
         t_rows = cm.t_rows_by_weight(n)
         for w, ech in t_ech.items():
             if w in t_rows:

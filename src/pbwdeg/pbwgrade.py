@@ -2,12 +2,14 @@
 
 The filtration V_n is spanned by applying products of divided-power
 lowering operators of total exponent at most n to the highest weight
-vector.  The engine, weylmod.filter_from_seed (the walk that also spans
-the modules), spans by words in the p-power divided powers
-F_beta^(p^e), counting p^e toward the degree: base-p digits multiply out
-to any divided power without changing the exponent sum, and straightening
-a word against the ordered monomial basis never raises the total degree,
-so the word span of degree <= n equals the ordered-monomial span.
+vector.  pbw_filtration is the walk weylmod.filter_from_seed (which also
+spans the modules) from that vector, plus the check that it spans the
+module; the filtration is the walk's weylmod.PBWGraded.  The walk spans by
+words in the p-power divided powers F_beta^(p^e), counting p^e toward the
+degree: base-p digits multiply out to any divided power without changing
+the exponent sum, and straightening a word against the ordered monomial
+basis never raises the total degree, so the word span of degree <= n
+equals the ordered-monomial span.
 
 The norm form F0 is the product of F_beta^((p-1)) over all positive
 roots.  Its image in the top graded piece of the degenerate module of
@@ -21,12 +23,9 @@ import logging
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .exactla import DenseEchelonModP
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
-from .weylmod import (BlockOp, ModuleP, build_weyl_module_p, filter_from_seed,
-                      weyl_dim)
+from .weylmod import (BlockOp, ModuleP, PBWGraded, build_weyl_module_p,
+                      filter_from_seed, weyl_dim)
 
 log = logging.getLogger(__name__)
 
@@ -90,62 +89,18 @@ def _require_inputs(rs: RootSystemData, sc, p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# public filtration object
-
-
-class PBWGraded:
-    """Cumulative PBW filtration with per-degree graded dimensions.
-
-    Bases of the V_n are the degree-tagged echelon rows: rows inserted at
-    degree <= n form a basis of V_n because the echelon only ever accepts
-    independent rows.  No graded complement is chosen anywhere.
-    """
-
-    def __init__(self, lam: Weight, p: int, blocks: dict, dims: list[int]):
-        self.lam = lam
-        self.p = p
-        self._blocks = blocks
-        self._cum = tuple(dims)
-        self.n_top = len(dims) - 1
-        self.graded_dims = (dims[0],) + tuple(
-            b - a for a, b in zip(dims, dims[1:]))
-
-    def cumulative_dims(self) -> tuple[int, ...]:
-        return self._cum
-
-    def tagged_blocks(self):
-        """Per weight block: its weight, its coordinates, and its basis rows
-        with the degrees they entered at."""
-        for w, blk in self._blocks.items():
-            degs = np.array([d for d, _ in blk.tagged], dtype=np.int64)
-            yield w, blk.indices, degs, blk.rows_upto(self.n_top)
-
-    def contains(self, vec: np.ndarray, n: int) -> bool:
-        """Membership of a global vector in V_n."""
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        support = np.nonzero(vec)[0]
-        if support.size == 0:
-            return True
-        for blk in self._blocks.values():
-            local = vec[blk.indices]
-            if not local.any():
-                continue
-            ech = DenseEchelonModP(self.p, len(blk.indices))
-            ech.add_rows(blk.rows_upto(n))
-            if not ech.contains(local):
-                return False
-            # account for support outside every block is impossible: the
-            # blocks partition the coordinates
-        return True
+# PBW filtration
 
 
 def pbw_filtration(mod: ModuleP) -> PBWGraded:
-    """PBW filtration of a Weyl module mod p from its highest weight line."""
-    blocks, dims = filter_from_seed(mod, mod.hw_vector())
-    if dims[-1] != mod.dim:
+    """PBW filtration of a Weyl module mod p from its highest weight line;
+    IntegrityError unless it spans the module."""
+    graded = filter_from_seed(mod, mod.hw_vector())
+    found = graded.cumulative_dims()[-1]
+    if found != mod.dim:
         raise IntegrityError(f"PBW filtration of V({mod.lam}) mod {mod.p} "
-                             f"spans {dims[-1]} of {mod.dim} dimensions")
-    return PBWGraded(mod.lam, mod.p, blocks, dims)
+                             f"spans {found} of {mod.dim} dimensions")
+    return graded
 
 
 # ---------------------------------------------------------------------------

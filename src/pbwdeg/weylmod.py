@@ -5,11 +5,11 @@ tensor product of explicit integral representations, close the span under
 divided powers of the simple lowering operators.  Over Z this produces the
 minimal admissible lattice as a Hermite normal form per weight space
 (_span, by weight-box height).  Over F_p the span under the simple p-power
-divided powers is the degree-tagged walk filter_from_seed, the one that
-also builds the PBW filtrations, with each weight capped at its Freudenthal
-multiplicity; its echelon per weight space is checked against the Weyl
-dimension, which pins the result down as the reduction of the universal
-highest weight module.
+divided powers is the degree-tagged walk filter_from_seed, whose PBWGraded
+result is also every PBW filtration, with each weight capped at its
+Freudenthal multiplicity; its echelon per weight space is checked against
+the Weyl dimension, which pins the result down as the reduction of the
+universal highest weight module.
 
 Tensor factors are either explicit fundamental representations or
 previously built modules, so a large weight can be built stage by stage
@@ -214,6 +214,8 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
     lam = tuple(lam)
     if lam in rs.multiplicities:
         return rs.multiplicities[lam]
+    if len(lam) != rs.rank or min(lam) < 0:
+        raise ValueError(f"invalid dominant weight {lam} for {rs.name}")
     box = _WeightBox(rs, lam)
     _check_gram(rs)
     top = _add(lam, rs.rho)
@@ -867,37 +869,76 @@ class _FiltBlock:
         return np.array(rows, dtype=np.int64)
 
 
-def _height_drop(rs: RootSystemData, top: Weight, low: Weight) -> int | None:
-    rc = rs.root_coords_int(_sub(top, low))
-    if rc is None or any(x < 0 for x in rc):
-        return None
-    return sum(rc)
+class PBWGraded:
+    """The filtration V_0 <= V_1 <= ... that filter_from_seed spans, with
+    its cumulative and graded dimensions.
+
+    Bases of the V_n are the degree-tagged echelon rows: rows inserted at
+    degree <= n form a basis of V_n because the echelon only ever accepts
+    independent rows.  No graded complement is chosen anywhere.
+    """
+
+    def __init__(self, p: int, blocks: dict, dims: list[int]):
+        self.p = p
+        self._blocks = blocks
+        self._cum = tuple(dims)
+        self.n_top = len(dims) - 1
+        self.graded_dims = (dims[0],) + tuple(
+            b - a for a, b in zip(dims, dims[1:]))
+
+    def cumulative_dims(self) -> tuple[int, ...]:
+        return self._cum
+
+    def rows_by_weight(self, n: int) -> dict[Weight, np.ndarray]:
+        """Basis rows of V_n per weight where it is nonzero, in the local
+        coordinates of the weight block (layout.flats[w]), in the order
+        they entered, so the rows of V_{n-1} come first."""
+        out = {}
+        for w, blk in self._blocks.items():
+            rows = blk.rows_upto(n)
+            if len(rows):
+                out[w] = rows
+        return out
+
+    def tagged_blocks(self):
+        """Per weight block: its weight, its coordinates, and its basis rows
+        with the degrees they entered at."""
+        for w, blk in self._blocks.items():
+            degs = np.array([d for d, _ in blk.tagged], dtype=np.int64)
+            yield w, blk.indices, degs, blk.rows_upto(self.n_top)
+
+    def contains(self, vec: np.ndarray, n: int) -> bool:
+        """Membership of a global vector in V_n; the blocks partition the
+        coordinates."""
+        vec = np.asarray(vec, dtype=np.int64) % self.p
+        for blk in self._blocks.values():
+            local = vec[blk.indices]
+            if local.any():
+                ech = DenseEchelonModP(self.p, len(blk.indices))
+                ech.add_rows(blk.rows_upto(n))
+                if not ech.contains(local):
+                    return False
+        return True
 
 
-def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None,
-                     roots=None):
+def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
     """Degree-tagged span of the seed under p-power lowering operators.
 
     `space` provides rs, p, layout (the WeightBlocks of its coordinates)
     and op(kind, beta, k) -> BlockOp.  The seed is lowered by the
     F_beta^(p^e) for beta in roots, every positive root when None, and
-    p^e counts toward the degree.  Returns (blocks, dims), blocks a
-    _FiltBlock per weight and dims[n] = dim V_n for the degrees actually
-    processed.  caps bounds the dimension of the span per weight (a weight
-    it omits has none), capped in turn by the width of the weight space;
-    None means the widths alone.  A block at its cap takes no more rows,
-    and the walk stops once every block is at its cap.
+    p^e counts toward the degree; the result covers the degrees actually
+    processed.  The seed is a highest weight vector (of a module, or the
+    tensor of its factors' ones), so its span is a quotient of the Weyl
+    module of its weight, and each weight is capped at its Freudenthal
+    multiplicity there.  A block at its cap takes no more rows, and the
+    walk stops once every block is at its cap.
 
     Over the simple roots alone the degree of a word is its height drop,
     so each weight receives all its rows at one degree, from weights that
     are complete by then; build_weyl_module_p spans V_p(lambda) this way.
     """
     rs, p, layout = space.rs, space.p, space.layout
-    blocks = {w: _FiltBlock(p, ix, len(ix) if caps is None else
-                            min(caps.get(w, 0), len(ix)))
-              for w, ix in layout.flats.items()}
-    goal = sum(b.cap for b in blocks.values())
-
     nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
     if not nz.size:
         raise IntegrityError(f"seed vanishes mod {p}")
@@ -906,8 +947,12 @@ def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None,
         raise IntegrityError("seed is not weight homogeneous")
     seed_wt = layout.keys[seed_blocks[0]]
 
-    bound = max((d for w in blocks
-                 if (d := _height_drop(rs, seed_wt, w)) is not None),
+    caps = freudenthal_multiplicities(rs, seed_wt)
+    blocks = {w: _FiltBlock(p, ix, min(caps.get(w, 0), len(ix)))
+              for w, ix in layout.flats.items()}
+    goal = sum(b.cap for b in blocks.values())
+    box = _WeightBox(rs, seed_wt)
+    bound = max((d for w in blocks if (d := box.height(w)) is not None),
                 default=0)
     powers = []
     pe = 1
@@ -963,20 +1008,19 @@ def filter_from_seed(space, seed: np.ndarray, *, caps: dict | None = None,
     # drop trailing degrees that added nothing beyond the last growth
     while len(dims) > last_new + 1 and dims[-1] == dims[-2]:
         dims.pop()
-    return blocks, dims
+    return PBWGraded(p, blocks, dims)
 
 
 class _EchelonBlock:
     """Weight space of a module over F_p: the reduced rows of an echelon
     sorted by pivot column, which are canonical for the subspace they
-    span, and the offset of the block in the module basis."""
+    span."""
 
-    def __init__(self, weight: Weight, ech: DenseEchelonModP, offset: int):
+    def __init__(self, weight: Weight, ech: DenseEchelonModP):
         self.weight = weight
         self.rows = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
         self.pivots = sorted(ech.pivot_cols)
         self.rank = len(self.pivots)
-        self.offset = offset
 
 
 def _is_ppower_digit(p: int, k: int) -> bool:
@@ -1038,6 +1082,9 @@ class ModuleP:
         self._ops: dict = {}
 
     def weight_multiplicities(self) -> dict[Weight, int]:
+        """Multiplicity per weight, by height below lam and then by
+        descending weight: the order in which the span, the lattice
+        reduction and the cache lay out the basis."""
         return dict(Counter(self.weights))
 
     def max_power(self, beta: Root) -> int:
@@ -1233,27 +1280,23 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
 
 
 def _finish_modp(rs, p, lam, ambient, seed: Vec) -> WeylModuleP:
-    """The span of seed under the simple p-power lowerings as V_p(lam),
-    each weight capped at its multiplicity; RankMismatch unless it has the
-    Weyl dimension.  The blocks of nonzero rank are kept by height, then
-    by descending weight."""
+    """The span of seed under the simple p-power lowerings as V_p(lam);
+    RankMismatch unless it has the Weyl dimension.  The blocks of nonzero
+    rank are kept by height, then by descending weight."""
     box = _WeightBox(rs, lam)
     _seed_weight(ambient, seed, box)
     dense = np.zeros(ambient.dim, dtype=np.int64)
     for f, v in seed.items():
         dense[f] = v % p
-    spans, _ = filter_from_seed(
-        ambient, dense, caps=freudenthal_multiplicities(rs, lam),
-        roots=[rs.simple_root(i) for i in range(rs.rank)])
-    blocks, offset = [], 0
-    for w in sorted((w for w, b in spans.items() if b.ech.rank),
-                    key=lambda w: (box.height(w), _neg(w))):
-        blocks.append(_EchelonBlock(w, spans[w].ech, offset))
-        offset += blocks[-1].rank
-    expected = weyl_dim(rs, lam)
-    if offset != expected:
-        raise RankMismatch(lam, expected, offset)
-    return WeylModuleP(rs, p, lam, ambient, blocks)
+    span = filter_from_seed(ambient, dense, roots=[
+        rs.simple_root(i) for i in range(rs.rank)])
+    expected, found = weyl_dim(rs, lam), span.cumulative_dims()[-1]
+    if found != expected:
+        raise RankMismatch(lam, expected, found)
+    echs = {w: blk.ech for w, blk in span._blocks.items() if blk.ech.rank}
+    return WeylModuleP(rs, p, lam, ambient, [
+        _EchelonBlock(w, echs[w])
+        for w in sorted(echs, key=lambda w: (box.height(w), _neg(w)))])
 
 
 def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
@@ -1273,7 +1316,7 @@ def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
             raise IntegrityError(
                 f"weight space {zb.weight} of the Z lattice has rank "
                 f"{zb.rank} but {ech.rank} mod {p}")
-        blocks.append(_EchelonBlock(zb.weight, ech, zb.offset))
+        blocks.append(_EchelonBlock(zb.weight, ech))
     return WeylModuleP(rs, p, lat.lam, ambient, blocks)
 
 

@@ -22,6 +22,7 @@ from faults import inject_fault, shrink_weight_space
 from test_weylmod import MODP_SUITE
 
 from pbwdeg.chevrep import NonIntegralDividedPower, chevalley_constants
+from pbwdeg.cli import load_module, save_module
 from pbwdeg.pbwgrade import (check_F0_order_invariance, check_f0,
                              pbw_filtration)
 from pbwdeg.degenring import (check_degree_one_generation,
@@ -86,12 +87,22 @@ def test_span_ranks_per_weight_match_freudenthal():
                 freudenthal_multiplicities(RS[name], lam), (name, lam, p, mode)
 
 
-def test_freudenthal_matches_span_route_on_every_suite_weight():
+def test_freudenthal_matches_span_route_on_every_suite_weight(tmp_path):
     """The dominant-chamber recursion gives the weight multiplicities of the
-    module spanned at p = 2, on every suite weight."""
+    module spanned at p = 2, on every suite weight, and of a module reloaded
+    from the cache (B3 omega_2, from the lattice fallback), whose PBW
+    filtration the walk caps at the same multiplicities."""
     for name, lam in weight_suite():
         assert build_weyl_module_p(RS[name], 2, lam).weight_multiplicities() \
             == freudenthal_multiplicities(RS[name], lam), (name, lam)
+    rs, lam = RS["B3"], (0, 1, 0)
+    fresh = build_weyl_module_p(rs, 2, lam)
+    save_module(fresh, tmp_path)
+    loaded = load_module(rs, lam, 2, tmp_path)
+    assert loaded.weight_multiplicities() == \
+        freudenthal_multiplicities(rs, lam)
+    assert pbw_filtration(loaded).cumulative_dims() == \
+        pbw_filtration(fresh).cumulative_dims()
 
 
 def test_freudenthal_invariant_under_simple_reflections():

@@ -173,6 +173,11 @@ def test_check_f0_sweep_csv(capsys):
     assert lines[0] == "cartan,p,degree,nonzero,skipped"
     assert lines[1] == "A1,2,1,true,"
     assert lines[2] == "A1,3,2,true,"
+    # a type or prime listed twice is one task, not four
+    code, out, _ = run_cli(capsys, "check-f0-sweep", "--cartans", "A1,A1",
+                           "--primes", "2,2", "--format", "csv")
+    assert code == 0
+    assert out == "cartan,p,degree,nonzero,skipped\nA1,2,1,true,\n"
 
 
 # -- multiplication, generation, Hilbert ------------------------------------
@@ -256,6 +261,9 @@ def test_validate_splitting_weight_runs_f0_trials(capsys):
     ("check-f0-sweep", "--cartans", "A1", "--primes", "2", "--jobs", "-4"),
     ("check-f0-sweep", "--cartans", "A1", "--primes", ""),
     ("check-f0-sweep", "--cartans", " , ", "--primes", "2"),
+    ("build-module", "--cartan", "A1", "--weight", "1", "--p", "2",
+     "--size-ceiling", "0"),
+    ("root-system", "--cartan", "A1", "--size-ceiling", "-5"),
 ])
 def test_user_errors_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -354,6 +362,8 @@ def test_bad_format_rejected(capsys):
 
 
 def test_cache_cold_then_warm_identical(tmp_path, capsys):
+    """A warm build-module lists the weights in the order of the cold one,
+    also for B3 omega_2 at p = 2, which the lattice fallback builds."""
     args = ("build-module", "--cartan", "A2", "--weight", "1,1",
             "--p", "2", "--format", "json", "--cache-dir", str(tmp_path))
     code1, out1, err1 = run_cli(capsys, *args)
@@ -368,6 +378,13 @@ def test_cache_cold_then_warm_identical(tmp_path, capsys):
     assert code2 == 0
     assert out2 == out1
     assert "cache" in err2
+    args = ("build-module", "--cartan", "B3", "--weight", "0,1,0", "--p",
+            "2", "--cache-dir", str(tmp_path))
+    cold, warm = run_cli(capsys, *args), run_cli(capsys, *args)
+    uncached = run_cli(capsys, *args[:-2])
+    assert "cache miss" in cold[2] and "cache hit" in warm[2]
+    assert uncached[0] == 0
+    assert cold[:2] == warm[:2] == uncached[:2]
 
 
 def test_cache_round_trip_operator_identity(tmp_path):

@@ -11,7 +11,6 @@ import subprocess
 import sys
 from itertools import count
 
-import numpy as np
 import pytest
 
 from pbwdeg import __version__, cli, degenring, weylmod
@@ -20,8 +19,7 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
                               check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
-from pbwdeg.pbwgrade import (SizeCeilingExceeded, _is_prime,
-                             filter_from_seed, pbw_filtration)
+from pbwdeg.pbwgrade import SizeCeilingExceeded, _is_prime, pbw_filtration
 from pbwdeg.rootsys import build_root_system, star_weight
 from pbwdeg.weylmod import (RankMismatch, build_weyl_module_p,
                             freudenthal_multiplicities, weyl_dim)
@@ -88,20 +86,18 @@ def test_mult_matches_dense_oracle(name, lam, mu, p):
 
 @pytest.mark.parametrize("name,lam,mu,p", ORACLE_PAIRS)
 def test_weyl_caps_leave_the_image_filtration_unchanged(name, lam, mu, p):
-    """The image of phi has no weight space above the Freudenthal
-    multiplicity of lam + mu, so stopping there changes no dimension and no
-    tagged row of the image filtration."""
+    """The walk caps each weight of the image of phi at its Freudenthal
+    multiplicity in V(lam + mu), of which the image is a quotient; the
+    capped filtration has the dims of the dense oracle's literal monomial
+    span, degree by degree."""
     cm = cartan_component_map(RS[name], sc(name), lam, mu, p)
-    seed = np.zeros(cm.space.dim, dtype=np.int64)
-    seed[cm.space.hw_flat] = 1
-    runs = [filter_from_seed(cm.space, seed, caps=caps) for caps in
-            (freudenthal_multiplicities(RS[name], cm.total), None)]
-    (capped, dims), (free, free_dims) = runs
-    assert dims == free_dims == list(cm.image_dims())
-    assert capped.keys() == free.keys()
-    for w, blk in capped.items():
-        assert [(d, r.tolist()) for d, r in blk.tagged] == \
-            [(d, r.tolist()) for d, r in free[w].tagged], w
+    _, table = DensePairMap(RS[name], [lam, mu], p).report_table()
+    cum = list(cm.image.cumulative_dims())
+    assert cum + cum[-1:] * (len(table) - len(cum)) == \
+        [a for _, a, _ in table]
+    mults = freudenthal_multiplicities(RS[name], cm.total)
+    for w, rows in cm.image.rows_by_weight(cm.image.n_top).items():
+        assert len(rows) <= mults.get(w, 0), w
 
 
 def test_factor_filtrations_are_shared_per_module():
@@ -234,7 +230,7 @@ def test_component_map_exposes_filtrations():
     cm = cartan_component_map(RS["A1"], sc("A1"), (1,), (1,), 2)
     assert len(cm.factor_graded) == 2
     assert cm.factor_graded[0].graded_dims == (1, 1)
-    assert cm.image_dims() == (1, 2, 3)
+    assert cm.image.cumulative_dims() == (1, 2, 3)
     assert cm.rank_phi == 3
     # T_n = sum over i + j <= n of V_i x V_j has sum g_i g_j basis rows,
     # with g = (1, 1) the graded dims of each factor

@@ -98,6 +98,11 @@ def test_freudenthal_a2_adjoint():
     m = freudenthal_multiplicities(rs, (1, 1))
     assert m == {(1, 1): 1, (-1, 2): 1, (2, -1): 1, (0, 0): 2,
                  (-2, 1): 1, (1, -2): 1, (-1, -1): 1}
+    # the walk caps a span at these values for its seed weight, so a weight
+    # that is not dominant is refused rather than given a bogus character
+    with pytest.raises(ValueError, match="dominant"):
+        freudenthal_multiplicities(rs, (-1, 2))
+    assert (-1, 2) not in rs.multiplicities
 
 
 def test_freudenthal_g2_seven():
