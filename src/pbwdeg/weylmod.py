@@ -4,7 +4,8 @@ Construction is by spanning: starting from a highest weight vector inside a
 tensor product of explicit integral representations, close the span under
 divided powers of the simple lowering operators.  Over Z this produces the
 minimal admissible lattice as a Hermite normal form per weight space
-(_span, by weight-box height).  Over F_p the span under the simple p-power
+(_span, by weight-box height, following each alpha_i-string only as far as
+the span reaches).  Over F_p the span under the simple p-power
 divided powers is the degree-tagged walk filter_from_seed, whose PBWGraded
 result is also every PBW filtration, with each weight capped at its
 Freudenthal multiplicity; its echelon per weight space is checked against
@@ -646,13 +647,24 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
     Blocks are visited by height, then by descending weight, so every block
     has received all its images when it is finalized.  Returns the blocks
     of nonzero rank in visiting order.
+
+    Each alpha_i-string is followed only as far as the span reaches.  The
+    seed is a highest weight vector, so over Q its span is V(lam), whose
+    weight strings have no gaps.  If mu + alpha_i, ..., mu + r alpha_i are
+    finished blocks of nonzero rank and mu + (r+1) alpha_i is not, the
+    string through mu runs q = r + <mu, alpha_i^vee> steps down, and
+    F_i^(k) for k > q maps V(lam) to the zero weight space mu - k alpha_i.
+    Those images would all be {}, so every HNF receives the same vectors
+    in the same order as without the bound.  The rule reads only blocks of
+    this walk, not the Weyl character.
     """
     box = _WeightBox(rs, lam)
     top = _seed_weight(ambient, seed, box)
     h0 = box.height(top)
     levels = {h0: {top: IncrementalHNF(0)}}
     levels[h0][top].add(seed)
-    blocks, offset = [], 0
+    blocks, offset, done = [], 0, set()
+    simple = [(rs.simple_root(i), a) for i, a in enumerate(box.simple_funds)]
     for h in range(h0, sum(box.cmax) + 1):
         level = levels.pop(h, {})
         for mu in sorted(level, key=_neg):
@@ -661,17 +673,21 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
                 continue
             blocks.append(_ZBlock(mu, final, offset))
             offset += final.rank
-            c = box.coords(mu)
-            for i, alpha_f in enumerate(box.simple_funds):
-                # F_i^(k) moves c to c + k e_i: inside the box up to cmax_i
-                for k in range(1, box.cmax[i] - c[i] + 1):
-                    target = _sub(mu, tuple(k * x for x in alpha_f))
+            done.add(mu)
+            for i, (alpha, alpha_f) in enumerate(simple):
+                up = _add(mu, alpha_f)
+                r = 0
+                while up in done:
+                    r += 1
+                    up = _add(up, alpha_f)
+                target = mu
+                for k in range(1, r + mu[i] + 1):
+                    target = _sub(target, alpha_f)
                     dst = levels.setdefault(h + k, {})
                     if target not in dst:
                         dst[target] = IncrementalHNF(0)
                     for row in final.rows:
-                        img = ambient.apply_vec("F", rs.simple_root(i), k,
-                                                row)
+                        img = ambient.apply_vec("F", alpha, k, row)
                         if img:
                             dst[target].add(img)
     return blocks

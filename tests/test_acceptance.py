@@ -6,6 +6,7 @@ rank at most 3) rather than enumerated by hand, and oracle comparisons
 call the independent dense implementation in tests/dense_oracle.py live.
 """
 
+import hashlib
 import sys
 import time
 from itertools import combinations_with_replacement, product
@@ -70,14 +71,38 @@ def test_lattice_ranks_match_weyl_dimension_formula():
     assert elapsed <= 60.0, f"suite took {elapsed:.1f}s"
 
 
+def small_suite():
+    """The 83 suite weights of Weyl dimension <= 100."""
+    small = [(name, lam) for name, lam in weight_suite()
+             if weyl_dim(RS[name], lam) <= 100]
+    assert len(small) == 83
+    return small
+
+
+# sha256 of the HNF rows per weight block of build_weyl_lattice over the 83
+# suite weights of Weyl dimension <= 100 (the lattice-z benchmark set),
+# recorded before the Z span bounded its alpha_i-strings
+SMALL_LATTICE_PIN = \
+    "501d096ccd8b2e0ebaf68b095d6032213e9a9ef89827190f544ea315493e70b4"
+
+
+def test_small_suite_lattice_bases_pinned():
+    """Every lattice of Weyl dimension <= 100 in the suite is bit for bit
+    the recorded one."""
+    h = hashlib.sha256()
+    for name, lam in small_suite():
+        lat = build_weyl_lattice(RS[name], lam)
+        h.update(repr((name, lam, [
+            (b.weight, [sorted(r.items()) for r in b.final.rows])
+            for b in lat.blocks])).encode())
+    assert h.hexdigest() == SMALL_LATTICE_PIN
+
+
 def test_span_ranks_per_weight_match_freudenthal():
     """The spanning walk has the Freudenthal multiplicity at every weight:
     over Z on the suite weights of Weyl dimension <= 100, and over F_p on
     MODP_SUITE in both ambients."""
-    small = [(name, lam) for name, lam in weight_suite()
-             if weyl_dim(RS[name], lam) <= 100]
-    assert len(small) == 83
-    for name, lam in small:
+    for name, lam in small_suite():
         assert build_weyl_lattice(RS[name], lam).weight_multiplicities() == \
             freudenthal_multiplicities(RS[name], lam), (name, lam)
     for name, lam, p in MODP_SUITE:
@@ -130,15 +155,34 @@ def test_graded_dimensions_sum_to_module_dimension():
         assert graded.graded_dims == (1,) * (m + 1), (m, p)
 
 
-def test_splitting_criterion_verdicts_on_asserted_cases():
+# graded dims of gr V(2(p-1)rho) near the size ceiling, recorded from
+# check_f0 itself: regression pins, not independent checks
+SPLITTING_DIMS_PIN = {
+    ("G2", 3): (1, 6, 21, 56, 126, 250, 450, 750, 1175, 1655, 2130, 2550,
+                2875, 1815, 1050, 525, 190),
+    ("A3", 3): (1, 6, 21, 56, 126, 249, 444, 729, 1119, 1574, 2050, 2500,
+                2875, 1900, 1150, 600, 225),
+    ("B3", 2): (1, 9, 45, 162, 468, 1122, 2304, 3831, 5313, 3904, 1947, 501,
+                76),
+}
+
+
+def test_splitting_criterion_verdicts_on_asserted_cases(fresh_modules):
+    """F0 survives in the top degree, G2 at p=3 (the paper's new case)
+    included.  Each case builds into empty memos, so the large modules
+    are not all held at once."""
     cases = [("A1", 2), ("A1", 3), ("A1", 5), ("A2", 2), ("A2", 3),
-             ("A3", 2), ("C2", 2), ("C2", 3), ("C3", 2), ("G2", 2)]
+             ("A3", 2), ("C2", 2), ("C2", 3), ("C3", 2), ("G2", 2),
+             ("G2", 3), ("A3", 3), ("B3", 2)]
     for name, p in cases:
+        fresh_modules()
         t0 = time.perf_counter()
         rep = check_f0(RS[name], sc(name), p)
         elapsed = time.perf_counter() - t0
         assert rep.nonzero is True, (name, p)
         assert elapsed <= 600.0, (name, p, elapsed)
+        pin = SPLITTING_DIMS_PIN.get((name, p))
+        assert pin is None or rep.graded_dims == pin, (name, p)
 
 
 def test_norm_form_order_invariance_and_centrality():

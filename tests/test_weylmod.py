@@ -300,6 +300,38 @@ def test_lattice_bases_pinned():
         .hexdigest() == OP_INT_PIN
 
 
+@pytest.mark.parametrize("name,lam", [
+    ("B3", (0, 1, 0)), ("C3", (0, 1, 0)), ("G2", (1, 1))])
+def test_z_span_applies_lowerings_only_inside_the_module(
+        fresh_modules, monkeypatch, name, lam):
+    """The Z span follows each alpha_i-string only as far as V(lam)
+    reaches: every apply_vec call of a fresh lattice build lands on a
+    weight of positive multiplicity.  The Weyl character is only this
+    test's oracle; the walk reads its own blocks."""
+    rs = RS[name]
+    # built first: the type C bootstrap reaches apply_vec through op_int,
+    # whose check that an image leaves the lattice lowers off the module
+    for i in range(1, rs.rank + 1):
+        fundamental_rep(rs, i)
+    mults = freudenthal_multiplicities(rs, lam)
+    real = TensorAmbient.apply_vec
+    targets = []
+
+    def traced(self, kind, beta, k, vec):
+        src = self.weight_of(next(iter(vec)))
+        shift = rs.root_fund(beta)
+        targets.append(tuple(a - k * s for a, s in zip(src, shift)))
+        return real(self, kind, beta, k, vec)
+
+    with monkeypatch.context() as m:
+        m.setattr(TensorAmbient, "apply_vec", traced)
+        lat = build_weyl_lattice(rs, lam)
+    assert lat.dim == weyl_dim(rs, lam)
+    assert targets
+    outside = sum(not mults.get(t) for t in targets)
+    assert outside == 0, f"{outside} of {len(targets)} calls leave V({lam})"
+
+
 # sha256 of the weights and the per weight echelon rows and pivots of
 # build_weyl_module_p, recorded from the span walk by weight-box height
 # before the module build moved onto filter_from_seed
