@@ -229,10 +229,14 @@ def _inv_mod(x: int, p: int) -> int:
 
 
 class DenseEchelonModP:
-    """Incremental reduced row echelon form over F_p on int64 numpy rows.
+    """Reduced row echelon form over F_p on int64 numpy rows, grown a batch
+    at a time.
 
-    Rows are kept fully reduced (unit pivots, zeros above and below), so the
-    residue of a vector is canonical.
+    Between calls the stored rows are the unique RREF of their span (unit
+    pivots, zeros above and below), so the residue of a vector is canonical.
+    Within a call the back-substitution is put off until the batch is
+    eliminated, and reaches the old rows as one product (the delayed
+    reduction of FFLAS-FFPACK).
     """
 
     def __init__(self, p: int, width: int):
@@ -240,7 +244,8 @@ class DenseEchelonModP:
         self.width = width
         self._rows = np.zeros((8, width), dtype=np.int64)
         self._n = 0
-        self.pivot_cols: list[int] = []
+        #: pivot column of each stored row, in the order they were taken
+        self.pivot_cols = np.zeros(0, dtype=np.intp)
 
     @property
     def rank(self) -> int:
@@ -251,12 +256,11 @@ class DenseEchelonModP:
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         """Subtract the components along every pivot row, not just the leading
-        one, so stored rows stay mutually reduced and residues are canonical.
-        A matrix is reduced row by row."""
+        one, so residues are canonical.  A matrix is reduced row by row."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
         if self._n:
             coeffs = vec[..., self.pivot_cols]
-            if np.any(coeffs):
+            if coeffs.any():
                 vec = (vec - matmul_mod(coeffs, self._rows[:self._n],
                                         self.p)) % self.p
         return vec
@@ -269,47 +273,65 @@ class DenseEchelonModP:
 
         The whole batch is reduced against the stored rows by one product;
         each accepted row then clears its pivot column from the rows after
-        it, which is what reducing them against it would do.
+        it, which is what reducing them against it would do.  _store does
+        the back-substitution the one-at-a-time feed would have done on
+        every acceptance, once per call.
         """
         res = self._reduce(np.atleast_2d(mat))
         p = self.p
-        taken = []
+        taken: list[int] = []
+        cols: list[int] = []
         i = 0
-        while self._n < self.width:
-            live = np.flatnonzero(res[i:].any(axis=1))
+        while self._n + len(taken) < self.width:
+            live = res[i:].any(axis=1).nonzero()[0]
             if not live.size:
                 break
             i += int(live[0])
-            c = int(np.argmax(res[i] != 0))
-            vec = res[i] = (res[i] * _inv_mod(res[i, c], p)) % p
-            self._insert(c, vec)
+            row = res[i]
+            c = int(row.nonzero()[0][0])
+            if row[c] != 1:
+                row[:] = row * _inv_mod(row[c], p) % p
             taken.append(i)
+            cols.append(c)
             i += 1
             rest = res[i:]
-            hit = np.flatnonzero(rest[:, c])
+            hit = rest[:, c].nonzero()[0]
             if hit.size:
-                rest[hit] = (rest[hit] - np.outer(rest[hit, c], vec)) % p
-        return taken, res[taken]
+                rest[hit] = (rest[hit] - np.outer(rest[hit, c], row)) % p
+        stored = res[taken]
+        if taken:
+            self._store(stored, cols)
+        return taken, stored
+
+    def _store(self, new: np.ndarray, cols: list[int]) -> None:
+        """Append rows with unit pivots in cols, each zero at the old pivot
+        columns and at the pivot columns of the rows before it.  The rows
+        are first cleared within themselves, last pivot first, and then the
+        old rows lose the new pivot columns by one product, so the stored
+        rows stay the RREF."""
+        n, k, p = self._n, len(new), self.p
+        if k > 1:
+            new = new.copy()
+            for j in range(k - 1, 0, -1):
+                hit = new[:j, cols[j]].nonzero()[0]
+                if hit.size:
+                    new[hit] = (new[hit]
+                                - np.outer(new[hit, cols[j]], new[j])) % p
+        old = self._rows[:n]
+        if n:
+            coeffs = old[:, cols]
+            if coeffs.any():
+                old[:] = (old - matmul_mod(coeffs, new, p)) % p
+        if n + k > len(self._rows):
+            grown = np.zeros((max(n + k, 2 * n), self.width), dtype=np.int64)
+            grown[:n] = old
+            self._rows = grown
+        self._rows[n:n + k] = new
+        self.pivot_cols = np.concatenate([self.pivot_cols, cols])
+        self._n = n + k
 
     def add_row(self, vec: np.ndarray) -> bool:
         return bool(self.add_rows(vec)[0])
-
-    def _insert(self, c: int, vec: np.ndarray) -> None:
-        """Store a reduced row with unit pivot in column c."""
-        if self._n == self._rows.shape[0]:
-            grown = np.zeros((2 * self._n, self.width), dtype=np.int64)
-            grown[:self._n] = self._rows[:self._n]
-            self._rows = grown
-        # eliminate the new pivot column from the existing rows
-        if self._n:
-            col = self._rows[:self._n, c].copy()
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                self._rows[hit] = (self._rows[hit]
-                                   - np.outer(col[hit], vec)) % self.p
-        self._rows[self._n] = vec
-        self.pivot_cols.append(c)
-        self._n += 1
 
     def residue(self, vec: np.ndarray) -> np.ndarray:
         return self._reduce(vec)

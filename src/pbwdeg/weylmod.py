@@ -860,23 +860,44 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 
 class _FiltBlock:
     """Per-weight cumulative echelon plus insertion-degree tags; the block
-    is full once its rank reaches cap."""
+    is full once its rank reaches cap.  Images offered to the block wait
+    in a batch until they are fed to the echelon together."""
 
     def __init__(self, p: int, indices: np.ndarray, cap: int):
         self.indices = indices
         self.cap = cap
         self.ech = DenseEchelonModP(p, len(indices))
         self.tagged: list[tuple[int, np.ndarray]] = []
+        self._batch: list[tuple[int, np.ndarray]] = []  # (offer number, rows)
+        self._batch_rows = 0
 
     @property
     def full(self) -> bool:
         return self.ech.rank >= self.cap
 
-    def insert(self, rows: np.ndarray, degree: int) -> np.ndarray:
-        """Add rows in order; returns those accepted, as stored."""
-        stored = self.ech.add_rows(rows)[1]
+    def offer(self, number: int, rows: np.ndarray) -> bool:
+        """Queue rows; True once the queue could fill the block, so that
+        it must be fed before the block can take another offer."""
+        self._batch.append((number, rows))
+        self._batch_rows += len(rows)
+        return self._batch_rows >= self.cap - self.ech.rank
+
+    def feed(self, degree: int) -> tuple[int, np.ndarray] | None:
+        """Add the queued rows in order.  None if no row was independent,
+        else the number of the first offer that added a row and the rows
+        added, as stored."""
+        batch, self._batch, self._batch_rows = self._batch, [], 0
+        parts = [r for _, r in batch]
+        taken, stored = self.ech.add_rows(
+            parts[0] if len(parts) == 1 else np.vstack(parts))
+        if not taken:
+            return None
         self.tagged.extend((degree, r) for r in stored)
-        return stored
+        end = 0
+        for number, r in batch:
+            end += len(r)
+            if taken[0] < end:
+                return number, stored
 
     def rows_upto(self, n: int) -> np.ndarray:
         rows = [r for d, r in self.tagged if d <= n]
@@ -950,6 +971,15 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
     multiplicity there.  A block at its cap takes no more rows, and the
     walk stops once every block is at its cap.
 
+    Each block keeps the images offered to it in the current degree, in
+    offer order, and feeds them to its echelon as one batch once they have
+    at least cap - rank rows, and again at the end of the degree.  Until
+    then the batch cannot fill the block, so the walk computes exactly the
+    images that feeding each one at once would, and no more.  The echelon
+    stores rows as if fed one at a time, and the next degree reads the
+    blocks in the order of their first offer that added a row, so every
+    tagged row and degree is what the one-at-a-time feed gives.
+
     Over the simple roots alone the degree of a word is its height drop,
     so each weight receives all its rows at one degree, from weights that
     are complete by then; build_weyl_module_p spans V_p(lambda) this way.
@@ -978,10 +1008,9 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
     max_pe = powers[-1]
 
     seed_blk = blocks[seed_wt]
-    first = seed_blk.insert(np.asarray(seed, dtype=np.int64)[seed_blk.indices]
-                            % p, 0)
+    seed_blk.offer(0, np.asarray(seed, dtype=np.int64)[seed_blk.indices] % p)
     frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
-        0: {seed_wt: [first]}}
+        0: {seed_wt: [seed_blk.feed(0)[1]]}}
     dims = [1]
     total = 1
     last_new = 0
@@ -996,6 +1025,16 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
             break  # nothing in reach of any remaining power
         n += 1
         added: dict[Weight, list[np.ndarray]] = {}
+        first: dict[Weight, int] = {}  # each block's first offer that added
+        waiting: set[Weight] = set()  # blocks holding offers not yet fed
+        offers = 0
+
+        def feed(w):
+            got = blocks[w].feed(n)
+            if got:
+                first.setdefault(w, got[0])
+                added.setdefault(w, []).append(got[1])
+
         for pe in powers:
             src = frontier.get(n - pe)
             if src is None or pe > n:
@@ -1012,12 +1051,17 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
                     img = ops[beta, pe].image(w, rows_mat)
                     if img is None:
                         continue
-                    stored = dst.insert(img[1], n)
-                    if len(stored):
-                        added.setdefault(dst_w, []).append(stored)
-                        total += len(stored)
+                    offers += 1
+                    if dst.offer(offers, img[1]):
+                        feed(dst_w)
+                        waiting.discard(dst_w)
+                    else:
+                        waiting.add(dst_w)
+        for w in waiting:
+            feed(w)
         if added:
-            frontier[n] = added
+            frontier[n] = {w: added[w] for w in sorted(added, key=first.get)}
+            total += sum(len(x) for got in added.values() for x in got)
             last_new = n
         dims.append(total)
 
@@ -1035,7 +1079,7 @@ class _EchelonBlock:
     def __init__(self, weight: Weight, ech: DenseEchelonModP):
         self.weight = weight
         self.rows = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
-        self.pivots = sorted(ech.pivot_cols)
+        self.pivots = sorted(ech.pivot_cols.tolist())
         self.rank = len(self.pivots)
 
 

@@ -169,8 +169,9 @@ SPLITTING_DIMS_PIN = {
 
 def test_splitting_criterion_verdicts_on_asserted_cases(fresh_modules):
     """F0 survives in the top degree, G2 at p=3 (the paper's new case)
-    included.  Each case builds into empty memos, so the large modules
-    are not all held at once."""
+    included, where the norm form is also checked to be independent of
+    the root order.  Each case builds into empty memos, so the large
+    modules are not all held at once."""
     cases = [("A1", 2), ("A1", 3), ("A1", 5), ("A2", 2), ("A2", 3),
              ("A3", 2), ("C2", 2), ("C2", 3), ("C3", 2), ("G2", 2),
              ("G2", 3), ("A3", 3), ("B3", 2)]
@@ -183,6 +184,11 @@ def test_splitting_criterion_verdicts_on_asserted_cases(fresh_modules):
         assert elapsed <= 600.0, (name, p, elapsed)
         pin = SPLITTING_DIMS_PIN.get((name, p))
         assert pin is None or rep.graded_dims == pin, (name, p)
+        if (name, p) == ("G2", 3):
+            # the module check_f0 just built, from the memo
+            mod = build_weyl_module_p(RS[name], p,
+                                      splitting_weight(RS[name], p))
+            assert check_F0_order_invariance(mod, trials=5) is True
 
 
 def test_norm_form_order_invariance_and_centrality():

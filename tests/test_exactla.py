@@ -235,36 +235,68 @@ def test_matmul_mod_refuses_past_int64():
 P_PAST_FLOAT = 100000007  # (p - 1)^2 alone exceeds 2^53
 
 
-def _row_by_row(ech, mat):
-    taken, stored = [], []
-    for i, row in enumerate(mat):
-        if ech.add_row(row):
+def _reference_echelon(p, width, batches):
+    """Incremental RREF in Python ints, one row at a time: a row is reduced
+    by every stored row at that row's pivot, and if something is left it
+    is scaled to a unit pivot, stored, and cleared from the stored rows.
+    Per batch it gives the indices taken and the rows as stored then; at
+    the end, the stored rows and their pivot columns."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    per_batch = []
+    for batch in batches:
+        taken, stored = [], []
+        for i, v in enumerate(batch):
+            v = [x % p for x in v]
+            for r, c in zip(rows, pivots):
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, r)]
+            if not any(v):
+                continue
+            c = next(j for j, x in enumerate(v) if x)
+            inv = pow(v[c], -1, p)
+            v = [x * inv % p for x in v]
+            rows[:] = [[(x - r[c] * y) % p for x, y in zip(r, v)]
+                       for r in rows]
+            rows.append(v)
+            pivots.append(c)
             taken.append(i)
-            stored.append(ech.basis_matrix()[ech.rank - 1].copy())
-    return taken, stored
+            stored.append(v)
+        per_batch.append((taken, stored))
+    assert len(rows) <= width
+    return per_batch, rows, pivots
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3, 65521, P_PAST_FLOAT]), st.data())
 def test_add_rows_matches_add_row_loop(p, data):
-    width = data.draw(st.integers(1, 6))
+    """add_rows against the Python reference: the rows taken, the rows as
+    stored at acceptance, and the RREF and pivot columns after each batch,
+    on batches that fill the width too."""
+    width = data.draw(st.integers(1, 12))
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     row = st.lists(entry, min_size=width, max_size=width)
-    before = data.draw(st.lists(row, max_size=3))
-    batch = data.draw(st.lists(row, max_size=8))
+    before = data.draw(st.lists(row, max_size=4))
+    batch = data.draw(st.lists(row, max_size=12))
     # dependent rows: sums of earlier ones
-    for i, j in data.draw(st.lists(st.tuples(st.integers(0, 7),
-                                             st.integers(0, 7)), max_size=3)):
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, 11),
+                                             st.integers(0, 11)), max_size=4)):
         if i < len(batch) and j < len(batch):
             batch.append([(x + y) % p for x, y in zip(batch[i], batch[j])])
-    mat = np.array(batch, dtype=np.int64).reshape(-1, width)
-    one, many = DenseEchelonModP(p, width), DenseEchelonModP(p, width)
-    for r in before:
-        one.add_row(np.array(r, dtype=np.int64))
-        many.add_row(np.array(r, dtype=np.int64))
-    taken, stored = _row_by_row(one, mat)
-    got_taken, got_stored = many.add_rows(mat)
-    assert got_taken == taken
-    assert got_stored.tolist() == [r.tolist() for r in stored]
-    assert np.array_equal(many.basis_matrix(), one.basis_matrix())
-    assert many.pivot_cols == one.pivot_cols
+    if data.draw(st.booleans()):
+        # a basis of F_p^width scattered through the batch fills the width
+        units = [[int(k == j) * data.draw(st.integers(1, p - 1))
+                  for k in range(width)] for j in range(width)]
+        batch = batch[:16 - width]
+        for u in units:
+            batch.insert(data.draw(st.integers(0, len(batch))), u)
+    ref, rows, pivots = _reference_echelon(p, width, [before, batch])
+    ech = DenseEchelonModP(p, width)
+    for rows_in, (taken, stored) in zip([before, batch], ref):
+        got_taken, got_stored = ech.add_rows(
+            np.array(rows_in, dtype=np.int64).reshape(-1, width))
+        assert got_taken == taken
+        assert got_stored.tolist() == stored
+    assert ech.basis_matrix().tolist() == rows
+    assert ech.pivot_cols.tolist() == pivots
+    assert ech.rank == len(rows)

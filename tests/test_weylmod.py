@@ -20,6 +20,7 @@ from pbwdeg import chevrep, weylmod
 from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_operator)
+from pbwdeg.degenring import cartan_component_map
 from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
@@ -355,6 +356,35 @@ def test_module_bases_pinned():
         h.update(repr((mod.weights, [(b.weight, b.rows.tolist(), b.pivots)
                                      for b in mod.blocks])).encode())
     assert h.hexdigest() == MODULE_PIN
+
+
+# sha256 of the degree-tagged rows of filter_from_seed, which the T rows of
+# degenring are built from, recorded from the walk that offered each image
+# to its block as it was made: the PBW filtrations of four check_f0
+# modules, then the image and factor filtrations of three component maps
+# (B3 (0,1,0) at p=2 is the lattice fallback)
+TAGGED_PIN_F0 = [("A2", 3), ("C2", 2), ("C2", 3), ("G2", 2)]
+TAGGED_PIN_MULT = [("G2", (1, 0), (0, 1), 3), ("A2", (1, 1), (1, 0), 2),
+                   ("B3", (0, 1, 0), (0, 0, 1), 2)]
+TAGGED_PIN = \
+    "5b0d60ae3a60c681924430714da0112e97a0a39c1b34e77507fe713fcfe4c54b"
+
+
+def test_tagged_rows_pinned():
+    """Every tagged row and its degree, not only the graded dims, stay the
+    recorded ones."""
+    graded = [pbw_filtration(build_weyl_module_p(
+        RS[name], p, splitting_weight(RS[name], p)))
+        for name, p in TAGGED_PIN_F0]
+    for name, lam, mu, p in TAGGED_PIN_MULT:
+        cm = cartan_component_map(RS[name], chevalley_constants(RS[name]),
+                                  lam, mu, p)
+        graded += [cm.image, *cm.factor_graded]
+    h = hashlib.sha256()
+    for g in graded:
+        for w, _, degs, rows in g.tagged_blocks():
+            h.update(repr((w, degs.tolist(), rows.tolist())).encode())
+    assert h.hexdigest() == TAGGED_PIN
 
 
 def test_ambient_operators_refuse_the_other_ring():
