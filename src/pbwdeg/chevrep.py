@@ -9,7 +9,9 @@ the vector representation.
 
 Matrices are nested tuples of Python ints (columns act on the right:
 (M v)_r = sum_c M[r][c] v_c).  Structure constants are computed on a
-faithful seed representation and validated there entry by entry.
+faithful seed representation and validated there entry by entry.  The
+arithmetic runs on int64 numpy arrays and is refused (ValueError) where
+int64 could overflow.
 """
 
 from __future__ import annotations
@@ -30,36 +32,67 @@ class NonIntegralDividedPower(ArithmeticError):
     """M^k/k! left the lattice: the lattice is not admissible."""
 
 
-def _obj(m) -> np.ndarray:
-    if isinstance(m, np.ndarray) and m.dtype == object:
-        return m
-    return np.array([[int(x) for x in row] for row in m], dtype=object)
+# Products run in numpy's int64 loops, not in float64 BLAS as in
+# exactla.matmul_mod: the matrices here are small and sparse, and a first
+# BLAS call makes about 0.3 MB of library code resident, which the work
+# over Z (build_weyl_lattice) otherwise never touches.  Batches stay below
+# glibc's 128 KiB mmap threshold: freeing a larger block raises that
+# threshold, and with it the resident memory of the process.
+_BATCH_BYTES = 1 << 16
+
+
+def _require_int64(bound: int, what: str) -> None:
+    """Refuse arithmetic whose sums of products reach up to `bound` when
+    int64 could overflow, rather than wrap."""
+    if bound >= 1 << 63:
+        raise ValueError(f"{what}: sums of products up to {bound} overflow "
+                         "int64 arithmetic; refused")
+
+
+def _int64(m) -> np.ndarray:
+    """m as an int64 array, refused if an entry does not fit."""
+    try:
+        return np.asarray(m, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a matrix entry overflows int64 arithmetic; "
+                         "refused") from None
+
+
+def _absmax(m: np.ndarray) -> int:
+    return max(int(m.max()), -int(m.min())) if m.size else 0
 
 
 def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab - ba over Z in int64, exactly (broadcast over leading axes)."""
+    _require_int64(2 * a.shape[-1] * _absmax(a) * _absmax(b), "bracket")
     return a @ b - b @ a
 
 
 def _exact_div(m: np.ndarray, d: int, what: str) -> np.ndarray:
-    out = np.zeros_like(m)
-    for idx, x in np.ndenumerate(m):
-        q, r = divmod(int(x), d)
-        if r:
-            raise NonIntegralDividedPower(
-                f"{what}: entry {idx} = {x} not divisible by {d}")
-        out[idx] = q
-    return out
+    """m / d over Z; raises NonIntegralDividedPower on the first entry, in
+    row-major order, that d does not divide."""
+    # |x| < 2^63 <= d leaves the remainder x
+    q, r = np.divmod(m, d) if d < 1 << 63 else (np.zeros_like(m), m)
+    bad = np.argwhere(r)
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise NonIntegralDividedPower(
+            f"{what}: entry {idx} = {m[idx]} not divisible by {d}")
+    return q
 
 
-def divided_power_matrix(m, k: int):
-    """Exact M^k / k!; raises NonIntegralDividedPower if any entry fails."""
-    m = _obj(m)
+def divided_power_matrix(m, k: int) -> np.ndarray:
+    """Exact M^k / k! as int64; raises NonIntegralDividedPower if any entry
+    fails, and refuses (ValueError) where int64 could overflow."""
+    m = _int64(m)
     if k == 0:
-        return np.eye(m.shape[0], dtype=object)
+        return np.eye(m.shape[0], dtype=np.int64)
+    what = f"divided power k={k}"
     power = m
     for _ in range(k - 1):
+        _require_int64(m.shape[0] * _absmax(power) * _absmax(m), what)
         power = power @ m
-    return _exact_div(power, factorial(k), f"divided power k={k}")
+    return _exact_div(power, factorial(k), what)
 
 
 @dataclass(frozen=True)
@@ -368,18 +401,6 @@ def _string_depth(rs: RootSystemData, alpha: Root, gamma: Root) -> int:
             return r
 
 
-def _ratio(a: np.ndarray, b: np.ndarray) -> int | None:
-    """The nonzero integer c with a == c * b, or None if there is none."""
-    nz = b != 0
-    if not np.any(nz) or np.any((a != 0) & ~nz):
-        return None
-    quots = {divmod(int(x), int(y)) for x, y in zip(a[nz], b[nz])}
-    if len(quots) != 1:
-        return None
-    (c, r), = quots
-    return c if c and not r else None
-
-
 _SC_CACHE: dict[str, StructureConstants] = {}
 
 
@@ -388,71 +409,109 @@ def chevalley_constants(rs: RootSystemData) -> StructureConstants:
 
     The seed's root operators come from root_operator.  Each bracket of two
     basis elements is decoded from its weight: a root gives one multiple of
-    that root's operator, [F_beta, E_beta] = -H_beta gives minus the coroot
-    coordinates of beta, and any other bracket vanishes.  Every entry is
-    checked against the bracket of the seed matrices, and the Jacobi
-    identity on every triple of the abstract basis.
+    that root's operator, read at the operator's first nonzero entry,
+    [F_beta, E_beta] = -H_beta gives minus the coroot coordinates of beta,
+    and any other bracket vanishes.  The brackets of each basis element
+    with all later ones are one batched exact product, and the decoded
+    entries are checked against it in one comparison; then the Jacobi
+    identity is checked on the table (_check_jacobi).  Arithmetic that
+    could overflow int64 is refused (ValueError).
     """
     if rs.name in _SC_CACHE:
         return _SC_CACHE[rs.name]
     seed = seed_rep(rs)
     sc = StructureConstants(rs, _decomposition(rs), {})
     n = rs.rank
-    pos = set(rs.positive_roots)
-    h_mats = [np.diag([w[i] for w in seed.weights]).astype(object)
-              for i in range(n)]
-
-    def matrix_of(elem) -> np.ndarray:
-        kind, val = elem
-        if kind == "H":
-            return h_mats[val]
-        return root_operator(seed, sc, kind, val)
+    seed_wts = np.array(seed.weights, dtype=np.int64)
 
     def weight(elem) -> Root:
         kind, val = elem
         return (0,) * n if kind == "H" else tuple(
             x if kind == "E" else -x for x in val)
 
-    def decode(x, y, mat: np.ndarray) -> dict:
-        w = tuple(a + b for a, b in zip(weight(x), weight(y)))
-        neg = tuple(-a for a in w)
-        if w in pos or neg in pos:
-            elem = ("E", w) if w in pos else ("F", neg)
-            c = _ratio(mat, matrix_of(elem))
-            return {elem: c} if c else {}
-        if x[0] == "F" and y == ("E", x[1]):
-            return {("H", i): -c
-                    for i, c in enumerate(rs.coroot_coords(x[1])) if c}
-        return {}
-
     basis = sc.adjoint_basis()
-    for ix, x in enumerate(basis):
-        for y in basis[ix + 1:]:
-            br = _bracket(matrix_of(x), matrix_of(y))
-            sc.table[(x, y)] = val = decode(x, y, br)
-            acc = np.zeros_like(br)
-            for elem, c in val.items():
-                acc = acc + c * matrix_of(elem)
-            if not np.array_equal(acc, br):
-                raise IntegrityError(f"bracket table entry {(x, y)} does not "
-                                     "match the seed matrices")
+    mats = np.array([np.diag(seed_wts[:, val]) if kind == "H"
+                     else root_operator(seed, sc, kind, val)
+                     for kind, val in basis], dtype=np.int64)
+    # the first nonzero entry of each operator (0 for a zero operator)
+    lead = [next((k for k, v in enumerate(m.ravel().tolist()) if v), 0)
+            for m in mats]
+    wts = np.array([weight(e) for e in basis], dtype=np.int64)
+    root_at = {weight(e): i for i, e in enumerate(basis) if e[0] != "H"}
+    for ix, x in enumerate(basis[:-1]):
+        ys = basis[ix + 1:]
+        br = _bracket(mats[ix], mats[ix + 1:])
+        want = np.zeros_like(br)
+        sums = (wts[ix] + wts[ix + 1:]).tolist()
+        for j, y in enumerate(ys):
+            val = {}
+            t = root_at.get(tuple(sums[j]))
+            if t is not None:
+                # a multiple of operator t, read at its first nonzero
+                # entry; a zero operator (a broken seed) fails below
+                k = lead[t]
+                d = int(mats[t].flat[k])
+                c = int(br[j].flat[k]) // d if d else 0
+                if c:
+                    val = {basis[t]: c}
+                    want[j] = c * mats[t]
+            elif x[0] == "F" and y == ("E", x[1]):
+                h = [-c for c in rs.coroot_coords(x[1])]
+                val = {("H", i): c for i, c in enumerate(h) if c}
+                want[j] = np.diag(seed_wts @ np.array(h, np.int64))
+            sc.table[(x, y)] = val
+        bad = np.flatnonzero(want != br)
+        if bad.size:
+            y = ys[bad[0] // br[0].size]
+            raise IntegrityError(f"bracket table entry {(x, y)} does not "
+                                 "match the seed matrices")
     _check_jacobi(sc, basis)
     _SC_CACHE[rs.name] = sc
     return sc
 
 
 def _check_jacobi(sc: StructureConstants, basis) -> None:
-    for ix, x in enumerate(basis):
-        for iy in range(ix + 1, len(basis)):
-            for iz in range(iy + 1, len(basis)):
-                y, z = basis[iy], basis[iz]
-                acc: dict = {}
-                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    for elem, coeff in sc.abstract_bracket(a, b).items():
-                        for e2, c2 in sc.abstract_bracket(elem, c).items():
-                            acc[e2] = acc.get(e2, 0) + coeff * c2
-                if any(acc.values()):
-                    raise IntegrityError(f"Jacobi fails on {(x, y, z)}")
+    """The Jacobi identity on the table, in the pairwise form
+    ad_[x,y] = [ad_x, ad_y] for every pair x < y of basis elements.
+
+    ad_a is the int64 matrix of [a, -] on the basis, read off the table.
+    As abstract_bracket reads the table antisymmetrically, column z of
+    ad_[x,y] - [ad_x, ad_y] is minus the Jacobi sum of (x, y, z), which
+    alternates in x, y and z.  For each x the products run batched over
+    the later y, on the columns z past the batch's first y: a triple with
+    a smaller z was met by an earlier pair, or by a row of the batch that
+    comes first.  So every triple is checked, and a failure names the
+    first failing triple x < y < z.
+    """
+    index = {b: i for i, b in enumerate(basis)}
+    size = len(basis)
+    entries = [(index[x], index[y], index[e], c)
+               for (x, y), val in sc.table.items() for e, c in val.items()]
+    big = max((abs(c) for *_, c in entries), default=0)
+    _require_int64(2 * size * big * big, "Jacobi check")
+    ad = [np.zeros((size, size), np.int64) for _ in range(size)]
+    for ix, iy, ie, c in entries:
+        ad[ix][ie, iy] = c
+        ad[iy][ie, ix] = -c
+    step = max(1, _BATCH_BYTES // (8 * size * size))
+    for ix in range(size):
+        adx = ad[ix]
+        for lo in range(ix + 1, size - 1, step):
+            ady = np.array(ad[lo:lo + step])
+            comm = adx @ ady[:, :, lo + 1:] - ady @ adx[:, lo + 1:]
+            # column y of ad_x is [x, y]; ad_[x,y] sums the ad_f it names
+            coef = adx[:, lo:lo + step]
+            used = sorted(set(np.nonzero(coef)[0].tolist()))
+            lhs = coef[used].T @ np.array(
+                [ad[f][:, lo + 1:] for f in used],
+                np.int64).reshape(len(used), comm[0].size)
+            # mismatches in (y, z, e) order: the first names y, then z
+            bad = np.flatnonzero(
+                (lhs.reshape(comm.shape) != comm).transpose(0, 2, 1))
+            if bad.size:
+                j, z = divmod(int(bad[0]) // size, comm.shape[2])
+                triple = (basis[ix], basis[lo + j], basis[lo + 1 + z])
+                raise IntegrityError(f"Jacobi fails on {triple}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,31 +565,30 @@ def fundamental_rep(rs: RootSystemData, i: int) -> IntegralRep:
 
 
 def _validate_rep(rs: RootSystemData, rep: IntegralRep) -> None:
-    """Weight grading and [E_i, F_j] = delta_ij H_i, checked entrywise."""
+    """Weight grading and [E_i, F_j] = delta_ij H_i; a failure names the
+    first failing operator and entry in the order of a row-major scan."""
     n = rs.rank
+    low = _int64(rep.simple_lowering)
+    high = _int64(rep.simple_raising)
     for a in range(n):
         alpha_f = rs.root_fund(rs.simple_root(a))
-        for sign, mats in ((-1, rep.simple_lowering), (1, rep.simple_raising)):
-            for r in range(rep.dim):
-                for c in range(rep.dim):
-                    if mats[a][r][c] and rep.weights[r] != tuple(
-                            x + sign * y
-                            for x, y in zip(rep.weights[c], alpha_f)):
-                        raise IntegrityError(
-                            f"{rep.name}: entry ({r}, {c}) of simple "
-                            f"operator {a + 1} breaks the weight grading")
+        for sign, mats in ((-1, low), (1, high)):
+            rows, cols = np.nonzero(mats[a])
+            for r, c in zip(rows.tolist(), cols.tolist()):
+                if rep.weights[r] != tuple(
+                        x + sign * y for x, y in zip(rep.weights[c], alpha_f)):
+                    raise IntegrityError(
+                        f"{rep.name}: entry ({r}, {c}) of simple "
+                        f"operator {a + 1} breaks the weight grading")
+    br = _bracket(high[:, None], low[None])      # [E_a, F_b] at (a, b)
+    want = np.zeros_like(br)
     for a in range(n):
-        ea = _obj(rep.simple_raising[a])
-        for b in range(n):
-            fb = _obj(rep.simple_lowering[b])
-            br = _bracket(ea, fb)
-            if a == b:
-                want = np.diag([w[a] for w in rep.weights]).astype(object)
-            else:
-                want = np.zeros_like(br)
-            if not np.array_equal(br, want):
-                raise IntegrityError(f"{rep.name}: [E_{a + 1}, F_{b + 1}] is "
-                                     f"not {'H' if a == b else '0'}")
+        want[a, a] = np.diag([w[a] for w in rep.weights])
+    bad = np.flatnonzero(br != want)
+    if bad.size:
+        a, b = divmod(int(bad[0]) // br[0, 0].size, n)
+        raise IntegrityError(f"{rep.name}: [E_{a + 1}, F_{b + 1}] is "
+                             f"not {'H' if a == b else '0'}")
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +623,7 @@ def root_operator(rep: IntegralRep, sc: StructureConstants, kind: str,
     if key not in rep._op_cache:
         if sum(beta) == 1:
             simple = rep.simple_raising if kind == "E" else rep.simple_lowering
-            out = _obj(simple[beta.index(1)])
+            out = _int64(simple[beta.index(1)])
         else:
             rs = sc.rs
             i, gamma = sc.decomp[beta]
@@ -598,9 +656,11 @@ def divided_powers(rep: IntegralRep, sc: StructureConstants, kind: str,
         table = []
         while True:
             m = divided_power_matrix(x, len(table) + 1)
+            rows, cs = np.nonzero(m)
             cols: dict[int, list[tuple[int, int]]] = {}
-            for r, c in zip(*np.nonzero(m)):
-                cols.setdefault(int(c), []).append((int(r), int(m[r, c])))
+            for r, c, v in zip(rows.tolist(), cs.tolist(),
+                               m[rows, cs].tolist()):
+                cols.setdefault(c, []).append((r, v))
             if not cols:
                 break
             table.append({c: tuple(pairs) for c, pairs in cols.items()})

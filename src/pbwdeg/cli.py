@@ -543,6 +543,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_option_values(argv: list[str]) -> list[str]:
+    """Write `--weight -1,1` as `--weight=-1,1`.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number, so a comma list such as -1,1 would never reach
+    _parse_weight.  Every option takes a value and no option starts with a
+    digit, so a token of "-" and a digit after an option is its value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        opt = out[-1] if out else ""
+        if (opt[:2] == "--" and len(opt) > 2 and "=" not in opt
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _resolve_weights(args) -> None:
     """Parse the weight flags against the rank of the requested system into
     args.weights, and refuse a composite p or a count that means nothing."""
@@ -566,7 +585,8 @@ def _resolve_weights(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_option_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,12 +13,13 @@ import hashlib
 import math
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from pbwdeg.rootsys import build_root_system
+from pbwdeg import chevrep
+from pbwdeg.rootsys import IntegrityError, build_root_system
 from pbwdeg.chevrep import (
     IntegralRep,
     NonIntegralDividedPower,
@@ -109,18 +110,47 @@ def test_constant_magnitudes_and_antisymmetry(name):
         assert sc.n_constant(beta, alpha) == -n
 
 
+def jacobi_sum(sc, x, y, z) -> dict:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y] read off the table."""
+    acc: dict = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for elem, coeff in sc.abstract_bracket(a, b).items():
+            for e2, c2 in sc.abstract_bracket(elem, c).items():
+                acc[e2] = acc.get(e2, 0) + coeff * c2
+    return acc
+
+
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_jacobi_on_bracket_table(name):
     rs = build_root_system(name)
     sc = chevalley_constants(rs)
     basis = sc.adjoint_basis()
     for x, y, z in product(basis[: len(basis)], repeat=3):
-        acc: dict = {}
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            for elem, coeff in sc.abstract_bracket(a, b).items():
-                for e2, c2 in sc.abstract_bracket(elem, c).items():
-                    acc[e2] = acc.get(e2, 0) + coeff * c2
+        acc = jacobi_sum(sc, x, y, z)
         assert all(v == 0 for v in acc.values()), (x, y, z)
+
+
+@pytest.mark.parametrize("name,nth", [
+    ("A2", 0), ("A2", 5), ("B2", 3), ("G2", 0), ("G2", 11), ("C3", 7),
+    ("D4", 40)])
+def test_jacobi_check_names_first_failing_triple(name, nth):
+    """With the sign of one coefficient of the table flipped, the pairwise
+    check raises and names the triple x < y < z that a loop over all
+    triples, in basis order, finds first."""
+    sc = chevalley_constants(build_root_system(name))
+    basis = sc.adjoint_basis()
+    key, elem = [(k, e) for k, v in sc.table.items() for e in v][nth]
+    table = {k: dict(v) for k, v in sc.table.items()}
+    table[key][elem] *= -1
+    bad = dataclasses.replace(sc, table=table)
+    first = next((basis[i], basis[j], basis[k])
+                 for i, j, k in combinations(range(len(basis)), 3)
+                 if any(jacobi_sum(bad, basis[i], basis[j], basis[k])
+                        .values()))
+    with pytest.raises(IntegrityError) as err:
+        chevrep._check_jacobi(bad, basis)
+    assert str(err.value) == f"Jacobi fails on {first}"
+    chevrep._check_jacobi(sc, basis)
 
 
 # sha256 of _canonical_dump per type, recorded before the root operators,
@@ -229,6 +259,73 @@ def test_highest_vector_and_sl2_strings(name):
                 assert got[j] == math.comb(top, k)
 
 
+def _first_rep_defect(rs, rep) -> str | None:
+    """The message of the first broken entry of a row-major scan over the
+    simple operators, lowering before raising, then of the first pair
+    (a, b) with [E_a, F_b] not delta_ab H_a, in plain Python ints."""
+    n, dim = rs.rank, rep.dim
+    for a in range(n):
+        alpha_f = rs.root_fund(rs.simple_root(a))
+        for sign, mats in ((-1, rep.simple_lowering), (1, rep.simple_raising)):
+            for r, c in product(range(dim), repeat=2):
+                if mats[a][r][c] and rep.weights[r] != tuple(
+                        x + sign * y for x, y in zip(rep.weights[c], alpha_f)):
+                    return (f"{rep.name}: entry ({r}, {c}) of simple "
+                            f"operator {a + 1} breaks the weight grading")
+    for a, b in product(range(n), repeat=2):
+        got = bracket(as_obj(rep.simple_raising[a]),
+                      as_obj(rep.simple_lowering[b]))
+        want = np.diag([w[a] if a == b else 0 for w in rep.weights])
+        if not np.array_equal(got, want):
+            return (f"{rep.name}: [E_{a + 1}, F_{b + 1}] is not "
+                    f"{'H' if a == b else '0'}")
+    return None
+
+
+def _with_entries(rep, a, changes):
+    """rep with entries (r, c) -> v of its lowering operator a changed."""
+    low = [list(map(list, m)) for m in rep.simple_lowering]
+    for (r, c), v in changes.items():
+        low[a][r][c] = v
+    return dataclasses.replace(
+        rep, simple_lowering=tuple(tuple(map(tuple, m)) for m in low))
+
+
+@pytest.mark.parametrize("name,i,a", [
+    ("A2", 1, 0), ("B3", 2, 1), ("D4", 2, 3), ("G2", 2, 0), ("C3", 3, 2)])
+def test_validate_rep_names_first_broken_entry(name, i, a):
+    """One entry, then two, of one lowering operator moved off the weight
+    grading, the later row holding the earlier column: the raise names
+    the entry a row-major scan finds first.  Doubling a graded entry keeps
+    the grading and breaks a bracket, named as the scan over (a, b) names
+    it."""
+    rs = build_root_system(name)
+    rep = fundamental_rep(rs, i)
+    alpha_f = rs.root_fund(rs.simple_root(a))
+    off = [(r, c) for r, c in product(range(rep.dim), repeat=2)
+           if rep.weights[r] != tuple(x - y for x, y in
+                                      zip(rep.weights[c], alpha_f))]
+    first = next(rc for rc in off if rc[1] > 0)
+    later = next((r, c) for r, c in off if r > first[0] and c < first[1])
+    for changes, named in (({off[-1]: 1}, off[-1]),
+                           ({later: 1, first: -1}, first)):
+        broken = _with_entries(rep, a, changes)
+        want = _first_rep_defect(rs, broken)
+        assert f"entry {named}" in want
+        with pytest.raises(IntegrityError) as err:
+            chevrep._validate_rep(rs, broken)
+        assert str(err.value) == want
+    r, c = next((r, c) for r, c in product(range(rep.dim), repeat=2)
+                if rep.simple_lowering[a][r][c])
+    doubled = _with_entries(rep, a, {(r, c): 2 * rep.simple_lowering[a][r][c]})
+    want = _first_rep_defect(rs, doubled)
+    assert "is not" in want
+    with pytest.raises(IntegrityError) as err:
+        chevrep._validate_rep(rs, doubled)
+    assert str(err.value) == want
+    chevrep._validate_rep(rs, rep)
+
+
 def test_g2_seven_dim_weights():
     rs = build_root_system("G2")
     rep = fundamental_rep(rs, 1)
@@ -327,6 +424,23 @@ def test_divided_power_zero_and_one():
     assert np.array_equal(divided_power_matrix(f, 1), f)
 
 
+def test_divided_power_refuses_int64_overflow():
+    """A power whose entries may leave int64 is refused with a clear error,
+    never returned wrapped; past float64's 2^53 the int64 products are
+    exact, checked against Python ints."""
+    big = as_obj([[0, 2 ** 40], [2 ** 40, 0]])
+    with pytest.raises(ValueError, match="overflow int64"):
+        divided_power_matrix(big, 2)
+    with pytest.raises(ValueError, match="overflows int64"):
+        divided_power_matrix(as_obj([[0, 2 ** 63], [0, 0]]), 1)
+    for e in (2 ** 26 - 1, 2 ** 26 + 1, 2 ** 30):
+        m = as_obj([[e, e], [e, -e]])
+        want = as_obj([[x // 2 for x in row] for row in (m @ m).tolist()])
+        got = divided_power_matrix(m, 2)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
 def test_divided_power_product_rule():
     rs = build_root_system("A1")
     # weight 4 string: basis F^(k)v, F acts with coefficients k+1
@@ -371,8 +485,6 @@ def test_root_operator_memo_not_shared_by_copies(monkeypatch):
     made by dataclasses.replace starts empty and recomputes, so a copy with
     zeroed lowering matrices sees its own zero operators.  The memo takes
     no part in equality."""
-    import pbwdeg.chevrep as chevrep
-
     rs = build_root_system("A2")
     sc = chevalley_constants(rs)
     rep = dataclasses.replace(fundamental_rep(rs, 1))
@@ -402,9 +514,9 @@ def test_corrupted_seed_rep_checks_survive_python_O():
     """With one entry of F_1 doubled in the vector representation of B2 or
     A2, the structure constants cannot be read off it, and it fails as the
     first fundamental representation; each raises IntegrityError with
-    asserts stripped.  On A2 the doubled entry gives [E_1, F_1] = 2 H_1,
-    which only the check of the H part of the table against the seed
-    catches."""
+    asserts stripped, naming the failing table entry or bracket.  On A2
+    the doubled entry gives [E_1, F_1] = 2 H_1, which the check of the H
+    part of the table against the seed catches first."""
     code = "\n".join([
         "import dataclasses",
         "from pbwdeg import chevrep",
@@ -425,10 +537,14 @@ def test_corrupted_seed_rep_checks_survive_python_O():
         "              lambda rs: chevrep.fundamental_rep(rs, 1)):",
         "        try:",
         "            f(rs)",
-        "        except IntegrityError:",
-        "            print(name, 'raised')",
+        "        except IntegrityError as exc:",
+        "            print(exc)",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["B2 raised"] * 2 + ["A2 raised"] * 2
+    table = ("bracket table entry (('F', (1, 0)), ('E', (1, 0))) does not "
+             "match the seed matrices")
+    assert proc.stdout.splitlines() == [
+        line for name in ("B2", "A2")
+        for line in (table, f"{name}-vector: [E_1, F_1] is not H")]

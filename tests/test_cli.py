@@ -272,6 +272,25 @@ def test_user_errors_exit_1(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize("argv,text", [
+    (("weyl-dim", "--cartan", "A2", "--weight", "-1,1"), "-1,1"),
+    (("weyl-dim", "--cartan", "A2", "--weight", "1,1", "--weight", "0,-2"),
+     "0,-2"),
+    (("weyl-dim", "--cartan", "A2", "--weight=-1,1"), "-1,1"),
+    (("weyl-dim", "--cartan", "A1", "--weight", "-1"), "-1"),
+    (("check-gen", "--cartan", "A2", "--lam", "-1,0", "--p", "2"), "-1,0"),
+    (("hilbert", "--cartan", "A2", "--lambda", "-2,1", "--p", "2"), "-2,1"),
+    (("check-mult", "--cartan", "A2", "--lambda", "1,0", "--mu", "-1,-1",
+      "--p", "2"), "-1,-1"),
+])
+def test_negative_weight_lists_reach_the_weight_parser(capsys, argv, text):
+    """A comma list that starts with "-" is the option's value, refused as
+    not dominant, not taken for an option by argparse."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: weight {text!r} is not dominant\n"
+
+
 @pytest.mark.parametrize("command", ["pbw-dims", "validate"])
 def test_prime_beyond_int64_bound_exits_1(command):
     """p near 2^32 overflows int64 residue products: a one-line usage
