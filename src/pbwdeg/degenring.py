@@ -216,7 +216,7 @@ def _degree_table(cm: CartanComponentMap):
         for w, ech in t_ech.items():
             if w in t_rows:
                 new = t_rows[w][ech.rank:]
-                if len(ech.add_rows(new)[0]) != len(new):
+                if len(new) and len(ech.add_rows(new)[0]) != len(new):
                     raise IntegrityError(
                         f"a basis row of T_{n} at weight {w} depends on "
                         "the rows before it")

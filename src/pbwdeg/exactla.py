@@ -3,7 +3,8 @@
 Z-side lattices use Hermite normal form with arbitrary-precision ints;
 mod-p work is done natively over F_p (int rows, explicit modular inverse),
 never by reducing a rational computation.  Dense mod-p products go through
-matmul_mod, in float64 BLAS only while every partial sum is exact there.
+matmul_mod: small ones in int64, large ones in float64 BLAS while every
+partial sum is exact there.
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
 for matrices mod p is one header line ``nrows ncols p`` followed by
@@ -202,20 +203,43 @@ def require_int64_safe(p: int, width: int) -> None:
                          f"{limit}")
 
 
+#: products of at most this many multiply-adds (m * k * n) run in int64
+SMALL_PRODUCT = 1024
+
+
+def matmul_dtype(work: int, width: int, p: int):
+    """The dtype matmul_mod forms a product of `work` multiply-adds in,
+    each entry a sum of `width` of them: float64 for a large product that
+    float64 holds exactly, int64 otherwise."""
+    if work > SMALL_PRODUCT and width * (p - 1) ** 2 < 1 << 53:
+        return np.float64
+    return np.int64
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as int64, exactly, for matrices of residues in [0, p)
     held as int64 or float64.
 
     Each entry is a sum of `width` products below (p - 1)^2.  When that sum
     stays below 2^53 every partial sum is an integer that float64 holds
-    exactly, whatever order BLAS adds in, so the product runs in float64
-    BLAS with one reduction at the end (the delayed modular reduction of
-    FFLAS-FFPACK).  Otherwise it runs in int64 under require_int64_safe,
-    which also keeps p below 2^32, so float64 inputs hold their residues
-    exactly.
+    exactly, whatever order BLAS adds in, so a large product runs in
+    float64 BLAS with one reduction at the end (the delayed modular
+    reduction of FFLAS-FFPACK).  A product of at most SMALL_PRODUCT
+    multiply-adds, or one past 2^53, runs in numpy's int64 loop under
+    require_int64_safe, which also keeps p below 2^32, so float64 inputs
+    hold their residues exactly.  matmul_dtype makes the choice, from the
+    shapes and p alone, so callers can build operands in that dtype.
+
+    The break-even was measured on a 2-core x86-64 machine with numpy 2.4,
+    each product including the dense block built from COO entries: the
+    routes cost the same, about 5 us, at 1000 to 3000 multiply-adds; below
+    that int64 takes about 0.8 of the float64 time (3.1 against 4.2 us at
+    (4x8)@(8x8)), and above it BLAS wins (20 against 115 us at
+    (21x102)@(102x102)).
     """
     width = a.shape[-1]
-    if width * (p - 1) ** 2 < 1 << 53:
+    if matmul_dtype(a.size * (b.shape[-1] if b.ndim > 1 else 1),
+                    width, p) is np.float64:
         out = a.astype(np.float64, copy=False) @ \
             b.astype(np.float64, copy=False)
         return out.astype(np.int64) % p

@@ -44,6 +44,7 @@ from .exactla import (
     LatticeBasis,
     SparseIntMatrix,
     Vec,
+    matmul_dtype,
     matmul_mod,
     require_int64_safe,
 )
@@ -261,8 +262,14 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
 
     Returns the nonzero entries as COO arrays (rows, cols, vals), vals in
     [1, p); products are reduced after every Kronecker step, so no
-    intermediate exceeds p^2 in int64.
+    intermediate exceeds p^2 in int64.  On one factor the only composition
+    is k itself, and the result is that factor's operator, reduced.
     """
+    if len(dims) == 1:
+        rows, cols, vals = factor_op(0, k)
+        vals = vals % p
+        keep = vals != 0
+        return rows[keep], cols[keep], vals[keep]
     empty = (np.zeros(0, np.int64),) * 3
     one = (np.zeros(1, np.int64), np.zeros(1, np.int64),
            np.ones(1, np.int64))
@@ -399,10 +406,11 @@ class WeightBlocks:
                 if lo < hi}
 
 
-def block_dense(shape, rows, cols, vals) -> np.ndarray:
-    """One block of a block operator as a dense matrix, in float64, which
-    holds every residue matmul_mod accepts exactly."""
-    out = np.zeros(shape)
+def block_dense(shape, rows, cols, vals, dtype) -> np.ndarray:
+    """One block of a block operator as a dense matrix, in the dtype
+    (matmul_dtype) of the product it enters, so matmul_mod converts
+    neither operand; float64 holds every residue matmul_mod accepts."""
+    out = np.zeros(shape, dtype=dtype)
     out[rows, cols] = vals
     return out
 
@@ -467,10 +475,10 @@ class BlockOp:
             if entry is None:
                 continue
             d, r2, c2, v2 = entry
-            n_mid = len(flats[mid])
-            m = matmul_mod(
-                block_dense((len(flats[d]), n_mid), r2, c2, v2),
-                block_dense((n_mid, len(flats[s])), r1, c1, v1), p)
+            n_d, n_mid, n_s = len(flats[d]), len(flats[mid]), len(flats[s])
+            dtype = matmul_dtype(n_d * n_mid * n_s, n_mid, p)
+            m = matmul_mod(block_dense((n_d, n_mid), r2, c2, v2, dtype),
+                           block_dense((n_mid, n_s), r1, c1, v1, dtype), p)
             c, r = np.nonzero(m.T)
             if c.size:
                 out[s] = (d, r.astype(np.int32), c.astype(np.int32), m[r, c])
@@ -483,9 +491,10 @@ class BlockOp:
         if entry is None:
             return None
         d, r, c, v = entry
-        flats = self.layout.flats
+        n_w, n_d = len(self.layout.flats[w]), len(self.layout.flats[d])
         return d, matmul_mod(rows, block_dense(
-            (len(flats[w]), len(flats[d])), c, r, v), self.p)
+            (n_w, n_d), c, r, v,
+            matmul_dtype(rows.size * n_d, n_w, self.p)), self.p)
 
     def power(self, e: int) -> "BlockOp":
         """self^e for e >= 1, by repeated squaring."""
@@ -509,6 +518,7 @@ class TensorAmbient:
         self.dims = [f.dim for f in self.factors]
         self.dim = prod(self.dims) if self.factors else 1
         self.strides = [prod(self.dims[j + 1:]) for j in range(len(self.dims))]
+        self._tables: dict = {}  # (kind, beta) -> apply_vec's factor tables
 
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
@@ -553,17 +563,20 @@ class TensorAmbient:
 
         The vector is pushed through the factors one at a time, tracking
         for each partial image the order r still to be spent on the later
-        factors; the last factor spends all of it.  Each factor's table of
-        divided powers is fetched once per call, and factor j spends at
-        most its top order t_j.  A partial image whose remaining order
-        exceeds the sum of the later factors' top orders cannot reach
-        r = 0 and is never formed; if all the top orders together fall
-        short of k, the image is {} at once.
+        factors; the last factor spends all of it.  The factors' tables of
+        divided powers are fetched once per (kind, beta) and kept on the
+        ambient, and factor j spends at most its top order t_j.  A partial
+        image whose remaining order exceeds the sum of the later factors'
+        top orders cannot reach r = 0 and is never formed; if all the top
+        orders together fall short of k, the image is {} at once.
         """
         if self.p is not None:
             raise ValueError("apply_vec needs an ambient over Z")
-        tables = [f.powers(kind, beta) for f in self.factors]
-        later = sum(map(len, tables))
+        got = self._tables.get((kind, beta))
+        if got is None:
+            tables = tuple(f.powers(kind, beta) for f in self.factors)
+            got = self._tables[kind, beta] = (sum(map(len, tables)), tables)
+        later, tables = got
         if later < k:
             return {}
         states: dict[tuple[int, int], int] = {(f, k): c
@@ -598,7 +611,10 @@ class TensorAmbient:
     def op(self, kind: str, beta: Root, k: int) -> BlockOp:
         """A divided power on the whole ambient as a block operator mod p,
         assembled by kron_coproduct on every call: a caller that reuses
-        one keeps it."""
+        one keeps it.  On a one-factor ambient it is the factor's own
+        operator, grouped in the ambient's layout, which is the factor's
+        order of coordinates; a module that fills that ambient
+        (WeylModuleP._ppower) passes these blocks on unchanged."""
         return BlockOp(self.layout, self.p,
                        self.layout.group(*self._coproduct(kind, beta, k)))
 
@@ -1168,15 +1184,21 @@ class ModuleP:
         """op() as int64 COO arrays (rows, cols, vals)."""
         return self.op(kind, beta, k).coo()
 
+    @cached_property
+    def _identity(self) -> BlockOp:
+        """op(kind, beta, 0) for every (kind, beta): one BlockOp, shared,
+        since a BlockOp is never changed."""
+        diag = np.arange(self.dim)
+        return BlockOp(self.layout, self.p, self.layout.group(
+            diag, diag, np.ones(self.dim, dtype=np.int64)))
+
     def op(self, kind: str, beta: Root, k: int) -> BlockOp:
         """A divided power of a root operator mod p, as a BlockOp."""
         self._check(kind, beta)
         key = (kind, beta, k)
         if key not in self._ops:
             if k == 0:
-                diag = np.arange(self.dim)
-                out = BlockOp(self.layout, self.p, self.layout.group(
-                    diag, diag, np.ones(self.dim, dtype=np.int64)))
+                out = self._identity
             elif _is_ppower_digit(self.p, k):
                 out = BlockOp(self.layout, self.p,
                               self._ppower(kind, beta, k))
@@ -1201,21 +1223,57 @@ class WeylModuleP(ModuleP):
     # the tracer wraps op per class by name (ROADMAP item 3)
     op = ModuleP.op
 
+    @cached_property
+    def _identity_rows(self) -> np.ndarray:
+        """The rows of every block of a module that fills its ambient,
+        raveled and joined: the identity of each weight space."""
+        return np.concatenate([np.identity(len(b.rows), dtype=np.int64)
+                               .ravel() for b in self.blocks])
+
     def _ppower(self, kind: str, beta: Root, k: int) -> dict:
         """The ambient operator on each block's rows, in the target block's
-        basis; raises IntegrityError unless the images lie in the span."""
-        out = {}
+        basis; raises IntegrityError unless the images lie in the span,
+        which is zero at a weight the module lacks.
+
+        A module of the ambient's dimension fills every ambient weight
+        space, whose RREF rows are the identity, so its blocks are the
+        ambient operator's own, passed on without a product.  Each call
+        checks that the rows are still the identity and that every target
+        weight is the module's, as the products would have.
+        """
         ops = self.ambient.op(kind, beta, k)
+
+        def not_closed():
+            return IntegrityError(
+                f"module not closed under {kind}^({k}) at {beta}")
+
+        if self.dim == self.ambient.dim:
+            if not np.array_equal(np.concatenate(
+                    [b.rows.ravel() for b in self.blocks]),
+                    self._identity_rows):
+                raise not_closed()
+            out = {}
+            for blk in self.blocks:
+                entry = ops.blocks.get(blk.weight)
+                if entry is not None:
+                    if entry[0] not in self._by_weight:
+                        raise not_closed()
+                    out[blk.weight] = entry
+            return out
+        out = {}
         for blk in self.blocks:
-            dst = self._by_weight.get(ops.blocks.get(blk.weight, (None,))[0])
+            if blk.weight not in ops.blocks:
+                continue
+            dst_w, images = ops.image(blk.weight, blk.rows)
+            dst = self._by_weight.get(dst_w)
             if dst is None:
-                continue  # no block, or the target weight space is zero
-            images = ops.image(blk.weight, blk.rows)[1]
+                if images.any():
+                    raise not_closed()
+                continue
             coords = images[:, dst.pivots]
             if not np.array_equal(matmul_mod(coords, dst.rows, self.p),
                                   images):
-                raise IntegrityError(
-                    f"module not closed under {kind}^({k}) at {beta}")
+                raise not_closed()
             i, j = np.nonzero(coords)
             if i.size:
                 out[blk.weight] = (dst.weight, j.astype(np.int32),

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from pbwdeg.exactla import (
     DenseEchelonModP,
     IncrementalHNF,
+    SMALL_PRODUCT,
     LatticeBasis,
+    matmul_dtype,
     matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
@@ -209,8 +211,9 @@ def _reference_product(a, b, p):
 
 @pytest.mark.parametrize("p", [P_FLOAT, P_INT])
 def test_matmul_mod_on_both_sides_of_the_float_threshold(p):
-    """P_FLOAT takes the float64 route and P_INT the int64 one; both give
-    the Python-int product, on the largest residues too."""
+    """At P_FLOAT the product of more than SMALL_PRODUCT multiply-adds
+    takes the float64 route, and at P_INT every product the int64 one;
+    all give the Python-int product, on the largest residues too."""
     assert (WIDTH * (P_FLOAT - 1) ** 2 < 1 << 53) and \
         (WIDTH * (P_INT - 1) ** 2 >= 1 << 53)
     rng = np.random.default_rng(p % 1000)
@@ -230,6 +233,55 @@ def test_matmul_mod_refuses_past_int64():
     a = np.ones((1, WIDTH), dtype=np.int64)
     with pytest.raises(ValueError, match="overflows int64"):
         matmul_mod(a, a.T, p)
+
+
+#: (m, k, n) on both sides of SMALL_PRODUCT, the 1-row products of the
+#: echelon's reduction among them
+SIZE_RULE_SHAPES = [(1, 3, 1), (1, 9, 9), (4, 16, 16), (4, 16, 17),
+                    (1, 64, 17), (8, 8, 8), (21, 102, 102)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_matmul_mod_routes_agree_across_the_size_rule(p):
+    """Products of at most SMALL_PRODUCT multiply-adds take the int64
+    route and larger ones float64; on random residues both give the
+    Python-int product, from int64 or float64 operands alike."""
+    rng = np.random.default_rng(p)
+    routes = set()
+    for m, k, n in SIZE_RULE_SHAPES:
+        route = matmul_dtype(m * k * n, k, p)
+        assert route is (np.int64 if m * k * n <= SMALL_PRODUCT
+                         else np.float64), (m, k, n)
+        routes.add(route)
+        a, b = rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))
+        want = _reference_product(a.tolist(), b.tolist(), p)
+        for x, y in [(a, b), (a, b.astype(route)),
+                     (a.astype(np.float64), b.astype(np.float64))]:
+            got = matmul_mod(x, y, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (m, k, n, x.dtype, y.dtype)
+        vec = a[0]  # a vector times a matrix, as the echelon reduces one
+        assert matmul_mod(vec, b, p).tolist() == want[0]
+    assert routes == {np.int64, np.float64}
+
+
+@pytest.mark.parametrize("shape", [(1, WIDTH, 1), (32, WIDTH, 32)])
+def test_matmul_mod_near_the_int64_bound(shape):
+    """The largest prime that int64 holds a width-WIDTH sum of products
+    for is computed exactly, by a small product and a large one alike,
+    and the next prime is refused by both."""
+    m, k, n = shape
+    edge = isqrt(((1 << 63) - 1) // k) + 1
+    p_ok, p_past = _prime_below(edge - 1), _prime_above(edge)
+    assert k * (p_ok - 1) ** 2 < 1 << 63 <= k * (p_past - 1) ** 2
+    assert matmul_dtype(m * k * n, k, p_ok) is np.int64
+    rng = np.random.default_rng(m)
+    a = rng.integers(p_ok - 5, p_ok, (m, k))
+    b = rng.integers(p_ok - 5, p_ok, (k, n))
+    assert matmul_mod(a, b, p_ok).tolist() == \
+        _reference_product(a.tolist(), b.tolist(), p_ok)
+    with pytest.raises(ValueError, match="overflows int64"):
+        matmul_mod(a, b, p_past)
 
 
 P_PAST_FLOAT = 100000007  # (p - 1)^2 alone exceeds 2^53

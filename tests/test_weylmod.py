@@ -904,6 +904,114 @@ def test_op_rejects_block_not_closed_under_operators(fresh_modules):
         mod.op("F", (1, 0), 1)
 
 
+def _roll_an_identity_block(mod):
+    """Roll the rows of a block of mod with at least two rows; mod fills
+    its one-factor ambient, so every block holds the identity."""
+    assert mod.dim == mod.ambient.dim and len(mod.ambient.factors) == 1
+    blk = next(b for b in mod.blocks if b.rank > 1)
+    assert np.array_equal(blk.rows, np.identity(blk.rank, dtype=np.int64))
+    blk.rows = np.roll(blk.rows, 1, axis=0)
+
+
+@pytest.mark.parametrize("name,lam,p", [("G2", (0, 1), 2),
+                                        ("C3", (0, 1, 0), 3),
+                                        ("D4", (0, 1, 0, 0), 5)])
+def test_filled_ambient_rejects_rolled_block(fresh_modules, name, lam, p):
+    """A module that fills its ambient takes the ambient's blocks without
+    a product, but still checks its rows: a block whose rows are no longer
+    the identity is not closed, under any operator, python -O or not."""
+    mod = build_weyl_module_p(RS[name], p, lam)
+    _roll_an_identity_block(mod)
+    with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
+        mod.op("F", RS[name].simple_root(0), 1)
+    with pytest.raises(IntegrityError, match=r"not closed under E\^\(1\)"):
+        mod.op("E", RS[name].positive_roots[-1], 1)
+
+
+@pytest.mark.parametrize("name,lam,p", [("A2", (1, 1), 2),
+                                        ("G2", (0, 1), 3)])
+def test_op_rejects_images_at_a_weight_the_module_lacks(fresh_modules, name,
+                                                         lam, p):
+    """With the zero weight dropped from the module's blocks by weight, the
+    images of F_1 at the weight alpha_1 land where the module has no
+    basis, and must vanish there: they do not, so the module is not
+    closed.  A2 (1, 1) is spanned inside V(omega_1) x V(omega_2), and G2
+    omega_2 fills its one-factor ambient."""
+    rs = RS[name]
+    mod = build_weyl_module_p(rs, p, lam)
+    assert (mod.dim == mod.ambient.dim) == (name == "G2")
+    del mod._by_weight[(0,) * rs.rank]
+    with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
+        mod.op("F", rs.simple_root(0), 1)
+
+
+FUNDAMENTALS = [(name, tuple(int(j == i) for j in range(RS[name].rank)))
+                for name in sorted(RS) for i in range(RS[name].rank)]
+
+
+def _basis_in_rep(mod):
+    """The module's basis vectors as the rows of an int64 matrix over the
+    coordinates of its fundamental representation."""
+    if isinstance(mod, WeylModuleP):
+        flats = mod.ambient.layout.flats
+        parts = [(flats[b.weight], b.rows) for b in mod.blocks]
+        dim = mod.ambient.dim
+    else:
+        lat = mod.lattice
+        parts = [(np.arange(lat.ambient.dim), np.array(
+            [[row.get(f, 0) for f in range(lat.ambient.dim)]
+             for row in b.final.rows], dtype=np.int64)) for b in lat.blocks]
+        dim = lat.ambient.dim
+    out = np.zeros((mod.dim, dim), dtype=np.int64)
+    i = 0
+    for cols, rows in parts:
+        out[i:i + len(rows), cols] = rows
+        i += len(rows)
+    return out
+
+
+@pytest.mark.parametrize("name,lam", FUNDAMENTALS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fundamental_operators_equal_the_reps_divided_powers(name, lam, p):
+    """Every divided power on the module V_p(omega_i), from order 0 to one
+    past the last nonzero one, is the representation's own
+    divided_power_matrix(root_operator(...), k) mod p, read by chevrep
+    alone, in the module's order of basis vectors.  These modules fill
+    their one-factor ambient, so their basis is a permutation of the
+    representation's.  B3 omega_2 and D4 omega_2 at p = 2 are the
+    lattice reductions instead, whose basis B is the lattice's: there the
+    operator M satisfies X B^T = B^T M mod p."""
+    rs = RS[name]
+    sc = chevalley_constants(rs)
+    mod = build_weyl_module_p(rs, p, lam)
+    rep = fundamental_rep(rs, lam.index(1) + 1)
+    basis = _basis_in_rep(mod)
+    filled = isinstance(mod, WeylModuleP)
+    assert filled == ((name, p) not in (("B3", 2), ("D4", 2)) or
+                      lam != (0, 1) + (0,) * (rs.rank - 2))
+    if filled:
+        assert mod.dim == mod.ambient.dim == rep.dim
+        perm = basis.argmax(axis=1)
+        assert np.array_equal(basis, np.identity(rep.dim,
+                                                 dtype=np.int64)[perm])
+        assert sorted(perm.tolist()) == list(range(rep.dim))
+    nonzero = 0
+    for kind in ("E", "F"):
+        for beta in rs.positive_roots:
+            x = root_operator(rep, sc, kind, beta)
+            for k in range(mod.max_power(beta) + 2):
+                want = divided_power_matrix(x, k) % p
+                got = mod.op(kind, beta, k).toarray()
+                if filled:
+                    assert np.array_equal(got, want[np.ix_(perm, perm)]), \
+                        (kind, beta, k)
+                else:
+                    assert np.array_equal(want @ basis.T % p,
+                                          basis.T @ got % p), (kind, beta, k)
+                nonzero += bool(got.any())
+    assert nonzero >= 2 * len(rs.positive_roots)
+
+
 def test_trivial_weight():
     rs = RS["A2"]
     assert weyl_dim(rs, (0, 0)) == 1
