@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from pbwdeg.exactla import (
     DenseEchelonModP,
     IncrementalHNF,
-    SMALL_PRODUCT,
     LatticeBasis,
+    SMALL_PRODUCT,
     matmul_dtype,
     matmul_mod,
     read_triplet_text,
