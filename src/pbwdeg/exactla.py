@@ -207,15 +207,6 @@ def require_int64_safe(p: int, width: int) -> None:
 SMALL_PRODUCT = 1024
 
 
-def matmul_dtype(work: int, width: int, p: int):
-    """The dtype matmul_mod forms a product of `work` multiply-adds in,
-    each entry a sum of `width` of them: float64 for a large product that
-    float64 holds exactly, int64 otherwise."""
-    if work > SMALL_PRODUCT and width * (p - 1) ** 2 < 1 << 53:
-        return np.float64
-    return np.int64
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as int64, exactly, for matrices of residues in [0, p)
     held as int64 or float64.
@@ -227,8 +218,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     reduction of FFLAS-FFPACK).  A product of at most SMALL_PRODUCT
     multiply-adds, or one past 2^53, runs in numpy's int64 loop under
     require_int64_safe, which also keeps p below 2^32, so float64 inputs
-    hold their residues exactly.  matmul_dtype makes the choice, from the
-    shapes and p alone, so callers can build operands in that dtype.
+    hold their residues exactly.  The choice reads the shapes and p alone.
 
     The break-even was measured on a 2-core x86-64 machine with numpy 2.4,
     each product including the dense block built from COO entries: the
@@ -238,8 +228,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     (21x102)@(102x102)).
     """
     width = a.shape[-1]
-    if matmul_dtype(a.size * (b.shape[-1] if b.ndim > 1 else 1),
-                    width, p) is np.float64:
+    work = a.size * (b.shape[-1] if b.ndim > 1 else 1)
+    if work > SMALL_PRODUCT and width * (p - 1) ** 2 < 1 << 53:
         out = a.astype(np.float64, copy=False) @ \
             b.astype(np.float64, copy=False)
         return out.astype(np.int64) % p

@@ -44,7 +44,6 @@ from .exactla import (
     LatticeBasis,
     SparseIntMatrix,
     Vec,
-    matmul_dtype,
     matmul_mod,
     require_int64_safe,
 )
@@ -262,14 +261,8 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
 
     Returns the nonzero entries as COO arrays (rows, cols, vals), vals in
     [1, p); products are reduced after every Kronecker step, so no
-    intermediate exceeds p^2 in int64.  On one factor the only composition
-    is k itself, and the result is that factor's operator, reduced.
+    intermediate exceeds p^2 in int64.
     """
-    if len(dims) == 1:
-        rows, cols, vals = factor_op(0, k)
-        vals = vals % p
-        keep = vals != 0
-        return rows[keep], cols[keep], vals[keep]
     empty = (np.zeros(0, np.int64),) * 3
     one = (np.zeros(1, np.int64), np.zeros(1, np.int64),
            np.ones(1, np.int64))
@@ -406,11 +399,10 @@ class WeightBlocks:
                 if lo < hi}
 
 
-def block_dense(shape, rows, cols, vals, dtype) -> np.ndarray:
-    """One block of a block operator as a dense matrix, in the dtype
-    (matmul_dtype) of the product it enters, so matmul_mod converts
-    neither operand; float64 holds every residue matmul_mod accepts."""
-    out = np.zeros(shape, dtype=dtype)
+def block_dense(shape, rows, cols, vals) -> np.ndarray:
+    """One block of a block operator as a dense int64 matrix; matmul_mod
+    converts it to float64 only for a product it runs in BLAS."""
+    out = np.zeros(shape, dtype=np.int64)
     out[rows, cols] = vals
     return out
 
@@ -475,10 +467,10 @@ class BlockOp:
             if entry is None:
                 continue
             d, r2, c2, v2 = entry
-            n_d, n_mid, n_s = len(flats[d]), len(flats[mid]), len(flats[s])
-            dtype = matmul_dtype(n_d * n_mid * n_s, n_mid, p)
-            m = matmul_mod(block_dense((n_d, n_mid), r2, c2, v2, dtype),
-                           block_dense((n_mid, n_s), r1, c1, v1, dtype), p)
+            n_mid = len(flats[mid])
+            m = matmul_mod(
+                block_dense((len(flats[d]), n_mid), r2, c2, v2),
+                block_dense((n_mid, len(flats[s])), r1, c1, v1), p)
             c, r = np.nonzero(m.T)
             if c.size:
                 out[s] = (d, r.astype(np.int32), c.astype(np.int32), m[r, c])
@@ -491,10 +483,9 @@ class BlockOp:
         if entry is None:
             return None
         d, r, c, v = entry
-        n_w, n_d = len(self.layout.flats[w]), len(self.layout.flats[d])
+        flats = self.layout.flats
         return d, matmul_mod(rows, block_dense(
-            (n_w, n_d), c, r, v,
-            matmul_dtype(rows.size * n_d, n_w, self.p)), self.p)
+            (len(flats[w]), len(flats[d])), c, r, v), self.p)
 
     def power(self, e: int) -> "BlockOp":
         """self^e for e >= 1, by repeated squaring."""
@@ -565,10 +556,11 @@ class TensorAmbient:
         for each partial image the order r still to be spent on the later
         factors; the last factor spends all of it.  The factors' tables of
         divided powers are fetched once per (kind, beta) and kept on the
-        ambient, and factor j spends at most its top order t_j.  A partial
-        image whose remaining order exceeds the sum of the later factors'
-        top orders cannot reach r = 0 and is never formed; if all the top
-        orders together fall short of k, the image is {} at once.
+        ambient (_lattice drops them once its span is built), and factor
+        j spends at most its top order t_j.  A partial image whose
+        remaining order exceeds the sum of the later factors' top orders
+        cannot reach r = 0 and is never formed; if all the top orders
+        together fall short of k, the image is {} at once.
         """
         if self.p is not None:
             raise ValueError("apply_vec needs an ambient over Z")
@@ -803,6 +795,7 @@ def _lattice(rs: RootSystemData, lam: Weight, ambient: TensorAmbient,
     has the Weyl dimension."""
     expected = weyl_dim(rs, lam)
     lat = WeylLatticeZ(rs, lam, ambient, _span(rs, ambient, seed, lam))
+    ambient._tables.clear()  # the span is built; a cached lattice keeps none
     if lat.dim != expected:
         raise RankMismatch(lam, expected, lat.dim)
     return lat

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbwdeg import exactla
 from pbwdeg.exactla import (
     DenseEchelonModP,
     IncrementalHNF,
     LatticeBasis,
     SMALL_PRODUCT,
-    matmul_dtype,
     matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
@@ -209,23 +209,43 @@ def _reference_product(a, b, p):
              for col in zip(*b)] for row in a]
 
 
+@pytest.fixture
+def int64_route(monkeypatch):
+    """A list that gets one entry for each product matmul_mod runs in
+    int64: the route calls require_int64_safe, and the float64 one does
+    not."""
+    calls = []
+    check = exactla.require_int64_safe
+
+    def spy(p, width):
+        calls.append((p, width))
+        check(p, width)
+
+    monkeypatch.setattr(exactla, "require_int64_safe", spy)
+    return calls
+
+
 @pytest.mark.parametrize("p", [P_FLOAT, P_INT])
-def test_matmul_mod_on_both_sides_of_the_float_threshold(p):
-    """At P_FLOAT the product of more than SMALL_PRODUCT multiply-adds
-    takes the float64 route, and at P_INT every product the int64 one;
-    all give the Python-int product, on the largest residues too."""
+def test_matmul_mod_on_both_sides_of_the_float_threshold(p, int64_route):
+    """Every product here has more than SMALL_PRODUCT multiply-adds, so at
+    P_FLOAT it takes the float64 route, with sums of the largest residues
+    just below 2^53, and at P_INT the int64 one; all give the Python-int
+    product."""
     assert (WIDTH * (P_FLOAT - 1) ** 2 < 1 << 53) and \
         (WIDTH * (P_INT - 1) ** 2 >= 1 << 53)
     rng = np.random.default_rng(p % 1000)
-    top = np.full((3, WIDTH), p - 1, dtype=np.int64)
-    for a, b in [(top, top.T.copy()),
-                 (rng.integers(0, p, (5, WIDTH)),
-                  rng.integers(0, p, (WIDTH, 7))),
-                 (rng.integers(p - 3, p, (4, WIDTH)),
-                  rng.integers(p - 3, p, (WIDTH, 4)).astype(np.float64))]:
+    top = np.full((17, WIDTH), p - 1, dtype=np.int64)
+    cases = [(top, top.T.copy()),
+             (rng.integers(0, p, (5, WIDTH)),
+              rng.integers(0, p, (WIDTH, 7))),
+             (rng.integers(p - 3, p, (5, WIDTH)),
+              rng.integers(p - 3, p, (WIDTH, 5)).astype(np.float64))]
+    for a, b in cases:
+        assert a.shape[0] * WIDTH * b.shape[1] > SMALL_PRODUCT
         got = matmul_mod(a, b, p)
         assert got.dtype == np.int64
         assert got.tolist() == _reference_product(a.tolist(), b.tolist(), p)
+    assert len(int64_route) == (0 if p == P_FLOAT else len(cases))
 
 
 def test_matmul_mod_refuses_past_int64():
@@ -242,31 +262,31 @@ SIZE_RULE_SHAPES = [(1, 3, 1), (1, 9, 9), (4, 16, 16), (4, 16, 17),
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65537])
-def test_matmul_mod_routes_agree_across_the_size_rule(p):
+def test_matmul_mod_routes_agree_across_the_size_rule(p, int64_route):
     """Products of at most SMALL_PRODUCT multiply-adds take the int64
     route and larger ones float64; on random residues both give the
     Python-int product, from int64 or float64 operands alike."""
     rng = np.random.default_rng(p)
-    routes = set()
-    for m, k, n in SIZE_RULE_SHAPES:
-        route = matmul_dtype(m * k * n, k, p)
-        assert route is (np.int64 if m * k * n <= SMALL_PRODUCT
-                         else np.float64), (m, k, n)
-        routes.add(route)
+    small = [m * k * n <= SMALL_PRODUCT for m, k, n in SIZE_RULE_SHAPES]
+    assert any(small) and not all(small)
+    for (m, k, n), is_small in zip(SIZE_RULE_SHAPES, small):
         a, b = rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))
         want = _reference_product(a.tolist(), b.tolist(), p)
-        for x, y in [(a, b), (a, b.astype(route)),
+        for x, y in [(a, b), (a, b.astype(np.float64)),
                      (a.astype(np.float64), b.astype(np.float64))]:
+            int64_route.clear()
             got = matmul_mod(x, y, p)
+            assert len(int64_route) == is_small, (m, k, n)
             assert got.dtype == np.int64
             assert got.tolist() == want, (m, k, n, x.dtype, y.dtype)
         vec = a[0]  # a vector times a matrix, as the echelon reduces one
+        int64_route.clear()
         assert matmul_mod(vec, b, p).tolist() == want[0]
-    assert routes == {np.int64, np.float64}
+        assert len(int64_route) == (k * n <= SMALL_PRODUCT)
 
 
 @pytest.mark.parametrize("shape", [(1, WIDTH, 1), (32, WIDTH, 32)])
-def test_matmul_mod_near_the_int64_bound(shape):
+def test_matmul_mod_near_the_int64_bound(shape, int64_route):
     """The largest prime that int64 holds a width-WIDTH sum of products
     for is computed exactly, by a small product and a large one alike,
     and the next prime is refused by both."""
@@ -274,12 +294,12 @@ def test_matmul_mod_near_the_int64_bound(shape):
     edge = isqrt(((1 << 63) - 1) // k) + 1
     p_ok, p_past = _prime_below(edge - 1), _prime_above(edge)
     assert k * (p_ok - 1) ** 2 < 1 << 63 <= k * (p_past - 1) ** 2
-    assert matmul_dtype(m * k * n, k, p_ok) is np.int64
     rng = np.random.default_rng(m)
     a = rng.integers(p_ok - 5, p_ok, (m, k))
     b = rng.integers(p_ok - 5, p_ok, (k, n))
     assert matmul_mod(a, b, p_ok).tolist() == \
         _reference_product(a.tolist(), b.tolist(), p_ok)
+    assert int64_route == [(p_ok, k)]
     with pytest.raises(ValueError, match="overflows int64"):
         matmul_mod(a, b, p_past)
 
