@@ -4,8 +4,8 @@ Each supported family gets explicit integer matrix models: exterior powers
 of the vector representation (types A, B, D), a fermionic subset model for
 the spin representations (B_n, D_4), the 7-dimensional representation of G2
 by hand and its adjoint via the structure constants, and type C fundamentals
-beyond omega_1 bootstrapped through the spanning engine on tensor powers of
-the vector representation.
+beyond omega_1 spanned over Z by the spanning engine inside the exterior
+powers of the vector representation.
 
 Matrices are nested tuples of Python ints (columns act on the right:
 (M v)_r = sum_c M[r][c] v_c).  Structure constants are computed on a
@@ -530,10 +530,10 @@ def seed_rep(rs: RootSystemData) -> IntegralRep:
 def fundamental_rep(rs: RootSystemData, i: int) -> IntegralRep:
     """The i-th fundamental representation (1-indexed) as integer matrices.
 
-    omega_1 is the seed; omega_2 of G2 is the adjoint; type C bootstraps the
-    rest from tensor powers of the vector representation; the spin nodes of
+    omega_1 is the seed; omega_2 of G2 is the adjoint; the spin nodes of
     B and D are fermionic; every other one is an exterior power of the
-    vector representation.
+    vector representation, which in type C is cut down to the Z span of
+    its top wedge (bootstrap_cartan_component).
     """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"fundamental index {i} out of range for {rs.name}")
@@ -545,15 +545,15 @@ def fundamental_rep(rs: RootSystemData, i: int) -> IntegralRep:
         rep = seed_rep(rs)
     elif fam == "G":
         rep = _adjoint_rep(rs, chevalley_constants(rs))
-    elif fam == "C":
-        from .weylmod import bootstrap_cartan_component
-        rep = bootstrap_cartan_component(rs, _vector_rep(rs), i)
     elif fam == "B" and i == n:
         rep = _spin_rep(rs, None, f"{rs.name}-spin")
     elif fam == "D" and i >= n - 1:
         rep = _spin_rep(rs, (n - i) % 2, f"{rs.name}-w{i}")
     else:
         rep = _exterior_power(rs, _vector_rep(rs), i, f"{rs.name}-w{i}")
+        if fam == "C":
+            from .weylmod import bootstrap_cartan_component
+            rep = bootstrap_cartan_component(rs, rep, i)
     _validate_rep(rs, rep)
     from .weylmod import weyl_dim
     omega = tuple(1 if k == i - 1 else 0 for k in range(n))

@@ -23,6 +23,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -123,8 +124,8 @@ def save_module(mod, cache_dir) -> str:
     final = cache_dir / key
     if final.exists():
         return key
-    tmp = cache_dir / f".tmp-{key}-{os.getpid()}"
-    tmp.mkdir(parents=True, exist_ok=True)
+    # a fresh directory, so no file left by a crashed writer is hashed in
+    tmp = Path(tempfile.mkdtemp(dir=cache_dir, prefix=f".tmp-{key}-"))
     for idx, pe, fname in _stored_ops(mod):
         write_triplet_text(tmp / fname, (mod.dim, mod.dim), mod.p,
                            *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
@@ -376,7 +377,9 @@ def _cmd_check_f0_sweep(args) -> int:
     if args.jobs > 1:
         # only this path starts worker processes, so only it pays the import
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(args.jobs,
+                                                 len(tasks))) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]
@@ -564,7 +567,8 @@ def _join_option_values(argv: list[str]) -> list[str]:
 
 def _resolve_weights(args) -> None:
     """Parse the weight flags against the rank of the requested system into
-    args.weights, and refuse a composite p or a count that means nothing."""
+    args.weights, and refuse a composite p, a count that means nothing or a
+    cache directory that cannot be made."""
     if args.size_ceiling < 1:
         raise ValueError("--size-ceiling must be at least 1, not "
                          f"{args.size_ceiling}")
@@ -580,6 +584,13 @@ def _resolve_weights(args) -> None:
         raise ValueError("n_max must be positive")
     if getattr(args, "trials", 0) < 0:
         raise ValueError(f"--trials must be at least 0, not {args.trials}")
+    if getattr(args, "cache_dir", None):
+        # refused here, before a build, not in save_module after one
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--cache-dir {args.cache_dir!r} cannot be "
+                             f"made a directory ({exc.strerror})") from None
 
 
 def main(argv=None) -> int:

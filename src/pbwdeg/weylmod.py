@@ -27,7 +27,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 from math import factorial, prod
 
 import numpy as np
@@ -519,7 +519,7 @@ class TensorAmbient:
     def hw_flat(self) -> int:
         """Flat index of the tensor of the factors' highest weight vectors
         (0 in the empty ambient)."""
-        return self.flat([f.hw_index for f in self.factors])
+        return sum(f.hw_index * s for f, s in zip(self.factors, self.strides))
 
     def multi(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -527,9 +527,6 @@ class TensorAmbient:
             flat, r = divmod(flat, d)
             out.append(r)
         return tuple(reversed(out))
-
-    def flat(self, multi) -> int:
-        return sum(i * s for i, s in zip(multi, self.strides))
 
     def weight_of(self, flat: int) -> Weight:
         acc = tuple(0 for _ in range(self.rs.rank))
@@ -734,11 +731,6 @@ class WeylLatticeZ:
         key = (kind, beta, k)
         if key in self._op_cache:
             return self._op_cache[key]
-        if k == 0:
-            out = SparseIntMatrix(self.dim, self.dim,
-                                  {(i, i): 1 for i in range(self.dim)})
-            self._op_cache[key] = out
-            return out
         shift = self.rs.root_fund(beta)
         if kind == "F":
             shift = _neg(shift)
@@ -817,50 +809,46 @@ def tensor_width_bound(rs: RootSystemData, lams) -> int:
 
 
 def validate_lattice_relations(lat: WeylLatticeZ) -> list[RelationWitness]:
-    """Check [E_i, F_j] = delta_ij H_i on the lattice basis, exactly."""
+    """Check [E_i, F_j] = delta_ij H_i on the lattice basis, exactly.
+
+    Each simple operator's entries are grouped by column once, and each
+    column of [E_i, F_j] is formed from them directly; a witness names the
+    first failing column of each (i, j), its entries by ascending row."""
     rs = lat.rs
+
+    def columns(kind: str) -> list[dict]:
+        out = []
+        for i in range(rs.rank):
+            cols: dict[int, list] = {}
+            for (r, c), v in lat.op_int(kind, rs.simple_root(i),
+                                        1).entries.items():
+                cols.setdefault(c, []).append((r, v))
+            out.append(cols)
+        return out
+
+    e_cols, f_cols = columns("E"), columns("F")
     out = []
     for i in range(rs.rank):
-        ei = lat.op_int("E", rs.simple_root(i), 1)
         for j in range(rs.rank):
-            fj = lat.op_int("F", rs.simple_root(j), 1)
-            comm = _sparse_commutator(ei.entries, fj.entries)
             name = f"[E_{i+1}, F_{j+1}] = " + (f"H_{i+1}" if i == j else "0")
             for col in range(lat.dim):
+                acc: dict[int, int] = {}
+                # column col of E_i F_j - F_j E_i
+                for a, b, sign in ((e_cols[i], f_cols[j], 1),
+                                   (f_cols[j], e_cols[i], -1)):
+                    for mid, v in b.get(col, ()):
+                        for r, w in a.get(mid, ()):
+                            acc[r] = acc.get(r, 0) + sign * w * v
+                got = {r: v for r, v in sorted(acc.items()) if v}
                 expect = {}
                 if i == j:
                     h = rs.pairing(lat.weights[col], rs.simple_root(i))
                     if h:
                         expect[col] = h
-                got = {r: v for (r, c), v in comm.items() if c == col}
                 if got != expect:
                     out.append(RelationWitness(name, col,
                                                f"got {got}, expected {expect}"))
                     break
-    return out
-
-
-def _sparse_commutator(a: dict, b: dict) -> dict:
-    def mul(x, y):
-        out: dict[tuple[int, int], int] = {}
-        x_by_col: dict[int, list] = {}
-        for (r, c), v in x.items():
-            x_by_col.setdefault(c, []).append((r, v))
-        for (r, c), v in y.items():
-            for r2, v2 in x_by_col.get(r, ()):
-                key = (r2, c)
-                out[key] = out.get(key, 0) + v2 * v
-        return {k: v for k, v in out.items() if v}
-
-    ab = mul(a, b)
-    ba = mul(b, a)
-    out = dict(ab)
-    for k, v in ba.items():
-        new = out.get(k, 0) - v
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
     return out
 
 
@@ -1462,30 +1450,15 @@ class LatticeModuleP(ModuleP):
 # ---------------------------------------------------------------------------
 # bootstrap of type C fundamentals
 
-def bootstrap_cartan_component(rs: RootSystemData, vec_rep: IntegralRep,
+def bootstrap_cartan_component(rs: RootSystemData, wedge: IntegralRep,
                                k: int) -> IntegralRep:
-    """Fundamental representation omega_k carved out of the k-th tensor
-    power of the vector representation, starting from the antisymmetrized
-    highest weight vector."""
+    """Fundamental representation omega_k of type C as the Z span of
+    e_1 ^ ... ^ e_k, the first basis vector of wedge = Lambda^k of the
+    vector representation (Fulton-Harris, Representation Theory, 17.2)."""
     lam = tuple(1 if i == k - 1 else 0 for i in range(rs.rank))
-    ambient = TensorAmbient.over_z(rs, [vec_rep] * k)
-    seed: Vec = {}
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        flat = ambient.flat(perm)
-        seed[flat] = seed.get(flat, 0) + sign
-    lat = _lattice(rs, lam, ambient, seed)
+    lat = _lattice(rs, lam, TensorAmbient.over_z(rs, [wedge]), {0: 1})
     lowering, raising = (tuple(
         tuple(map(tuple, lat.op_int(kind, rs.simple_root(i), 1).to_dense()))
         for i in range(rs.rank)) for kind in ("F", "E"))
     return IntegralRep(f"{rs.name}-w{k}", lat.dim, lat.weights,
                        lowering, raising)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign

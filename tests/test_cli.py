@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -180,6 +181,44 @@ def test_check_f0_sweep_csv(capsys):
     assert out == "cartan,p,degree,nonzero,skipped\nA1,2,1,true,\n"
 
 
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that records the worker count it
+    is asked for and runs the tasks in this process."""
+
+    def __init__(self, workers, max_workers):
+        workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cartans,primes,jobs,workers", [
+    ("A1", "2", "64", 1),
+    ("A1,A2", "2,3", "2", 2),
+])
+def test_check_f0_sweep_starts_no_more_workers_than_pairs(
+        capsys, monkeypatch, cartans, primes, jobs, workers):
+    """The pool starts every worker at once, so --jobs is capped at the
+    number of (type, prime) pairs; stdout is that of the serial sweep."""
+    import concurrent.futures
+    asked = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(asked, max_workers))
+    argv = ("check-f0-sweep", "--cartans", cartans, "--primes", primes,
+            "--format", "csv")
+    code, serial, _ = run_cli(capsys, *argv)
+    assert code == 0 and asked == []
+    code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+    assert (code, out) == (0, serial), err
+    assert asked == [workers]
+
+
 # -- multiplication, generation, Hilbert ------------------------------------
 
 
@@ -350,6 +389,33 @@ def test_cache_dir_rejected_where_unused(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("build-module", "--cartan", "A2", "--weight", "1,1", "--p", "2"),
+    ("pbw-dims", "--cartan", "A2", "--weight", "1,1", "--p", "2"),
+    ("check-f0", "--cartan", "A2", "--p", "2"),
+    ("check-f0-sweep", "--cartans", "A2", "--primes", "2"),
+])
+def test_cache_dir_that_cannot_be_a_directory_exits_1(
+        tmp_path, capsys, monkeypatch, argv, below):
+    """A --cache-dir naming a regular file, or a path below one, is a
+    one-line usage error that names the path, before any module is
+    built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(cli_module, "build_weyl_module_p", no_build)
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    target = blocker / "sub" if below else blocker
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(target))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(target) in lines[0]
+    assert "Traceback" not in err and "cache miss" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("weyl-dim", "--cartan", "B2", "--weight", "1,0"),
     ("build-module", "--cartan", "B2", "--weight", "1,0", "--p", "2"),
@@ -404,6 +470,25 @@ def test_cache_cold_then_warm_identical(tmp_path, capsys):
     assert "cache miss" in cold[2] and "cache hit" in warm[2]
     assert uncached[0] == 0
     assert cold[:2] == warm[:2] == uncached[:2]
+
+
+def test_leftover_temp_dir_is_not_hashed_into_an_entry(tmp_path):
+    """A temp directory left by a crashed writer of the same pid, under the
+    name writers once reused, holds a junk file: the next write starts
+    afresh, so its manifest lists exactly the weights and the operators,
+    and the entry is a hit."""
+    rs = build_root_system("A2")
+    fresh = build_weyl_module_p(rs, 2, (1, 1))
+    key = cache_key("A2", (1, 1), 2)
+    stale = tmp_path / f".tmp-{key}-{os.getpid()}"
+    stale.mkdir()
+    (stale / "leftover.txt").write_text("left by a crashed writer\n")
+    assert save_module(fresh, tmp_path) == key
+    meta = json.loads((tmp_path / key / "entry.json").read_text())
+    assert set(meta["sha256"]) == \
+        {"weights.txt"} | {f for _, _, f in _stored_ops(fresh)}
+    assert load_module(rs, (1, 1), 2, tmp_path) is not None
+    assert (tmp_path / key).is_dir()
 
 
 def test_cache_round_trip_operator_identity(tmp_path):

@@ -643,6 +643,20 @@ def test_nonintegral_divided_power_on_corrupted_lattice(fresh_modules):
         bad.op_int("F", (1,), 2)
 
 
+def test_lattice_relation_witnesses_on_corrupted_operator(fresh_modules):
+    """One entry of F_2 raised by 1 on A2 (1, 1): the relation check names
+    the first failing column of each broken [E_i, F_2], its entries by
+    ascending row."""
+    rs = RS["A2"]
+    lat = build_weyl_lattice(rs, (1, 1))
+    f2 = lat.op_int("F", rs.simple_root(1), 1)
+    f2.entries[sorted(f2.entries)[2]] += 1
+    assert [dataclasses.astuple(w) for w in
+            validate_lattice_relations(lat)] == [
+        ("[E_1, F_2] = 0", 6, "got {5: -1}, expected {}"),
+        ("[E_2, F_2] = H_2", 3, "got {4: 1}, expected {}")]
+
+
 # ---------------------------------------------------------------------------
 # modules over F_p: direct span vs reduction of the Z lattice
 
