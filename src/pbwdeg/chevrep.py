@@ -17,7 +17,6 @@ int64 could overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -139,14 +138,15 @@ def _weight_sum(*ws: Weight) -> Weight:
 def _half_sum(rs: RootSystemData, signs: dict[int, int]) -> Weight:
     """(1/2) sum_j signs[j] * epsilon_j, checked integral."""
     n = rs.rank
-    acc = [Fraction(0)] * n
+    twice = [0] * n
     for j, s in signs.items():
         eps = _eps_fund(rs, j)
         for i in range(n):
-            acc[i] += Fraction(s * eps[i], 2)
-    if any(x.denominator != 1 for x in acc):
-        raise IntegrityError(f"half sum {acc} of epsilons is not integral")
-    return tuple(int(x) for x in acc)
+            twice[i] += s * eps[i]
+    if any(x % 2 for x in twice):
+        raise IntegrityError(f"half sum {[x / 2 for x in twice]} of "
+                             "epsilons is not integral")
+    return tuple(x // 2 for x in twice)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Command line front end and the content-addressed module cache.
 
 Machine output goes to stdout in one of three formats (table, json, csv);
-diagnostics go to stderr.  Exit codes: 0 success, 1 user error, 2 refusal
-because a requested object exceeds the size ceiling, 3 internal defect
-(non-integral divided power, rank mismatch, a failed exact-arithmetic
-invariant, or a failed validation).
+diagnostics go to stderr.  Exit codes: 0 success, 1 user error or a
+cache write that fails, 2 refusal because a requested object exceeds the
+size ceiling, 3 internal defect (non-integral divided power, rank mismatch,
+a failed exact-arithmetic invariant, or a failed validation).
 
 Cached modules live under <cache-dir>/<key>/ where the key hashes the
 tool version, Cartan type, weight and prime; payload files are the
@@ -17,8 +17,6 @@ do not match is a miss and is replaced.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -26,11 +24,10 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .chevrep import NonIntegralDividedPower, chevalley_constants
-from .degenring import (check_degree_one_generation, check_mult_surjective,
-                        hilbert_function)
 from .exactla import read_triplet_text, write_triplet_text
 from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
                        _require_prime, check_f0, check_F0_order_invariance,
@@ -41,18 +38,14 @@ from .weylmod import (ModuleP, RankMismatch, build_weyl_lattice,
                       build_weyl_module_p, validate_lattice_relations,
                       validate_relations, weyl_dim)
 
+if TYPE_CHECKING:
+    import argparse
+
 CACHE_FORMAT_VERSION = 3
 
 
 class CliUsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems as exceptions, not exits."""
-
-    def error(self, message):
-        raise CliUsageError(message)
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -78,6 +71,7 @@ def _diag(msg: str) -> None:
 
 
 def cache_key(cartan: str, weight, p: int) -> str:
+    import hashlib  # loads OpenSSL: only a run with a cache dir needs it
     raw = f"{__version__}|{cartan}|{','.join(map(str, weight))}|{p}"
     return hashlib.sha256(raw.encode()).hexdigest()
 
@@ -126,28 +120,34 @@ def save_module(mod, cache_dir) -> str:
         return key
     # a fresh directory, so no file left by a crashed writer is hashed in
     tmp = Path(tempfile.mkdtemp(dir=cache_dir, prefix=f".tmp-{key}-"))
-    for idx, pe, fname in _stored_ops(mod):
-        write_triplet_text(tmp / fname, (mod.dim, mod.dim), mod.p,
-                           *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
-    (tmp / "weights.txt").write_text(_lines(mod.weights, " "))
-    sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
-    (tmp / "entry.json").write_text(json.dumps({
-        "format_version": CACHE_FORMAT_VERSION,
-        "key": key,
-        "tool_version": __version__,
-        "cartan": mod.rs.name,
-        "weight": list(mod.lam),
-        "p": mod.p,
-        "sha256": sha256,
-    }))
     try:
-        os.rename(tmp, final)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)  # a concurrent writer won
+        for idx, pe, fname in _stored_ops(mod):
+            write_triplet_text(
+                tmp / fname, (mod.dim, mod.dim), mod.p,
+                *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
+        (tmp / "weights.txt").write_text(_lines(mod.weights, " "))
+        sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
+        (tmp / "entry.json").write_text(json.dumps({
+            "format_version": CACHE_FORMAT_VERSION,
+            "key": key,
+            "tool_version": __version__,
+            "cartan": mod.rs.name,
+            "weight": list(mod.lam),
+            "p": mod.p,
+            "sha256": sha256,
+        }))
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            pass  # a concurrent writer won
+    finally:
+        # gone after a rename; after a failed write, no half entry is left
+        shutil.rmtree(tmp, ignore_errors=True)
     return key
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -400,6 +400,8 @@ def _cmd_check_f0_sweep(args) -> int:
 
 
 def _cmd_check_mult(args) -> int:
+    # degenring loads only for check-mult, check-gen and hilbert
+    from .degenring import check_mult_surjective
     rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
     lam, mu = args.weights
@@ -420,6 +422,7 @@ def _cmd_check_mult(args) -> int:
 
 
 def _cmd_check_gen(args) -> int:
+    from .degenring import check_degree_one_generation
     rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
     rep = check_degree_one_generation(rs, sc, args.weights[0], args.p,
@@ -439,6 +442,7 @@ def _cmd_check_gen(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    from .degenring import hilbert_function
     rs = build_root_system(args.cartan)
     sc = chevalley_constants(rs)
     rep = hilbert_function(rs, sc, args.weights[0], args.p, args.n_max,
@@ -495,7 +499,15 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argparse that reports usage problems as exceptions, not exits."""
+
+        def error(self, message):
+            raise CliUsageError(message)
+
     parser = _Parser(prog="pbwdeg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -610,7 +622,8 @@ def main(argv=None) -> int:
     except (NonIntegralDividedPower, RankMismatch, IntegrityError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3
-    except (UnsupportedType, ValueError) as exc:
+    except (UnsupportedType, ValueError, OSError) as exc:
+        # OSError: the cache directory could not take a module
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

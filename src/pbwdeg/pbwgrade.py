@@ -19,15 +19,12 @@ criterion: nonzero exactly when F0 v stays out of V_{(p-1)N - 1}.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
 from .weylmod import (BlockOp, ModuleP, PBWGraded, build_weyl_module_p,
                       filter_from_seed, weyl_dim)
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SIZE_CEILING = 20000
 
@@ -121,6 +118,12 @@ def norm_form(mod: ModuleP, order) -> BlockOp:
     return acc
 
 
+def _warn(msg: str, *args) -> None:
+    """Log a defect witness; logging loads only when there is one."""
+    import logging
+    logging.getLogger(__name__).warning(msg, *args)
+
+
 def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
     """Norm form under pseudorandom root orders, plus module-level
     centrality.  Returns False (after logging the witness) on any defect."""
@@ -132,13 +135,13 @@ def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:
         order = list(canonical)
         rng.shuffle(order)
         if norm_form(mod, tuple(order)) != f0:
-            log.warning("norm form differs between orders %s and %s",
-                        canonical, tuple(order))
+            _warn("norm form differs between orders %s and %s",
+                  canonical, tuple(order))
             return False
     for beta in mod.rs.positive_roots:
         a = mod.op("F", beta, 1)
         if f0 @ a != a @ f0:
-            log.warning("norm form fails to commute with F^(1) at %s", beta)
+            _warn("norm form fails to commute with F^(1) at %s", beta)
             return False
     return True
 

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 Root = tuple[int, ...]
@@ -87,31 +91,26 @@ def _cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i a_ij = d_j a_ji."""
+    """Minimal positive integers d with d_i a_ij = d_j a_ji.
+
+    Walks the Dynkin diagram from node 0; where d_j = d_i a_ij / a_ji is
+    not integral, every d found so far is scaled up to make it so."""
     n = len(cartan)
-    d = [Fraction(0)] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
             if i != j and cartan[i][j] != 0 and d[j] == 0:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                # a_ij and a_ji are both negative
+                num, den = -d[i] * cartan[i][j], -cartan[j][i]
+                g = gcd(num, den)
+                d = [x * (den // g) for x in d]
+                d[j] = num // g
                 todo.append(j)
-    scale = 1
-    for x in d:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
-    out = [int(x * scale) for x in d]
-    g = 0
-    for x in out:
-        g = _gcd(g, x)
-    return tuple(x // g for x in out)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 def _minor(m, i: int, j: int):
@@ -219,6 +218,7 @@ class RootSystemData:
 
     def to_root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
         """Simple-root coordinates c of a weight, the solution of A c = mu."""
+        from fractions import Fraction  # only messages and tests ask
         return tuple(Fraction(x, self.cartan_det)
                      for x in self.root_coords_scaled(mu))
 
@@ -229,6 +229,7 @@ class RootSystemData:
 
     def inner(self, mu: Weight, nu: Weight) -> Fraction:
         """Symmetrized inner product of two weights in fundamental coords."""
+        from fractions import Fraction
         return Fraction(self.inner_scaled(mu, nu), self.cartan_det)
 
     @cached_property

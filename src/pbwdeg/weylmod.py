@@ -23,7 +23,6 @@ routes through the same ambient, produce identical matrices.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,8 +47,6 @@ from .exactla import (
     require_int64_safe,
 )
 from .rootsys import IntegrityError, Root, RootSystemData, Weight, star_weight
-
-log = logging.getLogger(__name__)
 
 
 class RankMismatch(RuntimeError):
@@ -1364,9 +1361,11 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
         try:
             reduce_mod_p(lat, p)
         except IntegrityError:
-            log.info("ambient span mod %d for %s %s has rank %d, expected "
-                     "%d; falling back to the lattice reduction",
-                     p, rs.name, lam, exc.found, exc.expected)
+            import logging  # loaded only on the fallback
+            logging.getLogger(__name__).info(
+                "ambient span mod %d for %s %s has rank %d, expected %d; "
+                "falling back to the lattice reduction",
+                p, rs.name, lam, exc.found, exc.expected)
             mod = LatticeModuleP(lat, p)
         else:
             raise IntegrityError(

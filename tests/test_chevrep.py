@@ -153,6 +153,15 @@ def test_jacobi_check_names_first_failing_triple(name, nth):
     chevrep._check_jacobi(sc, basis)
 
 
+def test_half_sum_refuses_a_non_integral_weight():
+    """eps_1 + eps_2 of B2 halves to the spin weight omega_2; eps_1 alone
+    does not halve."""
+    rs = build_root_system("B2")
+    assert chevrep._half_sum(rs, {1: 1, 2: 1}) == (0, 1)
+    with pytest.raises(IntegrityError, match="not integral"):
+        chevrep._half_sum(rs, {1: 1})
+
+
 # sha256 of _canonical_dump per type, recorded before the root operators,
 # the H part of the table and the spin models were each built one way.
 FROZEN_DIGESTS = {

@@ -1,6 +1,7 @@
 """Command line front end: dispatch, formats, exit codes, disk cache."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -488,6 +489,25 @@ def test_leftover_temp_dir_is_not_hashed_into_an_entry(tmp_path):
     assert set(meta["sha256"]) == \
         {"weights.txt"} | {f for _, _, f in _stored_ops(fresh)}
     assert load_module(rs, (1, 1), 2, tmp_path) is not None
+
+
+def test_failed_cache_write_leaves_no_temp_dir(tmp_path, capsys,
+                                                monkeypatch):
+    """A disk that fills up during a cache write: the temp directory is
+    removed, nothing is stored, and the command exits 1 with one error
+    line instead of a traceback."""
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli_module, "write_triplet_text", full_disk)
+    code, out, err = run_cli(capsys, "check-f0", "--cartan", "A2", "--p",
+                             "3", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert os.strerror(errno.ENOSPC) in lines[0]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_round_trip_operator_identity(tmp_path):

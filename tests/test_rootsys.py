@@ -13,9 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from math import gcd
+
 from pbwdeg.rootsys import (
     CartanType,
     UnsupportedType,
+    _symmetrizer,
     build_root_system,
     splitting_weight,
     star_weight,
@@ -98,6 +101,25 @@ def test_frozen_root_lists(name):
 def test_frozen_cartan_matrices(name):
     rs = build_root_system(name)
     assert [list(row) for row in rs.cartan_matrix] == FROZEN_CARTAN[name]
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_symmetrizer_symmetrizes_with_coprime_entries(name):
+    """d_i a_ij = d_j a_ji with positive, coprime d, from the integer walk
+    of the Dynkin diagram."""
+    a = build_root_system(name).cartan_matrix
+    d = _symmetrizer(a)
+    n = len(a)
+    assert all(x > 0 for x in d) and gcd(*d) == 1
+    assert all(d[i] * a[i][j] == d[j] * a[j][i]
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("G2", (1, 3))])
+def test_symmetrizer_pinned(name, expected):
+    """Long simple roots get d_i = (alpha_i, alpha_i) / 2 > 1."""
+    assert build_root_system(name).symmetrizer == expected
 
 
 def test_g2_heights():

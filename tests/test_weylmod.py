@@ -7,6 +7,7 @@ positive roots), hook content dims in type A, and sl2 string coefficients.
 
 import dataclasses
 import hashlib
+import logging
 import math
 import re
 import subprocess
@@ -767,6 +768,18 @@ def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
     assert all(fallback.op(kind, beta, pe).nnz
                for beta in rs.positive_roots[:3] for pe in (1, 2))
     assert nonzero >= 10
+
+
+def test_lattice_fallback_is_logged(caplog, fresh_modules):
+    """The fallback announces itself at INFO on pbwdeg.weylmod, with the
+    rank the ambient span reached and the Weyl dimension."""
+    caplog.set_level(logging.INFO, logger="pbwdeg.weylmod")
+    mod = build_weyl_module_p(RS["B3"], 2, (0, 1, 0))
+    assert isinstance(mod, weylmod.LatticeModuleP)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] \
+        == [("pbwdeg.weylmod", logging.INFO,
+             "ambient span mod 2 for B3 (0, 1, 0) has rank 20, expected 21; "
+             "falling back to the lattice reduction")]
 
 
 def test_modp_weight_dims_match_freudenthal():
