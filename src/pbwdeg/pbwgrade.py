@@ -119,9 +119,10 @@ def norm_form(mod: ModuleP, order) -> BlockOp:
 
 
 def _warn(msg: str, *args) -> None:
-    """Log a defect witness; logging loads only when there is one."""
+    """Log a defect witness, as the caller; logging loads only when there
+    is one."""
     import logging
-    logging.getLogger(__name__).warning(msg, *args)
+    logging.getLogger(__name__).warning(msg, *args, stacklevel=2)
 
 
 def check_F0_order_invariance(mod: ModuleP, trials: int = 5) -> bool:

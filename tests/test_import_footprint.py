@@ -2,7 +2,7 @@
 
 Every pbwdeg call is a fresh process, so what the package imports at the
 top is paid by every run.  `hashlib` loads OpenSSL's libcrypto (about
-3.7 MB of resident memory after numpy); `logging`, `argparse` and
+3.6 MB of resident memory after numpy); `logging`, `argparse` and
 `fractions` with `decimal` add well under a megabyte each.  Only the
 cache hashes, only the command line parses arguments, and only the
 lattice fallback and a failed invariance check log, so none of them may

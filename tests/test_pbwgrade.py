@@ -339,16 +339,18 @@ def test_f0_order_invariance(name, p):
 def test_failed_order_invariance_is_logged(caplog, fresh_modules):
     """A fault in F_(1,0)^(1) on the highest weight vector of the A2
     splitting module at p = 2 makes the norm form depend on the root
-    order: a WARNING on pbwdeg.pbwgrade names the two orders."""
+    order: a WARNING on pbwdeg.pbwgrade, from the check itself, names the
+    two orders."""
     rs = RS["A2"]
     mod = build_weyl_module_p(rs, 2, splitting_weight(rs, 2))
     inject_fault(mod, "F", (1, 0), 1, row=mod.weights.index((0, 3)),
                  col=mod.hw_index, delta=1)
     caplog.set_level(logging.WARNING, logger="pbwdeg.pbwgrade")
     assert check_F0_order_invariance(mod, trials=5) is False
-    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] \
-        == [("pbwdeg.pbwgrade", logging.WARNING,
-             "norm form differs between orders (1, 2, 3) and (1, 3, 2)")]
+    assert [(r.name, r.levelno, r.funcName, r.getMessage())
+            for r in caplog.records] == \
+        [("pbwdeg.pbwgrade", logging.WARNING, "check_F0_order_invariance",
+          "norm form differs between orders (1, 2, 3) and (1, 3, 2)")]
 
 
 def test_f0_commutes_with_simple_lowerings():
