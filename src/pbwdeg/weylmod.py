@@ -296,9 +296,9 @@ class FundFactor:
     Its divided powers are views of the representation's own table
     (chevrep.divided_powers): computed once per (rep, kind, beta), up to
     the last nonzero order, and shared by every factor on that rep, over Z
-    and over F_p.  apply_vec reads the table itself; coo() keeps the int64
-    form of one order per factor, reduced mod p when the factor has a
-    prime.
+    and over F_p.  apply_vec reads only its X^(1) columns; coo() keeps the
+    int64 form of one order per factor, reduced mod p when the factor has
+    a prime.
     """
 
     def __init__(self, rs: RootSystemData, rep: IntegralRep, p: int | None = None):
@@ -496,6 +496,17 @@ class BlockOp:
             m = m @ m
 
 
+def _exact_quotient(vec: Vec, k: int, kind: str, beta: Root) -> Vec:
+    """vec / k for vec = X X^(k-1) v, whose entries k must divide."""
+    if k == 1:
+        return vec
+    for f, c in vec.items():
+        if c % k:
+            raise IntegrityError(f"{kind}^({k}) at root {beta} is not "
+                                 f"integral: {k} does not divide {c} at {f}")
+    return {f: c // k for f, c in vec.items()}
+
+
 class TensorAmbient:
     """Tensor product of factors with divided powers acting by coproduct."""
 
@@ -506,7 +517,7 @@ class TensorAmbient:
         self.dims = [f.dim for f in self.factors]
         self.dim = prod(self.dims) if self.factors else 1
         self.strides = [prod(self.dims[j + 1:]) for j in range(len(self.dims))]
-        self._tables: dict = {}  # (kind, beta) -> apply_vec's factor tables
+        self._tables: dict = {}  # (kind, beta) -> apply_vec's X^(1) steps
 
     @classmethod
     def over_z(cls, rs: RootSystemData, reps) -> "TensorAmbient":
@@ -518,17 +529,10 @@ class TensorAmbient:
         (0 in the empty ambient)."""
         return sum(f.hw_index * s for f, s in zip(self.factors, self.strides))
 
-    def multi(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for d in reversed(self.dims):
-            flat, r = divmod(flat, d)
-            out.append(r)
-        return tuple(reversed(out))
-
     def weight_of(self, flat: int) -> Weight:
-        acc = tuple(0 for _ in range(self.rs.rank))
-        for f, i in zip(self.factors, self.multi(flat)):
-            acc = _add(acc, f.weights[i])
+        acc = (0,) * self.rs.rank
+        for f, stride, d in zip(self.factors, self.strides, self.dims):
+            acc = _add(acc, f.weights[flat // stride % d])
         return acc
 
     @property
@@ -543,52 +547,43 @@ class TensorAmbient:
         return WeightBlocks(self.weights)
 
     def apply_vec(self, kind: str, beta: Root, k: int, vec: Vec) -> Vec:
-        """Coproduct action on a sparse vector, in exact Python integers,
-        on an ambient over Z (ValueError over F_p, where op() acts).
+        """Coproduct action of X^(k) on a sparse vector, in exact Python
+        integers, on an ambient over Z (ValueError over F_p, where op()
+        acts).
 
-        The vector is pushed through the factors one at a time, tracking
-        for each partial image the order r still to be spent on the later
-        factors; the last factor spends all of it.  The factors' tables of
-        divided powers are fetched once per (kind, beta) and kept on the
-        ambient (_lattice drops them once its span is built), and factor
-        j spends at most its top order t_j.  A partial image whose
-        remaining order exceeds the sum of the later factors' top orders
-        cannot reach r = 0 and is never formed; if all the top orders
-        together fall short of k, the image is {} at once.
+        X X^(j-1) = j X^(j) in Kostant's Z-form, so X^(k) v is climbed as
+        a ladder of k steps, v_j = X v_{j-1} / j, stopping at the first
+        zero image; a quotient that is not exact is an IntegrityError,
+        never floored.  Each step is the coproduct Delta(X) = sum_j
+        1 (x) ... (x) X_j (x) ... (x) 1, read from the X^(1) columns of
+        the factors on which X is nonzero, kept per (kind, beta) until
+        _lattice drops them: per factor its stride, its dimension and per
+        coordinate the (flat shift, value) pairs.
         """
         if self.p is not None:
             raise ValueError("apply_vec needs an ambient over Z")
-        got = self._tables.get((kind, beta))
-        if got is None:
-            tables = tuple(f.powers(kind, beta) for f in self.factors)
-            got = self._tables[kind, beta] = (sum(map(len, tables)), tables)
-        later, tables = got
-        if later < k:
-            return {}
-        states: dict[tuple[int, int], int] = {(f, k): c
-                                               for f, c in vec.items()}
-        for table, stride, d in zip(tables, self.strides, self.dims):
-            top = len(table)
-            later -= top
-            nxt: dict[tuple[int, int], int] = {}
-            for (flat, r), c in states.items():
-                # spend a in [lo, hi]: r - a <= later and a <= top
-                lo = r - later
-                if lo <= 0:
-                    key = (flat, r)
-                    nxt[key] = nxt.get(key, 0) + c
-                    lo = 1
-                hi = r if r < top else top
-                if lo > hi:
-                    continue
-                idx = flat // stride % d
-                base = flat - idx * stride
-                for a in range(lo, hi + 1):
-                    for row, v in table[a - 1].get(idx, ()):
-                        key = (base + row * stride, r - a)
-                        nxt[key] = nxt.get(key, 0) + c * v
-            states = nxt
-        return {flat: c for (flat, _), c in states.items() if c}
+        steps = self._tables.get((kind, beta))
+        if steps is None:
+            steps = self._tables[kind, beta] = []
+            for f, stride, d in zip(self.factors, self.strides, self.dims):
+                for first in f.powers(kind, beta)[:1]:
+                    cols = [()] * d
+                    for c, pairs in first.items():
+                        cols[c] = tuple(((r - c) * stride, v)
+                                        for r, v in pairs)
+                    steps.append((stride, d, cols))
+        out = vec
+        for j in range(1, k + 1):
+            img: Vec = {}
+            for flat, c in out.items():
+                for stride, d, cols in steps:
+                    for delta, v in cols[flat // stride % d]:
+                        img[flat + delta] = img.get(flat + delta, 0) + c * v
+            out = _exact_quotient({f: c for f, c in img.items() if c}, j,
+                                  kind, beta)
+            if not out:
+                break
+        return out if k else {f: c for f, c in vec.items() if c}
 
     def _coproduct(self, kind: str, beta: Root, k: int):
         return kron_coproduct(lambda j, a: self.factors[j].coo(kind, beta, a),
@@ -658,7 +653,9 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
     F_i^(k) for k > q maps V(lam) to the zero weight space mu - k alpha_i.
     Those images would all be {}, so every HNF receives the same vectors
     in the same order as without the bound.  The rule reads only blocks of
-    this walk, not the Weyl character.
+    this walk, not the Weyl character.  Each basis row climbs its string
+    as a ladder, img_k = F_i img_{k-1} / k (one step of apply_vec, then an
+    exact division), stopping at its first empty image.
     """
     box = _WeightBox(rs, lam)
     top = _seed_weight(ambient, seed, box)
@@ -682,16 +679,18 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
                 while up in done:
                     r += 1
                     up = _add(up, alpha_f)
-                target = mu
+                dsts, target = [], mu
                 for k in range(1, r + mu[i] + 1):
                     target = _sub(target, alpha_f)
-                    dst = levels.setdefault(h + k, {})
-                    if target not in dst:
-                        dst[target] = IncrementalHNF(0)
-                    for row in final.rows:
-                        img = ambient.apply_vec("F", alpha, k, row)
-                        if img:
-                            dst[target].add(img)
+                    dsts.append(levels.setdefault(h + k, {}).setdefault(
+                        target, IncrementalHNF(0)))
+                for img in final.rows:
+                    for k, dst in enumerate(dsts, 1):
+                        img = _exact_quotient(ambient.apply_vec(
+                            "F", alpha, 1, img), k, "F", alpha)
+                        if not img:
+                            break
+                        dst.add(img)
     return blocks
 
 

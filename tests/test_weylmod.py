@@ -226,6 +226,11 @@ def _top_order(powers) -> int:
     pytest.param("G2", (1, 1, 1), "F", (2, 1), None, id="G2x3-F-all"),
     pytest.param("G2", (1, 1, 1), "E", (3, 2), None, id="G2x3-E-all"),
     pytest.param("G2", (1, 1, 1), "E", (1, 1), None, id="G2x3-E-short"),
+    # the bootstrapped type C fundamentals and the exterior power of D4
+    pytest.param("C3", (2, 3), "F", (1, 1, 1), None, id="C3x2-F-all"),
+    pytest.param("C3", (3, 2), "E", (0, 2, 1), None, id="C3x2-E-all"),
+    pytest.param("D4", (2, 3), "F", (0, 1, 1, 1), None, id="D4x2-F-all"),
+    pytest.param("D4", (4, 2), "E", (1, 2, 1, 1), None, id="D4x2-E-all"),
 ])
 def test_tensor_apply_matches_kron(name, funds, kind, beta, k):
     """apply_vec on every basis vector equals the column of the dense sum
@@ -309,7 +314,8 @@ def test_z_span_applies_lowerings_only_inside_the_module(
     """The Z span follows each alpha_i-string only as far as V(lam)
     reaches: every apply_vec call of a fresh lattice build lands on a
     weight of positive multiplicity.  The Weyl character is only this
-    test's oracle; the walk reads its own blocks."""
+    test's oracle; the walk reads its own blocks.  Each call is one step
+    of a ladder, k = 1."""
     rs = RS[name]
     # built first: the type C bootstrap reaches apply_vec through op_int,
     # whose check that an image leaves the lattice lowers off the module
@@ -320,6 +326,7 @@ def test_z_span_applies_lowerings_only_inside_the_module(
     targets = []
 
     def traced(self, kind, beta, k, vec):
+        assert k == 1, (kind, beta, k)
         src = self.weight_of(next(iter(vec)))
         shift = rs.root_fund(beta)
         targets.append(tuple(a - k * s for a, s in zip(src, shift)))
@@ -386,6 +393,44 @@ def test_tagged_rows_pinned():
         for w, _, degs, rows in g.tagged_blocks():
             h.update(repr((w, degs.tolist(), rows.tolist())).encode())
     assert h.hexdigest() == TAGGED_PIN
+
+
+LADDER_CHECK = "\n".join([
+    "from pbwdeg import weylmod",
+    "from pbwdeg.chevrep import fundamental_rep",
+    "from pbwdeg.rootsys import IntegrityError, build_root_system",
+    "rs = build_root_system('B2')",
+    "amb = weylmod.TensorAmbient.over_z(rs, [fundamental_rep(rs, 1)])",
+    "beta = (0, 1)",
+    "print(amb.apply_vec('F', beta, 2, {1: 1}))",
+    "# F e_1 = e_2 and F e_2 = 2 e_3: make the second entry 3",
+    "stride, dim, cols = amb._tables['F', beta][0]",
+    "(shift, v), = cols[2]",
+    "cols[2] = ((shift, v + 1),)",
+    "for f, *args in ((amb.apply_vec, 'F', beta, 2, {1: 1}),",
+    "                 (weylmod._lattice, rs, (1, 0), amb, {0: 1})):",
+    "    try:",
+    "        f(*args)",
+    "    except IntegrityError as exc:",
+    "        print(exc)",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_ladder_refuses_a_quotient_that_is_not_exact(flags):
+    """With one X^(1) entry of an ambient corrupted, F F v is no longer
+    divisible by 2: apply_vec and the Z span each raise IntegrityError
+    naming the kind, the root and the order, with asserts on or
+    stripped, instead of flooring the quotient."""
+    proc = subprocess.run([sys.executable, *flags, "-c", LADDER_CHECK],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, *errors = proc.stdout.splitlines()
+    assert first == "{3: 1}"
+    assert len(errors) == 2
+    for line in errors:
+        assert line.startswith("F^(2) at root (0, 1) is not integral"), line
+        assert line.endswith("2 does not divide 3 at 3"), line
 
 
 def test_ambient_operators_refuse_the_other_ring():
