@@ -73,12 +73,10 @@ class CartanComponentMap:
         self.total = tuple(map(sum, zip(*lams)))
         self.factors = factors
         self.space = TensorAmbient(rs, factors, p)
-        seed = np.zeros(self.space.dim, dtype=np.int64)
-        seed[self.space.hw_flat] = 1
         self.factor_graded: list[PBWGraded] = [_factor_filtration(m)
                                                for m in factors]
         #: phi(V_n) = U_{<=n} (v_lam x v_mu), the filtered image of phi
-        self.image: PBWGraded = filter_from_seed(self.space, seed)
+        self.image: PBWGraded = filter_from_seed(self.space)
         self.rank_phi = self.image.cumulative_dims()[-1]
         self._conv = self._tagged_products()
 

@@ -107,8 +107,7 @@ class IncrementalHNF:
     which is what spanning loops key their worklists on.
     """
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         self.pivots: dict[int, Vec] = {}
 
     @property
@@ -156,14 +155,13 @@ class IncrementalHNF:
                 q = rows[j].get(c, 0) // piv
                 if q:
                     vec_add_scaled(rows[j], rows[k], -q)
-        return LatticeBasis(self.ambient_dim, rows, tuple(cols))
+        return LatticeBasis(rows, tuple(cols))
 
 
 @dataclass
 class LatticeBasis:
-    """HNF basis of a sublattice of Z^ambient_dim (rows sorted by pivot)."""
+    """HNF basis of a sublattice of Z^n (rows sorted by pivot)."""
 
-    ambient_dim: int
     rows: list[Vec]
     pivot_cols: tuple[int, ...]
 

@@ -92,7 +92,7 @@ def _require_inputs(rs: RootSystemData, sc, p: int) -> None:
 def pbw_filtration(mod: ModuleP) -> PBWGraded:
     """PBW filtration of a Weyl module mod p from its highest weight line;
     IntegrityError unless it spans the module."""
-    graded = filter_from_seed(mod, mod.hw_vector())
+    graded = filter_from_seed(mod)
     found = graded.cumulative_dims()[-1]
     if found != mod.dim:
         raise IntegrityError(f"PBW filtration of V({mod.lam}) mod {mod.p} "

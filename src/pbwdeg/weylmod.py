@@ -137,16 +137,12 @@ class _WeightBox:
         self.simple_funds = [rs.root_fund(rs.simple_root(i))
                              for i in range(rs.rank)]
 
-    def coords(self, mu: Weight) -> tuple[int, ...] | None:
-        """c for a weight inside the box, else None."""
+    def height(self, mu: Weight) -> int | None:
+        """The sum of c for a weight inside the box, else None."""
         c = self.rs.root_coords_int(_sub(self.lam, mu))
         if c is None or any(x < 0 or x > m for x, m in zip(c, self.cmax)):
             return None
-        return c
-
-    def height(self, mu: Weight) -> int | None:
-        c = self.coords(mu)
-        return None if c is None else sum(c)
+        return sum(c)
 
 
 def _check_gram(rs: RootSystemData) -> None:
@@ -251,6 +247,8 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
 
     factor_op(j, a) gives the a-th divided power on factor j (a = 0 the
     identity) as COO arrays (rows, cols, vals), dims the factor dimensions.
+    Values outside [1, p), the exact entries of a FundFactor, are reduced
+    and those that vanish dropped before they enter a product.
     Delta(X^(k)) is the sum over compositions k_1 + ... + k_m = k of
     X^(k_1) (x) ... (x) X^(k_m); the partial sums over the trailing factors,
     S_j(r) = sum_a X_j^(a) (x) S_{j+1}(r - a), are formed once each.
@@ -275,6 +273,9 @@ def kron_coproduct(factor_op, dims, k: int, p: int):
                 if rest is None or not rest[0].size:
                     continue
                 fr, fc, fv = factor_op(j, a)
+                if fv.size and not 0 < fv.min() <= fv.max() < p:
+                    keep = fv % p != 0
+                    fr, fc, fv = fr[keep], fc[keep], fv[keep] % p
                 if not fr.size:
                     continue
                 rr, rc, rv = rest
@@ -297,14 +298,13 @@ class FundFactor:
     (chevrep.divided_powers): computed once per (rep, kind, beta), up to
     the last nonzero order, and shared by every factor on that rep, over Z
     and over F_p.  apply_vec reads only its X^(1) columns; coo() keeps the
-    int64 form of one order per factor, reduced mod p when the factor has
-    a prime.
+    exact int64 form of one order per factor, which kron_coproduct reduces
+    mod the ambient's prime.
     """
 
-    def __init__(self, rs: RootSystemData, rep: IntegralRep, p: int | None = None):
+    def __init__(self, rs: RootSystemData, rep: IntegralRep):
         self.rs = rs
         self.rep = rep
-        self.p = p
         self.dim = rep.dim
         self.weights = rep.weights
         # the highest weight is the one weight of the greatest height
@@ -326,9 +326,8 @@ class FundFactor:
         return divided_powers(self.rep, self._sc, kind, beta)
 
     def coo(self, kind: str, beta: Root, k: int):
-        """Divided power as int64 COO arrays (rows, cols, vals): the
-        identity at k = 0, else read off the table, with the entries
-        reduced mod p when the factor has a prime."""
+        """Divided power as exact int64 COO arrays (rows, cols, vals):
+        the identity at k = 0, else read off the table."""
         key = (kind, beta, k)
         if key not in self._ops:
             if k == 0:
@@ -336,10 +335,8 @@ class FundFactor:
             else:
                 table = self.powers(kind, beta)
                 cols = table[k - 1] if k <= len(table) else {}
-                p = self.p
-                entries = [(r, c, v % p if p else v)
-                           for c, pairs in cols.items() for r, v in pairs
-                           if not p or v % p]
+                entries = [(r, c, v) for c, pairs in cols.items()
+                           for r, v in pairs]
             self._ops[key] = tuple(np.array(entries, dtype=np.int64)
                                    .reshape(-1, 3).T.copy())
         return self._ops[key]
@@ -524,7 +521,7 @@ class TensorAmbient:
         return cls(rs, [FundFactor(rs, r) for r in reps])
 
     @property
-    def hw_flat(self) -> int:
+    def hw_index(self) -> int:
         """Flat index of the tensor of the factors' highest weight vectors
         (0 in the empty ambient)."""
         return sum(f.hw_index * s for f, s in zip(self.factors, self.strides))
@@ -612,14 +609,13 @@ class TensorAmbient:
 # ---------------------------------------------------------------------------
 # spanning
 
-def _seed_weight(ambient: TensorAmbient, seed: Vec, box: _WeightBox) -> Weight:
-    """The one weight of a span's seed vector, which must lie in the weight
-    box of the module spanned."""
-    found = sorted({ambient.weight_of(f) for f in seed})
-    if len(found) != 1 or box.coords(found[0]) is None:
-        raise IntegrityError(f"seed vector of weights {found} is not in a "
-                             f"single weight of the weight box of {box.lam}")
-    return found[0]
+def _check_top_weight(ambient: TensorAmbient, lam: Weight) -> None:
+    """A span of V(lam) starts at the ambient's highest weight vector,
+    which must have weight lam."""
+    top = ambient.weight_of(ambient.hw_index)
+    if top != lam:
+        raise IntegrityError(f"the ambient's highest weight is {top}, "
+                             f"not {lam}")
 
 
 @dataclass
@@ -636,18 +632,18 @@ class _ZBlock:
         return self.final.rank
 
 
-def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
+def _span(rs: RootSystemData, ambient: TensorAmbient,
           lam: Weight) -> list[_ZBlock]:
-    """Close a seed vector under the divided powers F_i^(k) over Z, one
-    weight block at a time, with an HNF per weight.
+    """Close the ambient's highest weight vector under the divided powers
+    F_i^(k) over Z, one weight block at a time, with an HNF per weight.
 
     Blocks are visited by height, then by descending weight, so every block
     has received all its images when it is finalized.  Returns the blocks
     of nonzero rank in visiting order.
 
-    Each alpha_i-string is followed only as far as the span reaches.  The
-    seed is a highest weight vector, so over Q its span is V(lam), whose
-    weight strings have no gaps.  If mu + alpha_i, ..., mu + r alpha_i are
+    Each alpha_i-string is followed only as far as the span reaches.  Over
+    Q the span of a highest weight vector is V(lam), whose weight strings
+    have no gaps.  If mu + alpha_i, ..., mu + r alpha_i are
     finished blocks of nonzero rank and mu + (r+1) alpha_i is not, the
     string through mu runs q = r + <mu, alpha_i^vee> steps down, and
     F_i^(k) for k > q maps V(lam) to the zero weight space mu - k alpha_i.
@@ -657,14 +653,13 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
     as a ladder, img_k = F_i img_{k-1} / k (one step of apply_vec, then an
     exact division), stopping at its first empty image.
     """
+    _check_top_weight(ambient, lam)
     box = _WeightBox(rs, lam)
-    top = _seed_weight(ambient, seed, box)
-    h0 = box.height(top)
-    levels = {h0: {top: IncrementalHNF(0)}}
-    levels[h0][top].add(seed)
+    levels = {0: {lam: IncrementalHNF()}}
+    levels[0][lam].add({ambient.hw_index: 1})
     blocks, offset, done = [], 0, set()
     simple = [(rs.simple_root(i), a) for i, a in enumerate(box.simple_funds)]
-    for h in range(h0, sum(box.cmax) + 1):
+    for h in range(sum(box.cmax) + 1):
         level = levels.pop(h, {})
         for mu in sorted(level, key=_neg):
             final = level[mu].finalize()
@@ -683,7 +678,7 @@ def _span(rs: RootSystemData, ambient: TensorAmbient, seed: Vec,
                 for k in range(1, r + mu[i] + 1):
                     target = _sub(target, alpha_f)
                     dsts.append(levels.setdefault(h + k, {}).setdefault(
-                        target, IncrementalHNF(0)))
+                        target, IncrementalHNF()))
                 for img in final.rows:
                     for k, dst in enumerate(dsts, 1):
                         img = _exact_quotient(ambient.apply_vec(
@@ -772,17 +767,16 @@ def build_weyl_lattice(rs: RootSystemData, lam) -> WeylLatticeZ:
     if key not in _LATTICE_CACHE:
         ambient = TensorAmbient.over_z(
             rs, [fundamental_rep(rs, i) for i in _fund_list(rs, lam)])
-        _LATTICE_CACHE[key] = _lattice(rs, lam, ambient,
-                                       {ambient.hw_flat: 1})
+        _LATTICE_CACHE[key] = _lattice(rs, lam, ambient)
     return _LATTICE_CACHE[key]
 
 
-def _lattice(rs: RootSystemData, lam: Weight, ambient: TensorAmbient,
-             seed: Vec) -> WeylLatticeZ:
-    """The Z span of seed as a lattice of V(lam); RankMismatch unless it
-    has the Weyl dimension."""
+def _lattice(rs: RootSystemData, lam: Weight,
+             ambient: TensorAmbient) -> WeylLatticeZ:
+    """The Z span of the ambient's highest weight vector as a lattice of
+    V(lam); RankMismatch unless it has the Weyl dimension."""
     expected = weyl_dim(rs, lam)
-    lat = WeylLatticeZ(rs, lam, ambient, _span(rs, ambient, seed, lam))
+    lat = WeylLatticeZ(rs, lam, ambient, _span(rs, ambient, lam))
     ambient._tables.clear()  # the span is built; a cached lattice keeps none
     if lat.dim != expected:
         raise RankMismatch(lam, expected, lat.dim)
@@ -905,16 +899,18 @@ class PBWGraded:
 
     Bases of the V_n are the degree-tagged echelon rows: rows inserted at
     degree <= n form a basis of V_n because the echelon only ever accepts
-    independent rows.  No graded complement is chosen anywhere.
+    independent rows, and the dimensions are counted from those tags.  No
+    graded complement is chosen anywhere.
     """
 
-    def __init__(self, p: int, blocks: dict, dims: list[int]):
+    def __init__(self, p: int, blocks: dict):
         self.p = p
         self._blocks = blocks
-        self._cum = tuple(dims)
-        self.n_top = len(dims) - 1
-        self.graded_dims = (dims[0],) + tuple(
-            b - a for a, b in zip(dims, dims[1:]))
+        counts = np.bincount([d for blk in blocks.values()
+                              for d, _ in blk.tagged])
+        self.n_top = len(counts) - 1
+        self.graded_dims = tuple(counts.tolist())
+        self._cum = tuple(np.cumsum(counts).tolist())
 
     def cumulative_dims(self) -> tuple[int, ...]:
         return self._cum
@@ -951,18 +947,19 @@ class PBWGraded:
         return True
 
 
-def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
-    """Degree-tagged span of the seed under p-power lowering operators.
+def filter_from_seed(space, *, roots=None) -> PBWGraded:
+    """Degree-tagged span of the highest weight vector under p-power
+    lowering operators.
 
-    `space` provides rs, p, layout (the WeightBlocks of its coordinates)
-    and op(kind, beta, k) -> BlockOp.  The seed is lowered by the
-    F_beta^(p^e) for beta in roots, every positive root when None, and
-    p^e counts toward the degree; the result covers the degrees actually
-    processed.  The seed is a highest weight vector (of a module, or the
-    tensor of its factors' ones), so its span is a quotient of the Weyl
-    module of its weight, and each weight is capped at its Freudenthal
-    multiplicity there.  A block at its cap takes no more rows, and the
-    walk stops once every block is at its cap.
+    `space` provides rs, p, layout (the WeightBlocks of its coordinates),
+    hw_index (of a module's highest weight vector, or the tensor of its
+    factors' ones) and op(kind, beta, k) -> BlockOp.  The vector is lowered
+    by the F_beta^(p^e) for beta in roots, every positive root when None,
+    and p^e counts toward the degree.  Its span is a quotient of the Weyl
+    module of its weight lambda, so each weight is capped at its
+    Freudenthal multiplicity there.  A block at its cap takes no more rows,
+    and the walk stops once every block is at its cap, or at the height of
+    w0(lambda) below lambda, the largest degree of a nonzero word.
 
     Each block keeps the images offered to it in the current degree, in
     offer order, and feeds them to its echelon as one batch once they have
@@ -977,36 +974,24 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
     so each weight receives all its rows at one degree, from weights that
     are complete by then; build_weyl_module_p spans V_p(lambda) this way.
     """
-    rs, p, layout = space.rs, space.p, space.layout
-    nz = np.nonzero(np.asarray(seed, dtype=np.int64) % p)[0]
-    if not nz.size:
-        raise IntegrityError(f"seed vanishes mod {p}")
-    seed_blocks = layout.block_of[nz]
-    if np.any(seed_blocks != seed_blocks[0]):
-        raise IntegrityError("seed is not weight homogeneous")
-    seed_wt = layout.keys[seed_blocks[0]]
-
-    caps = freudenthal_multiplicities(rs, seed_wt)
+    rs, p, layout, hw = space.rs, space.p, space.layout, space.hw_index
+    lam = layout.keys[layout.block_of[hw]]
+    caps = freudenthal_multiplicities(rs, lam)
     blocks = {w: _FiltBlock(p, ix, min(caps.get(w, 0), len(ix)))
               for w, ix in layout.flats.items()}
     goal = sum(b.cap for b in blocks.values())
-    box = _WeightBox(rs, seed_wt)
-    bound = max((d for w in blocks if (d := box.height(w)) is not None),
-                default=0)
+    bound = sum(_WeightBox(rs, lam).cmax)
     powers = []
     pe = 1
     while pe <= max(bound, 1):
         powers.append(pe)
         pe *= p
-    max_pe = powers[-1]
 
-    seed_blk = blocks[seed_wt]
-    seed_blk.offer(0, np.asarray(seed, dtype=np.int64)[seed_blk.indices] % p)
+    top = blocks[lam]
+    top.offer(0, (top.indices == hw).astype(np.int64)[None])
     frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
-        0: {seed_wt: [seed_blk.feed(0)[1]]}}
-    dims = [1]
+        0: {lam: [top.feed(0)[1]]}}
     total = 1
-    last_new = 0
 
     ops: dict[tuple, BlockOp] = {}  # fetched when first used
     shifts = [(beta, rs.root_fund(beta)) for beta in
@@ -1014,8 +999,6 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
 
     n = 0
     while n < bound and total < goal:
-        if n >= last_new + max_pe:
-            break  # nothing in reach of any remaining power
         n += 1
         added: dict[Weight, list[np.ndarray]] = {}
         first: dict[Weight, int] = {}  # each block's first offer that added
@@ -1055,13 +1038,7 @@ def filter_from_seed(space, seed: np.ndarray, *, roots=None) -> PBWGraded:
         if added:
             frontier[n] = {w: added[w] for w in sorted(added, key=first.get)}
             total += sum(len(x) for got in added.values() for x in got)
-            last_new = n
-        dims.append(total)
-
-    # drop trailing degrees that added nothing beyond the last growth
-    while len(dims) > last_new + 1 and dims[-1] == dims[-2]:
-        dims.pop()
-    return PBWGraded(p, blocks, dims)
+    return PBWGraded(p, blocks)
 
 
 class _EchelonBlock:
@@ -1330,6 +1307,8 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     ambient), the module is rebuilt as the abstract reduction of the Z
     lattice instead, so the result always has the Weyl dimension; if it
     keeps its rank, the collapse is a defect and raises IntegrityError.
+    Without peeling the span is the image of the lattice mod p, so a rank
+    other than the lattice's rank mod p is a defect too.
     """
     from .chevrep import fundamental_rep
 
@@ -1349,17 +1328,24 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
         rs, [prev_lam, omega[-1]] if peeled else omega))
     if peeled:
         factors = [build_weyl_module_p(rs, p, prev_lam),
-                   FundFactor(rs, fundamental_rep(rs, funds[-1]), p)]
+                   FundFactor(rs, fundamental_rep(rs, funds[-1]))]
     else:
-        factors = [FundFactor(rs, fundamental_rep(rs, i), p) for i in funds]
+        factors = [FundFactor(rs, fundamental_rep(rs, i)) for i in funds]
     ambient = TensorAmbient(rs, factors, p)
     try:
-        mod = _finish_modp(rs, p, lam, ambient, {ambient.hw_flat: 1})
+        mod = _finish_modp(rs, p, lam, ambient)
     except RankMismatch as exc:
         lat = build_weyl_lattice(rs, lam)
         try:
             reduce_mod_p(lat, p)
         except IntegrityError:
+            if not peeled:  # the span is the image of the lattice mod p
+                rank = sum(e.rank for _, e in _lattice_echelons(lat, ambient))
+                if exc.found != rank:
+                    raise IntegrityError(
+                        f"the ambient span mod {p} of V({lam}) for "
+                        f"{rs.name} has rank {exc.found}, but the Z lattice "
+                        f"has rank {rank} mod {p}") from exc
             import logging  # loaded only on the fallback
             logging.getLogger(__name__).info(
                 "ambient span mod %d for %s %s has rank %d, expected %d; "
@@ -1376,16 +1362,14 @@ def build_weyl_module_p(rs: RootSystemData, p: int, lam, *,
     return mod
 
 
-def _finish_modp(rs, p, lam, ambient, seed: Vec) -> WeylModuleP:
-    """The span of seed under the simple p-power lowerings as V_p(lam);
-    RankMismatch unless it has the Weyl dimension.  The blocks of nonzero
-    rank are kept by height, then by descending weight."""
+def _finish_modp(rs, p, lam, ambient) -> WeylModuleP:
+    """The span of the ambient's highest weight vector under the simple
+    p-power lowerings as V_p(lam); RankMismatch unless it has the Weyl
+    dimension.  The blocks of nonzero rank are kept by height, then by
+    descending weight."""
+    _check_top_weight(ambient, lam)
     box = _WeightBox(rs, lam)
-    _seed_weight(ambient, seed, box)
-    dense = np.zeros(ambient.dim, dtype=np.int64)
-    for f, v in seed.items():
-        dense[f] = v % p
-    span = filter_from_seed(ambient, dense, roots=[
+    span = filter_from_seed(ambient, roots=[
         rs.simple_root(i) for i in range(rs.rank)])
     expected, found = weyl_dim(rs, lam), span.cumulative_dims()[-1]
     if found != expected:
@@ -1396,25 +1380,31 @@ def _finish_modp(rs, p, lam, ambient, seed: Vec) -> WeylModuleP:
         for w in sorted(echs, key=lambda w: (box.height(w), _neg(w)))])
 
 
-def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
-    """Reduction of the Z lattice: a second, independent route to V_p, in
-    the lattice's order of weight blocks.  IntegrityError where a weight
-    space loses rank mod p."""
-    rs = lat.rs
-    ambient = TensorAmbient(rs, [FundFactor(rs, f.rep, p)
-                                 for f in lat.ambient.factors], p)
-    blocks = []
+def _lattice_echelons(lat: WeylLatticeZ, ambient: TensorAmbient):
+    """Per weight block of the lattice, the block and the echelon of its
+    rows mod p, in an ambient over F_p with the lattice's coordinates."""
+    p = ambient.p
     for zb in lat.blocks:
         flats = ambient.layout.flats[zb.weight].tolist()
         ech = DenseEchelonModP(p, len(flats))
         ech.add_rows(np.array([[row.get(f, 0) % p for f in flats]
                                for row in zb.final.rows], dtype=np.int64))
+        yield zb, ech
+
+
+def reduce_mod_p(lat: WeylLatticeZ, p: int) -> WeylModuleP:
+    """Reduction of the Z lattice: a second, independent route to V_p, in
+    the lattice's order of weight blocks.  IntegrityError where a weight
+    space loses rank mod p."""
+    ambient = TensorAmbient(lat.rs, lat.ambient.factors, p)
+    blocks = []
+    for zb, ech in _lattice_echelons(lat, ambient):
         if ech.rank != zb.rank:
             raise IntegrityError(
                 f"weight space {zb.weight} of the Z lattice has rank "
                 f"{zb.rank} but {ech.rank} mod {p}")
         blocks.append(_EchelonBlock(zb.weight, ech))
-    return WeylModuleP(rs, p, lat.lam, ambient, blocks)
+    return WeylModuleP(lat.rs, p, lat.lam, ambient, blocks)
 
 
 class LatticeModuleP(ModuleP):
@@ -1451,10 +1441,10 @@ class LatticeModuleP(ModuleP):
 def bootstrap_cartan_component(rs: RootSystemData, wedge: IntegralRep,
                                k: int) -> IntegralRep:
     """Fundamental representation omega_k of type C as the Z span of
-    e_1 ^ ... ^ e_k, the first basis vector of wedge = Lambda^k of the
+    e_1 ^ ... ^ e_k, the highest weight vector of wedge = Lambda^k of the
     vector representation (Fulton-Harris, Representation Theory, 17.2)."""
     lam = tuple(1 if i == k - 1 else 0 for i in range(rs.rank))
-    lat = _lattice(rs, lam, TensorAmbient.over_z(rs, [wedge]), {0: 1})
+    lat = _lattice(rs, lam, TensorAmbient.over_z(rs, [wedge]))
     lowering, raising = (tuple(
         tuple(map(tuple, lat.op_int(kind, rs.simple_root(i), 1).to_dense()))
         for i in range(rs.rank)) for kind in ("F", "E"))

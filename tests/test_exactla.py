@@ -27,13 +27,12 @@ from pbwdeg.exactla import (
 from pbwdeg.pbwgrade import _is_prime
 
 
-def dense_rows(basis: LatticeBasis) -> list[list[int]]:
-    return [[row.get(c, 0) for c in range(basis.ambient_dim)]
-            for row in basis.rows]
+def dense_rows(basis: LatticeBasis, width: int) -> list[list[int]]:
+    return [[row.get(c, 0) for c in range(width)] for row in basis.rows]
 
 
-def hnf_lattice_basis(gens, ambient_dim: int) -> LatticeBasis:
-    h = IncrementalHNF(ambient_dim)
+def hnf_lattice_basis(gens) -> LatticeBasis:
+    h = IncrementalHNF()
     for g in gens:
         h.add(g)
     return h.finalize()
@@ -58,13 +57,13 @@ def echelon(rows, p: int, width: int) -> DenseEchelonModP:
     ([], 2, []),
 ])
 def test_hnf_frozen(gens, dim, expected):
-    basis = hnf_lattice_basis(gens, dim)
-    assert dense_rows(basis) == expected
+    basis = hnf_lattice_basis(gens)
+    assert dense_rows(basis, dim) == expected
     assert basis.rank == len(expected)
 
 
 def test_hnf_solve_frozen():
-    basis = hnf_lattice_basis([(1, 1), (0, 2)], 2)
+    basis = hnf_lattice_basis([(1, 1), (0, 2)])
     assert basis.solve({0: 3, 1: 5}) == [3, 1]
     assert basis.solve({0: 1}) is None          # (1,0) not in the lattice
     assert basis.solve({}) == [0, 0]
@@ -72,7 +71,7 @@ def test_hnf_solve_frozen():
 
 
 def test_hnf_incremental_change_reporting():
-    h = IncrementalHNF(2)
+    h = IncrementalHNF()
     assert h.add({0: 2}) is True
     assert h.add({0: 4}) is False       # already inside
     assert h.add({0: 1}) is True        # refines the pivot, same rank
@@ -84,16 +83,16 @@ def test_hnf_incremental_change_reporting():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=1, max_size=5))
 def test_hnf_properties(rows):
-    basis = hnf_lattice_basis(rows, 3)
+    basis = hnf_lattice_basis(rows)
     # every generator lies in the lattice, with integer coordinates
     for r in rows:
         vec = {i: x for i, x in enumerate(r) if x}
         assert basis.solve(vec) is not None
     # canonical: independent of generator order and duplication
-    basis2 = hnf_lattice_basis(list(reversed(rows)) + rows, 3)
-    assert dense_rows(basis) == dense_rows(basis2)
+    basis2 = hnf_lattice_basis(list(reversed(rows)) + rows)
+    assert dense_rows(basis, 3) == dense_rows(basis2, 3)
     # pivots positive, entries above pivots reduced
-    d = dense_rows(basis)
+    d = dense_rows(basis, 3)
     pivots = [next(i for i, x in enumerate(row) if x) for row in d]
     assert pivots == sorted(pivots)
     for k, row in enumerate(d):

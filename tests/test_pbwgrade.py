@@ -15,6 +15,7 @@ import pytest
 
 from pbwdeg import __version__, cli, pbwgrade
 from pbwdeg.chevrep import chevalley_constants
+from pbwdeg.degenring import cartan_component_map
 from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.rootsys import IntegrityError, build_root_system, splitting_weight
 from pbwdeg.pbwgrade import (DEFAULT_SIZE_CEILING, F0Report, PBWGraded,
@@ -108,15 +109,41 @@ def _basis_upto(g, n, dim):
     return out
 
 
-def test_filtration_basis_counts_and_seed():
-    mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
-    g = pbw_filtration(mod)
+def _filtration(name, lams, p):
+    """The graded span of one weight's PBW filtration, or of the image of
+    a component map of a pair, with the index it starts at and the
+    dimension of its space."""
+    rs = build_root_system(name)
+    if len(lams) == 2:
+        cm = cartan_component_map(rs, chevalley_constants(rs), *lams, p)
+        return cm.image, cm.space.hw_index, cm.space.dim
+    mod = build_weyl_module_p(rs, p, lams[0])
+    return pbw_filtration(mod), mod.hw_index, mod.dim
+
+
+@pytest.mark.parametrize("name,lams,p", [
+    pytest.param("A2", [(1, 1)], 2, id="A2-p2"),
+    pytest.param("B2", [(1, 1)], 2, id="B2-p2"),
+    pytest.param("G2", [(1, 1)], 2, id="G2-p2"),
+    pytest.param("A2", [(1, 1)], 3, id="A2-p3"),
+    pytest.param("A2", [(1, 0), (0, 1)], 2, id="A2-image-p2"),
+    pytest.param("B3", [(0, 1, 0)], 2, id="B3-fallback-p2")])
+def test_filtration_basis_counts_and_seed(name, lams, p):
+    """The dims of a PBWGraded are counted from the degree tags of its
+    rows, so the tags must carry them: cumulative_dims()[n] is the number
+    of rows tagged <= n, which span V_n, n_top is the largest tag, and the
+    one row of degree 0 is the unit vector at the index the walk starts
+    from."""
+    g, hw, dim = _filtration(name, lams, p)
+    tags = np.concatenate([degs for _, _, degs, _ in g.tagged_blocks()])
+    assert g.n_top == tags.max()
     cum = g.cumulative_dims()
-    b0 = _basis_upto(g, 0, mod.dim)
-    assert b0.shape == (1, mod.dim)
-    assert b0[0, mod.hw_index] == 1 and b0.sum() == 1
+    assert len(cum) == g.n_top + 1
     for n in range(g.n_top + 1):
-        assert _basis_upto(g, n, mod.dim).shape[0] == cum[n]
+        assert cum[n] == (tags <= n).sum() == _basis_upto(g, n, dim).shape[0]
+    b0 = _basis_upto(g, 0, dim)
+    assert b0.shape == (1, dim)
+    assert b0[0, hw] == 1 and b0.sum() == 1
 
 
 def test_lowering_respects_filtration_degrees():
@@ -292,26 +319,21 @@ def test_faulted_ppower_breaks_filtration_completeness(fresh_modules):
 
 
 def test_filtration_checks_survive_python_O():
-    """Seed and completeness checks of the filtration, and the module
+    """The completeness check of the filtration, and the module
     precondition of check_f0, hold with asserts stripped."""
     code = "\n".join([
         "from pbwdeg.chevrep import chevalley_constants",
-        "from pbwdeg.pbwgrade import check_f0, filter_from_seed, "
-        "pbw_filtration",
+        "from pbwdeg.pbwgrade import check_f0, pbw_filtration",
         "from pbwdeg.rootsys import IntegrityError, build_root_system",
         "from pbwdeg import weylmod",
         "from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p",
         "rs = build_root_system('A2')",
         "mod = build_weyl_module_p(rs, 2, (1, 1))",
-        "mixed = mod.hw_vector()",
-        "mixed[mod.weights.index((-1, 2))] = 1",
         "def attempt(f, *args, error=IntegrityError):",
         "    try:",
         "        f(*args)",
         "    except error:",
         "        print('raised')",
-        "attempt(filter_from_seed, mod, 2 * mod.hw_vector())",
-        "attempt(filter_from_seed, mod, mixed)",
         "attempt(check_f0, rs, chevalley_constants(build_root_system('B2')),",
         "        2, error=ValueError)",
         "attempt(lambda: check_f0(rs, chevalley_constants(rs), 2,",
@@ -325,7 +347,7 @@ def test_filtration_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 5
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 @pytest.mark.parametrize("name,p", [("A1", 2), ("A1", 3), ("A2", 2),

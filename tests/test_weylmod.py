@@ -29,7 +29,6 @@ from pbwdeg.rootsys import (IntegrityError, build_root_system,
 from faults import inject_fault, shrink_weight_space
 from pbwdeg.weylmod import (
     FundFactor,
-    RankMismatch,
     TensorAmbient,
     WeightBlocks,
     WeylModuleP,
@@ -408,7 +407,7 @@ LADDER_CHECK = "\n".join([
     "(shift, v), = cols[2]",
     "cols[2] = ((shift, v + 1),)",
     "for f, *args in ((amb.apply_vec, 'F', beta, 2, {1: 1}),",
-    "                 (weylmod._lattice, rs, (1, 0), amb, {0: 1})):",
+    "                 (weylmod._lattice, rs, (1, 0), amb)):",
     "    try:",
     "        f(*args)",
     "    except IntegrityError as exc:",
@@ -439,7 +438,7 @@ def test_ambient_operators_refuse_the_other_ring():
     rs = RS["A2"]
     rep = fundamental_rep(rs, 1)
     with pytest.raises(ValueError, match="over Z"):
-        TensorAmbient(rs, [FundFactor(rs, rep, 2)], 2).apply_vec(
+        TensorAmbient(rs, [FundFactor(rs, rep)], 2).apply_vec(
             "F", (1, 0), 1, {0: 1})
     with pytest.raises(ValueError, match="over F_p"):
         TensorAmbient.over_z(rs, [rep]).block_op_matrix("F", (1, 0), 1,
@@ -779,6 +778,42 @@ def test_defective_factor_is_not_hidden_by_the_fallback(flags):
     assert proc.stdout.split() == ["raised"]
 
 
+IMAGE_RANK = "\n".join([
+    "from pbwdeg import weylmod",
+    "from pbwdeg.rootsys import IntegrityError, build_root_system",
+    "mod = weylmod.build_weyl_module_p(build_root_system('D4'), 2,",
+    "                                  (0, 1, 0, 0))",
+    "print(type(mod).__name__)",
+    "finish = weylmod._finish_modp",
+    "def one_short(*args):",
+    "    try:",
+    "        return finish(*args)",
+    "    except weylmod.RankMismatch as exc:",
+    "        raise weylmod.RankMismatch(exc.lam, exc.expected, exc.found - 1)",
+    "weylmod._finish_modp = one_short",
+    "try:",
+    "    weylmod.build_weyl_module_p(build_root_system('B3'), 2, (0, 1, 0))",
+    "except IntegrityError as exc:",
+    "    print(exc)",
+])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_fallback_span_has_the_lattice_rank_mod_p(flags):
+    """Without peeling, a span that collapses is the image of the Z lattice
+    mod p, so its rank is the lattice's rank mod p: 27 for D4 omega_2 and
+    20 for B3 omega_2 at p = 2, and both fall back.  With the span of B3
+    omega_2 reported one short, the build raises IntegrityError instead of
+    falling back, with asserts on or stripped."""
+    proc = subprocess.run([sys.executable, *flags, "-c", IMAGE_RANK],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "LatticeModuleP",
+        "the ambient span mod 2 of V((0, 1, 0)) for B3 has rank 19, but "
+        "the Z lattice has rank 20 mod 2"]
+
+
 @pytest.mark.parametrize("kind", ["E", "F"])
 def test_lattice_fallback_general_k_is_op_int_mod_p(kind):
     """LatticeModuleP assembles a non-p-power k from its p-power factors by
@@ -891,16 +926,6 @@ def test_modp_determinism(fresh_modules):
                               b.op("F", beta, 1).toarray())
 
 
-def test_rank_mismatch_on_bad_seed():
-    """Spanning from a vector that is not a highest weight vector of the
-    claimed weight cannot reach the full Weyl module."""
-    rs = RS["A1"]
-    vec = FundFactor(rs, fundamental_rep(rs, 1), 3)
-    with pytest.raises(RankMismatch):
-        weylmod._finish_modp(rs, 3, (2,), TensorAmbient(rs, [vec, vec], 3),
-                             {2: 1})
-
-
 SEED_CHECKS = "\n".join([
     "import dataclasses",
     "from pbwdeg import weylmod",
@@ -913,12 +938,11 @@ SEED_CHECKS = "\n".join([
     "        print('raised')",
     "rs = build_root_system('A1')",
     "rep = fundamental_rep(rs, 1)",
-    "vec = weylmod.FundFactor(rs, rep, 3)",
+    "vec = weylmod.FundFactor(rs, rep)",
     "amb = weylmod.TensorAmbient(rs, [vec, vec], 3)",
-    "attempt(weylmod._finish_modp, rs, 3, (2,), amb, {0: 1, 3: 1})",
-    "attempt(weylmod._finish_modp, rs, 3, (0,), amb, {0: 1})",
-    "attempt(weylmod._lattice, rs, (2,),",
-    "        weylmod.TensorAmbient.over_z(rs, [rep, rep]), {0: 1, 3: 1})",
+    "attempt(weylmod._finish_modp, rs, 3, (0,), amb)",
+    "attempt(weylmod._lattice, rs, (0,),",
+    "        weylmod.TensorAmbient.over_z(rs, [rep, rep]))",
     "twin = dataclasses.replace(rep, weights=(rep.weights[0],) * 2)",
     "attempt(weylmod.FundFactor, rs, twin)",
 ])
@@ -926,15 +950,14 @@ SEED_CHECKS = "\n".join([
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_span_seed_checks_survive_python_O(flags):
-    """The span refuses a seed over two weights (a KeyError under -O
-    before the checks were explicit) and a seed outside the weight box,
-    over F_p and over Z; a representation whose top weight is not unique
-    has no highest weight index.  Each raises IntegrityError, with asserts
-    on or stripped."""
+    """The span refuses an ambient whose highest weight is not the weight
+    spanned, over F_p and over Z; a representation whose top weight is not
+    unique has no highest weight index.  Each raises IntegrityError, with
+    asserts on or stripped."""
     proc = subprocess.run([sys.executable, *flags, "-c", SEED_CHECKS],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 def test_validate_relations_clean():
