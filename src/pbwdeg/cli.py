@@ -10,9 +10,10 @@ Cached modules live under <cache-dir>/<key>/ where the key hashes the
 tool version, Cartan type, weight and prime; payload files are the
 per-index weights and one triplet text file per lowering operator
 F_beta^(p^e), and the sha256 map in entry.json is the manifest of them.
-Writes are atomic (temp directory, then rename) so concurrent sweep jobs
-can share a cache directory safely; an entry whose manifest or checksums
-do not match is a miss and is replaced.
+Key and manifest are SHA-256 from the interpreter's built-in module, not
+hashlib, which maps OpenSSL.  Writes are atomic (temp directory, then
+rename) so concurrent sweep jobs can share a cache directory safely; an
+entry whose manifest or checksums do not match is a miss and is replaced.
 """
 
 from __future__ import annotations
@@ -70,10 +71,22 @@ def _diag(msg: str) -> None:
 # disk cache
 
 
+def _sha256(data: bytes) -> str:
+    """Hex SHA-256 of data from the built-in module; hashlib maps OpenSSL
+    (3.6 MB resident), so it serves only an interpreter built without one."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def cache_key(cartan: str, weight, p: int) -> str:
-    import hashlib  # loads OpenSSL: only a run with a cache dir needs it
     raw = f"{__version__}|{cartan}|{','.join(map(str, weight))}|{p}"
-    return hashlib.sha256(raw.encode()).hexdigest()
+    return _sha256(raw.encode())
 
 
 class CachedModule(ModuleP):
@@ -126,7 +139,8 @@ def save_module(mod, cache_dir) -> str:
                 tmp / fname, (mod.dim, mod.dim), mod.p,
                 *mod.op("F", mod.rs.positive_roots[idx], pe).coo())
         (tmp / "weights.txt").write_text(_lines(mod.weights, " "))
-        sha256 = {f.name: _sha256(f) for f in sorted(tmp.iterdir())}
+        sha256 = {f.name: _sha256(f.read_bytes())
+                  for f in sorted(tmp.iterdir())}
         (tmp / "entry.json").write_text(json.dumps({
             "format_version": CACHE_FORMAT_VERSION,
             "key": key,
@@ -146,15 +160,12 @@ def save_module(mod, cache_dir) -> str:
     return key
 
 
-def _sha256(path: Path) -> str:
-    import hashlib
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _checked(path: Path, sha256: dict) -> Path:
-    if _sha256(path) != sha256[path.name]:
+def _checked(path: Path, sha256: dict) -> str:
+    """The file's text, decoded from the bytes whose checksum matched."""
+    data = path.read_bytes()
+    if _sha256(data) != sha256[path.name]:
         raise ValueError(f"{path.name} fails its checksum")
-    return path
+    return data.decode()
 
 
 def load_module(rs: RootSystemData, lam, p: int, cache_dir):
@@ -182,7 +193,7 @@ def _read_entry(rs: RootSystemData, lam, p: int, key: str,
         raise ValueError("stale cache entry")
     sums = meta["sha256"]
     weights = [tuple(int(x) for x in line.split()) for line in
-               _checked(path / "weights.txt", sums).read_text().splitlines()]
+               _checked(path / "weights.txt", sums).splitlines()]
     mod = CachedModule(rs, p, lam, weights, {})
     ops = _stored_ops(mod)
     # a missing operator would read as zero, so the manifest must be exact

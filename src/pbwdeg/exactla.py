@@ -81,18 +81,18 @@ def write_triplet_text(path, shape, p: int, rows, cols, vals) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_triplet_text(path):
-    """((nrows, ncols), p, rows, cols, vals), the entries as int64 arrays;
-    ValueError on a malformed line or an entry outside the matrix."""
-    header, *body = Path(path).read_text().splitlines()
+def read_triplet_text(text: str):
+    """((nrows, ncols), p, rows, cols, vals) of the triplet text, the
+    entries as int64 arrays; ValueError on a malformed line or an entry
+    outside the matrix."""
+    header, *body = text.splitlines()
     nr, nc, p = (int(x) for x in header.split())
     rows, cols, vals = np.array(
         [(r, c, v) for r, c, v in (line.split() for line in body
                                    if line.strip())],
         dtype=np.int64).reshape(-1, 3).T
     if np.any((rows < 0) | (rows >= nr) | (cols < 0) | (cols >= nc)):
-        raise ValueError(f"{path} lists an entry outside its {nr} x {nc} "
-                         "matrix")
+        raise ValueError(f"an entry lies outside its {nr} x {nc} matrix")
     return (nr, nc), p, rows, cols, vals
 
 

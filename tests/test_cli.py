@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,7 +530,8 @@ def test_cache_round_trip_operator_identity(tmp_path):
         loaded.op("E", rs.positive_roots[0], 1)
 
 
-# sha256 of every file of a cold cache entry, as cache format 3 writes it
+# sha256 of every file of a cold cache entry, as cache format 3 writes it;
+# C2 p=2 holds the bytes of the type C Z-span bootstrap
 CACHE_ENTRY_SHA256 = {
     ("G2", 2): {
         "entry.json":
@@ -597,6 +599,36 @@ CACHE_ENTRY_SHA256 = {
         "weights.txt":
             "711edb72c8c2e567918f444d079ef25e14022007f661bf7a3790005bf81e9645",
     },
+    ("C2", 2): {
+        "entry.json":
+            "fc03483d9f124d6e40368433dc383d46bb54708b334101fd68a6aa19b7eb8485",
+        "op_F_r0_k1.txt":
+            "3b608e4c590bf45a6f3087dc31052bdff44fc31374edeb7416b46b265d82e8d9",
+        "op_F_r0_k2.txt":
+            "2cadb6f103a97c3cf3b592879aaa5e871053c9810b02fc2dbe4675177ce7c4f8",
+        "op_F_r0_k4.txt":
+            "d005fee53d60a28b859afdf0c53a6612490a3c90a5b2ce7d8647de5a9adcdee1",
+        "op_F_r1_k1.txt":
+            "8a7d621a15ea379970a6b33478636fe7f40e5e0bdf064a4174810932ac97c4aa",
+        "op_F_r1_k2.txt":
+            "4dc5723a80c1217a612c34e7c93e8c39dfbab1ed8bd9a1f00e10c7ef432a0479",
+        "op_F_r1_k4.txt":
+            "a04b49e697c262941d7606126a67587a5348704018ed67bd494d9da91e4bf647",
+        "op_F_r2_k1.txt":
+            "9b4f01add3128daacb279233e7c037073b504d6f7cc7685ac998691e60bbf758",
+        "op_F_r2_k2.txt":
+            "8545e9fb8b698b03d3d96b19ea40e441f0a6886e550f2a5ef0620c229b410a93",
+        "op_F_r2_k4.txt":
+            "632e9abe9b58f2f60f785414f8743b0f96d6398fab862bdcb6e0c13b707a7a08",
+        "op_F_r3_k1.txt":
+            "35a590c9048bc6f82bd53a972c31aa302c7c3efb336777df9f4326e66e2cbd9f",
+        "op_F_r3_k2.txt":
+            "d64025210b2d4d7be973a98c379de8f4c6c2f89e54dd3949a80d335edd912a7a",
+        "op_F_r3_k4.txt":
+            "d0cecf8f2e4c2596fba682686253f0dfe685fed5d05cbf7d85dadaaf73bad1b6",
+        "weights.txt":
+            "4600145f3ac996fe5efb22d1772a4a0196b1b0367a0f0a3cc7ca360cc3c0b675",
+    },
 }
 
 @pytest.mark.parametrize("name,p", sorted(CACHE_ENTRY_SHA256))
@@ -615,6 +647,68 @@ def test_cache_entry_bytes_pinned(tmp_path, name, p):
     for idx, pe, _ in _stored_ops(fresh):
         beta = rs.positive_roots[idx]
         assert loaded.op("F", beta, pe) == fresh.op("F", beta, pe)
+
+
+def test_builtin_sha256_matches_hashlib(tmp_path):
+    """The cache's own SHA-256 gives hashlib's digest for the key inputs
+    and for every file of an entry."""
+    for cartan, weight, p in (("A2", (2, 2), 2), ("G2", (2, 2), 2),
+                              ("C2", (3, 3), 3)):
+        raw = f"{cli_module.__version__}|{cartan}|" \
+              f"{','.join(map(str, weight))}|{p}".encode()
+        assert cache_key(cartan, weight, p) == cli_module._sha256(raw) == \
+            hashlib.sha256(raw).hexdigest()
+    rs = build_root_system("A2")
+    entry = tmp_path / save_module(
+        build_weyl_module_p(rs, 2, splitting_weight(rs, 2)), tmp_path)
+    files = sorted(entry.iterdir())
+    assert len(files) > 2
+    for f in files:
+        data = f.read_bytes()
+        assert cli_module._sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_cache_without_builtin_sha256_falls_back_to_hashlib(tmp_path):
+    """An interpreter without the built-in SHA-256 modules hashes through
+    hashlib and writes the same bytes, file by file."""
+    code = "\n".join([
+        "import sys",
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None",
+        "from pbwdeg.cli import save_module",
+        "from pbwdeg.rootsys import build_root_system, splitting_weight",
+        "from pbwdeg.weylmod import build_weyl_module_p",
+        "rs = build_root_system('G2')",
+        "mod = build_weyl_module_p(rs, 2, splitting_weight(rs, 2))",
+        f"print(save_module(mod, {str(tmp_path)!r}))",
+        "print('hashlib' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    key, loaded_hashlib = proc.stdout.split()
+    assert loaded_hashlib == "True"
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted((tmp_path / key).iterdir())}
+    assert got == CACHE_ENTRY_SHA256["G2", 2]
+
+
+def test_load_module_reads_each_entry_file_once(tmp_path, monkeypatch):
+    """The bytes a read checks are the bytes it parses: one read per file
+    of the entry, none of them twice."""
+    rs = build_root_system("A2")
+    entry = tmp_path / save_module(build_weyl_module_p(rs, 3, (4, 4)),
+                                   tmp_path)
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        real = getattr(Path, name)
+
+        def counting(self, *args, _real=real, **kwargs):
+            reads.append(self.name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counting)
+    assert load_module(rs, (4, 4), 3, tmp_path) is not None
+    assert sorted(reads) == sorted(f.name for f in entry.iterdir())
 
 
 def test_cache_version_mismatch_forces_recompute(tmp_path, capsys):

@@ -151,7 +151,7 @@ def test_triplet_roundtrip_prime(tmp_path):
     entries = {(0, 0): 3, (1, 1): 4}
     path = tmp_path / "m.txt"
     write_triplet_text(path, (2, 2), 5, *_coo(entries))
-    shape, p, rows, cols, vals = read_triplet_text(path)
+    shape, p, rows, cols, vals = read_triplet_text(path.read_text())
     assert all(x.dtype == np.int64 for x in (rows, cols, vals))
     assert (shape, p) == ((2, 2), 5)
     assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == \
@@ -170,14 +170,12 @@ def test_triplet_deterministic_bytes(tmp_path):
 
 @pytest.mark.parametrize("body", ["0 1\n1 0\n0 0\n", "0 1 3 4\n",
                                   "0 2 1\n", "-1 0 1\n", "0 x 1\n"])
-def test_triplet_reader_refuses_malformed_entries(tmp_path, body):
+def test_triplet_reader_refuses_malformed_entries(body):
     """A line without exactly three integers, or an entry outside the
     header's shape (a negative index would wrap around in numpy), is a
     ValueError, which the cache reader treats as a miss."""
-    path = tmp_path / "m.txt"
-    path.write_text("2 2 5\n" + body)
     with pytest.raises(ValueError):
-        read_triplet_text(path)
+        read_triplet_text("2 2 5\n" + body)
 
 
 # -- the exact mod-p product and the batched echelon -------------------------

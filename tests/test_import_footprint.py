@@ -4,15 +4,19 @@ Every pbwdeg call is a fresh process, so what the package imports at the
 top is paid by every run.  `hashlib` loads OpenSSL's libcrypto (about
 3.6 MB of resident memory after numpy); `logging`, `argparse` and
 `fractions` with `decimal` add well under a megabyte each.  Only the
-cache hashes, only the command line parses arguments, and only the
-lattice fallback and a failed invariance check log, so none of them may
-load at import.  Each check runs in a fresh interpreter, because this
-test process has loaded all of them already.
+command line parses arguments, and only the lattice fallback and a failed
+invariance check log, so none of them may load at import.  The cache
+hashes with the interpreter's built-in SHA-256 (about 28 KB), so a cached
+run never loads `hashlib` at all.  Each check runs in a fresh
+interpreter, because this test process has loaded all of them already.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+
+import pytest
 
 LAZY = ("hashlib", "_hashlib", "logging", "argparse", "fractions", "decimal")
 
@@ -41,8 +45,16 @@ def test_check_f0_without_a_cache_hashes_nothing():
     assert _loaded(code, ("hashlib", "pbwdeg.degenring")) == []
 
 
-def test_check_f0_with_a_cache_loads_hashlib(tmp_path):
-    code = ("import pbwdeg.cli as cli\n"
-            "assert cli.main(['check-f0', '--cartan', 'A2', '--p', '3', "
-            f"'--cache-dir', {str(tmp_path)!r}]) == 0")
-    assert _loaded(code, ("hashlib", "pbwdeg.degenring")) == ["hashlib"]
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2" if sys.version_info >= (3, 12)
+                             else "_sha256") is None,
+    reason="this interpreter has no built-in SHA-256, the cache uses "
+           "hashlib")
+def test_check_f0_with_a_cache_hashes_without_hashlib(tmp_path):
+    """A cold run writes the entry and a warm run reads it; neither loads
+    hashlib or OpenSSL."""
+    run = ("assert cli.main(['check-f0', '--cartan', 'A2', '--p', '3', "
+           f"'--cache-dir', {str(tmp_path)!r}]) == 0\n")
+    code = "import pbwdeg.cli as cli\n" + run + run
+    assert _loaded(code, ("hashlib", "_hashlib", "pbwdeg.degenring")) == []
+    assert len(list(tmp_path.iterdir())) == 1
