@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over Z and over prime fields.
 
 Z-side lattices use Hermite normal form with arbitrary-precision ints;
-mod-p work is done natively over F_p (int rows, explicit modular inverse),
-never by reducing a rational computation.  Dense mod-p products go through
-matmul_mod: small ones in int64, large ones in float64 BLAS while every
-partial sum is exact there.
+mod-p work is done natively over F_p (int64 rows, explicit modular
+inverse; over F_2 int bitset rows eliminated by XOR), never by reducing a
+rational computation.  Dense mod-p products go through matmul_mod: small
+ones in int64, large ones in float64 BLAS while every partial sum is exact
+there.
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
 for matrices mod p is one header line ``nrows ncols p`` followed by
@@ -240,21 +241,48 @@ def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), -1, p)
 
 
+def _pack_bits(mat: np.ndarray) -> list[int]:
+    """The rows of an integer matrix mod 2 as ints, bit j for column j."""
+    packed = np.packbits(np.asarray(mat, dtype=np.int64) & 1, axis=1,
+                         bitorder="little")
+    data, nb = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k * nb:k * nb + nb], "little")
+            for k in range(len(packed))]
+
+
+def _unpack_bits(rows: list[int], width: int) -> np.ndarray:
+    """The int64 matrix whose rows have the bits of rows."""
+    nb = (width + 7) // 8
+    data = b"".join(x.to_bytes(nb, "little") for x in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nb)
+    return np.unpackbits(packed, axis=1, count=width,
+                         bitorder="little").astype(np.int64)
+
+
 class DenseEchelonModP:
-    """Reduced row echelon form over F_p on int64 numpy rows, grown a batch
-    at a time.
+    """Reduced row echelon form over F_p, grown a batch at a time.
 
     Between calls the stored rows are the unique RREF of their span (unit
     pivots, zeros above and below), so the residue of a vector is canonical.
-    Within a call the back-substitution is put off until the batch is
-    eliminated, and reaches the old rows as one product (the delayed
-    reduction of FFLAS-FFPACK).
+    For p > 2 the rows are int64 numpy rows; within a call the
+    back-substitution is put off until the batch is eliminated, and reaches
+    the old rows as one product (the delayed reduction of FFLAS-FFPACK).
+    Over F_2 each row is an int bitset, bit j for column j, kept by pivot
+    column: a vector is cleared by XOR with the rows at its set pivot bits,
+    and an accepted row is XORed at once into every row that holds its
+    pivot bit (the word-wide elimination of M4RI).  Rows cross to and from
+    int64 arrays only where they enter or leave the class.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self._rows = np.zeros((8, width), dtype=np.int64)
+        if p == 2:
+            #: over F_2, pivot column -> row bits, in the order taken
+            self._bits: dict[int, int] = {}
+            self._mask = 0  # the pivot bits
+        else:
+            self._rows = np.zeros((8, width), dtype=np.int64)
         self._n = 0
         #: pivot column of each stored row, in the order they were taken
         self.pivot_cols = np.zeros(0, dtype=np.intp)
@@ -264,7 +292,48 @@ class DenseEchelonModP:
         return self._n
 
     def basis_matrix(self) -> np.ndarray:
+        if self.p == 2:
+            return _unpack_bits(list(self._bits.values()), self.width)
         return self._rows[:self._n]
+
+    def _clear(self, x: int) -> int:
+        """The residue of a row over F_2: the stored rows are zero at each
+        other's pivots, so each set pivot bit of x is cleared by one XOR."""
+        bits = self._bits
+        m = x & self._mask
+        while m:
+            low = m & -m
+            x ^= bits[low.bit_length() - 1]
+            m ^= low
+        return x
+
+    def _add_bits(self, mat: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """add_rows over F_2: each row is cleared by the rows stored so far,
+        this batch's included, and a row that is left is stored at once."""
+        bits = self._bits
+        taken: list[int] = []
+        cols: list[int] = []
+        stored: list[int] = []
+        for i, x in enumerate(_pack_bits(mat)):
+            if self._n == self.width:
+                break
+            x = self._clear(x)
+            if not x:
+                continue
+            low = x & -x
+            for k, row in bits.items():
+                if row & low:
+                    bits[k] = row ^ x
+            c = low.bit_length() - 1
+            bits[c] = x
+            self._mask |= low
+            self._n += 1
+            taken.append(i)
+            cols.append(c)
+            stored.append(x)
+        if taken:
+            self.pivot_cols = np.concatenate([self.pivot_cols, cols])
+        return taken, _unpack_bits(stored, self.width)
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         """Subtract the components along every pivot row, not just the leading
@@ -283,12 +352,15 @@ class DenseEchelonModP:
         acceptance (reduced, unit pivot), exactly as add_row would store them
         one at a time.
 
-        The whole batch is reduced against the stored rows by one product;
-        each accepted row then clears its pivot column from the rows after
-        it, which is what reducing them against it would do.  _store does
-        the back-substitution the one-at-a-time feed would have done on
-        every acceptance, once per call.
+        For p > 2 the whole batch is reduced against the stored rows by one
+        product; each accepted row then clears its pivot column from the
+        rows after it, which is what reducing them against it would do.
+        _store does the back-substitution the one-at-a-time feed would have
+        done on every acceptance, once per call.  Over F_2, _add_bits feeds
+        the rows one at a time.
         """
+        if self.p == 2:
+            return self._add_bits(np.atleast_2d(mat))
         res = self._reduce(np.atleast_2d(mat))
         p = self.p
         taken: list[int] = []
@@ -346,10 +418,15 @@ class DenseEchelonModP:
         return bool(self.add_rows(vec)[0])
 
     def residue(self, vec: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            vec = np.asarray(vec)
+            rows = _pack_bits(np.atleast_2d(vec))
+            return _unpack_bits([self._clear(x) for x in rows],
+                                self.width).reshape(vec.shape)
         return self._reduce(vec)
 
     def contains(self, vec: np.ndarray) -> bool:
-        return not np.any(self._reduce(vec))
+        return not np.any(self.residue(vec))
 
 
 def subspace_intersection_mod_p(u_basis, w_basis, p: int) -> list[list[int]]:

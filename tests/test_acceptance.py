@@ -155,9 +155,17 @@ def test_graded_dimensions_sum_to_module_dimension():
         assert graded.graded_dims == (1,) * (m + 1), (m, p)
 
 
-# graded dims of gr V(2(p-1)rho) near the size ceiling, recorded from
-# check_f0 itself: regression pins, not independent checks
+# graded dims of gr V(2(p-1)rho), recorded from check_f0 itself:
+# regression pins, not independent checks.  The p = 2 pins were recorded
+# with the int64 echelon, so they hold the F_2 bitset echelon to it.
 SPLITTING_DIMS_PIN = {
+    ("A1", 2): (1, 1, 1),
+    ("A2", 2): (1, 3, 6, 8, 9),
+    ("A3", 2): (1, 6, 21, 53, 108, 171, 225, 108, 36),
+    ("C2", 2): (1, 4, 10, 18, 27, 15, 6),
+    ("C3", 2): (1, 9, 45, 162, 468, 1122, 2304, 3579, 4299, 3933, 2628, 927,
+                206),
+    ("G2", 2): (1, 6, 21, 54, 114, 177, 225, 100, 31),
     ("G2", 3): (1, 6, 21, 56, 126, 250, 450, 750, 1175, 1655, 2130, 2550,
                 2875, 1815, 1050, 525, 190),
     ("A3", 3): (1, 6, 21, 56, 126, 249, 444, 729, 1119, 1574, 2050, 2500,

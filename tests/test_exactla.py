@@ -304,6 +304,16 @@ def test_matmul_mod_near_the_int64_bound(shape, int64_route):
 P_PAST_FLOAT = 100000007  # (p - 1)^2 alone exceeds 2^53
 
 
+def _reference_residue(rows, pivots, v, p):
+    """v mod p reduced by every stored row at that row's pivot."""
+    v = [x % p for x in v]
+    for r, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, r)]
+    return v
+
+
 def _reference_echelon(p, width, batches):
     """Incremental RREF in Python ints, one row at a time: a row is reduced
     by every stored row at that row's pivot, and if something is left it
@@ -316,17 +326,14 @@ def _reference_echelon(p, width, batches):
     for batch in batches:
         taken, stored = [], []
         for i, v in enumerate(batch):
-            v = [x % p for x in v]
-            for r, c in zip(rows, pivots):
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, r)]
+            v = _reference_residue(rows, pivots, v, p)
             if not any(v):
                 continue
             c = next(j for j, x in enumerate(v) if x)
             inv = pow(v[c], -1, p)
             v = [x * inv % p for x in v]
             rows[:] = [[(x - r[c] * y) % p for x, y in zip(r, v)]
-                       for r in rows]
+                       if r[c] else r for r in rows]
             rows.append(v)
             pivots.append(c)
             taken.append(i)
@@ -369,3 +376,60 @@ def test_add_rows_matches_add_row_loop(p, data):
     assert ech.basis_matrix().tolist() == rows
     assert ech.pivot_cols.tolist() == pivots
     assert ech.rank == len(rows)
+
+
+#: widths on both sides of a byte and of a 64-bit word
+F2_WIDTHS = [0, 1, 7, 8, 9, 62, 63, 64, 65, 127, 128, 129, 200]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(F2_WIDTHS), st.integers(0, 200)), st.data())
+def test_add_rows_over_f2_across_word_widths(width, data):
+    """Over F_2 the rows are bitsets, so widths past a machine word are a
+    path of their own.  After every batch (empty, sparse, dense, with
+    dependent rows, with entries outside {0, 1}, or running past the full
+    width) the rows taken, the rows stored, the RREF, the pivot columns,
+    the rank, residues and membership all match the Python reference."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rows(n, density):
+        return (rng.random((n, width)) < density).astype(np.int64)
+
+    batches = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        batch = rows(data.draw(st.integers(0, 12)),
+                     data.draw(st.sampled_from([0.02, 0.1, 0.5])))
+        if len(batch) >= 2:  # dependent rows: sums of two earlier ones
+            i, j = rng.integers(0, len(batch), (2, 3))
+            batch = np.vstack([batch, batch[i] + batch[j]])
+        if data.draw(st.booleans()):
+            batch = batch * rng.choice([1, -1, 3], batch.shape)
+        batches.append(batch)
+    if data.draw(st.booleans()):
+        # a basis of F_2^width among other rows, then rows past the full width
+        fill = np.vstack([np.eye(width, dtype=np.int64), rows(4, 0.5)])
+        batches.append(np.vstack([fill[rng.permutation(len(fill))],
+                                  rows(3, 0.5)]))
+    ech = DenseEchelonModP(2, width)
+    for k, batch in enumerate(batches):
+        ref, basis, pivots = _reference_echelon(
+            2, width, [b.tolist() for b in batches[:k + 1]])
+        taken, stored = ech.add_rows(batch)
+        assert taken == ref[k][0]
+        assert stored.dtype == np.int64
+        assert stored.shape == (len(taken), width)
+        assert stored.tolist() == ref[k][1]
+        assert ech.basis_matrix().tolist() == basis
+        assert ech.pivot_cols.tolist() == pivots
+        assert ech.rank == len(basis)
+        in_span = np.zeros(width, dtype=np.int64)
+        for r in basis:
+            in_span = (in_span + rng.integers(0, 2) * np.array(r)) % 2
+        probes = np.vstack([rows(4, 0.3), in_span, 3 * in_span])
+        want = [_reference_residue(basis, pivots, v, 2)
+                for v in probes.tolist()]
+        assert ech.residue(probes).tolist() == want
+        for v, r in zip(probes, want):
+            assert ech.residue(v).tolist() == r
+            assert ech.contains(v) is (not any(r))
+        assert ech.contains(in_span)
