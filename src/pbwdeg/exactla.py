@@ -2,10 +2,13 @@
 
 Z-side lattices use Hermite normal form with arbitrary-precision ints;
 mod-p work is done natively over F_p (int64 rows, explicit modular
-inverse; over F_2 int bitset rows eliminated by XOR), never by reducing a
-rational computation.  Dense mod-p products go through matmul_mod: small
-ones in int64, large ones in float64 BLAS while every partial sum is exact
-there.
+inverse), never by reducing a rational computation.  Over other primes
+than 2, dense mod-p products go through matmul_mod: small ones in int64,
+large ones in float64 BLAS while every partial sum is exact there.  Over
+F_2 a row is an int bitset, bit j for column j, from the span walk through
+the module operators: the echelon eliminates by XOR, an image is the XOR
+of one column mask per set bit (_image_bits), and coordinates in an RREF
+basis are the pivot bits that clear an image (_coordinates).
 
 Sparse vectors are dicts column -> nonzero value.  The triplet text format
 for matrices mod p is one header line ``nrows ncols p`` followed by
@@ -259,6 +262,86 @@ def _unpack_bits(rows: list[int], width: int) -> np.ndarray:
                          bitorder="little").astype(np.int64)
 
 
+# Rows of a weight block as the mod-p route keeps them, from span walk to
+# module operator: int bitsets over F_2, int64 matrices over other primes.
+
+def _pack_rows(mat: np.ndarray, p: int):
+    """The rows of an int64 matrix in the route's form."""
+    return _pack_bits(mat) if p == 2 else mat
+
+
+def _unpack_rows(rows, width: int, p: int) -> np.ndarray:
+    """Rows in the route's form as an int64 matrix of the given width."""
+    if p == 2:
+        return _unpack_bits(rows, width)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, width)
+
+
+def _joined(parts: list, p: int):
+    """Batches of rows in the route's form as one."""
+    if p == 2:
+        return [x for rows in parts for x in rows]
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
+
+
+def _column_masks(n_src: int, rows, cols) -> list[int]:
+    """Over F_2, the n_src column masks of a matrix whose ones are at
+    (rows, cols): bit r of mask c is entry (r, c)."""
+    masks = [0] * n_src
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        masks[c] |= 1 << r
+    return masks
+
+
+def _image_bits(masks: list[int], rows: list[int]) -> list[int]:
+    """Over F_2, the images of bitset rows under the matrix of the column
+    masks: each image is the XOR of the masks at the set bits of its row
+    (the word-wide XOR of M4RI, with one mask per column in place of its
+    tables of row combinations)."""
+    out = []
+    for x in rows:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= masks[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return out
+
+
+def _coordinates(images, basis, pivots: list[int], p: int):
+    """The coordinates of images in an RREF basis over F_p whose rows are
+    sorted by their pivot columns, as arrays (basis rows, images, values)
+    of the nonzero ones (int32, int32, int64), sorted by image, then basis
+    row; None once an image leaves the span.  Over F_2 the rows are int
+    bitsets, and each image is cleared by the basis rows at its set pivot
+    bits, which must leave nothing; else they are int64 matrices, and the
+    coordinates are the images at the pivot columns."""
+    if p != 2:
+        coords = images[:, pivots]
+        if not np.array_equal(matmul_mod(coords, basis, p), images):
+            return None
+        i, j = np.nonzero(coords)
+        return j.astype(np.int32), i.astype(np.int32), coords[i, j]
+    at = {c: i for i, c in enumerate(pivots)}
+    mask = sum(1 << c for c in pivots)
+    rows: list[int] = []
+    cols: list[int] = []
+    for j, x in enumerate(images):
+        m = x & mask
+        while m:
+            low = m & -m
+            i = at[low.bit_length() - 1]
+            x ^= basis[i]
+            rows.append(i)
+            cols.append(j)
+            m ^= low
+        if x:
+            return None
+    return (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32),
+            np.ones(len(rows), dtype=np.int64))
+
+
 class DenseEchelonModP:
     """Reduced row echelon form over F_p, grown a batch at a time.
 
@@ -270,8 +353,9 @@ class DenseEchelonModP:
     Over F_2 each row is an int bitset, bit j for column j, kept by pivot
     column: a vector is cleared by XOR with the rows at its set pivot bits,
     and an accepted row is XORed at once into every row that holds its
-    pivot bit (the word-wide elimination of M4RI).  Rows cross to and from
-    int64 arrays only where they enter or leave the class.
+    pivot bit (the word-wide elimination of M4RI).  The span walk feeds
+    bitsets to _add_bits and keeps the bitsets it returns; rows cross to
+    and from int64 arrays only in add_rows, basis_matrix and residue.
     """
 
     def __init__(self, p: int, width: int):
@@ -307,14 +391,15 @@ class DenseEchelonModP:
             m ^= low
         return x
 
-    def _add_bits(self, mat: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """add_rows over F_2: each row is cleared by the rows stored so far,
-        this batch's included, and a row that is left is stored at once."""
+    def _add_bits(self, rows: list[int]) -> tuple[list[int], list[int]]:
+        """add_rows over F_2 on bitset rows, returning the stored rows as
+        bitsets: each row is cleared by the rows stored so far, this
+        batch's included, and a row that is left is stored at once."""
         bits = self._bits
         taken: list[int] = []
         cols: list[int] = []
         stored: list[int] = []
-        for i, x in enumerate(_pack_bits(mat)):
+        for i, x in enumerate(rows):
             if self._n == self.width:
                 break
             x = self._clear(x)
@@ -333,7 +418,7 @@ class DenseEchelonModP:
             stored.append(x)
         if taken:
             self.pivot_cols = np.concatenate([self.pivot_cols, cols])
-        return taken, _unpack_bits(stored, self.width)
+        return taken, stored
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         """Subtract the components along every pivot row, not just the leading
@@ -357,10 +442,11 @@ class DenseEchelonModP:
         rows after it, which is what reducing them against it would do.
         _store does the back-substitution the one-at-a-time feed would have
         done on every acceptance, once per call.  Over F_2, _add_bits feeds
-        the rows one at a time.
+        the rows one at a time; the span walk calls it on bitsets.
         """
         if self.p == 2:
-            return self._add_bits(np.atleast_2d(mat))
+            taken, stored = self._add_bits(_pack_bits(np.atleast_2d(mat)))
+            return taken, _unpack_bits(stored, self.width)
         res = self._reduce(np.atleast_2d(mat))
         p = self.p
         taken: list[int] = []

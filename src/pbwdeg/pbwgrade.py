@@ -22,6 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
+from .exactla import _pack_rows, _unpack_rows
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
 from .weylmod import (BlockOp, ModuleP, PBWGraded, build_weyl_module_p,
                       filter_from_seed, weyl_dim)
@@ -118,6 +121,25 @@ def norm_form(mod: ModuleP, order) -> BlockOp:
     return acc
 
 
+def _norm_form_image(mod: ModuleP) -> np.ndarray:
+    """F0 v for the highest weight vector v, as a global int64 vector.
+
+    F_beta^(k) maps the weight block of mu into that of mu - k beta, so
+    the vector stays in one weight block at every step, and each factor
+    is applied to that block alone through BlockOp.image, as a bitset
+    over F_2.  The highest weight block has dimension 1."""
+    p, flats = mod.p, mod.layout.flats
+    w, row = mod.lam, _pack_rows(np.ones((1, 1), dtype=np.int64), p)
+    vec = np.zeros(mod.dim, dtype=np.int64)
+    for beta in reversed(mod.rs.positive_roots):
+        img = mod.op("F", beta, p - 1).image(w, row)
+        if img is None:
+            return vec
+        w, row = img
+    vec[flats[w]] = _unpack_rows(row, len(flats[w]), p)
+    return vec
+
+
 def _warn(msg: str, *args) -> None:
     """Log a defect witness, as the caller; logging loads only when there
     is one."""
@@ -187,9 +209,7 @@ def check_f0(rs: RootSystemData, sc, p: int, *,
     else:
         mod = build_weyl_module_p(rs, p, lam)
     graded = pbw_filtration(mod)
-    vec = mod.hw_vector()
-    for beta in reversed(rs.positive_roots):
-        vec = mod.op("F", beta, p - 1) @ vec
+    vec = _norm_form_image(mod)
     degree = (p - 1) * len(rs.positive_roots)
     nonzero = bool(vec.any()) and not graded.contains(vec, degree - 1)
     return F0Report(cartan=rs.name, p=p, lam=lam, degree=degree,

@@ -43,6 +43,12 @@ from .exactla import (
     LatticeBasis,
     SparseIntMatrix,
     Vec,
+    _column_masks,
+    _coordinates,
+    _image_bits,
+    _joined,
+    _pack_rows,
+    _unpack_rows,
     matmul_mod,
     require_int64_safe,
 )
@@ -409,28 +415,33 @@ class BlockOp:
     nonzero entries of that block, rows and cols local to the target and
     source blocks, sorted by column then row, vals in [1, p).  That form
     is canonical, so equal operators have equal blocks.  A BlockOp is not
-    changed once made: coo() and nnz are computed once.
+    changed once made: nnz, and over F_2 the column masks of a block that
+    image reads, are computed once.
     """
 
     def __init__(self, layout: WeightBlocks, p: int, blocks: dict):
         self.layout = layout
         self.p = p
         self.blocks = blocks
-        self._coo = None
+        self._coo = None  # kept by ModuleP.coo
 
     @cached_property
     def nnz(self) -> int:
         return sum(len(e[3]) for e in self.blocks.values())
 
+    @cached_property
+    def _masks(self) -> dict:
+        """Source weight -> column masks of its block, over F_2."""
+        return {}
+
     def coo(self):
-        """Int64 COO arrays (rows, cols, vals) in global coordinates."""
-        if self._coo is None:
-            flats = self.layout.flats
-            parts = [(flats[d][r], flats[s][c], v)
-                     for s, (d, r, c, v) in self.blocks.items()]
-            self._coo = tuple(np.concatenate(x) for x in zip(*parts)) \
-                if parts else (np.zeros(0, dtype=np.int64),) * 3
-        return self._coo
+        """Int64 COO arrays (rows, cols, vals) in global coordinates, made
+        on every call (ModuleP.coo keeps them for a module's operators)."""
+        flats = self.layout.flats
+        parts = [(flats[d][r], flats[s][c], v)
+                 for s, (d, r, c, v) in self.blocks.items()]
+        return tuple(np.concatenate(x) for x in zip(*parts)) \
+            if parts else (np.zeros(0, dtype=np.int64),) * 3
 
     def toarray(self) -> np.ndarray:
         rows, cols, vals = self.coo()
@@ -470,16 +481,25 @@ class BlockOp:
                 out[s] = (d, r.astype(np.int32), c.astype(np.int32), m[r, c])
         return BlockOp(self.layout, p, out)
 
-    def image(self, w: Weight, rows: np.ndarray):
+    def image(self, w: Weight, rows):
         """(target weight, rows @ block^T mod p) for row vectors of the
-        source block of w, or None where the operator is zero."""
+        source block of w, or None where the operator is zero.
+
+        Over F_2 the rows are int bitsets, a list in and a list out: each
+        image is the XOR of the block's column masks at the set bits of
+        its row, the masks made on first use.  Over other primes they are
+        int64 matrices multiplied by matmul_mod."""
         entry = self.blocks.get(w)
         if entry is None:
             return None
         d, r, c, v = entry
-        flats = self.layout.flats
+        n_src = len(self.layout.flats[w])
+        if self.p == 2:
+            if w not in self._masks:
+                self._masks[w] = _column_masks(n_src, r, c)
+            return d, _image_bits(self._masks[w], rows)
         return d, matmul_mod(rows, block_dense(
-            (len(flats[w]), len(flats[d])), c, r, v), self.p)
+            (n_src, len(self.layout.flats[d])), c, r, v), self.p)
 
     def power(self, e: int) -> "BlockOp":
         """self^e for e >= 1, by repeated squaring."""
@@ -848,15 +868,18 @@ def validate_lattice_relations(lat: WeylLatticeZ) -> list[RelationWitness]:
 class _FiltBlock:
     """Per-weight cumulative echelon plus insertion-degree tags; the block
     is full once its rank reaches cap.  Images offered to the block wait
-    in a batch until they are fed to the echelon together."""
+    in a batch until they are fed to the echelon together.  Over F_2 the
+    rows are int bitsets from offer to tag, the form BlockOp.image and the
+    echelon's _add_bits take, and _matrix unpacks them."""
 
     def __init__(self, p: int, indices: np.ndarray, cap: int):
         self.indices = indices
         self.cap = cap
         self.ech = DenseEchelonModP(p, len(indices))
-        self.tagged: list[tuple[int, np.ndarray]] = []
-        self._batch: list[tuple[int, np.ndarray]] = []  # (offer number, rows)
+        self.tagged: list[tuple] = []  # (degree, row)
+        self._batch: list[tuple] = []  # (offer number, rows)
         self._batch_rows = 0
+        self._matrix = None  # every tagged row, unpacked on the first read
 
     @property
     def full(self) -> bool:
@@ -874,9 +897,9 @@ class _FiltBlock:
         else the number of the first offer that added a row and the rows
         added, as stored."""
         batch, self._batch, self._batch_rows = self._batch, [], 0
-        parts = [r for _, r in batch]
-        taken, stored = self.ech.add_rows(
-            parts[0] if len(parts) == 1 else np.vstack(parts))
+        rows = _joined([r for _, r in batch], self.ech.p)
+        taken, stored = self.ech._add_bits(rows) if self.ech.p == 2 else \
+            self.ech.add_rows(rows)
         if not taken:
             return None
         self.tagged.extend((degree, r) for r in stored)
@@ -887,10 +910,12 @@ class _FiltBlock:
                 return number, stored
 
     def rows_upto(self, n: int) -> np.ndarray:
-        rows = [r for d, r in self.tagged if d <= n]
-        if not rows:
-            return np.zeros((0, len(self.indices)), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+        """The rows tagged at degree <= n as an int64 matrix, read only: a
+        prefix of _matrix, since the walk tags in order of degree."""
+        if self._matrix is None:
+            self._matrix = _unpack_rows([r for _, r in self.tagged],
+                                        len(self.indices), self.ech.p)
+        return self._matrix[:sum(d <= n for d, _ in self.tagged)]
 
 
 class PBWGraded:
@@ -970,6 +995,11 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
     blocks in the order of their first offer that added a row, so every
     tagged row and degree is what the one-at-a-time feed gives.
 
+    Over F_2 every row of the walk (the seed, the frontier, the offers and
+    the tags) is an int bitset, imaged by BlockOp.image and fed to the
+    echelon's _add_bits with nothing packed or unpacked between them; the
+    PBWGraded accessors return int64 matrices.
+
     Over the simple roots alone the degree of a word is its height drop,
     so each weight receives all its rows at one degree, from weights that
     are complete by then; build_weyl_module_p spans V_p(lambda) this way.
@@ -988,7 +1018,7 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
         pe *= p
 
     top = blocks[lam]
-    top.offer(0, (top.indices == hw).astype(np.int64)[None])
+    top.offer(0, _pack_rows((top.indices == hw).astype(np.int64)[None], p))
     frontier: dict[int, dict[Weight, list[np.ndarray]]] = {
         0: {lam: [top.feed(0)[1]]}}
     total = 1
@@ -1016,7 +1046,7 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
             if src is None or pe > n:
                 continue
             for w, rows in src.items():
-                rows_mat = np.vstack(rows)
+                joined = _joined(rows, p)
                 for beta, shift in shifts:
                     dst_w = tuple(a - pe * s for a, s in zip(w, shift))
                     dst = blocks.get(dst_w)
@@ -1024,7 +1054,7 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
                         continue
                     if (beta, pe) not in ops:
                         ops[beta, pe] = space.op("F", beta, pe)
-                    img = ops[beta, pe].image(w, rows_mat)
+                    img = ops[beta, pe].image(w, joined)
                     if img is None:
                         continue
                     offers += 1
@@ -1044,13 +1074,20 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
 class _EchelonBlock:
     """Weight space of a module over F_p: the reduced rows of an echelon
     sorted by pivot column, which are canonical for the subspace they
-    span."""
+    span.  basis keeps them once, in the form BlockOp.image takes (int
+    bitsets over F_2, else an int64 matrix), and rows is the matrix."""
 
     def __init__(self, weight: Weight, ech: DenseEchelonModP):
         self.weight = weight
-        self.rows = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
         self.pivots = sorted(ech.pivot_cols.tolist())
         self.rank = len(self.pivots)
+        self.p, self.width = ech.p, ech.width
+        self.basis = _pack_rows(
+            ech.basis_matrix()[np.argsort(ech.pivot_cols)], ech.p)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return _unpack_rows(self.basis, self.width, self.p)
 
 
 def _is_ppower_digit(p: int, k: int) -> bool:
@@ -1135,8 +1172,13 @@ class ModuleP:
             raise ValueError(f"{beta} is not a positive root")
 
     def coo(self, kind: str, beta: Root, k: int):
-        """op() as int64 COO arrays (rows, cols, vals)."""
-        return self.op(kind, beta, k).coo()
+        """op() as int64 COO arrays (rows, cols, vals), kept on the operator
+        once made: the form in which kron_coproduct reads a module that is
+        a tensor factor."""
+        op = self.op(kind, beta, k)
+        if op._coo is None:
+            op._coo = op.coo()
+        return op._coo
 
     @cached_property
     def _identity(self) -> BlockOp:
@@ -1177,17 +1219,13 @@ class WeylModuleP(ModuleP):
     # the tracer wraps op per class by name (ROADMAP item 3)
     op = ModuleP.op
 
-    @cached_property
-    def _identity_rows(self) -> np.ndarray:
-        """The rows of every block of a module that fills its ambient,
-        raveled and joined: the identity of each weight space."""
-        return np.concatenate([np.identity(len(b.rows), dtype=np.int64)
-                               .ravel() for b in self.blocks])
-
     def _ppower(self, kind: str, beta: Root, k: int) -> dict:
         """The ambient operator on each block's rows, in the target block's
         basis; raises IntegrityError unless the images lie in the span,
-        which is zero at a weight the module lacks.
+        which is zero at a weight the module lacks.  Over F_2 the images
+        are bitsets, cleared by the target's rows at their pivot bits,
+        which must leave nothing (_coordinates), and the pivot bits
+        cleared are the entries.
 
         A module of the ambient's dimension fills every ambient weight
         space, whose RREF rows are the identity, so its blocks are the
@@ -1202,9 +1240,8 @@ class WeylModuleP(ModuleP):
                 f"module not closed under {kind}^({k}) at {beta}")
 
         if self.dim == self.ambient.dim:
-            if not np.array_equal(np.concatenate(
-                    [b.rows.ravel() for b in self.blocks]),
-                    self._identity_rows):
+            if not all(np.array_equal(b.rows, np.identity(b.rank))
+                       for b in self.blocks):
                 raise not_closed()
             out = {}
             for blk in self.blocks:
@@ -1218,20 +1255,15 @@ class WeylModuleP(ModuleP):
         for blk in self.blocks:
             if blk.weight not in ops.blocks:
                 continue
-            dst_w, images = ops.image(blk.weight, blk.rows)
+            dst_w, images = ops.image(blk.weight, blk.basis)
             dst = self._by_weight.get(dst_w)
-            if dst is None:
-                if images.any():
-                    raise not_closed()
-                continue
-            coords = images[:, dst.pivots]
-            if not np.array_equal(matmul_mod(coords, dst.rows, self.p),
-                                  images):
+            # at a weight the module lacks, the span of no rows
+            found = _coordinates(images, *(
+                (dst.basis, dst.pivots) if dst else (images[:0], [])), self.p)
+            if found is None:
                 raise not_closed()
-            i, j = np.nonzero(coords)
-            if i.size:
-                out[blk.weight] = (dst.weight, j.astype(np.int32),
-                                   i.astype(np.int32), coords[i, j])
+            if len(found[0]):
+                out[blk.weight] = (dst_w, *found)
         return out
 
 

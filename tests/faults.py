@@ -7,6 +7,7 @@ object built under the fresh_modules fixture.
 
 import numpy as np
 
+from pbwdeg.exactla import _pack_rows
 from pbwdeg.weylmod import BlockOp
 
 
@@ -31,3 +32,9 @@ def shrink_weight_space(lat, weight, scale):
     for row in lat._by_weight[weight].final.rows:
         for col in row:
             row[col] *= scale
+
+
+def set_block_rows(blk, rows):
+    """Give a weight block of a module the int64 rows rows, in the form
+    the block keeps them: int bitsets over F_2, the matrix otherwise."""
+    blk.basis = _pack_rows(rows, blk.p)

@@ -17,6 +17,8 @@ from pbwdeg.cli import _stored_ops, cache_key, load_module, main, save_module
 from pbwdeg.rootsys import build_root_system, splitting_weight
 from pbwdeg.weylmod import WeylModuleP, build_weyl_module_p
 
+from faults import set_block_rows
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -367,7 +369,7 @@ def test_module_not_closed_under_operators_exits_3(capsys, monkeypatch,
     def corrupted(rs, p, lam, **_):
         mod = build_weyl_module_p(rs, p, lam)
         blk = mod._by_weight[(0, 0)]
-        blk.rows = np.roll(blk.rows, 1, axis=1)
+        set_block_rows(blk, np.roll(blk.rows, 1, axis=1))
         return mod
 
     monkeypatch.setattr(cli_module, "build_weyl_module_p", corrupted)

@@ -19,12 +19,18 @@ from pbwdeg.exactla import (
     IncrementalHNF,
     LatticeBasis,
     SMALL_PRODUCT,
+    _column_masks,
+    _coordinates,
+    _image_bits,
+    _pack_bits,
+    _unpack_bits,
     matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
     write_triplet_text,
 )
 from pbwdeg.pbwgrade import _is_prime
+from pbwdeg.weylmod import block_dense
 
 
 def dense_rows(basis: LatticeBasis, width: int) -> list[list[int]]:
@@ -433,3 +439,56 @@ def test_add_rows_over_f2_across_word_widths(width, data):
             assert ech.residue(v).tolist() == r
             assert ech.contains(v) is (not any(r))
         assert ech.contains(in_span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(F2_WIDTHS), st.integers(0, 200)),
+       st.one_of(st.sampled_from(F2_WIDTHS), st.integers(0, 200)), st.data())
+def test_image_over_f2_across_word_widths(n_src, n_dst, data):
+    """The F_2 image of bitset rows, the XOR of the column masks at their
+    set bits, equals matmul_mod of the int64 rows with the dense block,
+    on blocks and rows that are empty, sparse or dense, with source and
+    target widths on either side of a 64-bit word."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    density = data.draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    # the entries of a block, sorted by column, then row, as BlockOp keeps
+    c, r = np.nonzero(rng.random((n_src, n_dst)) < density)
+    rows = (rng.random((data.draw(st.integers(0, 12)), n_src))
+            < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    rows = rows.astype(np.int64)
+    want = matmul_mod(rows, block_dense((n_src, n_dst), c, r,
+                                        np.ones(len(r), dtype=np.int64)), 2)
+    got = _image_bits(_column_masks(n_src, r, c), _pack_bits(rows))
+    assert len(got) == len(rows)
+    assert _unpack_bits(got, n_dst).tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(F2_WIDTHS), st.integers(0, 200)), st.data())
+def test_coords_over_f2_find_or_refuse(width, data):
+    """Coordinates of bitset images in an RREF basis over F_2: each image
+    in the span is the sum of the basis rows at its coordinates, listed
+    by image, then basis row; an image with a residue anywhere, past the
+    first 64 bits too, is refused."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    gens = (rng.random((data.draw(st.integers(0, 12)), width))
+            < data.draw(st.sampled_from([0.05, 0.5]))).astype(np.int64)
+    ech = DenseEchelonModP(2, width)
+    ech.add_rows(gens)
+    order = np.argsort(ech.pivot_cols)
+    basis = ech.basis_matrix()[order]
+    pivots = ech.pivot_cols[order].tolist()
+    coeffs = rng.integers(0, 2, (data.draw(st.integers(0, 6)), len(basis)))
+    images = coeffs @ basis % 2
+    found = _coordinates(_pack_bits(images), _pack_bits(basis), pivots, 2)
+    j, i = np.nonzero(coeffs)  # by image j, then basis row i
+    assert [x.tolist() for x in found] == \
+        [i.tolist(), j.tolist(), [1] * len(i)]
+    assert [x.dtype for x in found] == [np.int32, np.int32, np.int64]
+    outside = [c for c in range(width) if not ech.contains(
+        np.identity(width, dtype=np.int64)[c])]
+    if outside and len(images):
+        c = data.draw(st.sampled_from(outside))
+        images[-1, c] ^= 1
+        assert _coordinates(_pack_bits(images), _pack_bits(basis), pivots,
+                            2) is None

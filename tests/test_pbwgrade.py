@@ -254,6 +254,26 @@ def test_check_f0_refuses_module_of_another_type():
     assert rep.cartan == "B2" and sum(rep.graded_dims) == mod.dim == 81
 
 
+@pytest.mark.parametrize("name,p,lam,nonzero", [
+    ("A2", 2, (2, 2), True), ("A2", 3, (4, 4), True),
+    ("A2", 3, (1, 0), False), ("C2", 2, (2, 2), True),
+    ("C2", 3, (4, 4), True), ("G2", 2, (2, 2), True),
+    ("G2", 3, (1, 1), False)])
+def test_norm_form_image_block_by_block(name, p, lam, nonzero):
+    """F0 v as check_f0 forms it, lowering one weight block at a time, is
+    the product of the dense operators with v, where it vanishes too (A2
+    (1, 0) at p = 3 has no F^(2); G2 at p = 3 is taken at rho, whose
+    module is small enough for dense operators)."""
+    mod = build_weyl_module_p(RS[name], p, lam)
+    want = mod.hw_vector()
+    for beta in reversed(mod.rs.positive_roots):
+        want = mod.op("F", beta, p - 1).toarray() @ want % p
+    got = pbwgrade._norm_form_image(mod)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert bool(want.any()) is nonzero
+
+
 # -- the negative branch of the splitting criterion ------------------------
 
 

@@ -26,7 +26,7 @@ from pbwdeg.exactla import DenseEchelonModP
 from pbwdeg.pbwgrade import _is_prime, pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
                             splitting_weight, star_weight)
-from faults import inject_fault, shrink_weight_space
+from faults import inject_fault, set_block_rows, shrink_weight_space
 from pbwdeg.weylmod import (
     FundFactor,
     TensorAmbient,
@@ -994,9 +994,29 @@ def test_op_rejects_block_not_closed_under_operators(fresh_modules):
     is a defect: IntegrityError, which python -O keeps."""
     mod = build_weyl_module_p(RS["A2"], 2, (1, 1))
     blk = mod._by_weight[(0, 0)]
-    blk.rows = np.roll(blk.rows, 1, axis=1)
+    set_block_rows(blk, np.roll(blk.rows, 1, axis=1))
     with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
         mod.op("F", (1, 0), 1)
+
+
+def test_op_rejects_a_residue_past_the_first_word(fresh_modules):
+    """Over F_2 the images are cleared by the target block's rows at their
+    pivot bits, and whatever is left must be zero at every bit: a basis row
+    of a block wider than 64 changed at a non-pivot column past 64 leaves
+    the images that use it outside the span."""
+    rs = RS["G2"]
+    mod = build_weyl_module_p(rs, 2, (2, 2))
+    assert mod.dim < mod.ambient.dim
+    alpha = rs.simple_root(0)
+    key = ("F", alpha, 1)
+    dst_w, rows, _, _ = next(e for e in mod.op(*key).blocks.values()
+                             if mod._by_weight[e[0]].width > 64)
+    dst = mod._by_weight[dst_w]
+    col = max(set(range(64, dst.width)) - set(dst.pivots))
+    del mod._ops[key]
+    dst.basis[rows[0]] ^= 1 << col
+    with pytest.raises(IntegrityError, match=r"not closed under F\^\(1\)"):
+        mod.op(*key)
 
 
 def _roll_an_identity_block(mod):
@@ -1005,7 +1025,7 @@ def _roll_an_identity_block(mod):
     assert mod.dim == mod.ambient.dim and len(mod.ambient.factors) == 1
     blk = next(b for b in mod.blocks if b.rank > 1)
     assert np.array_equal(blk.rows, np.identity(blk.rank, dtype=np.int64))
-    blk.rows = np.roll(blk.rows, 1, axis=0)
+    set_block_rows(blk, np.roll(blk.rows, 1, axis=0))
 
 
 @pytest.mark.parametrize("name,lam,p", [("G2", (0, 1), 2),
@@ -1024,7 +1044,8 @@ def test_filled_ambient_rejects_rolled_block(fresh_modules, name, lam, p):
 
 
 @pytest.mark.parametrize("name,lam,p", [("A2", (1, 1), 2),
-                                        ("G2", (0, 1), 3)])
+                                        ("G2", (0, 1), 3),
+                                        ("A2", (1, 1), 3)])
 def test_op_rejects_images_at_a_weight_the_module_lacks(fresh_modules, name,
                                                          lam, p):
     """With the zero weight dropped from the module's blocks by weight, the
