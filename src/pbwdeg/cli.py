@@ -29,10 +29,9 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .chevrep import NonIntegralDividedPower, chevalley_constants
-from .exactla import read_triplet_text, write_triplet_text
-from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
-                       _require_prime, check_f0, check_F0_order_invariance,
-                       pbw_filtration)
+from .exactla import _require_prime, read_triplet_text, write_triplet_text
+from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded, check_f0,
+                       check_F0_order_invariance, pbw_filtration)
 from .rootsys import (IntegrityError, RootSystemData, UnsupportedType,
                       build_root_system, splitting_weight)
 from .weylmod import (ModuleP, RankMismatch, build_weyl_lattice,

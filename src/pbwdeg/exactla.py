@@ -190,6 +190,42 @@ class LatticeBasis:
 # ---------------------------------------------------------------------------
 # prime fields
 
+#: the first twelve primes; as Miller-Rabin bases they decide primality
+#: for every n below 3.3e24, in particular every 64-bit n
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _require_prime(p: int) -> None:
+    if p >= 1 << 64:
+        raise ValueError(f"{p} is above 2^64; primality is only decided "
+                         "for 64-bit p")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def require_int64_safe(p: int, width: int) -> None:
     """Refuse p when int64 row arithmetic mod p can overflow.
 
@@ -309,29 +345,28 @@ def _image_bits(masks: list[int], rows: list[int]) -> list[int]:
     return out
 
 
-def _coordinates(images, basis, pivots: list[int], p: int):
+def _coordinates(images, basis, pivots, p: int):
     """The coordinates of images in an RREF basis over F_p whose rows are
     sorted by their pivot columns, as arrays (basis rows, images, values)
     of the nonzero ones (int32, int32, int64), sorted by image, then basis
     row; None once an image leaves the span.  Over F_2 the rows are int
-    bitsets, and each image is cleared by the basis rows at its set pivot
-    bits, which must leave nothing; else they are int64 matrices, and the
-    coordinates are the images at the pivot columns."""
+    bitsets and pivots their mask: each image is cleared by the basis rows
+    at its set pivot bits (the row of a bit is the count of pivot bits
+    below it), which must leave nothing.  Else pivots is the list of pivot
+    columns of int64 rows, and the coordinates are the images there."""
     if p != 2:
         coords = images[:, pivots]
         if not np.array_equal(matmul_mod(coords, basis, p), images):
             return None
         i, j = np.nonzero(coords)
         return j.astype(np.int32), i.astype(np.int32), coords[i, j]
-    at = {c: i for i, c in enumerate(pivots)}
-    mask = sum(1 << c for c in pivots)
     rows: list[int] = []
     cols: list[int] = []
     for j, x in enumerate(images):
-        m = x & mask
+        m = x & pivots
         while m:
             low = m & -m
-            i = at[low.bit_length() - 1]
+            i = (pivots & (low - 1)).bit_count()
             x ^= basis[i]
             rows.append(i)
             cols.append(j)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import _pack_rows, _unpack_rows
+from .exactla import _pack_rows, _require_prime, _unpack_rows
 from .rootsys import IntegrityError, RootSystemData, Weight, splitting_weight
 from .weylmod import (BlockOp, ModuleP, PBWGraded, build_weyl_module_p,
                       filter_from_seed, weyl_dim)
@@ -42,42 +42,6 @@ class SizeCeilingExceeded(RuntimeError):
             f"module dimension {required} exceeds the size ceiling {ceiling}")
         self.required = required
         self.ceiling = ceiling
-
-
-#: the first twelve primes; as Miller-Rabin bases they decide primality
-#: for every n below 3.3e24, in particular every 64-bit n
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _require_prime(p: int) -> None:
-    if p >= 1 << 64:
-        raise ValueError(f"{p} is above 2^64; primality is only decided "
-                         "for 64-bit p")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 def _require_inputs(rs: RootSystemData, sc, p: int) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import factorial, prod
+from operator import sub
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .exactla import (
     _image_bits,
     _joined,
     _pack_rows,
+    _require_prime,
     _unpack_rows,
     matmul_mod,
     require_int64_safe,
@@ -249,52 +251,44 @@ def freudenthal_multiplicities(rs: RootSystemData, lam) -> dict[Weight, int]:
 # tensor ambients
 
 def kron_coproduct(factor_op, dims, k: int, p: int):
-    """Coproduct of a divided power on a tensor product, mod p.
+    """Coproduct of a divided power on a tensor product, mod a prime p.
 
     factor_op(j, a) gives the a-th divided power on factor j (a = 0 the
-    identity) as COO arrays (rows, cols, vals), dims the factor dimensions.
-    Values outside [1, p), the exact entries of a FundFactor, are reduced
-    and those that vanish dropped before they enter a product.
+    identity) as COO arrays (rows, cols, vals) of its nonzero residues,
+    vals in [1, p); dims are the factor dimensions.
     Delta(X^(k)) is the sum over compositions k_1 + ... + k_m = k of
     X^(k_1) (x) ... (x) X^(k_m); the partial sums over the trailing factors,
-    S_j(r) = sum_a X_j^(a) (x) S_{j+1}(r - a), are formed once each.
-    Flat indices are row major over the factors, matching np.kron.
+    S_j(r) = sum_a X_j^(a) (x) S_{j+1}(r - a), are formed once each, from
+    the last factor's own X^(r).  Flat indices are row major over the
+    factors, matching np.kron.
 
-    Returns the nonzero entries as COO arrays (rows, cols, vals), vals in
-    [1, p); products are reduced after every Kronecker step, so no
-    intermediate exceeds p^2 in int64.
+    Returns the nonzero entries as COO arrays, vals in [1, p) since a
+    product of nonzero residues mod a prime is nonzero; each Kronecker
+    step reduces, so no intermediate exceeds p^2 in int64.
     """
     empty = (np.zeros(0, np.int64),) * 3
-    one = (np.zeros(1, np.int64), np.zeros(1, np.int64),
-           np.ones(1, np.int64))
-    tail = {0: one}  # S_m: the 1 x 1 identity at r = 0
-    width = 1
-    for j in reversed(range(len(dims))):
-        need = range(k + 1) if j else (k,)
+    if not dims:  # the empty product: X^(0) = 1 and X^(k) = 0 for k > 0
+        return tuple(np.full(int(k == 0), x, np.int64) for x in (0, 0, 1))
+    last, width = len(dims) - 1, dims[-1]
+    tail = {r: factor_op(last, r) for r in (range(k + 1) if last else (k,))}
+    for j in reversed(range(last)):
         level = {}
-        for r in need:
+        for r in range(k + 1) if j else (k,):
             parts = []
             for a in range(r + 1):
-                rest = tail.get(r - a)
-                if rest is None or not rest[0].size:
+                rr, rc, rv = tail[r - a]
+                if not rr.size:
                     continue
                 fr, fc, fv = factor_op(j, a)
-                if fv.size and not 0 < fv.min() <= fv.max() < p:
-                    keep = fv % p != 0
-                    fr, fc, fv = fr[keep], fc[keep], fv[keep] % p
-                if not fr.size:
-                    continue
-                rr, rc, rv = rest
-                parts.append(((fr[:, None] * width + rr).ravel(),
-                              (fc[:, None] * width + rc).ravel(),
-                              (fv[:, None] * rv % p).ravel()))
-            level[r] = tuple(np.concatenate(x) for x in zip(*parts)) \
-                if parts else empty
+                if fr.size:
+                    parts.append(((fr[:, None] * width + rr).ravel(),
+                                  (fc[:, None] * width + rc).ravel(),
+                                  (fv[:, None] * rv % p).ravel()))
+            level[r] = parts[0] if len(parts) == 1 else tuple(
+                np.concatenate(x) for x in zip(empty, *parts))
         tail = level
         width *= dims[j]
-    rows, cols, vals = tail.get(k, empty)
-    keep = vals != 0
-    return rows[keep], cols[keep], vals[keep]
+    return tail[k]
 
 
 class FundFactor:
@@ -303,9 +297,9 @@ class FundFactor:
     Its divided powers are views of the representation's own table
     (chevrep.divided_powers): computed once per (rep, kind, beta), up to
     the last nonzero order, and shared by every factor on that rep, over Z
-    and over F_p.  apply_vec reads only its X^(1) columns; coo() keeps the
-    exact int64 form of one order per factor, which kron_coproduct reduces
-    mod the ambient's prime.
+    and over F_p.  apply_vec reads only its X^(1) columns; coo() keeps
+    one form of an order, its nonzero residues mod the ambient's prime,
+    which is the form kron_coproduct multiplies.
     """
 
     def __init__(self, rs: RootSystemData, rep: IntegralRep):
@@ -331,18 +325,19 @@ class FundFactor:
         {col: ((row, value), ...)}; X^(a) is zero for every a > top."""
         return divided_powers(self.rep, self._sc, kind, beta)
 
-    def coo(self, kind: str, beta: Root, k: int):
-        """Divided power as exact int64 COO arrays (rows, cols, vals):
-        the identity at k = 0, else read off the table."""
-        key = (kind, beta, k)
+    def coo(self, kind: str, beta: Root, k: int, p: int):
+        """Divided power as int64 COO arrays (rows, cols, vals) of its
+        nonzero residues mod the prime p, vals in [1, p): the identity at
+        k = 0, else read off the table."""
+        key = (kind, beta, k, p)
         if key not in self._ops:
             if k == 0:
                 entries = [(c, c, 1) for c in range(self.dim)]
             else:
                 table = self.powers(kind, beta)
                 cols = table[k - 1] if k <= len(table) else {}
-                entries = [(r, c, v) for c, pairs in cols.items()
-                           for r, v in pairs]
+                entries = [(r, c, x) for c, pairs in cols.items()
+                           for r, v in pairs if (x := v % p)]
             self._ops[key] = tuple(np.array(entries, dtype=np.int64)
                                    .reshape(-1, 3).T.copy())
         return self._ops[key]
@@ -530,6 +525,8 @@ class TensorAmbient:
     def __init__(self, rs: RootSystemData, factors, p: int | None = None):
         self.rs = rs
         self.factors = list(factors)
+        if p is not None:
+            _require_prime(p)
         self.p = p
         self.dims = [f.dim for f in self.factors]
         self.dim = prod(self.dims) if self.factors else 1
@@ -603,8 +600,8 @@ class TensorAmbient:
         return out if k else {f: c for f, c in vec.items() if c}
 
     def _coproduct(self, kind: str, beta: Root, k: int):
-        return kron_coproduct(lambda j, a: self.factors[j].coo(kind, beta, a),
-                              self.dims, k, self.p)
+        return kron_coproduct(lambda j, a: self.factors[j].coo(
+            kind, beta, a, self.p), self.dims, k, self.p)
 
     def op(self, kind: str, beta: Root, k: int) -> BlockOp:
         """A divided power on the whole ambient as a block operator mod p,
@@ -1011,10 +1008,11 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
               for w, ix in layout.flats.items()}
     goal = sum(b.cap for b in blocks.values())
     bound = sum(_WeightBox(rs, lam).cmax)
-    powers = []
-    pe = 1
+    roots = rs.positive_roots if roots is None else roots
+    steps, pe = {}, 1  # per power p^e, each root beta with its step p^e beta
     while pe <= max(bound, 1):
-        powers.append(pe)
+        steps[pe] = [(beta, tuple(pe * s for s in rs.root_fund(beta)))
+                     for beta in roots]
         pe *= p
 
     top = blocks[lam]
@@ -1024,8 +1022,6 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
     total = 1
 
     ops: dict[tuple, BlockOp] = {}  # fetched when first used
-    shifts = [(beta, rs.root_fund(beta)) for beta in
-              (rs.positive_roots if roots is None else roots)]
 
     n = 0
     while n < bound and total < goal:
@@ -1041,14 +1037,14 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
                 first.setdefault(w, got[0])
                 added.setdefault(w, []).append(got[1])
 
-        for pe in powers:
+        for pe, moves in steps.items():
             src = frontier.get(n - pe)
             if src is None or pe > n:
                 continue
             for w, rows in src.items():
                 joined = _joined(rows, p)
-                for beta, shift in shifts:
-                    dst_w = tuple(a - pe * s for a, s in zip(w, shift))
+                for beta, step in moves:
+                    dst_w = tuple(map(sub, w, step))
                     dst = blocks.get(dst_w)
                     if dst is None or dst.full:
                         continue
@@ -1072,18 +1068,25 @@ def filter_from_seed(space, *, roots=None) -> PBWGraded:
 
 
 class _EchelonBlock:
-    """Weight space of a module over F_p: the reduced rows of an echelon
-    sorted by pivot column, which are canonical for the subspace they
-    span.  basis keeps them once, in the form BlockOp.image takes (int
-    bitsets over F_2, else an int64 matrix), and rows is the matrix."""
+    """Weight space of a module over F_p: the echelon's reduced rows by
+    ascending pivot, canonical for their span, kept once in basis as
+    BlockOp.image takes them (bitsets over F_2, else an int64 matrix);
+    at is the pivots as _coordinates takes them (a mask over F_2)."""
 
     def __init__(self, weight: Weight, ech: DenseEchelonModP):
-        self.weight = weight
-        self.pivots = sorted(ech.pivot_cols.tolist())
-        self.rank = len(self.pivots)
-        self.p, self.width = ech.p, ech.width
-        self.basis = _pack_rows(
-            ech.basis_matrix()[np.argsort(ech.pivot_cols)], ech.p)
+        self.weight, self.p, self.width = weight, ech.p, ech.width
+        if ech.p == 2:
+            self.at = ech._mask
+            self.basis = [ech._bits[c] for c in sorted(ech._bits)]
+        else:
+            self.at = sorted(ech.pivot_cols.tolist())
+            self.basis = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
+        self.rank = len(self.basis)
+
+    @property
+    def pivots(self) -> list[int]:
+        return [c for c in range(self.width) if self.at >> c & 1] \
+            if self.p == 2 else self.at
 
     @property
     def rows(self) -> np.ndarray:
@@ -1171,10 +1174,9 @@ class ModuleP:
         if beta not in self.rs.positive_roots:
             raise ValueError(f"{beta} is not a positive root")
 
-    def coo(self, kind: str, beta: Root, k: int):
-        """op() as int64 COO arrays (rows, cols, vals), kept on the operator
-        once made: the form in which kron_coproduct reads a module that is
-        a tensor factor."""
+    def coo(self, kind: str, beta: Root, k: int, p: int):
+        """op() as int64 COO arrays, vals in [1, p) for p its prime, kept on
+        the operator: the form kron_coproduct reads a module factor in."""
         op = self.op(kind, beta, k)
         if op._coo is None:
             op._coo = op.coo()
@@ -1224,8 +1226,8 @@ class WeylModuleP(ModuleP):
         basis; raises IntegrityError unless the images lie in the span,
         which is zero at a weight the module lacks.  Over F_2 the images
         are bitsets, cleared by the target's rows at their pivot bits,
-        which must leave nothing (_coordinates), and the pivot bits
-        cleared are the entries.
+        which must leave nothing (_coordinates, with the target's pivot
+        mask), and the pivot bits cleared are the entries.
 
         A module of the ambient's dimension fills every ambient weight
         space, whose RREF rows are the identity, so its blocks are the
@@ -1258,8 +1260,8 @@ class WeylModuleP(ModuleP):
             dst_w, images = ops.image(blk.weight, blk.basis)
             dst = self._by_weight.get(dst_w)
             # at a weight the module lacks, the span of no rows
-            found = _coordinates(images, *(
-                (dst.basis, dst.pivots) if dst else (images[:0], [])), self.p)
+            found = _coordinates(images, *((dst.basis, dst.at) if dst else (
+                images[:0], 0 if self.p == 2 else [])), self.p)
             if found is None:
                 raise not_closed()
             if len(found[0]):

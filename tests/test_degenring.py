@@ -19,7 +19,8 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
                               check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
-from pbwdeg.pbwgrade import SizeCeilingExceeded, _is_prime, pbw_filtration
+from pbwdeg.exactla import _is_prime
+from pbwdeg.pbwgrade import SizeCeilingExceeded, pbw_filtration
 from pbwdeg.rootsys import build_root_system, star_weight
 from pbwdeg.weylmod import (RankMismatch, build_weyl_module_p,
                             freudenthal_multiplicities, weyl_dim)

@@ -22,15 +22,16 @@ from pbwdeg.exactla import (
     _column_masks,
     _coordinates,
     _image_bits,
+    _is_prime,
     _pack_bits,
+    _pack_rows,
     _unpack_bits,
     matmul_mod,
     read_triplet_text,
     subspace_intersection_mod_p,
     write_triplet_text,
 )
-from pbwdeg.pbwgrade import _is_prime
-from pbwdeg.weylmod import block_dense
+from pbwdeg.weylmod import _EchelonBlock, block_dense
 
 
 def dense_rows(basis: LatticeBasis, width: int) -> list[list[int]]:
@@ -477,10 +478,10 @@ def test_coords_over_f2_find_or_refuse(width, data):
     ech.add_rows(gens)
     order = np.argsort(ech.pivot_cols)
     basis = ech.basis_matrix()[order]
-    pivots = ech.pivot_cols[order].tolist()
+    mask = sum(1 << c for c in ech.pivot_cols.tolist())  # the pivot bits
     coeffs = rng.integers(0, 2, (data.draw(st.integers(0, 6)), len(basis)))
     images = coeffs @ basis % 2
-    found = _coordinates(_pack_bits(images), _pack_bits(basis), pivots, 2)
+    found = _coordinates(_pack_bits(images), _pack_bits(basis), mask, 2)
     j, i = np.nonzero(coeffs)  # by image j, then basis row i
     assert [x.tolist() for x in found] == \
         [i.tolist(), j.tolist(), [1] * len(i)]
@@ -490,5 +491,30 @@ def test_coords_over_f2_find_or_refuse(width, data):
     if outside and len(images):
         c = data.draw(st.sampled_from(outside))
         images[-1, c] ^= 1
-        assert _coordinates(_pack_bits(images), _pack_bits(basis), pivots,
+        assert _coordinates(_pack_bits(images), _pack_bits(basis), mask,
                             2) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(F2_WIDTHS), st.integers(0, 200)), st.data())
+def test_echelon_block_over_f2_keeps_the_echelons_bitsets(width, data):
+    """Over F_2 a module block reads the echelon's bitsets by ascending
+    pivot: the basis that packing the basis matrix sorted by pivot gives,
+    rows that unpack to it and pack back, and the mask of the pivot bits,
+    by which _coordinates finds each basis row as itself."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ech = DenseEchelonModP(2, width)
+    for _ in range(data.draw(st.integers(0, 3))):  # pivots out of order
+        ech.add_rows((rng.random((data.draw(st.integers(0, 8)), width))
+                      < data.draw(st.sampled_from([0.05, 0.5])))
+                     .astype(np.int64))
+    want = ech.basis_matrix()[np.argsort(ech.pivot_cols)]
+    blk = _EchelonBlock((0,), ech)
+    assert blk.basis == _pack_rows(want, 2)
+    assert blk.rows.tolist() == want.tolist()
+    assert _pack_rows(blk.rows, 2) == blk.basis
+    assert blk.pivots == sorted(ech.pivot_cols.tolist())
+    assert blk.at == sum(1 << c for c in blk.pivots)
+    found = _coordinates(blk.basis, blk.basis, blk.at, 2)
+    assert [x.tolist() for x in found] == \
+        [list(range(blk.rank))] * 2 + [[1] * blk.rank]

@@ -16,10 +16,10 @@ import pytest
 from pbwdeg import __version__, cli, pbwgrade
 from pbwdeg.chevrep import chevalley_constants
 from pbwdeg.degenring import cartan_component_map
-from pbwdeg.exactla import DenseEchelonModP
+from pbwdeg.exactla import DenseEchelonModP, _is_prime
 from pbwdeg.rootsys import IntegrityError, build_root_system, splitting_weight
 from pbwdeg.pbwgrade import (DEFAULT_SIZE_CEILING, F0Report, PBWGraded,
-                             SizeCeilingExceeded, _is_prime, _require_prime,
+                             SizeCeilingExceeded, _require_prime,
                              check_f0, check_F0_order_invariance,
                              norm_form, pbw_filtration)
 from pbwdeg.weylmod import BlockOp, build_weyl_module_p

@@ -22,8 +22,8 @@ from pbwdeg.chevrep import (NonIntegralDividedPower, chevalley_constants,
                             divided_power_matrix, fundamental_rep,
                             root_operator)
 from pbwdeg.degenring import cartan_component_map
-from pbwdeg.exactla import DenseEchelonModP
-from pbwdeg.pbwgrade import _is_prime, pbw_filtration
+from pbwdeg.exactla import DenseEchelonModP, _is_prime
+from pbwdeg.pbwgrade import pbw_filtration
 from pbwdeg.rootsys import (IntegrityError, build_root_system,
                             splitting_weight, star_weight)
 from faults import inject_fault, set_block_rows, shrink_weight_space
@@ -499,6 +499,38 @@ def test_block_op_matrix_matches_kron_mod_p(name, lam, p):
                 assert covered == int(np.count_nonzero(dense))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name,lam", [("A2", (2, 1)), ("G2", (2, 1))])
+def test_flat_coproduct_matches_kron_mod_p(name, lam, p):
+    """Three fundamental factors, omega_1 (x) omega_1 (x) omega_2: the
+    coproduct of every divided power equals the dense sum of np.kron
+    products over the compositions of its order, and keeps no zero
+    entry.  The G2 factors have exact entries 2 and 3, which vanish mod
+    p, so the factors' residues drop entries there."""
+    rs = RS[name]
+    reps = [fundamental_rep(rs, i) for i in (1, 1, 2)]
+    ambient = TensorAmbient(rs, [FundFactor(rs, r) for r in reps], p)
+    vanish = False
+    for kind in ("E", "F"):
+        for beta in rs.positive_roots:
+            for k in (1, p):
+                dense = np.zeros((ambient.dim, ambient.dim), dtype=np.int64)
+                for a in range(k + 1):
+                    for b in range(k - a + 1):
+                        m = [_dense_rep_power(rs, r, kind, beta, e, p)
+                             for r, e in zip(reps, (a, b, k - a - b))]
+                        dense = (dense + np.kron(np.kron(m[0], m[1]), m[2])) \
+                            % p
+                got = ambient.op(kind, beta, k)
+                assert np.array_equal(got.toarray(), dense), (kind, beta, k)
+                assert got.nnz == np.count_nonzero(dense)
+                vanish |= any(
+                    v % p == 0 for f in ambient.factors
+                    for table in f.powers(kind, beta)[:k]
+                    for pairs in table.values() for _, v in pairs)
+    assert vanish == (name == "G2")
+
+
 def test_prime_beyond_int64_bound_refused():
     """A2 (2,1) at p near 2^32 overflowed int64 residue products and
     stopped on a closure assertion; it is now refused before the build,
@@ -512,6 +544,42 @@ def test_prime_beyond_int64_bound_refused():
     graded = [pbw_filtration(build_weyl_module_p(rs, r, (2, 1))).graded_dims
               for r in (q, 1000003)]
     assert graded[0] == graded[1] == (1, 3, 5, 6)
+
+
+NONPRIME_CHECK = "\n".join([
+    "import resource, sys",
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+    "from pbwdeg import degenring, weylmod",
+    "from pbwdeg.rootsys import build_root_system",
+    "rs, p = build_root_system('A2'), int(sys.argv[1])",
+    "lat = weylmod.build_weyl_lattice(rs, (1, 1))",
+    "mods = [weylmod.build_weyl_module_p(rs, 2, w) for w in ((1, 0), (0, 1))]",
+    "for make in (lambda: weylmod.build_weyl_module_p(rs, p, (1, 1)),",
+    "             lambda: weylmod.reduce_mod_p(lat, p),",
+    "             lambda: degenring.CartanComponentMap(",
+    "                 rs, p, [(1, 0), (0, 1)], mods),",
+    "             lambda: weylmod.filter_from_seed(weylmod.TensorAmbient(",
+    "                 rs, lat.ambient.factors, p))):",
+    "    try:",
+    "        make()",
+    "    except ValueError as exc:",
+    "        print(exc)",
+    "    else:",
+    "        print('accepted')",
+])
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_mod_p_ambient_refuses_a_modulus_that_is_not_prime(p):
+    """p = 0 or 1 never ended the walk's loop over the powers of p, and
+    p = 4 or 6 failed deep inside on a residue with no inverse: every
+    mod-p ambient refuses them when it is made.  Each case runs in a
+    child with a time limit and an address-space cap, so a regression
+    fails here instead of hanging or taking the machine's memory."""
+    proc = subprocess.run([sys.executable, "-c", NONPRIME_CHECK, str(p)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{p} is not prime"] * 4
 
 
 # ---------------------------------------------------------------------------
