@@ -629,6 +629,10 @@ def main(argv=None) -> int:
     except SizeCeilingExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"refused: out of memory{': ' if str(exc) else ''}{exc}",
+              file=sys.stderr)
+        return 2
     except (NonIntegralDividedPower, RankMismatch, IntegrityError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 3

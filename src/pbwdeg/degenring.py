@@ -11,9 +11,16 @@ gr-injectivity of phi (equivalently surjectivity of the multiplication of
 sections on the ring side) is injectivity plus strictness with respect to
 the PBW filtration of the source and the convolution filtration
 T_n = sum of V_i x V_j over i + j <= n of the target.
-T_n is the degree <= n prefix of one basis of the target: the products of
-the factors' degree-tagged PBW basis rows, each formed once.  Meets reduce
-against one echelon per weight that grows by the rows new at each degree.
+
+The factors' degree-tagged PBW basis rows are bases adapted to their
+filtrations, and gr(V x W) = gr V x gr W (Feigin-Fourier-Littelmann), so
+in the products of those rows T_n is a coordinate subspace.  The image
+rows move there by one operator Q = G_1 x G_2, G_k the inverse of factor
+k's tagged blocks, whose targets are ordered in each weight block by
+descending product degree; fed in tag order to one echelon per weight,
+their pivots (leading columns) count every meet: dim(phi(V_n) cap
+T_{n-1}) is the number of rows of tag <= n and pivot degree < n, and
+dim(im phi cap T_n) the number of pivot degree <= n.
 
 The Z lattice of lam + mu is built only when rank(phi) falls short of the
 Weyl dimension: a rank drop over Z forces one mod p, and on that branch a
@@ -38,7 +45,7 @@ psi_n: V(n lam) -> V((n-1) lam) x V(lam), with psi_1 the pair (0, lam):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -47,19 +54,86 @@ from .exactla import DenseEchelonModP, require_int64_safe
 from .pbwgrade import (DEFAULT_SIZE_CEILING, SizeCeilingExceeded,
                        _require_inputs, pbw_filtration)
 from .rootsys import IntegrityError, RootSystemData, Weight, star_weight
-from .weylmod import (PBWGraded, TensorAmbient, WeylModuleP,
-                      build_weyl_lattice, build_weyl_module_p,
-                      filter_from_seed, tensor_width_bound, weyl_dim)
+from .weylmod import (BlockOp, PBWGraded, TensorAmbient, WeightBlocks,
+                      WeylModuleP, build_weyl_lattice, build_weyl_module_p,
+                      filter_from_seed, kron_coproduct, tensor_width_bound,
+                      weyl_dim)
 
-#: PBW filtration per factor module, shared by the component maps that
-#: take the same module object as a factor
+#: per factor module, its PBW filtration and the coordinates adapted to
+#: it, shared by the component maps that take the module as a factor
 _FACTOR_FILTRATIONS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _factor_filtration(mod: WeylModuleP) -> PBWGraded:
+def _factor_filtration(mod: WeylModuleP) -> tuple:
     if mod not in _FACTOR_FILTRATIONS:
-        _FACTOR_FILTRATIONS[mod] = pbw_filtration(mod)
+        graded = pbw_filtration(mod)
+        _FACTOR_FILTRATIONS[mod] = graded, _adapted_coordinates(
+            graded.tagged_blocks(), mod.dim, mod.p)
     return _FACTOR_FILTRATIONS[mod]
+
+
+def _adapted_coordinates(tagged_blocks, dim: int, p: int) -> tuple:
+    """G^T as COO arrays (rows, cols, vals), where x G gives the
+    coefficients of x on the rows of tagged blocks (weight, coordinates,
+    degrees, rows) of a space of dimension dim, and the degree of each
+    coordinate.  Each inverse is read off the RREF [I | R^-1] of [R | I],
+    from one add_rows on an empty echelon, which sums no products; a
+    block that is not invertible mod p is an IntegrityError."""
+    parts, degs = [], np.zeros(dim, dtype=np.int64)
+    for w, ix, d, rows in tagged_blocks:
+        k = len(rows)
+        if rows.shape == (1, 1) and rows[0, 0] % p:  # most weights
+            inv = np.array([[pow(int(rows[0, 0]), -1, p)]])
+        else:
+            ech = DenseEchelonModP(p, 2 * k)
+            if rows.shape == (k, k):
+                ech.add_rows(np.hstack([rows, np.eye(k, dtype=np.int64)]))
+            if rows.shape != (k, k) or ech.pivot_cols.max() >= k:
+                raise IntegrityError(f"the tagged rows at weight {w} are "
+                                     f"not a basis mod {p}")
+            inv = ech.basis_matrix()[np.argsort(ech.pivot_cols), k:]
+        i, j = np.nonzero(inv)
+        parts.append((ix[j], ix[i], inv[i, j]))
+        degs[ix] = d
+    return tuple(np.concatenate(x) for x in zip(*parts)), degs
+
+
+def _pivot_degrees(layout: WeightBlocks, p: int, factors, image: dict):
+    """(tags, pivot degrees) of the image rows, given per weight as (tags,
+    rows_by_weight rows), in the product coordinates of the factors'
+    _adapted_coordinates (module docstring), and per weight the degrees
+    of those coordinates in Q's order.  Image rows that Q makes dependent
+    are an IntegrityError."""
+    coos = [c for c, _ in factors]
+    rows, cols, vals = kron_coproduct(lambda j, _: coos[j],
+                                      [len(d) for _, d in factors], 0, p)
+    deg = np.zeros(1, dtype=np.int64)
+    for _, d in factors:
+        deg = (deg[:, None] + d[None, :]).ravel()
+    order = np.lexsort((layout.block_pos, -deg, layout.block_of))
+    relabel = np.empty(layout.dim, dtype=np.int64)
+    relabel[order] = np.concatenate(list(layout.flats.values()))
+    q = BlockOp(layout, p, layout.group(relabel[rows], cols, vals))
+    del rows, cols, vals
+    ends = np.cumsum([len(ix) for ix in layout.flats.values()]).tolist()
+    deg = deg[order]
+    degs = {w: deg[e - len(ix):e]
+            for (w, ix), e in zip(layout.flats.items(), ends)}
+    tags, pivots = [], []
+    for w, (t, u) in image.items():
+        d = degs[w]
+        if len(d) > 1:  # one coordinate is its own pivot
+            got = q.image(w, u)
+            ech = DenseEchelonModP(p, len(d))
+            if got is not None:
+                ech._add_bits(got[1]) if p == 2 else ech.add_rows(got[1])
+            d = d[ech.pivot_cols]
+        if len(d) < len(t):
+            raise IntegrityError(f"the image rows at weight {w} are "
+                                 "dependent in product coordinates")
+        tags.append(t)
+        pivots.append(d)
+    return np.concatenate(tags), np.concatenate(pivots), degs
 
 
 class CartanComponentMap:
@@ -73,65 +147,28 @@ class CartanComponentMap:
         self.total = tuple(map(sum, zip(*lams)))
         self.factors = factors
         self.space = TensorAmbient(rs, factors, p)
-        self.factor_graded: list[PBWGraded] = [_factor_filtration(m)
-                                               for m in factors]
+        shared = [_factor_filtration(m) for m in factors]
+        self.factor_graded: list[PBWGraded] = [g for g, _ in shared]
         #: phi(V_n) = U_{<=n} (v_lam x v_mu), the filtered image of phi
         self.image: PBWGraded = filter_from_seed(self.space)
         self.rank_phi = self.image.cumulative_dims()[-1]
-        self._conv = self._tagged_products()
-
-    # -- the convolution filtration ---------------------------------------
-
-    def _tagged_products(self) -> dict[Weight, tuple[np.ndarray, np.ndarray]]:
-        """Every product of the factors' PBW basis rows, formed once, in the
-        local coordinates of its image weight block: per weight, the total
-        degrees in ascending order and the rows in that order."""
-        found: dict[Weight, list] = {}
-        for combo in product(*[g.tagged_blocks() for g in self.factor_graded]):
-            flats = np.zeros(1, dtype=np.int64)
-            degs = np.zeros(1, dtype=np.int64)
-            rows = np.ones((1, 1), dtype=np.int64)
-            for (_, ix, d, r), stride in zip(combo, self.space.strides):
-                flats = (flats[:, None] + stride * ix[None, :]).ravel()
-                degs = (degs[:, None] + d[None, :]).ravel()
-                # int64 holds a product of two residues, not three
-                rows = (rows[:, None, :, None] * r[None, :, None, :]).reshape(
-                    len(degs), len(flats)) % self.p
-            wt = tuple(map(sum, zip(*(w for w, *_ in combo))))
-            cols = self.space.layout.flats[wt]
-            wide = np.zeros((len(degs), len(cols)), dtype=np.int64)
-            wide[:, np.searchsorted(cols, flats)] = rows
-            found.setdefault(wt, []).append((degs, wide))
-        out = {}
-        for wt, parts in found.items():
-            degs = np.concatenate([d for d, _ in parts])
-            order = np.argsort(degs, kind="stable")
-            out[wt] = degs[order], np.vstack([r for _, r in parts])[order]
-        return out
+        tags = self.image.tags_by_weight()
+        self._tags, self._pivots, self._degs = _pivot_degrees(
+            self.space.layout, p, [c for _, c in shared],
+            {w: (tags[w], rows) for w, rows in
+             self.image.rows_by_weight(self.image.n_top).items()})
 
     def t_rows_by_weight(self, n: int) -> dict[Weight, np.ndarray]:
-        """Basis rows of T_n per weight, in the local coordinates of the
-        weight blocks of the target; the rows of T_{n-1} come first."""
-        out = {}
-        for w, (degs, rows) in self._conv.items():
-            k = int(np.searchsorted(degs, n, side="right"))
-            if k:
-                out[w] = rows[:k]
-        return out
+        """Basis rows of T_n per weight in product coordinates, unit rows,
+        those of T_{n-1} first (the meets do not read them)."""
+        return {w: np.eye(len(d), dtype=np.int64)[np.flatnonzero(d <= n)[::-1]]
+                for w, d in self._degs.items() if d[-1] <= n}
 
-    def meet_dim(self, image_rows: dict, t_echelons: dict) -> dict:
-        """dim(U cap T) per weight, for independent rows U and an echelon of
-        T per weight: |U| less the rank of U's residues mod T."""
-        out = {}
-        for w, rows in image_rows.items():
-            t = t_echelons.get(w)
-            if t is None or not t.rank:
-                out[w] = 0
-                continue
-            left = DenseEchelonModP(self.p, t.width)
-            left.add_rows(t.residue(rows))
-            out[w] = rows.shape[0] - left.rank
-        return out
+    def meet_dim(self, n: int) -> tuple[int, int]:
+        """(dim(phi(V_n) cap T_{n-1}), dim(im phi cap T_n)), counted as in
+        the module docstring."""
+        return (int(np.count_nonzero((self._tags <= n) & (self._pivots < n))),
+                int(np.count_nonzero(self._pivots <= n)))
 
 
 def cartan_component_map(rs: RootSystemData, sc, lam, mu, p: int, *,
@@ -173,58 +210,20 @@ class MultReport:
 
 def _degree_table(cm: CartanComponentMap):
     """Rows (n, dim phi(V_n), dim(im phi cap T_n)) until both stabilize, and
-    the dims of the image of gr(phi), dim phi(V_n) - dim(phi(V_n) cap T_{n-1}).
-
-    T_n is held in one echelon per image weight; each degree adds the rows
-    that are new at that degree (the basis rows of T_n extend those of
-    T_{n-1}, so the echelon's rank counts the rows it already holds, and a
-    row it rejects is a defect).  Image rows and T rows are both prefixes
-    in degree order, so the meet at a weight depends only on (|U_w|,
-    rank T_w): it is computed once per pair, and is |U_w| once T_w spans
-    the whole weight space.
-    """
-    image_full = cm.image.rows_by_weight(cm.image.n_top)
-    t_ech = {w: DenseEchelonModP(cm.p, rows.shape[1])
-             for w, rows in image_full.items()}
-    meets: dict[tuple, int] = {}  # (w, |U_w|, rank T_w) -> dim(U_w cap T_w)
-
-    def meet(image_rows) -> int:
-        todo = {}
-        for w, rows in image_rows.items():
-            t = t_ech[w]
-            key = (w, rows.shape[0], t.rank)
-            if t.rank == t.width:
-                meets[key] = rows.shape[0]
-            elif key not in meets:
-                todo[w] = rows
-        if todo:
-            for w, d in cm.meet_dim(todo, t_ech).items():
-                meets[w, todo[w].shape[0], t_ech[w].rank] = d
-        return sum(meets[w, rows.shape[0], t_ech[w].rank]
-                   for w, rows in image_rows.items())
-
+    the dims of the image of gr(phi), dim phi(V_n) - dim(phi(V_n) cap
+    T_{n-1}).  Past the factors' top degrees T_n is the whole target."""
     table, grdims = [], []
     dims = cm.image.cumulative_dims()
-    n = 0
     guard = sum(g.n_top for g in cm.factor_graded) + 1
-    while True:
+    for n in count():
+        if n > guard:
+            raise IntegrityError("convolution filtration failed to stabilize")
         a = dims[min(n, len(dims) - 1)]
-        grdims.append(a - meet(cm.image.rows_by_weight(n)))
-        t_rows = cm.t_rows_by_weight(n)
-        for w, ech in t_ech.items():
-            if w in t_rows:
-                new = t_rows[w][ech.rank:]
-                if len(new) and len(ech.add_rows(new)[0]) != len(new):
-                    raise IntegrityError(
-                        f"a basis row of T_{n} at weight {w} depends on "
-                        "the rows before it")
-        b = meet(image_full)
+        lower, b = cm.meet_dim(n)
+        grdims.append(a - lower)
         table.append((n, a, b))
         if a == cm.rank_phi and b == cm.rank_phi:
             return table, grdims
-        n += 1
-        if n > guard:
-            raise IntegrityError("convolution filtration failed to stabilize")
 
 
 def _pair_analysis(rs, sc, lam, mu, p: int, size_ceiling):

@@ -937,16 +937,24 @@ class PBWGraded:
     def cumulative_dims(self) -> tuple[int, ...]:
         return self._cum
 
-    def rows_by_weight(self, n: int) -> dict[Weight, np.ndarray]:
+    def rows_by_weight(self, n: int) -> dict:
         """Basis rows of V_n per weight where it is nonzero, in the local
         coordinates of the weight block (layout.flats[w]), in the order
-        they entered, so the rows of V_{n-1} come first."""
+        they entered, so the rows of V_{n-1} come first.  They are in the
+        route's form, the one BlockOp.image takes: int bitsets over F_2,
+        an int64 matrix otherwise; over F_2 nothing is unpacked."""
         out = {}
         for w, blk in self._blocks.items():
-            rows = blk.rows_upto(n)
+            rows = [r for d, r in blk.tagged if d <= n] if self.p == 2 \
+                else blk.rows_upto(n)
             if len(rows):
                 out[w] = rows
         return out
+
+    def tags_by_weight(self) -> dict[Weight, np.ndarray]:
+        """The degrees of the rows of rows_by_weight(n_top), per weight."""
+        return {w: np.array([d for d, _ in blk.tagged], dtype=np.int64)
+                for w, blk in self._blocks.items() if blk.tagged}
 
     def tagged_blocks(self):
         """Per weight block: its weight, its coordinates, and its basis rows

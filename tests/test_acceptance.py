@@ -156,8 +156,10 @@ def test_graded_dimensions_sum_to_module_dimension():
 
 
 # graded dims of gr V(2(p-1)rho), recorded from check_f0 itself:
-# regression pins, not independent checks.  The p = 2 pins were recorded
-# with the int64 echelon, so they hold the F_2 bitset echelon to it.
+# regression pins.  The p = 2 pins were recorded with the int64 echelon,
+# so they hold the F_2 bitset echelon to it.  Those of A2, C2, G2 and A3
+# at p = 2 are also checked by a second route, the Hilbert profile of
+# V(2 rho) -> V(rho) x V(rho) (test_splitting_pins_are_hilbert_profiles).
 SPLITTING_DIMS_PIN = {
     ("A1", 2): (1, 1, 1),
     ("A2", 2): (1, 3, 6, 8, 9),
@@ -197,6 +199,17 @@ def test_splitting_criterion_verdicts_on_asserted_cases(fresh_modules):
             mod = build_weyl_module_p(RS[name], p,
                                       splitting_weight(RS[name], p))
             assert check_F0_order_invariance(mod, trials=5) is True
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "G2", "A3"])
+def test_splitting_pins_are_hilbert_profiles(name):
+    """At p = 2 the splitting weight 2(p-1)rho is 2 rho, and a strict
+    psi_2: V(2 rho) -> V(rho) x V(rho) carries the PBW grading of its
+    source, so the profile of step 2 of the Hilbert chain is gr V(2 rho):
+    check_f0's filtration, reached through the component map's meets."""
+    rho = (1,) * RS[name].rank
+    rep = hilbert_function(RS[name], sc(name), rho, 2, 2)
+    assert rep.profiles[2] == SPLITTING_DIMS_PIN[name, 2]
 
 
 def test_norm_form_order_invariance_and_centrality():

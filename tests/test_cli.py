@@ -349,6 +349,35 @@ def test_prime_beyond_int64_bound_exits_1(command):
     assert "largest safe p" in lines[0]
 
 
+#: the CLI in a child whose address space is capped 160 MB above what its
+#: imports take, so the cap does not depend on the size of the imports
+CAPPED_CLI = "\n".join([
+    "import os, resource, sys",
+    "from pbwdeg import cli",
+    "with open('/proc/self/statm') as f:",
+    "    used = int(f.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')",
+    "resource.setrlimit(resource.RLIMIT_AS, (used + (160 << 20),) * 2)",
+    "sys.exit(cli.main(sys.argv[1:]))",
+])
+
+
+def test_out_of_memory_exits_2():
+    """A run that exhausts its memory is refused like one over the size
+    ceiling, in one line, not a numpy traceback: here the C3 tensor
+    square of V(rho), 262144-dimensional, in a small address space."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "check-gen", "--cartan", "C3",
+         "--lambda", "1,1,1", "--p", "2", "--n-max", "2",
+         "--size-ceiling", "262144"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("refused: out of memory")
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_mult_prime_beyond_int64_bound_exits_1():
     """The first prime above the A1 (1) x (1) limit 2^31 is refused."""
     proc = subprocess.run(

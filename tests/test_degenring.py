@@ -10,8 +10,11 @@ import json
 import subprocess
 import sys
 from itertools import count
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbwdeg import __version__, cli, degenring, weylmod
 from pbwdeg.chevrep import chevalley_constants
@@ -19,13 +22,15 @@ from pbwdeg.degenring import (CartanComponentMap, GenReport, HilbertReport,
                               MultReport, cartan_component_map,
                               check_degree_one_generation,
                               check_mult_surjective, hilbert_function)
-from pbwdeg.exactla import _is_prime
+from pbwdeg.degenring import _adapted_coordinates, _pivot_degrees
+from pbwdeg.exactla import _is_prime, _pack_rows
 from pbwdeg.pbwgrade import SizeCeilingExceeded, pbw_filtration
 from pbwdeg.rootsys import build_root_system, star_weight
-from pbwdeg.weylmod import (RankMismatch, build_weyl_module_p,
+from pbwdeg.weylmod import (RankMismatch, WeightBlocks, build_weyl_module_p,
                             freudenthal_multiplicities, weyl_dim)
 
-from dense_oracle import DensePairMap, dense_mult_verdict, gauss_rank
+from dense_oracle import (DensePairMap, dense_mult_verdict, gauss_rank,
+                          meet_dim)
 
 RS = {n: build_root_system(n)
       for n in ["A1", "A2", "A3", "B2", "C2", "G2"]}
@@ -114,35 +119,59 @@ def test_factor_filtrations_are_shared_per_module():
         pbw_filtration(a.factors[0]).cumulative_dims()
 
 
-def test_dependent_convolution_row_raises_under_python_O():
-    """A basis row of T_n that the rows before it already span is a defect,
-    also with asserts stripped: here the products at the highest weight
-    carry their one row twice."""
-    code = "\n".join([
-        "import numpy as np",
-        "from pbwdeg.chevrep import chevalley_constants",
-        "from pbwdeg.degenring import (CartanComponentMap,",
-        "                              check_mult_surjective)",
-        "from pbwdeg.rootsys import IntegrityError, build_root_system",
-        "print(__debug__)",
-        "real = CartanComponentMap._tagged_products",
-        "def doubled(self):",
-        "    out = real(self)",
-        "    degs, rows = out[self.total]",
-        "    out[self.total] = (np.repeat(degs, 2), np.repeat(rows, 2, axis=0))",
+#: faults planted in a check_mult_surjective run: a factor's tagged rows
+#: with row 1 a copy of row 0 at its one weight of multiplicity 2, or the
+#: image's rows with row 1 a copy of row 0 at the weight 0
+FAULTS = {
+    "singular-factor-block": (
+        "A2", (1, 1), (1, 0), "PBWGraded", "tagged_blocks",
+        "def faulty(self):\n"
+        "    for w, ix, degs, rows in real(self):\n"
+        "        if len(rows) == 2:\n"
+        "            rows = rows[[0, 0]]\n"
+        "        yield w, ix, degs, rows",
+        "not a basis"),
+    "dependent-image-rows": (
+        "A2", (1, 0), (0, 1), "PBWGraded", "rows_by_weight",
+        "def faulty(self, n):\n"
+        "    out = real(self, n)\n"
+        "    rows = out.get((0, 0), ())\n"
+        "    if len(rows) == 2:\n"
+        "        out[0, 0] = rows[:1] * 2 if isinstance(rows, list) \\\n"
+        "            else rows[[0, 0]]\n"
         "    return out",
-        "CartanComponentMap._tagged_products = doubled",
-        "rs = build_root_system('A2')",
+        "dependent in product coordinates"),
+}
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["asserts", "-O"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_faulted_coordinates_raise(fault, p, optimize):
+    """A factor block that is not invertible and image rows that the
+    change to product coordinates makes dependent are defects, also with
+    asserts stripped."""
+    name, lam, mu, owner, attr, body, says = FAULTS[fault]
+    code = "\n".join([
+        "from pbwdeg.chevrep import chevalley_constants",
+        "from pbwdeg.degenring import check_mult_surjective",
+        "from pbwdeg.rootsys import IntegrityError, build_root_system",
+        f"from pbwdeg.weylmod import {owner}",
+        "print(__debug__)",
+        f"real = {owner}.{attr}",
+        body,
+        f"{owner}.{attr} = faulty",
+        f"rs = build_root_system({name!r})",
         "try:",
-        "    check_mult_surjective(rs, chevalley_constants(rs), (1, 0),",
-        "                          (0, 1), 2)",
+        f"    check_mult_surjective(rs, chevalley_constants(rs), {lam}, {mu},"
+        f" {p})",
         "except IntegrityError as exc:",
-        "    print('raised', 'depends' in str(exc))",
+        f"    print('raised', {says!r} in str(exc))",
     ])
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
+    proc = subprocess.run([sys.executable, *optimize, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised", "True"]
+    assert proc.stdout.split() == [str(not optimize), "raised", "True"]
 
 
 G2_PAIRS = [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 1), (0, 1)),
@@ -241,6 +270,72 @@ def test_component_map_exposes_filtrations():
         assert all(gauss_rank(r, 2) == r.shape[0] for r in t.values())
 
 
+def _invertible(data, k, p):
+    """A k x k matrix invertible mod p: rows of L U permuted, L unit lower
+    and U upper triangular with a nonzero diagonal."""
+    low, up = np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            if j < i:
+                low[i, j] = data.draw(st.integers(0, p - 1))
+            else:
+                up[i, j] = data.draw(st.integers(int(i == j), p - 1))
+    return (low @ up % p)[data.draw(st.permutations(range(k)))]
+
+
+def _tagged(data, k, top):
+    return np.array(sorted(data.draw(st.lists(st.integers(0, top),
+                                              min_size=k, max_size=k))),
+                    dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 65521]), st.data())
+def test_pivot_count_meets_equal_dense_meets(p, data):
+    """Random factors with degree-tagged bases of random blocks and tags,
+    and random independent image rows with tags, most of them far from
+    strict: both meets, degree by degree, as _degree_table counts them,
+    are those of the rank formula on explicit rows of U_n and T_n."""
+    factors, bases, weights = [], [], []
+    for _ in range(2):
+        mults = data.draw(st.lists(st.integers(1, 2), min_size=1,
+                                   max_size=3))
+        wts = [(i,) for i, m in enumerate(mults) for _ in range(m)]
+        blocks, basis = [], []
+        for w, ix in WeightBlocks(wts).flats.items():
+            degs, rows = _tagged(data, len(ix), 3), \
+                _invertible(data, len(ix), p)
+            blocks.append((w, ix, degs, rows))
+            for d, r in zip(degs, rows):
+                vec = np.zeros(len(wts), dtype=np.int64)
+                vec[ix] = r
+                basis.append((d, vec))
+        factors.append(_adapted_coordinates(blocks, len(wts), p))
+        bases.append(basis)
+        weights.append(wts)
+    layout = WeightBlocks([(a[0] + b[0],) for a in weights[0]
+                           for b in weights[1]])
+    t_rows = [(d + e, np.kron(u, v) % p) for d, u in bases[0]
+              for e, v in bases[1]]
+    image, u_rows = {}, []
+    for w, ix in layout.flats.items():
+        k = data.draw(st.integers(1, len(ix)))
+        tags, rows = _tagged(data, k, 4), _invertible(data, len(ix), p)[:k]
+        image[w] = tags, _pack_rows(rows, p)
+        for t, r in zip(tags, rows):
+            vec = np.zeros(layout.dim, dtype=np.int64)
+            vec[ix] = r
+            u_rows.append((t, vec))
+    tags, pivots, _ = _pivot_degrees(layout, p, factors, image)
+    cm = SimpleNamespace(_tags=tags, _pivots=pivots)
+    for n in range(9):
+        lower = meet_dim([u for t, u in u_rows if t <= n],
+                         [v for d, v in t_rows if d < n], p)
+        upper = meet_dim([u for _, u in u_rows],
+                         [v for d, v in t_rows if d <= n], p)
+        assert CartanComponentMap.meet_dim(cm, n) == (lower, upper), n
+
+
 def test_component_map_int64_limit():
     """Meets reduce image rows against T_n at single width, so the int64
     limit is set by the tensor weight spaces alone: the weight-0 space of
@@ -257,15 +352,15 @@ def test_component_map_int64_limit():
 
 
 def test_stabilization_guard_survives_python_O():
-    """With T_n reported empty the meets never reach rank(phi); the guard
-    must still stop the degree loop when asserts are stripped."""
+    """With every meet reported empty the meets never reach rank(phi); the
+    guard must still stop the degree loop when asserts are stripped."""
     code = "\n".join([
         "from pbwdeg.chevrep import chevalley_constants",
         "from pbwdeg.degenring import (CartanComponentMap,",
         "                              check_mult_surjective)",
         "from pbwdeg.rootsys import IntegrityError, build_root_system",
         "print(__debug__)",
-        "CartanComponentMap.t_rows_by_weight = lambda self, n: {}",
+        "CartanComponentMap.meet_dim = lambda self, n: (0, 0)",
         "rs = build_root_system('A1')",
         "try:",
         "    check_mult_surjective(rs, chevalley_constants(rs), (1,), (1,), 2)",
